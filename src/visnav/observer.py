@@ -10,6 +10,7 @@ time-varying; their gains come from a continuous Riccati equation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,7 +300,21 @@ def _substep(est: ObserverState, imu_fn, meas, cfg, tau, h, with_meas):
     )
 
 
-def _stiffness(est: ObserverState, imu_fn, meas, cfg, tau, with_meas) -> float:
+_FIELDS = ("R", "p", "v", "e", "P")
+
+
+def _nonfinite_error(state: ObserverState, t: float, substep: int,
+                     cause: str = "state") -> NonFiniteStateError:
+    """NonFiniteStateError naming the time, the substep index and the first
+    non-finite state field (cause when every field is finite)."""
+    name = next((name for name in _FIELDS
+                 if not np.all(np.isfinite(getattr(state, name)))), cause)
+    return NonFiniteStateError(
+        f"non-finite {name} at t={t:.9g}, substep {substep}")
+
+
+def _stiffness(est: ObserverState, imu_fn, meas, cfg, tau, with_meas,
+               substep: int) -> float:
     omega, _ = imu_fn(tau)
     rate = 1.0 + 2.0 * (np.linalg.norm(omega) + np.linalg.norm(cfg.gravity))
     if with_meas:
@@ -310,6 +325,9 @@ def _stiffness(est: ObserverState, imu_fn, meas, cfg, tau, with_meas) -> float:
             S = C.T @ Q @ C
             # tr(S P) >= lambda_max(S P) >= local contraction rate
             rate += 2.0 * abs(float(np.einsum("ij,ji->", S, est.P)))
+    if not math.isfinite(rate):
+        # a finite state with a non-finite rate means a non-finite input
+        raise _nonfinite_error(est, tau, substep, "IMU or measurement input")
     return rate
 
 
@@ -322,9 +340,20 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
     inertial flow, covariance grows as A P + P A^T + V) or a callable
     (state, t) -> (sigma_y, C) | None evaluated at the integration stages.
 
-    Internally the step is split into substeps sized against the local
-    contraction rate of the Riccati flow, so a large initial P (stiff
-    transient) cannot destabilize the explicit integration.
+    Internally the step is split into RK4 substeps of size 1.5 / rate, where
+    rate bounds the local contraction rate of the Riccati flow, so a large
+    initial P (stiff transient) cannot destabilize the explicit integration.
+    Every accepted substep is sized for the stiffer of its two endpoints.
+    When the rate jumps inside a substep (a measurement stream switching on,
+    such as the first vision frame of a dataset), each far-end probe at most
+    halves h: the substep then lands before the jump, at least halving the
+    distance to it, or is short enough for the stiff side.  A jump is thus
+    crossed in O(log) substeps.  A far-end rate below twice the near-end
+    rate is not a jump: the probe then sizes h for it directly.
+
+    Raises NonFiniteStateError, naming t, the substep index and the field,
+    when the state or the stiffness rate turns non-finite or the substep
+    budget runs out.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -333,31 +362,31 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
     tau = t
     end = t + dt
     state = est
-    for _ in range(100000):
+    for n in range(100000):
         remaining = end - tau
         if remaining <= 1e-14 * dt:
             break
-        rate = _stiffness(state, imu_fn, meas, cfg, tau, with_meas)
+        rate = _stiffness(state, imu_fn, meas, cfg, tau, with_meas, n)
         h = min(1.5 / rate, remaining)
-        # A measurement stream may switch on inside the substep (e.g. the
-        # first vision frame of a dataset); probe the far end and shrink
-        # until the whole substep is sized for its stiffest point.
+        # Probe the far end, where the rate may have jumped; shrink toward
+        # its stiffer size but by at most half per probe (see docstring).
         for _ in range(60):
             rate_end = _stiffness(state, imu_fn, meas, cfg, tau + h,
-                                  with_meas)
-            h_new = min(1.5 / max(rate, rate_end), remaining)
-            if h_new >= h * (1.0 - 1e-12):
+                                  with_meas, n)
+            h_end = min(1.5 / max(rate, rate_end), remaining)
+            if h_end >= h * (1.0 - 1e-12):
                 break
-            h = h_new
+            h = max(h_end, 0.5 * h)
         if h >= remaining * (1.0 - 1e-12):
             h = remaining
         state = _substep(state, imu_fn, meas, cfg, tau, h, with_meas)
         tau += h
     else:
-        raise NonFiniteStateError("substep budget exhausted; runaway stiffness")
-    for arr in (state.R, state.p, state.v, state.e, state.P):
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteStateError("non-finite estimator state after step")
+        raise NonFiniteStateError(
+            f"substep budget exhausted at t={tau:.9g} after {n + 1} "
+            "substeps; runaway stiffness")
+    if not all(np.all(np.isfinite(getattr(state, name))) for name in _FIELDS):
+        raise _nonfinite_error(state, tau, n - 1)
     return state
 
 

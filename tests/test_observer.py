@@ -4,6 +4,10 @@ identities, Riccati integration, and the step() integrator."""
 import numpy as np
 import pytest
 
+import visnav.observer as observer
+from visnav.cli import main
+from visnav.dataio import (DatasetBearingProvider, DatasetPositionProvider,
+                           interpolating_imu, load_config, load_dataset)
 from visnav.errors import (MissingStereoPairError, NonFiniteStateError,
                            UnknownLandmarkError)
 from visnav.geom import (E3, I3, dist_identity, exp_so3, psi_antisym,
@@ -12,7 +16,7 @@ from visnav.observer import (GainConfig, ObserverState, attitude_innovation,
                              build_A, error_state, innovation_mono,
                              innovation_position, innovation_stereo,
                              riccati_rhs, run_continuous, step,
-                             StereoBearingSource)
+                             PositionSource, StereoBearingSource)
 from visnav.sim import (GRAVITY, BearingFrame, CameraExtrinsics,
                         EightTrajectory, Landmark, RigidBodyState,
                         default_stereo_rig, make_bearing_frame,
@@ -345,6 +349,67 @@ def test_step_nonfinite_guard():
     est = ObserverState.initial(P=np.full((15, 15), np.nan))
     with pytest.raises(NonFiniteStateError):
         step(est, (np.zeros(3), np.zeros(3)), GainConfig(), 1.0 / 200.0)
+
+
+def test_step_nonfinite_guard_names_field_with_measurements():
+    # with measurements on, a NaN P makes the stiffness rate NaN; the probe
+    # must not reach the trajectory at t = NaN
+    traj = EightTrajectory(t_end=0.1)
+    source = PositionSource(traj, sample_landmarks(5, seed=0))
+    est = ObserverState.initial(P=np.full((15, 15), np.nan))
+    with pytest.raises(NonFiniteStateError,
+                       match=r"non-finite P at t=0\.025, substep 0"):
+        step(est, traj.imu, GainConfig(), 1.0 / 200.0, t=0.025, meas=source)
+
+
+ONSET_CFG = """\
+mode = {mode}
+estimator = continuous
+duration = 0.25
+imu_rate = 200
+vision_rate = 20
+seed = 0
+n_landmarks = 5
+"""
+
+
+@pytest.mark.parametrize("mode", ["stereo", "monocular", "position3d"])
+def test_measurement_onset_substeps(mode, tmp_path, monkeypatch):
+    # A dataset's first vision frame (t = 0.05) switches the stiff measured
+    # Riccati regime on.  The step that ends on it must cross the switch in
+    # a few substeps, not creep up on it at the stiff step size.
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(ONSET_CFG.format(mode=mode))
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(data)]) == 0
+    cfg = load_config(str(cfg_path))
+    gains = cfg.gain_config()
+    ds = load_dataset(str(data))
+    if mode == "position3d":
+        provider = DatasetPositionProvider(ds, gains)
+        first_frame = ds.positions[0].t
+    else:
+        provider = DatasetBearingProvider(ds, gains, mode)
+        first_frame = ds.bearings[0].t
+    imu_fn = interpolating_imu(ds.imu)
+
+    # project_to_rotation runs once per substep
+    substeps = []
+    project = observer.project_to_rotation
+    monkeypatch.setattr(observer, "project_to_rotation",
+                        lambda R: substeps.append(1) or project(R))
+    dt = 1.0 / 200.0
+    est = cfg.initial_estimate()
+    per_step = []
+    for k in range(50):
+        before = len(substeps)
+        est = step(est, imu_fn, gains, dt, t=k * dt, meas=provider)
+        per_step.append(len(substeps) - before)
+    onset = int(round(first_frame / dt)) - 1
+    assert np.mean(per_step) <= 10
+    assert per_step[onset] <= 50
+    assert max(per_step[:onset]) == 1  # measurement-free flow before it
 
 
 def test_run_continuous_bookkeeping():
