@@ -1,14 +1,20 @@
-"""Compare the estimator outputs of two visnav source trees bit for bit.
+"""Compare the estimator outputs of two visnav source trees.
 
     python3 scripts/compare_outputs.py OLD_SRC NEW_SRC [--seconds S]
 
 OLD_SRC and NEW_SRC are directories that contain the `visnav` package
 (the `src/` of two checkouts).  Each tree runs, in a fresh process with it
-on PYTHONPATH, the three sim-driven reference runs of the acceptance suite
-(position3d, stereo, monocular) and the measurement-free flow
-(`run_continuous` with no provider, the path the hybrid estimator takes
-between frames).  The script reports, per run and field, whether R, p, v,
-e and P agree exactly at every IMU step, and exits 1 on any difference.
+on PYTHONPATH:
+- the three sim-driven reference runs of the acceptance suite (position3d,
+  stereo, monocular);
+- the measurement-free flow (`run_continuous` with no provider, the path
+  the hybrid estimator takes between frames);
+- a stereo hybrid run at 20 Hz with noise covariances (`tune_vq`, `jump`);
+- a stereo continuous run driven by an in-memory dataset through the
+  dataset provider of `visnav.dataio`.
+The script reports, per run and field, whether R, p, v, e and P agree
+exactly at every IMU step, or else their max |diff|, and exits 1 on any
+difference.
 """
 
 import argparse
@@ -22,24 +28,56 @@ import numpy as np
 FIELDS = ("R", "p", "v", "e", "P")
 
 
+def _stereo_provider(ds):
+    from visnav import dataio
+    if hasattr(dataio, "DatasetProvider"):
+        return dataio.DatasetProvider(ds, "stereo")
+    # trees from before the bearing and position providers were merged
+    from visnav.observer import GainConfig
+    return dataio.DatasetBearingProvider(ds, GainConfig(), "stereo")
+
+
 def dump(path, seconds):
+    from visnav.dataio import Dataset, interpolating_imu
     from visnav.geom import exp_so3
+    from visnav.hybrid import NoiseCovariances, run as hybrid_run
     from visnav.observer import (GainConfig, MonoBearingSource, ObserverState,
                                  PositionSource, StereoBearingSource,
                                  run_continuous)
-    from visnav.sim import EightTrajectory, default_stereo_rig, sample_landmarks
+    from visnav.sim import (EightTrajectory, default_stereo_rig,
+                            make_bearing_frame, sample_landmarks)
 
-    traj = EightTrajectory()
+    traj = EightTrajectory(t_end=max(30.0, seconds))
     lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
-    runs = {"position3d": PositionSource(traj, lms),
-            "stereo": StereoBearingSource(traj, lms, cams),
-            "monocular": MonoBearingSource(traj, lms, cams[0]),
-            "flow": None}
     R0 = exp_so3(0.5 * np.pi * np.ones(3) / np.sqrt(3.0))
+    frames = [make_bearing_frame(traj.state(k / 20.0), lms, cams)
+              for k in range(1, int(np.floor(seconds * 20.0 + 1e-9)) + 1)]
+    imu_rows = [[t, *traj.state(t).omega, *traj.state(t).a]
+                for t in np.arange(int(round(seconds * 200.0)) + 1) / 200.0]
+    ds = Dataset(imu=np.array(imu_rows), landmarks=lms, bearings=frames,
+                 extrinsics=cams)
+
+    def continuous(imu, provider):
+        return run_continuous(ObserverState.initial(R=R0), imu, provider,
+                              GainConfig(), t_end=seconds)[1]
+
+    runs = {
+        "position3d": lambda: continuous(traj.imu, PositionSource(traj, lms)),
+        "stereo": lambda: continuous(traj.imu,
+                                     StereoBearingSource(traj, lms, cams)),
+        "monocular": lambda: continuous(traj.imu,
+                                        MonoBearingSource(traj, lms, cams[0])),
+        "flow": lambda: continuous(traj.imu, None),
+        "hybrid": lambda: hybrid_run(
+            ObserverState.initial(R=R0), traj.imu, frames, lms,
+            GainConfig(k_r=20.0), mode="stereo", cams=cams,
+            ncov=NoiseCovariances(), t_end=seconds)[1],
+        "dataset": lambda: continuous(interpolating_imu(ds.imu),
+                                      _stereo_provider(ds)),
+    }
     arrays = {}
-    for name, provider in runs.items():
-        _, states = run_continuous(ObserverState.initial(R=R0), traj.imu,
-                                   provider, GainConfig(), t_end=seconds)
+    for name, states in runs.items():
+        states = states()
         for f in FIELDS:
             arrays[f"{name}.{f}"] = np.stack([getattr(s, f) for s in states])
     np.savez(path, **arrays)

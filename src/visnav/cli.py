@@ -14,9 +14,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .dataio import (Dataset, DatasetBearingProvider, DatasetPositionProvider,
-                     TraceRecord, apply_overrides, interpolating_imu,
-                     load_config, load_dataset, save_dataset, write_trace)
+from .dataio import (Dataset, DatasetProvider, TraceRecord, apply_overrides,
+                     interpolating_imu, load_config, load_dataset,
+                     save_dataset, write_trace)
 from .errors import (CameraOnLandmarkError, InsufficientHistoryError,
                      NonFiniteStateError, SingularInnovationError,
                      TooFewLandmarksError, VisnavError)
@@ -25,8 +25,11 @@ from .hybrid import run as hybrid_run, zoh_imu
 from .observability import (check_mono_motion, check_stereo_condition,
                             classify_static_degeneracy, gramian_discrete,
                             transition_matrix)
-from .observer import (GainConfig, ObserverState, innovation_mono,
-                       innovation_position, innovation_stereo, run_continuous)
+# innovation_{position,stereo,mono} stay importable here: the benchmark's
+# span tracer (perfbench/tracer.py) wraps them in this namespace.
+from .observer import (GainConfig, ObserverState, innovation,  # noqa: F401
+                       innovation_mono, innovation_position,
+                       innovation_stereo, mode_cameras, run_continuous)
 from .sim import (EightTrajectory, apply_noise, apply_position_noise,
                   default_stereo_rig, make_bearing_frame, make_position_frame,
                   sample_landmarks)
@@ -63,21 +66,12 @@ def _build_parser():
     return ap
 
 
-def _cameras_for(cfg):
-    cams = default_stereo_rig(cfg.baseline)
-    if cfg.mode == "stereo":
-        return cams
-    if cfg.mode == "monocular":
-        return cams[:1]
-    return []
-
-
 def _simulate(cfg, out_dir):
     dt = 1.0 / cfg.imu_rate
     n = int(round(cfg.duration * cfg.imu_rate))
     times = np.arange(n + 1) * dt
     traj = EightTrajectory(t_end=cfg.duration, dt=dt)
-    cams = _cameras_for(cfg)
+    cams = mode_cameras(cfg.mode, default_stereo_rig(cfg.baseline))
     lms = sample_landmarks(cfg.n_landmarks, seed=cfg.seed)
 
     imu_rows = np.empty((times.size, 7))
@@ -161,29 +155,24 @@ def _estimate(cfg, data_dir, out_path):
     dt = (imu[-1, 0] - imu[0, 0]) / (imu.shape[0] - 1) if imu.shape[0] > 1 \
         else 1.0 / cfg.imu_rate
     est0 = cfg.initial_estimate()
-    lms = ds.landmarks
-    cams = sorted(ds.extrinsics, key=lambda c: c.cam_id)
 
     if cfg.estimator == "continuous":
-        if cfg.mode == "position3d":
-            provider = DatasetPositionProvider(ds, gains)
-        else:
-            provider = DatasetBearingProvider(ds, gains, cfg.mode)
-        times, states = run_continuous(est0, interpolating_imu(imu), provider,
-                                       gains, t_end=t_end, dt=dt, t0=t0)
+        times, states = run_continuous(est0, interpolating_imu(imu),
+                                       DatasetProvider(ds, cfg.mode), gains,
+                                       t_end=t_end, dt=dt, t0=t0)
     else:
-        frames = ds.positions if cfg.mode == "position3d" else ds.bearings
-        frames = [fr for fr in frames if fr.t <= t_end + 1e-9]
+        frames = [fr for fr in ds.frames(cfg.mode) if fr.t <= t_end + 1e-9]
         times, states, _ = hybrid_run(
-            est0, zoh_imu(imu), frames, lms, gains, mode=cfg.mode, cams=cams,
-            ncov=cfg.noise_covariances(), t_end=t_end, dt=dt, t0=t0)
+            est0, zoh_imu(imu), frames, ds.landmarks, gains, mode=cfg.mode,
+            cams=ds.extrinsics, ncov=cfg.noise_covariances(), t_end=t_end,
+            dt=dt, t0=t0)
 
     write_trace(out_path, _trace_records(times, states, _truth_lookup(ds)))
     return 0
 
 
 def _gramian_windows(cfg, ds):
-    frames = ds.positions if cfg.mode == "position3d" else ds.bearings
+    frames = ds.frames(cfg.mode)
     if not frames:
         return []
     imu = np.asarray(ds.imu)
@@ -193,16 +182,10 @@ def _gramian_windows(cfg, ds):
         return zoh(t)[0]
 
     dummy = ObserverState.initial()
-    lms = ds.landmarks
-    cams = sorted(ds.extrinsics, key=lambda c: c.cam_id)
 
     def c_matrix(fr):
-        if cfg.mode == "position3d":
-            return innovation_position(dummy, fr, lms)[1]
-        if cfg.mode == "stereo":
-            return innovation_stereo(dummy, fr, cams, lms,
-                                     allow_mono_fallback=True)[1]
-        return innovation_mono(dummy, fr, cams[0], lms)[1]
+        return innovation(dummy, fr, cfg.mode, ds.extrinsics, ds.landmarks,
+                          allow_mono_fallback=True)[1]
 
     out = []
     gravity = np.array(GainConfig().gravity, dtype=float)

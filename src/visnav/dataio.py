@@ -17,8 +17,11 @@ import numpy as np
 from .errors import IoError, ParseError, ValidationError
 from .geom import is_rotation
 from .hybrid import NoiseCovariances
-from .observer import (GainConfig, innovation_mono, innovation_position,
-                       innovation_stereo, ObserverState)
+# innovation_{position,stereo,mono} stay importable here: the benchmark's
+# span tracer (perfbench/tracer.py) wraps them in this namespace.
+from .observer import (MODES, GainConfig, ObserverState,  # noqa: F401
+                       innovation, innovation_mono, innovation_position,
+                       innovation_stereo, mode_cameras)
 from .sim import BearingFrame, CameraExtrinsics, Landmark, PositionFrame
 
 IMU_HEADER = "t,wx,wy,wz,ax,ay,az"
@@ -31,7 +34,6 @@ EXTRINSICS_HEADER = "cam_id,r11,r12,r13,r21,r22,r23,r31,r32,r33,px,py,pz"
 TRACE_HEADER = ("t,att_err,pos_err,vel_err,px,py,pz,vx,vy,vz,"
                 "r11,r12,r13,r21,r22,r23,r31,r32,r33")
 
-_MODES = ("position3d", "stereo", "monocular")
 _ESTIMATORS = ("continuous", "hybrid")
 
 
@@ -110,6 +112,10 @@ class Dataset:
 
     def cam_ids(self):
         return {cam.cam_id for cam in self.extrinsics}
+
+    def frames(self, mode: str) -> list:
+        """The frame stream a measurement mode reads."""
+        return self.positions if mode == "position3d" else self.bearings
 
 
 def _load_imu(path):
@@ -367,8 +373,8 @@ class RunConfig:
     mono_window: float = 2.0
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValidationError(f"mode must be one of {_MODES}, "
+        if self.mode not in MODES:
+            raise ValidationError(f"mode must be one of {MODES}, "
                                   f"got {self.mode!r}")
         if self.estimator not in _ESTIMATORS:
             raise ValidationError(f"estimator must be one of {_ESTIMATORS}, "
@@ -486,21 +492,21 @@ class _FrameInterpolator:
         return lo, hi, blend
 
 
-class DatasetBearingProvider:
-    """Continuous-time bearing innovation from a sampled bearing stream.
+class DatasetProvider:
+    """Continuous-time innovation from the sampled frame stream of a
+    measurement mode (see Dataset.frames).
 
-    Bearings are interpolated linearly between bracketing frames (then
-    renormalized) for the keys present in both; outside the stream the
-    provider reports no measurement.
+    Observations are interpolated linearly between bracketing frames for
+    the keys present in both, bearings then renormalized; outside the
+    stream the provider reports no measurement.
     """
 
-    def __init__(self, ds: Dataset, cfg: GainConfig, mode: str,
+    def __init__(self, ds: Dataset, mode: str,
                  allow_mono_fallback: bool = False):
-        self.interp = _FrameInterpolator(ds.bearings)
-        self.cams = {c.cam_id: c for c in ds.extrinsics}
-        self.cam_list = sorted(ds.extrinsics, key=lambda c: c.cam_id)
-        self.lms = sorted(ds.landmarks, key=lambda lm: lm.id)
+        self.interp = _FrameInterpolator(ds.frames(mode))
         self.mode = mode
+        self.cams = mode_cameras(mode, ds.extrinsics)
+        self.lms = sorted(ds.landmarks, key=lambda lm: lm.id)
         self.allow_mono_fallback = allow_mono_fallback
 
     def _frame_at(self, t):
@@ -508,39 +514,21 @@ class DatasetBearingProvider:
         if br is None:
             return None
         lo, hi, blend = br
+        unit = isinstance(lo, BearingFrame)
         obs = {}
         for key in lo.obs.keys() & hi.obs.keys():
             y = (1.0 - blend) * lo.obs[key] + blend * hi.obs[key]
-            n = np.linalg.norm(y)
-            if n > 1e-9:
-                obs[key] = y / n
-        return BearingFrame(t=t, obs=obs) if obs else None
+            if unit:
+                n = np.linalg.norm(y)
+                if n <= 1e-9:
+                    continue
+                y = y / n
+            obs[key] = y
+        return type(lo)(t=t, obs=obs) if obs else None
 
     def __call__(self, est, t):
         frame = self._frame_at(t)
         if frame is None:
             return None
-        if self.mode == "stereo":
-            return innovation_stereo(est, frame, self.cam_list, self.lms,
-                                     allow_mono_fallback=self.allow_mono_fallback)
-        return innovation_mono(est, frame, self.cam_list[0], self.lms)
-
-
-class DatasetPositionProvider:
-    """Continuous-time position innovation from a sampled position stream."""
-
-    def __init__(self, ds: Dataset, cfg: GainConfig):
-        self.interp = _FrameInterpolator(ds.positions)
-        self.lms = sorted(ds.landmarks, key=lambda lm: lm.id)
-
-    def __call__(self, est, t):
-        br = self.interp.bracket(t)
-        if br is None:
-            return None
-        lo, hi, blend = br
-        obs = {}
-        for key in lo.obs.keys() & hi.obs.keys():
-            obs[key] = (1.0 - blend) * lo.obs[key] + blend * hi.obs[key]
-        if not obs:
-            return None
-        return innovation_position(est, PositionFrame(t=t, obs=obs), self.lms)
+        return innovation(est, frame, self.mode, self.cams, self.lms,
+                          self.allow_mono_fallback)

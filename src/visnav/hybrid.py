@@ -14,17 +14,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ScheduleViolationError, SingularInnovationError
-from .geom import I3, pi_proj, skew
-from .observer import (
+from .geom import I3, skew
+# innovation_{position,stereo,mono} stay importable here: the benchmark's
+# span tracer (perfbench/tracer.py) wraps them in this namespace.
+from .observer import (  # noqa: F401
     GainConfig,
     I15,
     ObserverState,
+    innovation,
     innovation_mono,
     innovation_position,
     innovation_stereo,
+    landmark_blocks,
+    mode_cameras,
     step,
 )
-from .sim import BearingFrame, PositionFrame
+from .sim import PositionFrame
 
 
 @dataclass(frozen=True)
@@ -138,8 +143,10 @@ def tune_vq(est: ObserverState, ncov: NoiseCovariances, lms, frame=None,
     V comes from the IMU-noise Jacobian of the error dynamics (always
     available); Q^-1 needs the current vision frame to know the measured
     landmarks and their projectors, so it is None when frame is None.
-    Position frames use identity blocks (the noise enters directly);
-    bearing frames use range-scaled summed projectors.
+    Q^-1 is block diagonal over the landmark blocks of landmark_blocks
+    with the cameras cams (those of the measurement mode): identity blocks
+    for position frames (the noise enters directly), range-scaled summed
+    projectors for bearing frames.
     """
     G = np.zeros((15, 6))
     vecs = (est.p, est.e[0], est.e[1], est.e[2], est.v)
@@ -151,40 +158,16 @@ def tune_vq(est: ObserverState, ncov: NoiseCovariances, lms, frame=None,
 
     if frame is None:
         return V, None
-    lm_map = {lm.id: lm for lm in lms}
-    blocks = []
-    if isinstance(frame, PositionFrame):
-        blocks = [I3 for _ in sorted(frame.obs)]
-    else:
-        cam_map = {c.cam_id: c for c in (cams or [])}
-        by_lm: dict = {}
-        for (cam_id, lm_id), y in frame.obs.items():
-            if cam_id in cam_map:
-                by_lm.setdefault(lm_id, {}).setdefault(cam_id, y)
-        for lm_id in sorted(by_lm):
-            lm = lm_map[lm_id]
-            rng = np.linalg.norm(lm.p @ est.e - est.p)
-            Pi = np.zeros((3, 3))
-            for cam_id in sorted(by_lm[lm_id]):
-                Pi += pi_proj(cam_map[cam_id].R @ by_lm[lm_id][cam_id])
-            blocks.append(rng * Pi)
-    n = 3 * len(blocks)
-    M = np.zeros((n, n))
-    for i, blk in enumerate(blocks):
-        M[3 * i:3 * i + 3, 3 * i:3 * i + 3] = blk
-    q_inv = ncov.cov_y * (M @ M.T) + ncov.reg * np.eye(n)
+    # the same blocks as the innovation, so Q^-1's rows follow C's rows
+    p, M, _ = landmark_blocks(frame, cams or [], lms, allow_mono_fallback=True)
+    if not isinstance(frame, PositionFrame):
+        M = np.linalg.norm(p @ est.e - est.p, axis=1)[:, None, None] * M
+    n = len(p)
+    diag = np.arange(n)
+    q_inv = np.zeros((n, 3, n, 3))
+    q_inv[diag, :, diag, :] = ncov.cov_y * (M @ M.transpose(0, 2, 1))
+    q_inv = q_inv.reshape(3 * n, 3 * n) + ncov.reg * np.eye(3 * n)
     return V, 0.5 * (q_inv + q_inv.T)
-
-
-def _innovation_for(est, frame, mode, cams, lms, allow_mono_fallback):
-    if mode == "position3d":
-        return innovation_position(est, frame, lms)
-    if mode == "stereo":
-        return innovation_stereo(est, frame, cams, lms,
-                                 allow_mono_fallback=allow_mono_fallback)
-    if mode == "monocular":
-        return innovation_mono(est, frame, cams[0], lms)
-    raise ValueError(f"unknown measurement mode {mode!r}")
 
 
 def zoh_imu(samples: np.ndarray):
@@ -211,6 +194,8 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
     Vision frames are snapped to the nearest IMU grid node (max error
     dt/2); the jump is applied right after the flow step landing on that
     node, and the recorded state at the node is the post-jump one.
+    cams is the camera rig; the innovation and Q^-1 both use its
+    mode_cameras(mode, cams).
 
     Returns (times, states, jumps) where jumps is a list of
     (t, lambda_max_before, lambda_max_after) covariance diagnostics.
@@ -245,6 +230,7 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
                             t_max=schedule.t_max)
         schedule.check_start(t0)
 
+    cams = mode_cameras(mode, cams or [])
     states = [est.copy()]
     jumps = []
     v_cur = None
@@ -255,8 +241,7 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
         est = flow(est, imu, cfg_k, dt, t=float(times[k]))
         frame = by_node.get(k + 1)
         if frame is not None:
-            inn = _innovation_for(est, frame, mode, cams, lms,
-                                  allow_mono_fallback)
+            inn = innovation(est, frame, mode, cams, lms, allow_mono_fallback)
             if ncov is not None:
                 v_cur, q_inv = tune_vq(est, ncov, lms, frame=frame, cams=cams)
             else:

@@ -77,12 +77,16 @@ def transition_matrix(omega_fn, gravity, t0: float, t1: float,
     return Phi
 
 
-def _simpson_weights(n: int) -> np.ndarray:
-    # n intervals (even), n + 1 nodes
+def _simpson_grid(delta: float, dt: float):
+    """Composite Simpson rule over a window of length delta: the step
+    h = delta / n for the least even n >= 2 with h <= dt, and the n + 1
+    node weights."""
+    n = int(np.ceil(delta / dt - 1e-12))
+    n = max(n + n % 2, 2)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w / 3.0
+    return delta / n, w / 3.0
 
 
 def gramian_continuous(omega_fn, c_fn, t: float, delta: float,
@@ -93,15 +97,10 @@ def gramian_continuous(omega_fn, c_fn, t: float, delta: float,
     path."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    n = int(np.ceil(delta / dt - 1e-12))
-    if n % 2:
-        n += 1
-    n = max(n, 2)
-    h = delta / n
-    weights = _simpson_weights(n)
+    h, weights = _simpson_grid(delta, dt)
     Phi = np.eye(FULL_STATE_DIM)
     W = np.zeros((FULL_STATE_DIM, FULL_STATE_DIM))
-    for k in range(n + 1):
+    for k in range(weights.size):
         tau = t + k * h
         if k:
             Phi = _rk4_phi(Phi, omega_fn, gravity, tau - h, h)
@@ -163,14 +162,9 @@ def check_uniform_observability(A: np.ndarray, c_fn, t: float, delta: float,
         C = np.asarray(c_fn(tau), dtype=float)
         return np.vstack([C @ Nk for Nk in powers])
 
-    n = int(np.ceil(delta / dt - 1e-12))
-    if n % 2:
-        n += 1
-    n = max(n, 2)
-    h = delta / n
-    weights = _simpson_weights(n)
+    h, weights = _simpson_grid(delta, dt)
     W = np.zeros((A.shape[0], A.shape[0]))
-    for k in range(n + 1):
+    for k in range(weights.size):
         O = stacked(t + k * h)
         W += weights[k] * (O.T @ O)
     W *= h

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     MissingStereoPairError,
     NonFiniteStateError,
+    NotUnitError,
     UnknownLandmarkError,
 )
 from .geom import (
@@ -25,11 +26,11 @@ from .geom import (
     I3,
     dexpinv_body,
     exp_so3,
-    pi_proj,
     project_to_rotation,
     skew,
 )
-from .sim import GRAVITY, make_bearing_frame, make_position_frame
+from .sim import (GRAVITY, PositionFrame, make_bearing_frame,
+                  make_position_frame)
 
 I15 = np.eye(15)
 
@@ -146,86 +147,121 @@ def attitude_innovation(est: ObserverState, cfg: GainConfig) -> np.ndarray:
     return 0.5 * cfg.k_r * s
 
 
-def _output_block(Pi: np.ndarray, lm_p: np.ndarray) -> np.ndarray:
-    # row block [Pi, -p_x Pi, -p_y Pi, -p_z Pi, 0]
-    return np.hstack([Pi, -lm_p[0] * Pi, -lm_p[1] * Pi, -lm_p[2] * Pi,
-                      np.zeros((3, 3))])
+MODES = ("position3d", "stereo", "monocular")
 
 
-def _empty_innovation():
-    return np.zeros(0), np.zeros((0, 15))
+def mode_cameras(mode: str, cams) -> list:
+    """The cameras a measurement mode uses, in cam_id order: every camera
+    of the rig for stereo, the first one for monocular, none for
+    position3d."""
+    if mode not in MODES:
+        raise ValueError(f"unknown measurement mode {mode!r}")
+    cams = sorted(cams, key=lambda c: c.cam_id)
+    return {"position3d": [], "monocular": cams[:1], "stereo": cams}[mode]
+
+
+def landmark_blocks(frame, cams, lms, allow_mono_fallback: bool = False):
+    """Stacked per-landmark measurement blocks (p, Pi, b) of one frame.
+
+    Every mode measures Pi (z_hat - c) per landmark, with z_hat the
+    predicted body-frame landmark position, so the innovation is
+    Pi z_hat - b.  A PositionFrame gives Pi = I and b = z.  A BearingFrame
+    gives Pi = sum_c pi(R_c y_c) and b = sum_c pi(R_c y_c) c_c over the
+    cameras in cams that see the landmark; observations of other cameras
+    are ignored.  Rows follow ascending landmark ids and the camera sum
+    ascending cam ids.  p is (L, 3), Pi (L, 3, 3) and b (L, 3).
+
+    Raises UnknownLandmarkError for a landmark outside lms, NotUnitError
+    for a rotated bearing whose norm is off 1 by more than 1e-6, and
+    MissingStereoPairError for a landmark seen by only part of cams unless
+    allow_mono_fallback is set, in which case it keeps the projectors of
+    the cameras that see it.
+    """
+    lm_map = {lm.id: lm for lm in lms}
+    if isinstance(frame, PositionFrame):
+        ids = sorted(frame.obs)
+        b = np.array([frame.obs[i] for i in ids], dtype=float).reshape(-1, 3)
+        return (_landmark_positions(ids, lm_map),
+                np.broadcast_to(I3, (len(ids), 3, 3)), b)
+    cams = sorted(cams, key=lambda c: c.cam_id)
+    col = {c.cam_id: k for k, c in enumerate(cams)}
+    by_lm: dict = {}
+    for (cam_id, lm_id), y in frame.obs.items():
+        if cam_id in col:
+            by_lm.setdefault(lm_id, {})[col[cam_id]] = y
+    ids = sorted(by_lm)
+    p = _landmark_positions(ids, lm_map)
+    Y = np.zeros((len(ids), len(cams), 3))
+    seen = np.zeros((len(ids), len(cams)), dtype=bool)
+    for i, lm_id in enumerate(ids):
+        for k, y in by_lm[lm_id].items():
+            Y[i, k] = y
+            seen[i, k] = True
+        if not allow_mono_fallback and not seen[i].all():
+            raise MissingStereoPairError(
+                f"landmark {lm_id} seen by cameras "
+                f"{sorted(cams[k].cam_id for k in by_lm[lm_id])} only")
+    Rc = np.array([c.R for c in cams]).reshape(-1, 3, 3)
+    X = (Rc @ Y[..., None])[..., 0]                # R_c y_c
+    norm = np.sqrt(np.einsum("lki,lki->lk", X, X))
+    off = seen & (np.abs(norm - 1.0) > 1e-6)
+    if off.any():
+        raise NotUnitError(
+            f"expected a unit vector, got norm {float(norm[off][0])!r}")
+    proj = (I3 - X[..., :, None] * X[..., None, :]) * seen[..., None, None]
+    b = np.einsum("lkij,kj->li", proj,
+                  np.array([c.p for c in cams]).reshape(-1, 3))
+    return p, proj.sum(axis=1), b
+
+
+def _landmark_positions(ids, lm_map) -> np.ndarray:
+    for lm_id in ids:
+        if lm_id not in lm_map:
+            raise UnknownLandmarkError(f"landmark {lm_id} not in the known map")
+    return np.array([lm_map[i].p for i in ids], dtype=float).reshape(-1, 3)
+
+
+def measurement_model(est: ObserverState, blocks):
+    """Stacked innovation sigma_y = Pi z_hat - b and output matrix C, with
+    row block [Pi, -p_x Pi, -p_y Pi, -p_z Pi, 0] per landmark, from the
+    landmark_blocks of one frame.  sigma_y = C x_tilde exactly."""
+    p, Pi, b = blocks
+    z_hat = (p @ est.e - est.p) @ est.R     # rows R^T (p_i e - p)
+    sy = np.einsum("lij,lj->li", Pi, z_hat) - b
+    C = np.zeros((len(p), 3, 15))
+    C[:, :, 0:3] = Pi
+    C[:, :, 3:12] = np.einsum("lj,lik->lijk", -p, Pi).reshape(-1, 3, 9)
+    return sy.reshape(-1), C.reshape(-1, 15)
 
 
 def innovation_stereo(est: ObserverState, frame, cams, lms,
                       allow_mono_fallback: bool = False):
-    """Stacked innovation and output matrix from stereo bearings.
-
-    Per landmark the projectors of both cameras are summed.  Landmarks
-    absent from the frame are skipped; a landmark seen by only part of the
-    rig raises MissingStereoPairError unless allow_mono_fallback is set,
-    in which case it contributes a single-projector block.
-    """
-    lm_map = {lm.id: lm for lm in lms}
-    cam_map = {c.cam_id: c for c in cams}
-    by_lm: dict = {}
-    for (cam_id, lm_id), y in frame.obs.items():
-        if cam_id in cam_map:
-            by_lm.setdefault(lm_id, {})[cam_id] = y
-    sy_rows, c_rows = [], []
-    for lm_id in sorted(by_lm):
-        if lm_id not in lm_map:
-            raise UnknownLandmarkError(f"landmark {lm_id} not in the known map")
-        seen = by_lm[lm_id]
-        if len(seen) < len(cam_map) and not allow_mono_fallback:
-            raise MissingStereoPairError(
-                f"landmark {lm_id} seen by cameras {sorted(seen)} only")
-        lm = lm_map[lm_id]
-        z_hat = est.R.T @ (lm.p @ est.e - est.p)
-        Pi = np.zeros((3, 3))
-        sy = np.zeros(3)
-        for cam_id in sorted(seen):
-            cam = cam_map[cam_id]
-            proj = pi_proj(cam.R @ seen[cam_id])
-            Pi += proj
-            sy += proj @ (z_hat - cam.p)
-        sy_rows.append(sy)
-        c_rows.append(_output_block(Pi, lm.p))
-    if not sy_rows:
-        return _empty_innovation()
-    return np.concatenate(sy_rows), np.vstack(c_rows)
+    """Stacked innovation and output matrix from the bearings of a camera
+    rig, projectors summed per landmark (see landmark_blocks)."""
+    return measurement_model(
+        est, landmark_blocks(frame, cams, lms, allow_mono_fallback))
 
 
 def innovation_mono(est: ObserverState, frame, cam, lms):
     """Single-camera variant: one projector per landmark."""
-    lm_map = {lm.id: lm for lm in lms}
-    sy_rows, c_rows = [], []
-    for lm_id in sorted(k[1] for k in frame.obs if k[0] == cam.cam_id):
-        if lm_id not in lm_map:
-            raise UnknownLandmarkError(f"landmark {lm_id} not in the known map")
-        lm = lm_map[lm_id]
-        proj = pi_proj(cam.R @ frame.obs[(cam.cam_id, lm_id)])
-        z_hat = est.R.T @ (lm.p @ est.e - est.p)
-        sy_rows.append(proj @ (z_hat - cam.p))
-        c_rows.append(_output_block(proj, lm.p))
-    if not sy_rows:
-        return _empty_innovation()
-    return np.concatenate(sy_rows), np.vstack(c_rows)
+    return measurement_model(est, landmark_blocks(frame, [cam], lms))
 
 
 def innovation_position(est: ObserverState, frame, lms):
     """Body-frame landmark position measurements: identity projectors."""
-    lm_map = {lm.id: lm for lm in lms}
-    sy_rows, c_rows = [], []
-    for lm_id in sorted(frame.obs):
-        if lm_id not in lm_map:
-            raise UnknownLandmarkError(f"landmark {lm_id} not in the known map")
-        lm = lm_map[lm_id]
-        z_hat = est.R.T @ (lm.p @ est.e - est.p)
-        sy_rows.append(z_hat - np.asarray(frame.obs[lm_id], dtype=float))
-        c_rows.append(_output_block(I3, lm.p))
-    if not sy_rows:
-        return _empty_innovation()
-    return np.concatenate(sy_rows), np.vstack(c_rows)
+    return measurement_model(est, landmark_blocks(frame, [], lms))
+
+
+def innovation(est: ObserverState, frame, mode: str, cams, lms,
+               allow_mono_fallback: bool = False):
+    """(sigma_y, C) of one frame in a measurement mode, from the cameras
+    mode_cameras(mode, cams) of the rig."""
+    cams = mode_cameras(mode, cams)
+    if mode == "position3d":
+        return innovation_position(est, frame, lms)
+    if mode == "monocular":
+        return innovation_mono(est, frame, cams[0], lms)
+    return innovation_stereo(est, frame, cams, lms, allow_mono_fallback)
 
 
 def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,

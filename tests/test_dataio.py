@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from visnav.dataio import (Dataset, DatasetBearingProvider,
-                           DatasetPositionProvider, RunConfig, TraceRecord,
+from visnav.dataio import (Dataset, DatasetProvider, RunConfig, TraceRecord,
                            TRACE_HEADER, apply_overrides, interpolating_imu,
                            load_config, load_dataset, read_trace,
                            save_dataset, write_trace)
@@ -355,7 +354,7 @@ def _provider_dataset():
 
 def test_bearing_provider_matches_frames_and_interpolates():
     ds, frames, cams, lms = _provider_dataset()
-    prov = DatasetBearingProvider(ds, GainConfig(), "stereo")
+    prov = DatasetProvider(ds, "stereo")
     est = ObserverState.initial(R=exp_so3(np.array([0.2, -0.1, 0.3])))
 
     # at a frame time the provider reproduces the frame innovation exactly
@@ -385,7 +384,7 @@ def test_bearing_provider_key_intersection():
     # keys present in both brackets
     for cam_id in (1, 2):
         del frames[1].obs[(cam_id, 1)]
-    prov = DatasetBearingProvider(ds, GainConfig(), "stereo")
+    prov = DatasetProvider(ds, "stereo")
     est = ObserverState.initial()
     _, C = prov(est, 0.2)
     assert C.shape == (3, 15)
@@ -393,7 +392,7 @@ def test_bearing_provider_key_intersection():
 
 def test_bearing_provider_mono_mode():
     ds, frames, cams, lms = _provider_dataset()
-    prov = DatasetBearingProvider(ds, GainConfig(), "monocular")
+    prov = DatasetProvider(ds, "monocular")
     est = ObserverState.initial()
     sy, C = prov(est, 0.1)
     # one 3-row block per landmark from the first camera only
@@ -406,7 +405,7 @@ def test_position_provider_interpolates():
               PositionFrame(t=1.0, obs={0: np.array([3.0, 2.0, 0.0])})]
     imu = np.array([[0.0, 0, 0, 0, 0, 0, 9.81], [1.0, 0, 0, 0, 0, 0, 9.81]])
     ds = Dataset(imu=imu, landmarks=lms, positions=frames)
-    prov = DatasetPositionProvider(ds, GainConfig())
+    prov = DatasetProvider(ds, "position3d")
     est = ObserverState.initial()
     sy, C = prov(est, 0.25)
     ref = innovation_position(

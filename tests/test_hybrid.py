@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import visnav.hybrid as hybrid
 from visnav.errors import ScheduleViolationError, SingularInnovationError
 from visnav.geom import E3, dist_identity, exp_so3, random_rotation
 from visnav.hybrid import (MeasurementSchedule, NoiseCovariances, flow, jump,
@@ -273,6 +274,37 @@ def test_run_converges_and_contracts():
     err0 = np.linalg.norm(traj.state(0.0).p - est0.p)
     assert np.linalg.norm(st.p - est.p) < 0.25 * err0
     assert dist_identity(st.R @ est.R.T) < 0.2
+
+
+def test_run_monocular_q_inv_follows_the_first_camera(monkeypatch):
+    # A monocular run on a two-camera rig measures through the first camera
+    # only, so Q^-1 must have C's rows: the one-camera Q^-1, also on a frame
+    # where only the second camera sees a landmark.
+    traj = EightTrajectory(t_end=0.3)
+    lms = sample_landmarks(5, seed=0)
+    cams = default_stereo_rig()
+    frames = _make_frames(traj, lms, cams, [0.1, 0.2, 0.3])
+    del frames[1].obs[(cams[0].cam_id, lms[4].id)]
+    q_invs = []
+
+    def recording_jump(est, inn, q_inv):
+        q_invs.append(q_inv)
+        return jump(est, inn, q_inv)
+
+    monkeypatch.setattr(hybrid, "jump", recording_jump)
+    est0 = ObserverState.initial(R=exp_so3(np.array([0.3, 0.0, -0.2])))
+    outputs = []
+    for rig in (cams, cams[:1]):
+        q_invs.clear()
+        _, states, _ = run(est0, traj.imu, frames, lms, GainConfig(),
+                           mode="monocular", cams=rig,
+                           ncov=NoiseCovariances(), t_end=0.3)
+        outputs.append((list(q_invs), states))
+    (rig_q, rig_states), (one_q, one_states) = outputs
+    assert [q.shape for q in rig_q] == [(15, 15), (12, 12), (15, 15)]
+    assert all(np.array_equal(a, b) for a, b in zip(rig_q, one_q))
+    for a, b in zip(rig_states, one_states):
+        assert np.array_equal(a.P, b.P) and np.array_equal(a.p, b.p)
 
 
 def test_run_without_ncov_uses_configured_weights():

@@ -6,12 +6,12 @@ import pytest
 
 import visnav.observer as observer
 from visnav.cli import main
-from visnav.dataio import (DatasetBearingProvider, DatasetPositionProvider,
-                           interpolating_imu, load_config, load_dataset)
+from visnav.dataio import (DatasetProvider, interpolating_imu, load_config,
+                           load_dataset)
 from visnav.errors import (MissingStereoPairError, NonFiniteStateError,
-                           UnknownLandmarkError)
-from visnav.geom import (E3, I3, dist_identity, exp_so3, psi_antisym,
-                         random_rotation, skew)
+                           NotUnitError, UnknownLandmarkError)
+from visnav.geom import (E3, I3, dist_identity, exp_so3, pi_proj,
+                         psi_antisym, random_rotation, skew)
 from visnav.observer import (GainConfig, ObserverState, attitude_innovation,
                              build_A, error_state, innovation_mono,
                              innovation_position, innovation_stereo,
@@ -172,6 +172,76 @@ def test_innovation_unknown_landmark():
     with pytest.raises(UnknownLandmarkError):
         innovation_stereo(est, frame, default_stereo_rig(),
                           [Landmark(0, np.ones(3))], allow_mono_fallback=True)
+
+
+def _rotated_rig(rng):
+    return [CameraExtrinsics(cam.cam_id, random_rotation(rng), cam.p)
+            for cam in default_stereo_rig()]
+
+
+@pytest.mark.parametrize("excess,raises", [(5e-7, False), (2e-6, True)])
+def test_innovation_rejects_non_unit_bearing(excess, raises):
+    # the unit check (tolerance 1e-6) runs inside the batched projectors
+    rng = np.random.default_rng(37)
+    cams = _rotated_rig(rng)
+    lms = _landmarks(rng)
+    frame = make_bearing_frame(_truth(rng), lms, cams)
+    frame.obs[(1, lms[3].id)] = (1.0 + excess) * frame.obs[(1, lms[3].id)]
+    est = _random_estimate(rng)
+    calls = (lambda: innovation_stereo(est, frame, cams, lms),
+             lambda: innovation_mono(est, frame, cams[0], lms))
+    for call in calls:
+        if raises:
+            with pytest.raises(NotUnitError):
+                call()
+        else:
+            call()
+    # bearings of cameras the innovation does not use are not checked
+    innovation_mono(est, frame, cams[1], lms)
+
+
+def test_landmark_blocks_match_per_landmark_projectors():
+    rng = np.random.default_rng(41)
+    cams = _rotated_rig(rng)
+    lms = _landmarks(rng)
+    frame = make_bearing_frame(_truth(rng), lms, cams)
+    del frame.obs[(1, lms[1].id)]         # seen by camera 2 only
+    del frame.obs[(2, lms[4].id)]         # seen by camera 1 only
+    frame.obs[(7, lms[0].id)] = np.array([1.0, 0.0, 0.0])  # not in the rig
+    p, Pi, b = observer.landmark_blocks(frame, cams[::-1], lms,
+                                        allow_mono_fallback=True)
+    for i, lm in enumerate(lms):
+        seen = [c for c in cams if (c.cam_id, lm.id) in frame.obs]
+        projs = [pi_proj(c.R @ frame.obs[(c.cam_id, lm.id)]) for c in seen]
+        assert np.array_equal(p[i], lm.p)
+        assert np.array_equal(Pi[i], sum(projs))
+        assert np.allclose(b[i], sum(P @ c.p for P, c in zip(projs, seen)),
+                           rtol=0.0, atol=1e-15)
+
+
+def test_innovation_dispatch_uses_the_mode_cameras():
+    rng = np.random.default_rng(43)
+    cams = _rotated_rig(rng)
+    lms = _landmarks(rng)
+    truth = _truth(rng)
+    est = _random_estimate(rng)
+    bearings = make_bearing_frame(truth, lms, cams)
+    positions = make_position_frame(truth, lms)
+    assert observer.mode_cameras("monocular", cams[::-1]) == cams[:1]
+    assert observer.mode_cameras("position3d", cams) == []
+    with pytest.raises(ValueError):
+        observer.mode_cameras("trinocular", cams)
+    pairs = [("stereo", bearings, innovation_stereo(est, bearings, cams, lms)),
+             ("monocular", bearings,
+              innovation_mono(est, bearings, cams[0], lms)),
+             ("position3d", positions,
+              innovation_position(est, positions, lms))]
+    for mode, frame, ref in pairs:
+        got = observer.innovation(est, frame, mode, cams[::-1], lms)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    # monocular is stereo with one camera
+    one = innovation_stereo(est, bearings, cams[:1], lms)
+    assert all(np.array_equal(a, b) for a, b in zip(one, pairs[1][2]))
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +457,10 @@ def test_measurement_onset_substeps(mode, tmp_path, monkeypatch):
     gains = cfg.gain_config()
     ds = load_dataset(str(data))
     if mode == "position3d":
-        provider = DatasetPositionProvider(ds, gains)
+        provider = DatasetProvider(ds, mode)
         first_frame = ds.positions[0].t
     else:
-        provider = DatasetBearingProvider(ds, gains, mode)
+        provider = DatasetProvider(ds, mode)
         first_frame = ds.bearings[0].t
     imu_fn = interpolating_imu(ds.imu)
 
