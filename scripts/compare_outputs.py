@@ -11,13 +11,18 @@ on PYTHONPATH:
   the hybrid estimator takes between frames);
 - a stereo hybrid run at 20 Hz with noise covariances (`tune_vq`, `jump`);
 - a stereo continuous run driven by an in-memory dataset through the
-  dataset provider of `visnav.dataio`.
-The script reports, per run and field, whether R, p, v, e and P agree
-exactly at every IMU step, or else their max |diff|, and exits 1 on any
-difference.
+  dataset provider of `visnav.dataio`;
+- `EightTrajectory.rotation` at 6000 off-grid times over 30 s;
+- `visnav simulate` and `visnav analyze` on a 6 s stereo dataset, keeping
+  lambda_min and lambda_max of each 2 s Gramian window.
+The script reports, per run and field, whether the outputs agree exactly
+(R, p, v, e and P at every IMU step, the attitude at every query, the
+window eigenvalues), or else their max |diff| (relative for the
+eigenvalues), and exits 1 on any difference.
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -27,6 +32,15 @@ import numpy as np
 
 FIELDS = ("R", "p", "v", "e", "P")
 
+ANALYZE_CFG = """\
+mode = stereo
+duration = 6
+imu_rate = 200
+vision_rate = 20
+seed = 0
+n_landmarks = 5
+"""
+
 
 def _stereo_provider(ds):
     from visnav import dataio
@@ -35,6 +49,24 @@ def _stereo_provider(ds):
     # trees from before the bearing and position providers were merged
     from visnav.observer import GainConfig
     return dataio.DatasetBearingProvider(ds, GainConfig(), "stereo")
+
+
+def _analyze_windows():
+    from visnav.cli import main
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        data, out = os.path.join(tmp, "data"), os.path.join(tmp, "report.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(ANALYZE_CFG)
+        for argv in (["simulate", "--config", cfg, "--out", data],
+                     ["analyze", "--config", cfg, "--data", data,
+                      "--out", out]):
+            if main(argv) != 0:
+                raise SystemExit(f"visnav {argv[0]} failed")
+        with open(out, encoding="utf-8") as fh:
+            windows = json.load(fh)["windows"]
+    return {f"analyze.{key}": np.array([w[key] for w in windows])
+            for key in ("lambda_min", "lambda_max")}
 
 
 def dump(path, seconds):
@@ -80,6 +112,9 @@ def dump(path, seconds):
         states = states()
         for f in FIELDS:
             arrays[f"{name}.{f}"] = np.stack([getattr(s, f) for s in states])
+    arrays["attitude.R"] = np.stack([traj.rotation((k + 0.37) / 200.0)
+                                     for k in range(6000)])
+    arrays.update(_analyze_windows())
     np.savez(path, **arrays)
 
 
@@ -113,10 +148,13 @@ def main():
             detail = f"DIFFERS (shape {a.shape} vs {b.shape})"
         elif np.array_equal(a, b):
             detail = "identical"
+        elif key.startswith("analyze."):
+            rel = np.max(np.abs(a - b) / np.abs(a))
+            detail = f"DIFFERS (max relative |diff| {rel:.3g})"
         else:
             detail = f"DIFFERS (max |diff| {np.abs(a - b).max():.3g})"
         same &= detail == "identical"
-        print(f"{key:14s} {a.shape[0]} steps  {detail}")
+        print(f"{key:18s} {a.shape[0]:5d} rows  {detail}")
     print("all outputs bit-identical" if same else "outputs differ")
     return 0 if same else 1
 

@@ -182,32 +182,32 @@ def _gramian_windows(cfg, ds):
         return zoh(t)[0]
 
     dummy = ObserverState.initial()
-
-    def c_matrix(fr):
-        return innovation(dummy, fr, cfg.mode, ds.extrinsics, ds.landmarks,
-                          allow_mono_fallback=True)[1]
-
     out = []
     gravity = np.array(GainConfig().gravity, dtype=float)
     w = cfg.gramian_window
     t0 = float(imu[0, 0])
-    start = t0
-    t_last = frames[-1].t
-    while start + w <= t_last + 1e-9:
-        in_win = [fr for fr in frames if start <= fr.t < start + w]
+    for k in range(int((frames[-1].t - t0 + 1e-9) // w)):
+        start, end = t0 + k * w, t0 + (k + 1) * w
+        lo, hi = round(start * 1e9), round(end * 1e9)  # as _truth_lookup
+        in_win = [fr for fr in frames if lo <= round(fr.t * 1e9) < hi]
         if in_win:
-            phis = [transition_matrix(omega_fn, gravity, start, fr.t)
-                    for fr in in_win]
-            rep = gramian_discrete(phis, [c_matrix(fr) for fr in in_win],
-                                   mu=cfg.gramian_mu,
-                                   window=(start, start + w))
+            # Phi(t_f, start) chained frame to frame, one pass per window;
+            # a frame on the window start may read a hair below it
+            Phi, t_prev = np.eye(15), min(start, in_win[0].t)
+            phis, cs = [], []
+            for fr in in_win:
+                Phi = transition_matrix(omega_fn, gravity, t_prev, fr.t) @ Phi
+                t_prev = fr.t
+                phis.append(Phi)
+                cs.append(innovation(dummy, fr, cfg.mode, ds.extrinsics,
+                                     ds.landmarks, allow_mono_fallback=True)[1])
+            rep = gramian_discrete(phis, cs, mu=cfg.gramian_mu,
+                                   window=(start, end))
             entry = {"status": "ok", **asdict(rep)}
-            entry["window"] = list(entry["window"])
         else:
-            entry = {"status": "skipped", "window": [start, start + w],
+            entry = {"status": "skipped", "window": [start, end],
                      "reason": "no measurements in window"}
         out.append(entry)
-        start += w
     return out
 
 

@@ -498,16 +498,15 @@ class DatasetProvider:
 
     Observations are interpolated linearly between bracketing frames for
     the keys present in both, bearings then renormalized; outside the
-    stream the provider reports no measurement.
+    stream the provider reports no measurement.  A stereo landmark that
+    one camera misses is kept through the other camera's bearing.
     """
 
-    def __init__(self, ds: Dataset, mode: str,
-                 allow_mono_fallback: bool = False):
+    def __init__(self, ds: Dataset, mode: str):
         self.interp = _FrameInterpolator(ds.frames(mode))
         self.mode = mode
         self.cams = mode_cameras(mode, ds.extrinsics)
         self.lms = sorted(ds.landmarks, key=lambda lm: lm.id)
-        self.allow_mono_fallback = allow_mono_fallback
 
     def _frame_at(self, t):
         br = self.interp.bracket(t)
@@ -531,4 +530,4 @@ class DatasetProvider:
         if frame is None:
             return None
         return innovation(est, frame, self.mode, self.cams, self.lms,
-                          self.allow_mono_fallback)
+                          allow_mono_fallback=True)

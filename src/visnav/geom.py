@@ -190,6 +190,17 @@ def dexpinv_body(sigma, omega) -> np.ndarray:
     return omega + 0.5 * c1 + (1.0 / 12.0) * np.cross(sigma, c1)
 
 
+def rotation_step(R, omega_fn, t: float, h: float) -> np.ndarray:
+    """R(t + h) for Rdot = R skew(omega_fn(t)) from R at t: the 4th-order
+    Magnus step on the Gauss-Legendre nodes t + (1/2 -+ sqrt(3)/6) h
+    (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999).  Both nodes are
+    inside the step, so a rate held over the step is integrated exactly."""
+    c = np.sqrt(3.0) / 6.0
+    w1, w2 = omega_fn(t + (0.5 - c) * h), omega_fn(t + (0.5 + c) * h)
+    sigma = 0.5 * h * (w1 + w2) + (0.5 * c * h * h) * (skew(w1) @ w2)
+    return R @ exp_so3(sigma)
+
+
 def random_rotation(rng: np.random.Generator, max_angle: float = np.pi) -> np.ndarray:
     """Random rotation: uniform axis, angle uniform on [0, max_angle]."""
     u = rng.normal(size=3)

@@ -187,15 +187,14 @@ def zoh_imu(samples: np.ndarray):
 def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
         mode: str = "stereo", cams=None, ncov: NoiseCovariances | None = None,
         t_end: float | None = None, dt: float = 1.0 / 200.0, t0: float = 0.0,
-        schedule: MeasurementSchedule | None = None,
-        allow_mono_fallback: bool = False):
+        schedule: MeasurementSchedule | None = None):
     """Flow/jump driver.
 
     Vision frames are snapped to the nearest IMU grid node (max error
     dt/2); the jump is applied right after the flow step landing on that
     node, and the recorded state at the node is the post-jump one.
     cams is the camera rig; the innovation and Q^-1 both use its
-    mode_cameras(mode, cams).
+    mode_cameras(mode, cams) and keep a landmark one camera misses.
 
     Returns (times, states, jumps) where jumps is a list of
     (t, lambda_max_before, lambda_max_after) covariance diagnostics.
@@ -241,7 +240,8 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
         est = flow(est, imu, cfg_k, dt, t=float(times[k]))
         frame = by_node.get(k + 1)
         if frame is not None:
-            inn = innovation(est, frame, mode, cams, lms, allow_mono_fallback)
+            inn = innovation(est, frame, mode, cams, lms,
+                             allow_mono_fallback=True)
             if ncov is not None:
                 v_cur, q_inv = tune_vq(est, ncov, lms, frame=frame, cams=cams)
             else:

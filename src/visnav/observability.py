@@ -20,7 +20,7 @@ from .errors import (
     TooFewLandmarksError,
     UnsupportedSpectrumError,
 )
-from .geom import I3
+from .geom import I3, rotation_step
 from .observer import build_A
 
 FULL_STATE_DIM = 15
@@ -53,28 +53,26 @@ class DegeneracyVerdict:
     full_rank_required: int
 
 
-def _rk4_phi(Phi, omega_fn, gravity, t, h):
-    def f(M, tau):
-        return build_A(omega_fn(tau), gravity) @ M
-
-    k1 = f(Phi, t)
-    k2 = f(Phi + 0.5 * h * k1, t + 0.5 * h)
-    k3 = f(Phi + 0.5 * h * k2, t + 0.5 * h)
-    k4 = f(Phi + h * k3, t + h)
-    return Phi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def transition_matrix(omega_fn, gravity, t0: float, t1: float,
                       dt: float = 1.0 / 800.0) -> np.ndarray:
-    """Phi(t1, t0) of the error dynamics, integrated by RK4."""
+    """Phi(t1, t0) of the measurement-free error dynamics in closed form.
+
+    A(t) = -I5 (x) skew(omega(t)) + Abar splits into commuting parts with
+    Abar = build_A(0, gravity) and Abar^3 = 0, so Phi(t1, t0) =
+    (I5 (x) dR^T)(I + Abar tau + Abar^2 tau^2 / 2), tau = t1 - t0, where
+    dR = R(t0)^T R(t1) is transported by `rotation_step` in equal steps no
+    longer than dt (exact for a rate held over each step).
+    """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    Phi = np.eye(FULL_STATE_DIM)
-    n = max(1, int(np.ceil((t1 - t0) / dt - 1e-12))) if t1 > t0 else 0
-    h = (t1 - t0) / n if n else 0.0
+    tau = t1 - t0
+    n = max(1, int(np.ceil(tau / dt - 1e-12))) if tau > 0 else 0
+    dR = I3
     for k in range(n):
-        Phi = _rk4_phi(Phi, omega_fn, gravity, t0 + k * h, h)
-    return Phi
+        dR = rotation_step(dR, omega_fn, t0 + k * tau / n, tau / n)
+    A = build_A(np.zeros(3), gravity)
+    E = np.eye(FULL_STATE_DIM) + tau * A + (0.5 * tau * tau) * (A @ A)
+    return np.kron(np.eye(5), dR.T) @ E
 
 
 def _simpson_grid(delta: float, dt: float):
@@ -93,8 +91,8 @@ def gramian_continuous(omega_fn, c_fn, t: float, delta: float,
                        gravity, dt: float = 1.0 / 800.0,
                        mu: float = 1e-6) -> GramianReport:
     """Windowed Gramian (1/delta) * integral of Phi^T C^T C Phi over
-    [t, t+delta], by composite Simpson quadrature on the transition-matrix
-    path."""
+    [t, t+delta], by composite Simpson quadrature; Phi(tau, t) is carried
+    from node to node by the closed-form `transition_matrix`."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     h, weights = _simpson_grid(delta, dt)
@@ -103,7 +101,7 @@ def gramian_continuous(omega_fn, c_fn, t: float, delta: float,
     for k in range(weights.size):
         tau = t + k * h
         if k:
-            Phi = _rk4_phi(Phi, omega_fn, gravity, tau - h, h)
+            Phi = transition_matrix(omega_fn, gravity, tau - h, tau, dt) @ Phi
         C = np.asarray(c_fn(tau), dtype=float)
         CPhi = C @ Phi
         W += weights[k] * (CPhi.T @ CPhi)

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from visnav import cli
 from visnav.cli import main
 from visnav.dataio import read_trace
 
@@ -234,3 +235,56 @@ def test_position3d_pipeline(tmp_path):
     assert recs[-1].att_err < 0.75 * recs[0].att_err
     assert all(np.isfinite(r.row()).all() for r in recs)
     assert recs[-1].pos_err < 4.0
+
+
+def test_estimate_keeps_a_landmark_one_camera_misses(sim_dir, base_cfg,
+                                                     tmp_path):
+    # camera 1 never sees landmark 4; both estimators fall back to the
+    # bearing of camera 2 for it, as analyze does
+    data = tmp_path / "onecam"
+    shutil.copytree(sim_dir, data)
+    rows = (data / "bearings.csv").read_text().splitlines(keepends=True)
+    kept = [r for r in rows if r.split(",")[1:3] != ["1", "4"]]
+    assert len(kept) < len(rows)
+    (data / "bearings.csv").write_text("".join(kept))
+    hybrid = tmp_path / "hybrid.cfg"
+    hybrid.write_text(HYBRID_CFG)
+    for cfg in (base_cfg, str(hybrid)):
+        trace = tmp_path / "trace.csv"
+        assert main(["estimate", "--config", cfg, "--data", str(data),
+                     "--out", str(trace), "--duration", "1"]) == 0
+        recs = read_trace(str(trace))
+        assert len(recs) == 201
+        assert all(np.isfinite(r.row()).all() for r in recs)
+
+
+def test_analyze_windows_hold_their_frames(tmp_path, monkeypatch):
+    # 20 Hz frames in 0.1 s windows: the first window (from t = 0) holds
+    # the frame at 0.05 and every later one exactly two, none drifting into
+    # the window before it; Phi is chained with one call per frame gap
+    cfg = tmp_path / "win.cfg"
+    cfg.write_text(BASE_CFG.replace("duration = 6", "duration = 3")
+                   + "gramian_window = 0.1\n")
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    gaps, sizes = [], []
+    transition, discrete = cli.transition_matrix, cli.gramian_discrete
+
+    def transition_matrix(omega_fn, gravity, t0, t1, *args):
+        gaps.append(t1 - t0)
+        return transition(omega_fn, gravity, t0, t1, *args)
+
+    def gramian_discrete(phis, cs, **kwargs):
+        sizes.append(len(phis))
+        return discrete(phis, cs, **kwargs)
+
+    monkeypatch.setattr(cli, "transition_matrix", transition_matrix)
+    monkeypatch.setattr(cli, "gramian_discrete", gramian_discrete)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--config", str(cfg), "--data", str(data),
+                 "--out", str(out)]) == 0
+    windows = json.loads(out.read_text())["windows"]
+    assert [w["window"][0] for w in windows] == pytest.approx(
+        [0.1 * k for k in range(30)], abs=1e-12)
+    assert sizes == [1] + [2] * 29
+    assert len(gaps) == sum(sizes) and max(gaps) <= 0.05 + 1e-9

@@ -18,7 +18,8 @@ import pytest
 
 from visnav.errors import (CameraOnLandmarkError, InsufficientHistoryError,
                            TooFewLandmarksError, UnsupportedSpectrumError)
-from visnav.geom import I3
+from visnav.geom import I3, exp_so3
+from visnav.hybrid import zoh_imu
 from visnav.observability import (FULL_STATE_DIM, GramianReport,
                                   check_mono_motion, check_stereo_condition,
                                   classify_static_degeneracy,
@@ -111,6 +112,21 @@ def test_transition_matrix_factorization(traj):
         ref = _blkdiag_rt(traj.rotation(t1)) @ exp_abar(t1 - t0) \
             @ np.linalg.inv(_blkdiag_rt(traj.rotation(t0)))
         assert np.max(np.abs(Phi - ref)) <= 1e-8
+
+
+def test_transition_matrix_exact_under_zero_order_hold(traj):
+    # A rate held constant between 200 Hz samples transports the attitude
+    # by the product of exp(omega_k dt); Phi is then exact in closed form.
+    imu = np.array([[k / 200.0, *traj.omega(k / 200.0), 0.0, 0.0, 0.0]
+                    for k in range(101)])
+    zoh = zoh_imu(imu)
+    dR = I3
+    for k in range(100):
+        dR = dR @ exp_so3(imu[k, 1:4] / 200.0)
+    Abar = build_A(np.zeros(3), G)
+    E = np.eye(15) + 0.5 * Abar + 0.125 * (Abar @ Abar)
+    Phi = transition_matrix(lambda t: zoh(t)[0], G, 0.0, 0.5)
+    assert np.max(np.abs(Phi - _blkdiag_rt(dR) @ E)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
