@@ -14,11 +14,14 @@ on PYTHONPATH:
   dataset provider of `visnav.dataio`;
 - `EightTrajectory.rotation` at 6000 off-grid times over 30 s;
 - `visnav simulate` and `visnav analyze` on a 6 s stereo dataset, keeping
-  lambda_min and lambda_max of each 2 s Gramian window.
+  lambda_min and lambda_max of each 2 s Gramian window;
+- `visnav simulate` and `visnav estimate` with the hybrid estimator
+  (k_r = 20) on a stereo dataset of the same length as the runs above,
+  keeping the trace columns.
 The script reports, per run and field, whether the outputs agree exactly
 (R, p, v, e and P at every IMU step, the attitude at every query, the
-window eigenvalues), or else their max |diff| (relative for the
-eigenvalues), and exits 1 on any difference.
+window eigenvalues, the trace columns), or else their max |diff|
+(relative for the eigenvalues), and exits 1 on any difference.
 """
 
 import argparse
@@ -41,6 +44,39 @@ seed = 0
 n_landmarks = 5
 """
 
+ESTIMATE_CFG = ANALYZE_CFG + """\
+estimator = hybrid
+k_r = 20
+"""
+
+TRACE_COLUMNS = {"t": [0], "att_err": [1], "pos_err": [2], "vel_err": [3],
+                 "p": [4, 5, 6], "v": [7, 8, 9], "R": list(range(10, 19))}
+
+
+def _cli(cfg_text, command, *extra):
+    """Simulate a dataset from cfg_text, run `visnav command` on it, and
+    return the text of its output file."""
+    from visnav.cli import main
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        data, out = os.path.join(tmp, "data"), os.path.join(tmp, "out")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(cfg_text)
+        for argv in (["simulate", "--config", cfg, "--out", data, *extra],
+                     [command, "--config", cfg, "--data", data,
+                      "--out", out, *extra]):
+            if main(argv) != 0:
+                raise SystemExit(f"visnav {argv[0]} failed")
+        with open(out, encoding="utf-8") as fh:
+            return fh.read()
+
+
+def _estimate_trace(seconds):
+    rows = np.loadtxt(_cli(ESTIMATE_CFG, "estimate", "--duration",
+                           str(seconds)).splitlines()[1:], delimiter=",")
+    return {f"estimate.{name}": rows[:, cols]
+            for name, cols in TRACE_COLUMNS.items()}
+
 
 def _stereo_provider(ds):
     from visnav import dataio
@@ -52,19 +88,7 @@ def _stereo_provider(ds):
 
 
 def _analyze_windows():
-    from visnav.cli import main
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = os.path.join(tmp, "run.cfg")
-        data, out = os.path.join(tmp, "data"), os.path.join(tmp, "report.json")
-        with open(cfg, "w", encoding="utf-8") as fh:
-            fh.write(ANALYZE_CFG)
-        for argv in (["simulate", "--config", cfg, "--out", data],
-                     ["analyze", "--config", cfg, "--data", data,
-                      "--out", out]):
-            if main(argv) != 0:
-                raise SystemExit(f"visnav {argv[0]} failed")
-        with open(out, encoding="utf-8") as fh:
-            windows = json.load(fh)["windows"]
+    windows = json.loads(_cli(ANALYZE_CFG, "analyze"))["windows"]
     return {f"analyze.{key}": np.array([w[key] for w in windows])
             for key in ("lambda_min", "lambda_max")}
 
@@ -115,6 +139,7 @@ def dump(path, seconds):
     arrays["attitude.R"] = np.stack([traj.rotation((k + 0.37) / 200.0)
                                      for k in range(6000)])
     arrays.update(_analyze_windows())
+    arrays.update(_estimate_trace(seconds))
     np.savez(path, **arrays)
 
 

@@ -163,9 +163,9 @@ def _estimate(cfg, data_dir, out_path):
     else:
         frames = [fr for fr in ds.frames(cfg.mode) if fr.t <= t_end + 1e-9]
         times, states, _ = hybrid_run(
-            est0, zoh_imu(imu), frames, ds.landmarks, gains, mode=cfg.mode,
-            cams=ds.extrinsics, ncov=cfg.noise_covariances(), t_end=t_end,
-            dt=dt, t0=t0)
+            est0, interpolating_imu(imu), frames, ds.landmarks, gains,
+            mode=cfg.mode, cams=ds.extrinsics, ncov=cfg.noise_covariances(),
+            t_end=t_end, dt=dt, t0=t0)
 
     write_trace(out_path, _trace_records(times, states, _truth_lookup(ds)))
     return 0
@@ -200,7 +200,7 @@ def _gramian_windows(cfg, ds):
                 t_prev = fr.t
                 phis.append(Phi)
                 cs.append(innovation(dummy, fr, cfg.mode, ds.extrinsics,
-                                     ds.landmarks, allow_mono_fallback=True)[1])
+                                     ds.landmarks)[1])
             rep = gramian_discrete(phis, cs, mu=cfg.gramian_mu,
                                    window=(start, end))
             entry = {"status": "ok", **asdict(rep)}

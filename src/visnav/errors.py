@@ -22,11 +22,6 @@ class LandmarkAtCameraError(VisnavError):
     the camera's optical center."""
 
 
-class MissingStereoPairError(VisnavError):
-    """A landmark is visible in only one camera of a stereo rig while a
-    strict stereo innovation was requested."""
-
-
 class UnknownLandmarkError(VisnavError):
     """A measurement references a landmark id that is not in the map."""
 
@@ -40,7 +35,8 @@ class SingularInnovationError(VisnavError):
 
 
 class ScheduleViolationError(VisnavError):
-    """Measurement timestamps violate the declared inter-sample bounds."""
+    """A vision frame of a hybrid run lies outside the run or off the IMU
+    grid, or two frames snap to the same grid node."""
 
 
 class UnsupportedSpectrumError(VisnavError):

@@ -32,49 +32,6 @@ from .observer import (  # noqa: F401
 from .sim import PositionFrame
 
 
-@dataclass(frozen=True)
-class MeasurementSchedule:
-    """Strictly increasing jump times with dwell bounds [t_min, t_max]."""
-
-    times: np.ndarray
-    t_min: float
-    t_max: float
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", times)
-        if self.t_min <= 0 or self.t_max < self.t_min:
-            raise ScheduleViolationError(
-                f"invalid dwell bounds [{self.t_min}, {self.t_max}]")
-        if times.size == 0:
-            return
-        if times.size > 1:
-            gaps = np.diff(times)
-            if np.any(gaps <= 0):
-                raise ScheduleViolationError("jump times not strictly increasing")
-            if np.any(gaps < self.t_min - 1e-12) or np.any(gaps > self.t_max + 1e-12):
-                raise ScheduleViolationError(
-                    f"inter-jump gap outside [{self.t_min}, {self.t_max}]")
-
-    @classmethod
-    def from_times(cls, times, slack: float = 1e-9) -> "MeasurementSchedule":
-        """Derive the tightest valid dwell bounds from observed jump times."""
-        times = np.asarray(times, dtype=float)
-        if times.size < 2:
-            gap = 1.0 if times.size == 0 else max(times[0], 1e-3)
-            return cls(times=times, t_min=min(gap, 1e-3), t_max=gap + slack)
-        gaps = np.diff(times)
-        if np.any(gaps <= 0):
-            raise ScheduleViolationError("jump times not strictly increasing")
-        return cls(times=times, t_min=float(gaps.min()) - slack,
-                   t_max=float(gaps.max()) + slack)
-
-    def check_start(self, t0: float):
-        if self.times.size and self.times[0] - t0 > self.t_max + 1e-12:
-            raise ScheduleViolationError(
-                f"first jump at {self.times[0]} later than t0 + t_max")
-
-
 @dataclass
 class NoiseCovariances:
     """Measurement noise model feeding the adaptive Riccati weights.
@@ -159,7 +116,7 @@ def tune_vq(est: ObserverState, ncov: NoiseCovariances, lms, frame=None,
     if frame is None:
         return V, None
     # the same blocks as the innovation, so Q^-1's rows follow C's rows
-    p, M, _ = landmark_blocks(frame, cams or [], lms, allow_mono_fallback=True)
+    p, M, _ = landmark_blocks(frame, cams or [], lms)
     if not isinstance(frame, PositionFrame):
         M = np.linalg.norm(p @ est.e - est.p, axis=1)[:, None, None] * M
     n = len(p)
@@ -172,7 +129,14 @@ def tune_vq(est: ObserverState, ncov: NoiseCovariances, lms, frame=None,
 
 def zoh_imu(samples: np.ndarray):
     """Turn rows (t, wx, wy, wz, ax, ay, az) into a zero-order-hold
-    lookup t -> (omega, a)."""
+    lookup t -> (omega, a).
+
+    `visnav analyze` is its only user in the package: the closed-form ZOH
+    transition matrix is the benchmark's oracle for the Gramian windows,
+    and a linearly interpolated rate moves their eigenvalues by more than
+    its tolerance.  `visnav estimate` uses `dataio.interpolating_imu`,
+    since a held sample lags the motion by half a sample.
+    """
     samples = np.asarray(samples, dtype=float)
     ts = samples[:, 0]
 
@@ -186,15 +150,16 @@ def zoh_imu(samples: np.ndarray):
 
 def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
         mode: str = "stereo", cams=None, ncov: NoiseCovariances | None = None,
-        t_end: float | None = None, dt: float = 1.0 / 200.0, t0: float = 0.0,
-        schedule: MeasurementSchedule | None = None):
+        t_end: float | None = None, dt: float = 1.0 / 200.0, t0: float = 0.0):
     """Flow/jump driver.
 
     Vision frames are snapped to the nearest IMU grid node (max error
     dt/2); the jump is applied right after the flow step landing on that
     node, and the recorded state at the node is the post-jump one.
     cams is the camera rig; the innovation and Q^-1 both use its
-    mode_cameras(mode, cams) and keep a landmark one camera misses.
+    mode_cameras(mode, cams) and keep a landmark one camera misses.  imu is
+    a callable t -> (omega, a).  Raises ScheduleViolationError for a frame
+    outside (t0, t_end], off the grid, or on the node of another frame.
 
     Returns (times, states, jumps) where jumps is a list of
     (t, lambda_max_before, lambda_max_after) covariance diagnostics.
@@ -208,7 +173,6 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
     times = t0 + dt * np.arange(n + 1)
 
     by_node: dict = {}
-    snapped = []
     for f in frames:
         k = int(round((f.t - t0) / dt))
         if k <= 0 or k > n:
@@ -221,13 +185,6 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
             raise ScheduleViolationError(
                 f"two frames snap to the same IMU node t={times[k]}")
         by_node[k] = f
-        snapped.append(times[k])
-    if schedule is None:
-        schedule = MeasurementSchedule.from_times(snapped)
-    else:
-        MeasurementSchedule(times=np.asarray(snapped), t_min=schedule.t_min,
-                            t_max=schedule.t_max)
-        schedule.check_start(t0)
 
     cams = mode_cameras(mode, cams or [])
     states = [est.copy()]
@@ -240,8 +197,7 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
         est = flow(est, imu, cfg_k, dt, t=float(times[k]))
         frame = by_node.get(k + 1)
         if frame is not None:
-            inn = innovation(est, frame, mode, cams, lms,
-                             allow_mono_fallback=True)
+            inn = innovation(est, frame, mode, cams, lms)
             if ncov is not None:
                 v_cur, q_inv = tune_vq(est, ncov, lms, frame=frame, cams=cams)
             else:

@@ -263,22 +263,24 @@ def _plane_residual(points):
     return np.max(np.abs((P - c) @ normal))
 
 
-def _in_gravity_plane(anchor_a, anchor_b, g, point, tol):
-    # plane through the two anchors, parallel to gravity
+def _gravity_plane_residual(anchor_a, anchor_b, g, points, tol):
+    # distance of each point from the plane through the two anchors,
+    # parallel to gravity; inf when the anchors do not fix the plane
     n = np.cross(anchor_b - anchor_a, g)
     nn = np.linalg.norm(n)
     if nn <= tol:
-        return False
-    return abs(float((point - anchor_a) @ (n / nn))) <= tol
+        return np.full(len(points), np.inf)
+    return np.abs((points - anchor_a) @ (n / nn))
 
 
-def _on_line(origin, through, point, tol):
+def _line_residual(origin, through, points, tol):
+    # distance of each point from the line through origin and through;
+    # inf when the two coincide
     d = through - origin
     dn = np.linalg.norm(d)
     if dn <= tol:
-        return False
-    r = point - origin
-    return np.linalg.norm(np.cross(r, d / dn)) <= tol
+        return np.full(len(points), np.inf)
+    return np.linalg.norm(np.cross(points - origin, d / dn), axis=1)
 
 
 def classify_static_degeneracy(lms, p_prime, gravity, tol: float = 1e-6,
@@ -313,59 +315,45 @@ def classify_static_degeneracy(lms, p_prime, gravity, tol: float = 1e-6,
         return verdict("coplanar(a)")
 
     idx = range(len(lms))
-    triples = [(tri, [i for i in idx if i not in tri])
+    triples = [(tri, pts[[i for i in idx if i not in tri]])
                for tri in combinations(idx, 3)]
-    best = None  # (residual, label)
+    best = (np.inf, "coplanar(a)")  # (residual, label)
 
     # (b): remaining landmarks inside the gravity-parallel plane through
     # two of the three witnesses
     for tri, rest in triples:
         for ia, ib in combinations(tri, 2):
-            n = np.cross(pts[ib] - pts[ia], g)
-            nn = np.linalg.norm(n)
-            if nn <= atol:
-                continue
-            res = max(abs(float((pts[r] - pts[ia]) @ (n / nn))) for r in rest)
+            res = _gravity_plane_residual(pts[ia], pts[ib], g, rest,
+                                          atol).max()
             if res <= atol:
                 return verdict("gravity-plane(b)")
-            if best is None or res < best[0]:
+            if res < best[0]:
                 best = (res, "gravity-plane(b)")
 
     # (c): remaining landmarks on the line through the camera position and
     # one of the three witnesses
     for tri, rest in triples:
         for ia in tri:
-            d = pts[ia] - p_prime
-            dn = np.linalg.norm(d)
-            if dn <= atol:
-                continue
-            res = max(np.linalg.norm(np.cross(pts[r] - p_prime, d / dn))
-                      for r in rest)
+            res = _line_residual(p_prime, pts[ia], rest, atol).max()
             if res <= atol:
                 return verdict("camera-aligned(c)")
-            if best is None or res < best[0]:
+            if res < best[0]:
                 best = (res, "camera-aligned(c)")
 
     # (d): each remaining landmark is either in the gravity-parallel plane
-    # of two witnesses or on the camera line through the third, with both
-    # kinds present (pure cases were caught above)
+    # of two witnesses or on the camera line through the third; both kinds
+    # are present, since (b) and (c) returned on the pure cases with the
+    # same residuals
     for tri, rest in triples:
         for ia, ib, ic in permutations(tri):
             if ia > ib:
                 continue  # plane pair unordered
-            in_plane, on_line, ok = [], [], True
-            for r in rest:
-                p_hit = _in_gravity_plane(pts[ia], pts[ib], g, pts[r], atol)
-                l_hit = _on_line(p_prime, pts[ic], pts[r], atol)
-                in_plane.append(p_hit)
-                on_line.append(l_hit)
-                if not (p_hit or l_hit):
-                    ok = False
-                    break
-            if ok and any(in_plane) and any(on_line) \
-                    and not all(in_plane) and not all(on_line):
+            in_plane = _gravity_plane_residual(pts[ia], pts[ib], g, rest,
+                                               atol) <= atol
+            on_line = _line_residual(p_prime, pts[ic], rest, atol) <= atol
+            if (in_plane | on_line).all():
                 return verdict("mixed(d)")
     if rank == full:
         return verdict("generic")
     # rank says degenerate but no exact predicate fired: report the closest
-    return verdict(best[1] if best is not None else "coplanar(a)")
+    return verdict(best[1])

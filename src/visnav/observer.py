@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    MissingStereoPairError,
-    NonFiniteStateError,
-    NotUnitError,
-    UnknownLandmarkError,
-)
+from .errors import NonFiniteStateError, NotUnitError, UnknownLandmarkError
 from .geom import (
     E3,
     I3,
@@ -40,17 +35,15 @@ class GainConfig:
     """Observer gains and noise weights.
 
     k_r scales the attitude innovation, rho holds the three distinct
-    positive weights of the auxiliary-vector potential, q and v are the
-    Riccati weights (scalars mean q*I / v*I), and the *_reg constants
-    regularize the adaptive weight construction.
+    positive weights of the auxiliary-vector potential, and q and v are
+    the Riccati weights (scalars mean q*I / v*I).  The hybrid estimator's
+    adaptive weights are regularized by NoiseCovariances.reg instead.
     """
 
     k_r: float = 1.0
     rho: tuple = (0.5, 0.3, 0.2)
     q: float | np.ndarray = 1.0e3
     v: float | np.ndarray = 1.0e-4
-    q_reg: float = 0.002
-    v_reg: float = 0.002
     gravity: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
 
     def __post_init__(self):
@@ -65,9 +58,6 @@ class GainConfig:
         self.gravity = np.asarray(self.gravity, dtype=float)
         if self.gravity.shape != (3,):
             raise ValueError("gravity must be a 3-vector")
-        for name in ("q_reg", "v_reg"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
     def rho_matrix(self) -> np.ndarray:
         return np.diag(self.rho)
@@ -160,7 +150,7 @@ def mode_cameras(mode: str, cams) -> list:
     return {"position3d": [], "monocular": cams[:1], "stereo": cams}[mode]
 
 
-def landmark_blocks(frame, cams, lms, allow_mono_fallback: bool = False):
+def landmark_blocks(frame, cams, lms):
     """Stacked per-landmark measurement blocks (p, Pi, b) of one frame.
 
     Every mode measures Pi (z_hat - c) per landmark, with z_hat the
@@ -168,14 +158,12 @@ def landmark_blocks(frame, cams, lms, allow_mono_fallback: bool = False):
     Pi z_hat - b.  A PositionFrame gives Pi = I and b = z.  A BearingFrame
     gives Pi = sum_c pi(R_c y_c) and b = sum_c pi(R_c y_c) c_c over the
     cameras in cams that see the landmark; observations of other cameras
-    are ignored.  Rows follow ascending landmark ids and the camera sum
+    are ignored, and a landmark keeps the projectors of the cameras that
+    see it.  Rows follow ascending landmark ids and the camera sum
     ascending cam ids.  p is (L, 3), Pi (L, 3, 3) and b (L, 3).
 
-    Raises UnknownLandmarkError for a landmark outside lms, NotUnitError
-    for a rotated bearing whose norm is off 1 by more than 1e-6, and
-    MissingStereoPairError for a landmark seen by only part of cams unless
-    allow_mono_fallback is set, in which case it keeps the projectors of
-    the cameras that see it.
+    Raises UnknownLandmarkError for a landmark outside lms and NotUnitError
+    for a rotated bearing whose norm is off 1 by more than 1e-6.
     """
     lm_map = {lm.id: lm for lm in lms}
     if isinstance(frame, PositionFrame):
@@ -197,10 +185,6 @@ def landmark_blocks(frame, cams, lms, allow_mono_fallback: bool = False):
         for k, y in by_lm[lm_id].items():
             Y[i, k] = y
             seen[i, k] = True
-        if not allow_mono_fallback and not seen[i].all():
-            raise MissingStereoPairError(
-                f"landmark {lm_id} seen by cameras "
-                f"{sorted(cams[k].cam_id for k in by_lm[lm_id])} only")
     Rc = np.array([c.R for c in cams]).reshape(-1, 3, 3)
     X = (Rc @ Y[..., None])[..., 0]                # R_c y_c
     norm = np.sqrt(np.einsum("lki,lki->lk", X, X))
@@ -234,12 +218,10 @@ def measurement_model(est: ObserverState, blocks):
     return sy.reshape(-1), C.reshape(-1, 15)
 
 
-def innovation_stereo(est: ObserverState, frame, cams, lms,
-                      allow_mono_fallback: bool = False):
+def innovation_stereo(est: ObserverState, frame, cams, lms):
     """Stacked innovation and output matrix from the bearings of a camera
     rig, projectors summed per landmark (see landmark_blocks)."""
-    return measurement_model(
-        est, landmark_blocks(frame, cams, lms, allow_mono_fallback))
+    return measurement_model(est, landmark_blocks(frame, cams, lms))
 
 
 def innovation_mono(est: ObserverState, frame, cam, lms):
@@ -252,8 +234,7 @@ def innovation_position(est: ObserverState, frame, lms):
     return measurement_model(est, landmark_blocks(frame, [], lms))
 
 
-def innovation(est: ObserverState, frame, mode: str, cams, lms,
-               allow_mono_fallback: bool = False):
+def innovation(est: ObserverState, frame, mode: str, cams, lms):
     """(sigma_y, C) of one frame in a measurement mode, from the cameras
     mode_cameras(mode, cams) of the rig."""
     cams = mode_cameras(mode, cams)
@@ -261,11 +242,13 @@ def innovation(est: ObserverState, frame, mode: str, cams, lms,
         return innovation_position(est, frame, lms)
     if mode == "monocular":
         return innovation_mono(est, frame, cams[0], lms)
-    return innovation_stereo(est, frame, cams, lms, allow_mono_fallback)
+    return innovation_stereo(est, frame, cams, lms)
 
 
-def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
-                V: np.ndarray) -> np.ndarray:
+def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray,
+                Q: np.ndarray | None, V: np.ndarray) -> np.ndarray:
+    """A P + P A^T + V - (C P)^T Q (C P), symmetrized; Q is not read
+    when C has no rows."""
     out = A @ P + P @ A.T + V
     if C.size:
         CP = C @ P
@@ -288,29 +271,28 @@ def error_state(truth, est: ObserverState):
 # ---------------------------------------------------------------------------
 # integration
 
+_NO_ROWS = np.zeros((0, 15))
+
 
 def _deriv(R0, sig, p, v, e, P, imu_fn, meas, cfg, tau, with_meas):
     R = R0 @ exp_so3(sig)
     omega, a = imu_fn(tau)
     stage = ObserverState(R=R, p=p, v=v, e=e, P=P)
     s_r = attitude_innovation(stage, cfg)
-    A = build_A(omega, cfg.gravity)
-    V = cfg.v_matrix()
+    C, Q = _NO_ROWS, None
     corr = np.zeros(15)
-    P_dot = A @ P + P @ A.T + V
     if with_meas:
         inn = meas(stage, tau)
         if inn is not None and inn[1].size:
             sy, C = inn
             Q = cfg.q_matrix(C.shape[0])
-            CP = C @ P
-            corr = CP.T @ Q @ sy      # = P C^T Q sigma_y = K sigma_y
-            P_dot = P_dot - CP.T @ Q @ CP
+            corr = (C @ P).T @ Q @ sy      # = P C^T Q sigma_y = K sigma_y
+    P_dot = riccati_rhs(P, build_A(omega, cfg.gravity), C, Q, cfg.v_matrix())
     sig_dot = dexpinv_body(sig, omega + R.T @ s_r)
     p_dot = v + np.cross(s_r, p) + R @ corr[0:3]
     v_dot = cfg.gravity @ e + R @ a + np.cross(s_r, v) + R @ corr[12:15]
     e_dot = np.cross(s_r, e) + corr[3:12].reshape(3, 3) @ R.T
-    return sig_dot, p_dot, v_dot, e_dot, 0.5 * (P_dot + P_dot.T)
+    return sig_dot, p_dot, v_dot, e_dot, P_dot
 
 
 def _substep(est: ObserverState, imu_fn, meas, cfg, tau, h, with_meas):
@@ -371,10 +353,10 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
          meas=None) -> ObserverState:
     """Advance the observer by dt seconds starting at time t.
 
-    imu is either a fixed (omega, a) pair held over the step or a callable
-    t -> (omega, a) evaluated at the integration stages.  meas is None (pure
-    inertial flow, covariance grows as A P + P A^T + V) or a callable
-    (state, t) -> (sigma_y, C) | None evaluated at the integration stages.
+    imu is a callable t -> (omega, a) and meas is None (pure inertial
+    flow, covariance grows as A P + P A^T + V) or a callable
+    (state, t) -> (sigma_y, C) | None, both evaluated at the integration
+    stages.
 
     Internally the step is split into RK4 substeps of size 1.5 / rate, where
     rate bounds the local contraction rate of the Riccati flow, so a large
@@ -393,7 +375,6 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    imu_fn = imu if callable(imu) else (lambda tau: imu)
     with_meas = meas is not None
     tau = t
     end = t + dt
@@ -402,12 +383,12 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
         remaining = end - tau
         if remaining <= 1e-14 * dt:
             break
-        rate = _stiffness(state, imu_fn, meas, cfg, tau, with_meas, n)
+        rate = _stiffness(state, imu, meas, cfg, tau, with_meas, n)
         h = min(1.5 / rate, remaining)
         # Probe the far end, where the rate may have jumped; shrink toward
         # its stiffer size but by at most half per probe (see docstring).
         for _ in range(60):
-            rate_end = _stiffness(state, imu_fn, meas, cfg, tau + h,
+            rate_end = _stiffness(state, imu, meas, cfg, tau + h,
                                   with_meas, n)
             h_end = min(1.5 / max(rate, rate_end), remaining)
             if h_end >= h * (1.0 - 1e-12):
@@ -415,7 +396,7 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
             h = max(h_end, 0.5 * h)
         if h >= remaining * (1.0 - 1e-12):
             h = remaining
-        state = _substep(state, imu_fn, meas, cfg, tau, h, with_meas)
+        state = _substep(state, imu, meas, cfg, tau, h, with_meas)
         tau += h
     else:
         raise NonFiniteStateError(
@@ -433,16 +414,14 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
 class StereoBearingSource:
     """Continuous stereo bearings synthesized from a reference trajectory."""
 
-    def __init__(self, traj, lms, cams, allow_mono_fallback: bool = False):
+    def __init__(self, traj, lms, cams):
         self.traj = traj
         self.lms = list(lms)
         self.cams = list(cams)
-        self.allow_mono_fallback = allow_mono_fallback
 
     def __call__(self, est: ObserverState, t: float):
         frame = make_bearing_frame(self.traj.state(t), self.lms, self.cams)
-        return innovation_stereo(est, frame, self.cams, self.lms,
-                                 allow_mono_fallback=self.allow_mono_fallback)
+        return innovation_stereo(est, frame, self.cams, self.lms)
 
 
 class MonoBearingSource:

@@ -156,19 +156,18 @@ def default_stereo_rig(baseline: float = 0.2) -> list:
             CameraExtrinsics(2, I3.copy(), np.array([0.0, +half, 0.0]))]
 
 
-def synth_bearing(state: RigidBodyState, lm: Landmark, cam: CameraExtrinsics,
-                  d_min: float = 1e-6) -> np.ndarray:
+def synth_bearing(state: RigidBodyState, lm: Landmark,
+                  cam: CameraExtrinsics) -> np.ndarray:
     """Unit bearing to a landmark in the camera frame.
 
     Raises
     ------
     LandmarkAtCameraError
-        If the landmark is within d_min of the optical center.
+        If the landmark is within 1e-6 m of the optical center.
     """
-    p_body = state.R.T @ (lm.p - state.p)
-    r = p_body - cam.p
+    r = state.R.T @ (lm.p - state.p) - cam.p
     d = np.linalg.norm(r)
-    if d <= d_min:
+    if d <= 1e-6:
         raise LandmarkAtCameraError(
             f"landmark {lm.id} is {d:.3e} m from camera {cam.cam_id}")
     return cam.R.T @ (r / d)
@@ -179,26 +178,11 @@ def synth_position(state: RigidBodyState, lm: Landmark) -> np.ndarray:
     return state.R.T @ (lm.p - state.p)
 
 
-def make_bearing_frame(state: RigidBodyState, landmarks, cams,
-                       fov_half_angle: float | None = None,
-                       d_min: float = 1e-6) -> BearingFrame:
-    """Synthesize one bearing frame; landmarks outside the optional field of
-    view cone (about each camera's z axis) are simply omitted."""
-    obs = {}
-    for cam in cams:
-        boresight = cam.R[:, 2]
-        for lm in landmarks:
-            r = state.R.T @ (lm.p - state.p) - cam.p
-            d = np.linalg.norm(r)
-            if d <= d_min:
-                raise LandmarkAtCameraError(
-                    f"landmark {lm.id} is {d:.3e} m from camera {cam.cam_id}")
-            if fov_half_angle is not None:
-                cos_ang = float(r @ boresight) / d
-                if cos_ang < np.cos(fov_half_angle):
-                    continue
-            obs[(cam.cam_id, lm.id)] = cam.R.T @ (r / d)
-    return BearingFrame(t=state.t, obs=obs)
+def make_bearing_frame(state: RigidBodyState, landmarks, cams) -> BearingFrame:
+    """Synthesize one bearing frame: every landmark in every camera."""
+    return BearingFrame(t=state.t,
+                        obs={(cam.cam_id, lm.id): synth_bearing(state, lm, cam)
+                             for cam in cams for lm in landmarks})
 
 
 def make_position_frame(state: RigidBodyState, landmarks) -> PositionFrame:

@@ -463,8 +463,7 @@ class _FallbackStereoSource:
             fr = make_bearing_frame(self.traj.state(t), self.lms, self.cams)
             return innovation_stereo(est, fr, self.cams, self.lms)
         fr = make_bearing_frame(self.traj.state(t), self.lms, self.cams[:1])
-        return innovation_stereo(est, fr, self.cams[:1], self.lms,
-                                 allow_mono_fallback=True)
+        return innovation_stereo(est, fr, self.cams[:1], self.lms)
 
 
 class _DroppingPositionSource:

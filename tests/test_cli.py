@@ -258,6 +258,25 @@ def test_estimate_keeps_a_landmark_one_camera_misses(sim_dir, base_cfg,
         assert all(np.isfinite(r.row()).all() for r in recs)
 
 
+def test_hybrid_estimate_interpolates_the_imu(tmp_path):
+    # with no frames the hybrid estimator only flows on the IMU; from the
+    # true attitude it must follow the truth to the accuracy of linear
+    # interpolation between 200 Hz samples (a held sample lags by half a
+    # sample and reads about 1e-3 after 1 s)
+    cfg = tmp_path / "flow.cfg"
+    cfg.write_text(HYBRID_CFG.replace("duration = 6", "duration = 1")
+                   + "init_att_angle = 0\n")
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    (data / "bearings.csv").unlink()
+    trace = tmp_path / "trace.csv"
+    assert main(["estimate", "--config", str(cfg), "--data", str(data),
+                 "--out", str(trace)]) == 0
+    recs = read_trace(str(trace))
+    assert recs[-1].t == 1.0
+    assert recs[-1].att_err < 1e-5
+
+
 def test_analyze_windows_hold_their_frames(tmp_path, monkeypatch):
     # 20 Hz frames in 0.1 s windows: the first window (from t = 0) holds
     # the frame at 0.05 and every later one exactly two, none drifting into

@@ -278,6 +278,7 @@ def test_config_defaults_and_parsing(tmp_path):
 
 @pytest.mark.parametrize("text,exc,needle", [
     ("mystery = 1\n", ParseError, "unknown key"),
+    ("q_reg = 0.002\n", ParseError, "unknown key"),
     ("seed = 1\nseed = 2\n", ParseError, "duplicate key"),
     ("seed = abc\n", ParseError, "bad value"),
     ("just a line\n", ParseError, "key = value"),
@@ -334,6 +335,19 @@ def test_interpolating_imu_midpoint_and_clamp():
     w_hi, a_hi = fn(5.0)
     assert np.allclose(w_lo, [1.0, 0.0, 0.0])
     assert np.allclose(w_hi, [3.0, 0.0, 0.0]) and np.allclose(a_hi, [2.0, 0.0, 9.0])
+
+
+def test_interpolating_imu_matches_np_interp():
+    # bit for bit, at nodes, between them and outside the recorded span
+    rng = np.random.default_rng(4)
+    t = np.cumsum(rng.uniform(0.004, 0.006, 50))
+    imu = np.column_stack([t, rng.normal(size=(50, 6))])
+    fn = interpolating_imu(imu)
+    queries = np.concatenate([t, rng.uniform(t[0] - 0.1, t[-1] + 0.1, 500)])
+    for tau in queries:
+        w, a = fn(float(tau))
+        ref = [np.interp(tau, t, imu[:, k]) for k in range(1, 7)]
+        assert np.array_equal(np.concatenate([w, a]), ref)
 
 
 def _provider_dataset():

@@ -6,8 +6,7 @@ import pytest
 import visnav.hybrid as hybrid
 from visnav.errors import ScheduleViolationError, SingularInnovationError
 from visnav.geom import E3, dist_identity, exp_so3, random_rotation
-from visnav.hybrid import (MeasurementSchedule, NoiseCovariances, flow, jump,
-                           run, tune_vq, zoh_imu)
+from visnav.hybrid import NoiseCovariances, flow, jump, run, tune_vq, zoh_imu
 from visnav.observability import transition_matrix
 from visnav.observer import (GainConfig, ObserverState, build_A, error_state,
                              innovation_stereo, step)
@@ -38,7 +37,8 @@ def test_flow_covariance_nilpotent_closed_form():
     assert np.array_equal(A @ A, np.zeros((15, 15)))
     dt = 1.0 / 200.0
     for k in range(100):
-        est = flow(est, (np.zeros(3), np.zeros(3)), cfg, dt, t=k * dt)
+        est = flow(est, lambda tau: (np.zeros(3), np.zeros(3)), cfg, dt,
+                   t=k * dt)
     t = 100 * dt
     phi = np.eye(15) + A * t
     expect = (phi @ (0.5 * np.eye(15)) @ phi.T
@@ -191,27 +191,7 @@ def test_tune_vq_position_blocks_are_isotropic():
 
 
 # ---------------------------------------------------------------------------
-# schedule
-
-
-def test_schedule_bounds_enforced():
-    MeasurementSchedule(times=np.array([0.05, 0.10, 0.15]),
-                        t_min=0.04, t_max=0.06)
-    with pytest.raises(ScheduleViolationError):
-        MeasurementSchedule(times=np.array([0.05, 0.20]),
-                            t_min=0.04, t_max=0.06)
-    with pytest.raises(ScheduleViolationError):
-        MeasurementSchedule(times=np.array([0.05, 0.05]),
-                            t_min=0.04, t_max=0.06)
-    with pytest.raises(ScheduleViolationError):
-        MeasurementSchedule(times=np.array([0.05]), t_min=0.1, t_max=0.05)
-
-
-def test_schedule_from_times():
-    s = MeasurementSchedule.from_times([0.05, 0.10, 0.16])
-    assert s.t_min <= 0.05 and s.t_max >= 0.06
-    with pytest.raises(ScheduleViolationError):
-        MeasurementSchedule.from_times([0.10, 0.05])
+# zero-order-hold IMU
 
 
 def test_zoh_imu_lookup():
@@ -248,11 +228,6 @@ def test_run_rejects_bad_frame_times():
         # two frames snapping onto the same 200 Hz node
         run(est, imu, _make_frames(traj, lms, cams, [0.5, 0.5015]), lms, cfg,
             cams=cams, t_end=1.0)
-    with pytest.raises(ScheduleViolationError):
-        # declared dwell bounds violated by the actual gaps
-        sched = MeasurementSchedule(times=np.array([]), t_min=0.04, t_max=0.06)
-        run(est, imu, _make_frames(traj, lms, cams, [0.1, 0.5]), lms, cfg,
-            cams=cams, t_end=1.0, schedule=sched)
 
 
 def test_run_converges_and_contracts():

@@ -148,20 +148,6 @@ def test_stereo_triangulation(traj):
             assert max(pts) < 1e-9
 
 
-def test_make_bearing_frame_fov_filter():
-    s = identity_state()
-    cams = [CameraExtrinsics(1, I3.copy(), np.zeros(3))]
-    ahead = Landmark(0, np.array([0.0, 0.0, 5.0]))
-    behind = Landmark(1, np.array([0.0, 0.0, -5.0]))
-    frame = make_bearing_frame(s, [ahead, behind], cams,
-                               fov_half_angle=np.deg2rad(60))
-    assert (1, 0) in frame.obs
-    assert (1, 1) not in frame.obs
-    # without the cone everything is visible
-    frame_all = make_bearing_frame(s, [ahead, behind], cams)
-    assert len(frame_all.obs) == 2
-
-
 def test_sample_landmarks():
     lms = sample_landmarks(50, seed=3)
     assert [lm.id for lm in lms] == list(range(50))
