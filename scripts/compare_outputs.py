@@ -10,8 +10,9 @@ on PYTHONPATH:
 - the measurement-free flow (`run_continuous` with no provider, the path
   the hybrid estimator takes between frames);
 - a stereo hybrid run at 20 Hz with noise covariances (`tune_vq`, `jump`);
-- a stereo continuous run driven by an in-memory dataset through the
-  dataset provider of `visnav.dataio`;
+- continuous runs driven by an in-memory dataset through the dataset
+  provider of `visnav.dataio`, one per measurement mode (stereo,
+  monocular, position3d);
 - `EightTrajectory.rotation` at 6000 off-grid times over 30 s;
 - `visnav simulate` and `visnav analyze` on a 6 s stereo dataset, keeping
   lambda_min and lambda_max of each 2 s Gramian window;
@@ -78,13 +79,15 @@ def _estimate_trace(seconds):
             for name, cols in TRACE_COLUMNS.items()}
 
 
-def _stereo_provider(ds):
+def _provider(ds, mode):
     from visnav import dataio
     if hasattr(dataio, "DatasetProvider"):
-        return dataio.DatasetProvider(ds, "stereo")
+        return dataio.DatasetProvider(ds, mode)
     # trees from before the bearing and position providers were merged
     from visnav.observer import GainConfig
-    return dataio.DatasetBearingProvider(ds, GainConfig(), "stereo")
+    if mode == "position3d":
+        return dataio.DatasetPositionProvider(ds, GainConfig())
+    return dataio.DatasetBearingProvider(ds, GainConfig(), mode)
 
 
 def _analyze_windows():
@@ -101,16 +104,20 @@ def dump(path, seconds):
                                  PositionSource, StereoBearingSource,
                                  run_continuous)
     from visnav.sim import (EightTrajectory, default_stereo_rig,
-                            make_bearing_frame, sample_landmarks)
+                            make_bearing_frame, make_position_frame,
+                            sample_landmarks)
 
     traj = EightTrajectory(t_end=max(30.0, seconds))
     lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
     R0 = exp_so3(0.5 * np.pi * np.ones(3) / np.sqrt(3.0))
-    frames = [make_bearing_frame(traj.state(k / 20.0), lms, cams)
-              for k in range(1, int(np.floor(seconds * 20.0 + 1e-9)) + 1)]
+    frame_states = [traj.state(k / 20.0) for k in
+                    range(1, int(np.floor(seconds * 20.0 + 1e-9)) + 1)]
+    frames = [make_bearing_frame(st, lms, cams) for st in frame_states]
     imu_rows = [[t, *traj.state(t).omega, *traj.state(t).a]
                 for t in np.arange(int(round(seconds * 200.0)) + 1) / 200.0]
     ds = Dataset(imu=np.array(imu_rows), landmarks=lms, bearings=frames,
+                 positions=[make_position_frame(st, lms)
+                            for st in frame_states],
                  extrinsics=cams)
 
     def continuous(imu, provider):
@@ -128,9 +135,11 @@ def dump(path, seconds):
             ObserverState.initial(R=R0), traj.imu, frames, lms,
             GainConfig(k_r=20.0), mode="stereo", cams=cams,
             ncov=NoiseCovariances(), t_end=seconds)[1],
-        "dataset": lambda: continuous(interpolating_imu(ds.imu),
-                                      _stereo_provider(ds)),
     }
+    for mode in ("stereo", "monocular", "position3d"):
+        runs[f"dataset.{mode}"] = (
+            lambda mode=mode: continuous(interpolating_imu(ds.imu),
+                                         _provider(ds, mode)))
     arrays = {}
     for name, states in runs.items():
         states = states()
@@ -179,7 +188,7 @@ def main():
         else:
             detail = f"DIFFERS (max |diff| {np.abs(a - b).max():.3g})"
         same &= detail == "identical"
-        print(f"{key:18s} {a.shape[0]:5d} rows  {detail}")
+        print(f"{key:22s} {a.shape[0]:5d} rows  {detail}")
     print("all outputs bit-identical" if same else "outputs differ")
     return 0 if same else 1
 

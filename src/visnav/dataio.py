@@ -20,8 +20,8 @@ from .geom import is_rotation
 from .hybrid import NoiseCovariances
 # innovation_{position,stereo,mono} stay importable here: the benchmark's
 # span tracer (perfbench/tracer.py) wraps them in this namespace.
-from .observer import (MODES, GainConfig, ObserverState,  # noqa: F401
-                       innovation, innovation_mono, innovation_position,
+from .observer import (MODES, FrameSource, GainConfig,  # noqa: F401
+                       ObserverState, innovation_mono, innovation_position,
                        innovation_stereo, mode_cameras)
 from .sim import BearingFrame, CameraExtrinsics, Landmark, PositionFrame
 
@@ -482,24 +482,24 @@ def interpolating_imu(imu: np.ndarray):
     return fn
 
 
-class DatasetProvider:
+class DatasetProvider(FrameSource):
     """Continuous-time innovation from the sampled frame stream of a
     measurement mode (see Dataset.frames).
 
     Observations are interpolated linearly between bracketing frames for
     the keys present in both, bearings then renormalized; outside the
     stream the provider reports no measurement.  A stereo landmark that
-    one camera misses is kept through the other camera's bearing.
+    one camera misses is kept through the other camera's bearing.  The
+    landmark blocks of the last two query times are kept (FrameSource).
     """
 
     def __init__(self, ds: Dataset, mode: str):
+        super().__init__(mode_cameras(mode, ds.extrinsics),
+                         sorted(ds.landmarks, key=lambda lm: lm.id))
         self.frames = ds.frames(mode)
         self.times = np.array([fr.t for fr in self.frames])
-        self.mode = mode
-        self.cams = mode_cameras(mode, ds.extrinsics)
-        self.lms = sorted(ds.landmarks, key=lambda lm: lm.id)
 
-    def _frame_at(self, t):
+    def frame_at(self, t):
         times = self.times
         if times.size == 0 or t < times[0] - 1e-9 or t > times[-1] + 1e-9:
             return None
@@ -522,9 +522,3 @@ class DatasetProvider:
                 y = y / n
             obs[key] = y
         return type(lo)(t=t, obs=obs) if obs else None
-
-    def __call__(self, est, t):
-        frame = self._frame_at(t)
-        if frame is None:
-            return None
-        return innovation(est, frame, self.mode, self.cams, self.lms)

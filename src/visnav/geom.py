@@ -1,9 +1,10 @@
 """SO(3) geometry kernel.
 
-Skew/unskew maps, the antisymmetric-part vector, tangent-plane projectors,
-the Rodrigues exponential, the normalized rotation distance, and the
-auxiliary matrices that appear in trace-potential bounds for attitude
-estimators.  Everything here is a pure function of its inputs.
+Skew/unskew maps, the 3-vector cross product, the antisymmetric-part
+vector, tangent-plane projectors, the Rodrigues exponential, the
+normalized rotation distance, and the auxiliary matrices that appear in
+trace-potential bounds for attitude estimators.  Everything here is a
+pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,21 @@ def skew(v) -> np.ndarray:
     return np.array([[0.0, -z, y],
                      [z, 0.0, -x],
                      [-y, x, 0.0]])
+
+
+def cross(a, b) -> np.ndarray:
+    """a x b of two 3-vectors, or row-wise a x b_i for a 3x3 b.
+
+    The component formula: equal bit for bit to np.cross, whose general
+    broadcasting costs about ten times more per call on 3-vectors.
+    """
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 1:
+        x, y, z = b.tolist()
+        return np.array([a1 * z - a2 * y, a2 * x - a0 * z, a0 * y - a1 * x])
+    return np.array([[a1 * z - a2 * y, a2 * x - a0 * z, a0 * y - a1 * x]
+                     for x, y, z in b.tolist()])
 
 
 def vee(M, tol: float = 1e-9) -> np.ndarray:
@@ -186,8 +202,8 @@ def dexpinv_body(sigma, omega) -> np.ndarray:
     + sigma x (sigma x omega) / 12 + O(|sigma|^4).  Sufficient for
     fourth-order one-step integrators restarting sigma at 0 each step.
     """
-    c1 = np.cross(sigma, omega)
-    return omega + 0.5 * c1 + (1.0 / 12.0) * np.cross(sigma, c1)
+    c1 = cross(sigma, omega)
+    return omega + 0.5 * c1 + (1.0 / 12.0) * cross(sigma, c1)
 
 
 def rotation_step(R, omega_fn, t: float, h: float) -> np.ndarray:

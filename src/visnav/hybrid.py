@@ -155,11 +155,12 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
 
     Vision frames are snapped to the nearest IMU grid node (max error
     dt/2); the jump is applied right after the flow step landing on that
-    node, and the recorded state at the node is the post-jump one.
+    node (to the initial state for a frame on node 0), and the recorded
+    state at the node is the post-jump one.
     cams is the camera rig; the innovation and Q^-1 both use its
     mode_cameras(mode, cams) and keep a landmark one camera misses.  imu is
     a callable t -> (omega, a).  Raises ScheduleViolationError for a frame
-    outside (t0, t_end], off the grid, or on the node of another frame.
+    outside [t0, t_end], off the grid, or on the node of another frame.
 
     Returns (times, states, jumps) where jumps is a list of
     (t, lambda_max_before, lambda_max_after) covariance diagnostics.
@@ -175,7 +176,7 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
     by_node: dict = {}
     for f in frames:
         k = int(round((f.t - t0) / dt))
-        if k <= 0 or k > n:
+        if k < 0 or k > n:
             raise ScheduleViolationError(
                 f"frame at t={f.t} outside the run horizon")
         if abs(f.t - times[k]) > dt / 2 + 1e-12:
@@ -187,15 +188,17 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
         by_node[k] = f
 
     cams = mode_cameras(mode, cams or [])
-    states = [est.copy()]
+    states = []
     jumps = []
     v_cur = None
     if ncov is not None:
         v_cur, _ = tune_vq(est, ncov, lms)
-    for k in range(n):
-        cfg_k = cfg if v_cur is None else replace(cfg, v=v_cur)
-        est = flow(est, imu, cfg_k, dt, t=float(times[k]))
-        frame = by_node.get(k + 1)
+    est = est.copy()
+    for k in range(n + 1):
+        if k:
+            cfg_k = cfg if v_cur is None else replace(cfg, v=v_cur)
+            est = flow(est, imu, cfg_k, dt, t=float(times[k - 1]))
+        frame = by_node.get(k)
         if frame is not None:
             inn = innovation(est, frame, mode, cams, lms)
             if ncov is not None:
@@ -206,7 +209,7 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
                          else np.zeros((0, 0)))
             lam_before = float(np.linalg.eigvalsh(est.P)[-1])
             est = jump(est, inn, q_inv)
-            jumps.append((float(times[k + 1]), lam_before,
+            jumps.append((float(times[k]), lam_before,
                           float(np.linalg.eigvalsh(est.P)[-1])))
         states.append(est)
     return times, states, jumps

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import NonFiniteStateError, NotUnitError, UnknownLandmarkError
 from .geom import (
-    E3,
     I3,
+    cross,
     dexpinv_body,
     exp_so3,
     project_to_rotation,
@@ -130,11 +130,14 @@ def build_A(omega: np.ndarray, gravity: np.ndarray) -> np.ndarray:
 
 
 def attitude_innovation(est: ObserverState, cfg: GainConfig) -> np.ndarray:
-    """sigma_R = (k_r / 2) * sum_i rho_i (e_hat_i x e_i)."""
-    s = np.zeros(3)
-    for i in range(3):
-        s += cfg.rho[i] * np.cross(est.e[i], E3[i])
-    return 0.5 * cfg.k_r * s
+    """sigma_R = (k_r / 2) * sum_i rho_i (e_hat_i x e_i), in closed form:
+    e_i is the i-th basis vector, so e_hat_i x e_i keeps two components of
+    e_hat_i."""
+    (_, e01, e02), (e10, _, e12), (e20, e21, _) = est.e.tolist()
+    r0, r1, r2 = cfg.rho
+    c = 0.5 * cfg.k_r
+    return np.array([c * (r2 * e21 - r1 * e12), c * (r0 * e02 - r2 * e20),
+                     c * (r1 * e10 - r0 * e01)])
 
 
 MODES = ("position3d", "stereo", "monocular")
@@ -274,38 +277,43 @@ def error_state(truth, est: ObserverState):
 _NO_ROWS = np.zeros((0, 15))
 
 
-def _deriv(R0, sig, p, v, e, P, imu_fn, meas, cfg, tau, with_meas):
-    R = R0 @ exp_so3(sig)
+def _deriv(stage, sig, imu_fn, inn, cfg, tau):
+    """RK4 stage rates at tau of the stage state R0 exp(sig), with inn the
+    stage's (sigma_y, C) or None."""
+    R, p, v, e, P = stage.R, stage.p, stage.v, stage.e, stage.P
     omega, a = imu_fn(tau)
-    stage = ObserverState(R=R, p=p, v=v, e=e, P=P)
     s_r = attitude_innovation(stage, cfg)
     C, Q = _NO_ROWS, None
     corr = np.zeros(15)
-    if with_meas:
-        inn = meas(stage, tau)
-        if inn is not None and inn[1].size:
-            sy, C = inn
-            Q = cfg.q_matrix(C.shape[0])
-            corr = (C @ P).T @ Q @ sy      # = P C^T Q sigma_y = K sigma_y
+    if inn is not None and inn[1].size:
+        sy, C = inn
+        Q = cfg.q_matrix(C.shape[0])
+        corr = (C @ P).T @ Q @ sy      # = P C^T Q sigma_y = K sigma_y
     P_dot = riccati_rhs(P, build_A(omega, cfg.gravity), C, Q, cfg.v_matrix())
     sig_dot = dexpinv_body(sig, omega + R.T @ s_r)
-    p_dot = v + np.cross(s_r, p) + R @ corr[0:3]
-    v_dot = cfg.gravity @ e + R @ a + np.cross(s_r, v) + R @ corr[12:15]
-    e_dot = np.cross(s_r, e) + corr[3:12].reshape(3, 3) @ R.T
+    p_dot = v + cross(s_r, p) + R @ corr[0:3]
+    v_dot = cfg.gravity @ e + R @ a + cross(s_r, v) + R @ corr[12:15]
+    e_dot = cross(s_r, e) + corr[3:12].reshape(3, 3) @ R.T
     return sig_dot, p_dot, v_dot, e_dot, P_dot
 
 
-def _substep(est: ObserverState, imu_fn, meas, cfg, tau, h, with_meas):
+def _substep(est: ObserverState, imu_fn, meas, cfg, tau, h, inn):
+    """One RK4 substep from est at tau; k1 takes inn, the innovation of est
+    at tau that the step-size probe already evaluated."""
     R0 = est.R
     y0 = (np.zeros(3), est.p, est.v, est.e, est.P)
 
-    def at(c, k):
-        return tuple(y + c * dy for y, dy in zip(y0, k))
+    def k(t, c, dy):
+        sig, p, v, e, P = (y + c * d for y, d in zip(y0, dy))
+        stage = ObserverState(R=R0 @ exp_so3(sig), p=p, v=v, e=e, P=P)
+        return _deriv(stage, sig, imu_fn,
+                      None if meas is None else meas(stage, t), cfg, t)
 
-    k1 = _deriv(R0, *y0, imu_fn, meas, cfg, tau, with_meas)
-    k2 = _deriv(R0, *at(0.5 * h, k1), imu_fn, meas, cfg, tau + 0.5 * h, with_meas)
-    k3 = _deriv(R0, *at(0.5 * h, k2), imu_fn, meas, cfg, tau + 0.5 * h, with_meas)
-    k4 = _deriv(R0, *at(h, k3), imu_fn, meas, cfg, tau + h, with_meas)
+    # the k1 stage is est itself: R0 exp(0) == R0 bit for bit
+    k1 = _deriv(est, y0[0], imu_fn, inn, cfg, tau)
+    k2 = k(tau + 0.5 * h, 0.5 * h, k1)
+    k3 = k(tau + 0.5 * h, 0.5 * h, k2)
+    k4 = k(tau + h, h, k3)
     comb = [(h / 6.0) * (a + 2 * b + 2 * c + d)
             for a, b, c, d in zip(k1, k2, k3, k4)]
     P_new = est.P + comb[4]
@@ -331,22 +339,23 @@ def _nonfinite_error(state: ObserverState, t: float, substep: int,
         f"non-finite {name} at t={t:.9g}, substep {substep}")
 
 
-def _stiffness(est: ObserverState, imu_fn, meas, cfg, tau, with_meas,
-               substep: int) -> float:
+def _stiffness(est: ObserverState, imu_fn, meas, cfg, tau, substep: int):
+    """(rate, inn): a bound on the local contraction rate of the Riccati
+    flow at tau, and the innovation of est at tau it is built on (None
+    without measurements)."""
     omega, _ = imu_fn(tau)
     rate = 1.0 + 2.0 * (np.linalg.norm(omega) + np.linalg.norm(cfg.gravity))
-    if with_meas:
-        inn = meas(est, tau)
-        if inn is not None and inn[1].size:
-            C = inn[1]
-            Q = cfg.q_matrix(C.shape[0])
-            S = C.T @ Q @ C
-            # tr(S P) >= lambda_max(S P) >= local contraction rate
-            rate += 2.0 * abs(float(np.einsum("ij,ji->", S, est.P)))
+    inn = None if meas is None else meas(est, tau)
+    if inn is not None and inn[1].size:
+        C = inn[1]
+        Q = cfg.q_matrix(C.shape[0])
+        S = C.T @ Q @ C
+        # tr(S P) >= lambda_max(S P) >= local contraction rate
+        rate += 2.0 * abs(float(np.einsum("ij,ji->", S, est.P)))
     if not math.isfinite(rate):
         # a finite state with a non-finite rate means a non-finite input
         raise _nonfinite_error(est, tau, substep, "IMU or measurement input")
-    return rate
+    return rate, inn
 
 
 def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
@@ -355,8 +364,11 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
 
     imu is a callable t -> (omega, a) and meas is None (pure inertial
     flow, covariance grows as A P + P A^T + V) or a callable
-    (state, t) -> (sigma_y, C) | None, both evaluated at the integration
-    stages.
+    (state, t) -> (sigma_y, C) | None, such as a FrameSource.  Both are
+    evaluated at the step-size probes and the RK4 stages; the k1 stage is
+    the substep's start state, so it takes the innovation the probe there
+    evaluated, and a substep whose probe does not shrink it calls meas
+    five times (probes at tau and tau + h, stages k2, k3, k4).
 
     Internally the step is split into RK4 substeps of size 1.5 / rate, where
     rate bounds the local contraction rate of the Riccati flow, so a large
@@ -375,7 +387,6 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    with_meas = meas is not None
     tau = t
     end = t + dt
     state = est
@@ -383,20 +394,19 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
         remaining = end - tau
         if remaining <= 1e-14 * dt:
             break
-        rate = _stiffness(state, imu, meas, cfg, tau, with_meas, n)
+        rate, inn = _stiffness(state, imu, meas, cfg, tau, n)
         h = min(1.5 / rate, remaining)
         # Probe the far end, where the rate may have jumped; shrink toward
         # its stiffer size but by at most half per probe (see docstring).
         for _ in range(60):
-            rate_end = _stiffness(state, imu, meas, cfg, tau + h,
-                                  with_meas, n)
+            rate_end, _ = _stiffness(state, imu, meas, cfg, tau + h, n)
             h_end = min(1.5 / max(rate, rate_end), remaining)
             if h_end >= h * (1.0 - 1e-12):
                 break
             h = max(h_end, 0.5 * h)
         if h >= remaining * (1.0 - 1e-12):
             h = remaining
-        state = _substep(state, imu, meas, cfg, tau, h, with_meas)
+        state = _substep(state, imu, meas, cfg, tau, h, inn)
         tau += h
     else:
         raise NonFiniteStateError(
@@ -411,42 +421,65 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
 # measurement sources for simulation-driven runs
 
 
-class StereoBearingSource:
-    """Continuous stereo bearings synthesized from a reference trajectory."""
+class FrameSource:
+    """Continuous-time innovation (state, t) -> (sigma_y, C) | None from a
+    measurement frame per query time, frame_at(t) -> frame | None.
 
-    def __init__(self, traj, lms, cams):
-        self.traj = traj
-        self.lms = list(lms)
+    The output matrix C depends on the frame alone, through its
+    landmark_blocks, so the blocks of the last two query times are kept:
+    the RK4 stages and the step-size probes of observer.step ask for each
+    stage time two or three times in a row.  Only measurement_model runs
+    per call.  cams are the cameras of the measurement mode.
+    """
+
+    def __init__(self, cams, lms):
         self.cams = list(cams)
+        self.lms = list(lms)
+        self._blocks = {}
 
     def __call__(self, est: ObserverState, t: float):
-        frame = make_bearing_frame(self.traj.state(t), self.lms, self.cams)
-        return innovation_stereo(est, frame, self.cams, self.lms)
+        memo = self._blocks
+        if t not in memo:
+            frame = self.frame_at(t)
+            blocks = (None if frame is None
+                      else landmark_blocks(frame, self.cams, self.lms))
+            if len(memo) == 2:
+                del memo[next(iter(memo))]          # the older query time
+            memo[t] = blocks
+        blocks = memo[t]
+        return None if blocks is None else measurement_model(est, blocks)
 
 
-class MonoBearingSource:
+class TruthSource(FrameSource):
+    """Continuous measurements of a mode synthesized, noise free, from a
+    reference trajectory: bearings of the cameras mode_cameras(mode, cams)
+    or body-frame landmark positions."""
+
+    def __init__(self, traj, lms, mode: str, cams=()):
+        super().__init__(mode_cameras(mode, cams), lms)
+        self.traj = traj
+        self.mode = mode
+
+    def frame_at(self, t: float):
+        state = self.traj.state(t)
+        if self.mode == "position3d":
+            return make_position_frame(state, self.lms)
+        return make_bearing_frame(state, self.lms, self.cams)
+
+
+def StereoBearingSource(traj, lms, cams) -> TruthSource:
+    """Continuous stereo bearings synthesized from a reference trajectory."""
+    return TruthSource(traj, lms, "stereo", cams)
+
+
+def MonoBearingSource(traj, lms, cam) -> TruthSource:
     """Continuous single-camera bearings from a reference trajectory."""
-
-    def __init__(self, traj, lms, cam):
-        self.traj = traj
-        self.lms = list(lms)
-        self.cam = cam
-
-    def __call__(self, est: ObserverState, t: float):
-        frame = make_bearing_frame(self.traj.state(t), self.lms, [self.cam])
-        return innovation_mono(est, frame, self.cam, self.lms)
+    return TruthSource(traj, lms, "monocular", [cam])
 
 
-class PositionSource:
+def PositionSource(traj, lms) -> TruthSource:
     """Continuous body-frame landmark positions from a reference trajectory."""
-
-    def __init__(self, traj, lms):
-        self.traj = traj
-        self.lms = list(lms)
-
-    def __call__(self, est: ObserverState, t: float):
-        frame = make_position_frame(self.traj.state(t), self.lms)
-        return innovation_position(est, frame, self.lms)
+    return TruthSource(traj, lms, "position3d")
 
 
 def run_continuous(est: ObserverState, imu, provider, cfg: GainConfig,

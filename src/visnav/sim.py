@@ -84,7 +84,8 @@ class EightTrajectory:
     R(0) = I by 4th-order Magnus steps (`geom.rotation_step`), tabulated
     once on a fixed grid at construction; a query between grid points
     takes one partial step from the grid node below, so grid queries and
-    off-grid queries are mutually consistent.
+    off-grid queries are mutually consistent.  The last query's rotation
+    is kept for a repeated query time.
     """
 
     def __init__(self, t_end: float = 30.0, dt: float = 1.0 / 200.0):
@@ -100,6 +101,7 @@ class EightTrajectory:
             table[k + 1] = project_to_rotation(
                 rotation_step(table[k], self.omega, k * self.dt, self.dt))
         self._table = table
+        self._last = (None, None)       # the last rotation query (t, R)
 
     @staticmethod
     def omega(t):
@@ -118,6 +120,9 @@ class EightTrajectory:
         return np.array([-2.0 * np.sin(t), -4.0 * np.sin(2.0 * t), 0.0])
 
     def rotation(self, t: float) -> np.ndarray:
+        # imu(t) and state(t) ask for the same stage time in turn
+        if t == self._last[0]:
+            return self._last[1]
         if t < -1e-12 or t > self.t_end + 1e-9:
             raise ValueError(f"t={t} outside trajectory horizon [0, {self.t_end}]")
         k = int(np.floor(t / self.dt + 1e-9))
@@ -126,6 +131,7 @@ class EightTrajectory:
         rem = t - k * self.dt
         if rem > 1e-12:
             R = rotation_step(R, self.omega, k * self.dt, rem)
+        self._last = (t, R)
         return R
 
     def body_accel(self, t: float) -> np.ndarray:

@@ -258,6 +258,30 @@ def test_estimate_keeps_a_landmark_one_camera_misses(sim_dir, base_cfg,
         assert all(np.isfinite(r.row()).all() for r in recs)
 
 
+def test_hybrid_estimate_jumps_at_a_frame_on_the_first_imu_sample(
+        sim_dir, tmp_path):
+    # a bearing frame with the first IMU timestamp snaps to node 0: the
+    # hybrid estimator jumps the initial state there and records the
+    # post-jump state (the initial estimate has p = 0)
+    data = tmp_path / "frame0"
+    shutil.copytree(sim_dir, data)
+    header, *rows = (data / "bearings.csv").read_text().splitlines(
+        keepends=True)
+    first = [r for r in rows if float(r.split(",")[0]) == 0.05]
+    assert first
+    at_zero = ["0" + r[r.index(","):] for r in first]
+    (data / "bearings.csv").write_text("".join([header, *at_zero, *rows]))
+    cfg = tmp_path / "hybrid.cfg"
+    cfg.write_text(HYBRID_CFG)
+    trace = tmp_path / "trace.csv"
+    assert main(["estimate", "--config", str(cfg), "--data", str(data),
+                 "--out", str(trace), "--duration", "1"]) == 0
+    recs = read_trace(str(trace))
+    assert len(recs) == 201 and recs[0].t == 0.0
+    assert all(np.isfinite(r.row()).all() for r in recs)
+    assert np.linalg.norm(recs[0].p) > 0.1
+
+
 def test_hybrid_estimate_interpolates_the_imu(tmp_path):
     # with no frames the hybrid estimator only flows on the IMU; from the
     # true attitude it must follow the truth to the accuracy of linear

@@ -6,17 +6,17 @@ import pytest
 
 import visnav.observer as observer
 from visnav.cli import main
-from visnav.dataio import (DatasetProvider, interpolating_imu, load_config,
-                           load_dataset)
+from visnav.dataio import (Dataset, DatasetProvider, interpolating_imu,
+                           load_config, load_dataset)
 from visnav.errors import (NonFiniteStateError, NotUnitError,
                            UnknownLandmarkError)
 from visnav.geom import (E3, I3, dist_identity, exp_so3, pi_proj,
                          psi_antisym, random_rotation, skew)
-from visnav.observer import (GainConfig, ObserverState, attitude_innovation,
-                             build_A, error_state, innovation_mono,
-                             innovation_position, innovation_stereo,
-                             riccati_rhs, run_continuous, step,
-                             PositionSource, StereoBearingSource)
+from visnav.observer import (MODES, GainConfig, ObserverState, TruthSource,
+                             attitude_innovation, build_A, error_state,
+                             innovation, innovation_mono, innovation_position,
+                             innovation_stereo, riccati_rhs, run_continuous,
+                             step, PositionSource, StereoBearingSource)
 from visnav.sim import (GRAVITY, BearingFrame, CameraExtrinsics,
                         EightTrajectory, Landmark, RigidBodyState,
                         default_stereo_rig, make_bearing_frame,
@@ -490,6 +490,92 @@ def test_run_continuous_bookkeeping():
     assert times[0] == 0.0 and abs(times[-1] - 0.5) < 1e-12
     assert states[0] is not est0  # stored as an independent copy
     assert np.array_equal(states[0].R, est0.R)
+
+
+def test_one_substep_calls_meas_five_times(monkeypatch):
+    # probes at tau and tau + h, then the stages k2, k3 and k4: k1 takes
+    # the innovation of the probe at tau
+    traj = EightTrajectory(t_end=0.1)
+    source = PositionSource(traj, sample_landmarks(5, seed=0))
+    calls, substeps = [], []
+
+    def meas(est, t):
+        calls.append(t)
+        return source(est, t)
+
+    project = observer.project_to_rotation
+    monkeypatch.setattr(observer, "project_to_rotation",
+                        lambda R: substeps.append(1) or project(R))
+    est = ObserverState.initial(P=1e-6 * np.eye(15))
+    step(est, traj.imu, GainConfig(), 1.0 / 200.0, t=0.02, meas=meas)
+    assert len(substeps) == 1
+    assert len(calls) == 5 and len(set(calls)) == 3
+    assert calls[0] == 0.02
+
+
+def test_truth_source_synthesizes_once_per_stage_time(monkeypatch):
+    # from P = I the first steps take many substeps, with shrinking
+    # probes; every distinct query time is synthesized exactly once
+    traj = EightTrajectory(t_end=0.1)
+    source = StereoBearingSource(traj, sample_landmarks(5, seed=0),
+                                 default_stereo_rig())
+    queries, built = [], []
+
+    def meas(est, t):
+        queries.append(t)
+        return source(est, t)
+
+    make = observer.make_bearing_frame
+    monkeypatch.setattr(observer, "make_bearing_frame",
+                        lambda st, *a: built.append(st.t) or make(st, *a))
+    est = ObserverState.initial(R=exp_so3(np.array([0.3, -0.2, 0.1])))
+    dt = 1.0 / 200.0
+    for k in range(2):
+        est = step(est, traj.imu, GainConfig(), dt, t=k * dt, meas=meas)
+    assert len(set(queries)) > 20
+    assert len(queries) > 2 * len(built)
+    assert sorted(built) == sorted(set(queries))
+
+
+def _frame_dataset(traj, lms, cams, times):
+    states = [traj.state(t) for t in times]
+    return Dataset(imu=np.zeros((2, 7)), landmarks=lms, extrinsics=cams,
+                   bearings=[make_bearing_frame(st, lms, cams)
+                             for st in states],
+                   positions=[make_position_frame(st, lms) for st in states])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sources_match_a_fresh_innovation(mode):
+    # the kept landmark blocks must not leak between query times, whatever
+    # their order: interleaved, repeated, and returning after an eviction
+    traj = EightTrajectory(t_end=1.0)
+    lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
+    ds = _frame_dataset(traj, lms, cams, 0.05 * np.arange(1, 11))
+    truth, provider = TruthSource(traj, lms, mode, cams), DatasetProvider(
+        ds, mode)
+    rng = np.random.default_rng(5)
+    for t in (0.1, 0.1, 0.13, 0.1, 0.17, 0.13, 0.13, 0.2, 0.1, 0.075, 0.5):
+        est = _random_estimate(rng)
+        st = traj.state(t)
+        fresh = {truth: (make_position_frame(st, lms) if mode == "position3d"
+                         else make_bearing_frame(st, lms, cams)),
+                 provider: DatasetProvider(ds, mode).frame_at(t)}
+        for source, frame in fresh.items():
+            sy, C = source(est, t)
+            sy_ref, C_ref = innovation(est, frame, mode, cams, lms)
+            assert np.array_equal(sy, sy_ref) and np.array_equal(C, C_ref)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_dataset_provider_none_outside_the_stream(mode):
+    traj = EightTrajectory(t_end=1.0)
+    lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
+    provider = DatasetProvider(
+        _frame_dataset(traj, lms, cams, [0.05, 0.1, 0.15]), mode)
+    est = ObserverState.initial()
+    for t in (0.0, 0.0, 0.2, 0.1, 0.0, 0.2, 0.1):
+        assert (provider(est, t) is None) == (t != 0.1)
 
 
 # ---------------------------------------------------------------------------
