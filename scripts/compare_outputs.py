@@ -21,8 +21,10 @@ on PYTHONPATH:
   keeping the trace columns.
 The script reports, per run and field, whether the outputs agree exactly
 (R, p, v, e and P at every IMU step, the attitude at every query, the
-window eigenvalues, the trace columns), or else their max |diff|
-(relative for the eigenvalues), and exits 1 on any difference.
+window eigenvalues, the trace columns), or else their max |diff| over the
+run beside their |diff| at the last step (last window or query; both
+relative for the eigenvalues), so that a transient that later decays
+shows as such.  It exits 1 on any difference.
 """
 
 import argparse
@@ -182,11 +184,12 @@ def main():
             detail = f"DIFFERS (shape {a.shape} vs {b.shape})"
         elif np.array_equal(a, b):
             detail = "identical"
-        elif key.startswith("analyze."):
-            rel = np.max(np.abs(a - b) / np.abs(a))
-            detail = f"DIFFERS (max relative |diff| {rel:.3g})"
         else:
-            detail = f"DIFFERS (max |diff| {np.abs(a - b).max():.3g})"
+            diff, kind = np.abs(a - b), "|diff|"
+            if key.startswith("analyze."):
+                diff, kind = diff / np.abs(a), "relative |diff|"
+            detail = (f"DIFFERS (max {kind} {diff.max():.3g}, "
+                      f"last step {diff[-1].max():.3g})")
         same &= detail == "identical"
         print(f"{key:22s} {a.shape[0]:5d} rows  {detail}")
     print("all outputs bit-identical" if same else "outputs differ")

@@ -30,18 +30,14 @@ def skew(v) -> np.ndarray:
 
 
 def cross(a, b) -> np.ndarray:
-    """a x b of two 3-vectors, or row-wise a x b_i for a 3x3 b.
+    """a x b of two 3-vectors.
 
     The component formula: equal bit for bit to np.cross, whose general
     broadcasting costs about ten times more per call on 3-vectors.
     """
     a0, a1, a2 = np.asarray(a, dtype=float).tolist()
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        x, y, z = b.tolist()
-        return np.array([a1 * z - a2 * y, a2 * x - a0 * z, a0 * y - a1 * x])
-    return np.array([[a1 * z - a2 * y, a2 * x - a0 * z, a0 * y - a1 * x]
-                     for x, y, z in b.tolist()])
+    x, y, z = np.asarray(b, dtype=float).tolist()
+    return np.array([a1 * z - a2 * y, a2 * x - a0 * z, a0 * y - a1 * x])
 
 
 def vee(M, tol: float = 1e-9) -> np.ndarray:

@@ -60,8 +60,9 @@ class NoiseCovariances:
 
 def flow(est: ObserverState, imu, cfg: GainConfig, dt: float,
          t: float = 0.0) -> ObserverState:
-    """Pure inertial propagation: the continuous observer with no
-    measurement terms; P grows as A P + P A^T + V."""
+    """Pure inertial propagation: the continuous observer's step with no
+    measurement terms.  Its Hamiltonian has S = 0, so P advances as
+    Phi P Phi^T + int Phi V Phi^T (Van Loan, IEEE TAC 23(3), 1978)."""
     return step(est, imu, cfg, dt, t=t, meas=None)
 
 

@@ -10,20 +10,12 @@ time-varying; their gains come from a continuous Riccati equation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonFiniteStateError, NotUnitError, UnknownLandmarkError
-from .geom import (
-    I3,
-    cross,
-    dexpinv_body,
-    exp_so3,
-    project_to_rotation,
-    skew,
-)
+from .geom import I3, dexpinv_body, exp_so3, project_to_rotation, skew
 from .sim import (GRAVITY, PositionFrame, make_bearing_frame,
                   make_position_frame)
 
@@ -129,11 +121,11 @@ def build_A(omega: np.ndarray, gravity: np.ndarray) -> np.ndarray:
     return A
 
 
-def attitude_innovation(est: ObserverState, cfg: GainConfig) -> np.ndarray:
-    """sigma_R = (k_r / 2) * sum_i rho_i (e_hat_i x e_i), in closed form:
-    e_i is the i-th basis vector, so e_hat_i x e_i keeps two components of
-    e_hat_i."""
-    (_, e01, e02), (e10, _, e12), (e20, e21, _) = est.e.tolist()
+def attitude_innovation(e: np.ndarray, cfg: GainConfig) -> np.ndarray:
+    """sigma_R = (k_r / 2) * sum_i rho_i (e_hat_i x e_i) of the auxiliary
+    vectors e_hat_i, the rows of e, in closed form: e_i is the i-th basis
+    vector, so e_hat_i x e_i keeps two components of e_hat_i."""
+    (_, e01, e02), (e10, _, e12), (e20, e21, _) = e.tolist()
     r0, r1, r2 = cfg.rho
     c = 0.5 * cfg.k_r
     return np.array([c * (r2 * e21 - r1 * e12), c * (r0 * e02 - r2 * e20),
@@ -274,147 +266,123 @@ def error_state(truth, est: ObserverState):
 # ---------------------------------------------------------------------------
 # integration
 
-_NO_ROWS = np.zeros((0, 15))
+
+def _body_frame(est: ObserverState) -> np.ndarray:
+    """xi = R^T (p, e1, e2, e3, v): the translational estimate in the body
+    frame, so that the error state of error_state is x - xi."""
+    return (np.vstack((est.p, est.e, est.v)) @ est.R).reshape(15)
 
 
-def _deriv(stage, sig, imu_fn, inn, cfg, tau):
-    """RK4 stage rates at tau of the stage state R0 exp(sig), with inn the
-    stage's (sigma_y, C) or None."""
-    R, p, v, e, P = stage.R, stage.p, stage.v, stage.e, stage.P
-    omega, a = imu_fn(tau)
-    s_r = attitude_innovation(stage, cfg)
-    C, Q = _NO_ROWS, None
-    corr = np.zeros(15)
-    if inn is not None and inn[1].size:
+def _generator(imu_tau, inn, cfg: GainConfig, V: np.ndarray, xi0):
+    """(H, f, omega) at one stage time: Zdot = H Z + f e_16^T with
+    H = [[A, V], [S, -A^T]], S = C^T Q C, and f the IMU forcing a of the
+    velocity rows of x and the measurement forcing -C^T Q y of lambda, where
+    y = sigma_y + C xi0 for the state with body frame xi0 that meas saw."""
+    omega, a = imu_tau
+    A = build_A(omega, cfg.gravity)
+    H = np.zeros((30, 30))
+    H[:15, :15] = A
+    H[:15, 15:] = V
+    H[15:, 15:] = -A.T
+    f = np.zeros(30)
+    f[12:15] = a
+    if inn is not None:
         sy, C = inn
-        Q = cfg.q_matrix(C.shape[0])
-        corr = (C @ P).T @ Q @ sy      # = P C^T Q sigma_y = K sigma_y
-    P_dot = riccati_rhs(P, build_A(omega, cfg.gravity), C, Q, cfg.v_matrix())
-    sig_dot = dexpinv_body(sig, omega + R.T @ s_r)
-    p_dot = v + cross(s_r, p) + R @ corr[0:3]
-    v_dot = cfg.gravity @ e + R @ a + cross(s_r, v) + R @ corr[12:15]
-    e_dot = cross(s_r, e) + corr[3:12].reshape(3, 3) @ R.T
-    return sig_dot, p_dot, v_dot, e_dot, P_dot
-
-
-def _substep(est: ObserverState, imu_fn, meas, cfg, tau, h, inn):
-    """One RK4 substep from est at tau; k1 takes inn, the innovation of est
-    at tau that the step-size probe already evaluated."""
-    R0 = est.R
-    y0 = (np.zeros(3), est.p, est.v, est.e, est.P)
-
-    def k(t, c, dy):
-        sig, p, v, e, P = (y + c * d for y, d in zip(y0, dy))
-        stage = ObserverState(R=R0 @ exp_so3(sig), p=p, v=v, e=e, P=P)
-        return _deriv(stage, sig, imu_fn,
-                      None if meas is None else meas(stage, t), cfg, t)
-
-    # the k1 stage is est itself: R0 exp(0) == R0 bit for bit
-    k1 = _deriv(est, y0[0], imu_fn, inn, cfg, tau)
-    k2 = k(tau + 0.5 * h, 0.5 * h, k1)
-    k3 = k(tau + 0.5 * h, 0.5 * h, k2)
-    k4 = k(tau + h, h, k3)
-    comb = [(h / 6.0) * (a + 2 * b + 2 * c + d)
-            for a, b, c, d in zip(k1, k2, k3, k4)]
-    P_new = est.P + comb[4]
-    return ObserverState(
-        R=project_to_rotation(R0 @ exp_so3(comb[0])),
-        p=est.p + comb[1],
-        v=est.v + comb[2],
-        e=est.e + comb[3],
-        P=0.5 * (P_new + P_new.T),
-    )
+        CtQ = C.T @ cfg.q_matrix(C.shape[0])
+        H[15:, :15] = CtQ @ C
+        f[15:] = -CtQ @ (sy + C @ xi0)
+    return H, f, omega
 
 
 _FIELDS = ("R", "p", "v", "e", "P")
 
 
-def _nonfinite_error(state: ObserverState, t: float, substep: int,
-                     cause: str = "state") -> NonFiniteStateError:
-    """NonFiniteStateError naming the time, the substep index and the first
-    non-finite state field (cause when every field is finite)."""
+def _nonfinite_error(est: ObserverState, t: float) -> NonFiniteStateError:
+    """NonFiniteStateError naming t and the first non-finite field of est,
+    or the inputs when est is finite."""
     name = next((name for name in _FIELDS
-                 if not np.all(np.isfinite(getattr(state, name)))), cause)
-    return NonFiniteStateError(
-        f"non-finite {name} at t={t:.9g}, substep {substep}")
-
-
-def _stiffness(est: ObserverState, imu_fn, meas, cfg, tau, substep: int):
-    """(rate, inn): a bound on the local contraction rate of the Riccati
-    flow at tau, and the innovation of est at tau it is built on (None
-    without measurements)."""
-    omega, _ = imu_fn(tau)
-    rate = 1.0 + 2.0 * (np.linalg.norm(omega) + np.linalg.norm(cfg.gravity))
-    inn = None if meas is None else meas(est, tau)
-    if inn is not None and inn[1].size:
-        C = inn[1]
-        Q = cfg.q_matrix(C.shape[0])
-        S = C.T @ Q @ C
-        # tr(S P) >= lambda_max(S P) >= local contraction rate
-        rate += 2.0 * abs(float(np.einsum("ij,ji->", S, est.P)))
-    if not math.isfinite(rate):
-        # a finite state with a non-finite rate means a non-finite input
-        raise _nonfinite_error(est, tau, substep, "IMU or measurement input")
-    return rate, inn
+                 if not np.all(np.isfinite(getattr(est, name)))),
+                "IMU or measurement input")
+    return NonFiniteStateError(f"non-finite {name} at t={t:.9g}")
 
 
 def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
          meas=None) -> ObserverState:
-    """Advance the observer by dt seconds starting at time t.
+    """Advance the observer by dt seconds starting at time t: one RK4 step.
 
     imu is a callable t -> (omega, a) and meas is None (pure inertial
-    flow, covariance grows as A P + P A^T + V) or a callable
-    (state, t) -> (sigma_y, C) | None, such as a FrameSource.  Both are
-    evaluated at the step-size probes and the RK4 stages; the k1 stage is
-    the substep's start state, so it takes the innovation the probe there
-    evaluated, and a substep whose probe does not shrink it calls meas
-    five times (probes at tau and tau + h, stages k2, k3, k4).
+    flow) or a callable (state, t) -> (sigma_y, C) | None, such as a
+    FrameSource.  Both are called once per stage time, at t, t + dt/2 and
+    t + dt in that order, meas always with est.
 
-    Internally the step is split into RK4 substeps of size 1.5 / rate, where
-    rate bounds the local contraction rate of the Riccati flow, so a large
-    initial P (stiff transient) cannot destabilize the explicit integration.
-    Every accepted substep is sized for the stiffer of its two endpoints.
-    When the rate jumps inside a substep (a measurement stream switching on,
-    such as the first vision frame of a dataset), each far-end probe at most
-    halves h: the substep then lands before the jump, at least halving the
-    distance to it, or is short enough for the stiff side.  A jump is thus
-    crossed in O(log) substeps.  A far-end rate below twice the near-end
-    rate is not a jump: the probe then sizes h for it directly.
+    In the body frame, xi = R^T (p, e1, e2, e3, v), the translational
+    estimate is a Kalman-Bucy filter: xi_dot = A xi + (0, 0, 0, 0, a)
+    + K (y - C xi) with K = P C^T Q and y = sigma_y + C xi, whatever state
+    meas saw, and P solves the Riccati equation
+    P_dot = A P + P A^T + V - P S P with S = C^T Q C.  Both are carried by
+    the linear Hamiltonian system Z = [[X, x], [Y, lambda]] (30 x 16) from
+    Z0 = [[P, xi], [I, 0]] (see _generator): P = X Y^-1 and
+    xi = x - P lambda at every time (Kenney & Leipnik, IEEE TAC 30(10),
+    1985).  Its eigenvalues are about +-sqrt(eig(V S)), so the system is not
+    stiff where the Riccati form is, and restarting it at each step keeps
+    X Y^-1 well conditioned.  The attitude rides in the same RK4 in
+    exponential coordinates, R = R0 exp(sig), each stage correcting it with
+    the sigma_R of that stage's e = R xi_e.  With no measurement rows at any
+    stage lambda stays 0: the step is Van Loan's form of
+    P+ = Phi P Phi^T + int Phi V Phi^T, which the hybrid flow takes.
 
-    Raises NonFiniteStateError, naming t, the substep index and the field,
-    when the state or the stiffness rate turns non-finite or the substep
-    budget runs out.
+    A measurement first seen at t + dt, where t + dt/2 saw none, belongs
+    to the next step: the step that ends on a stream's first frame is the
+    measurement-free flow.
+
+    Raises NonFiniteStateError naming t and the first non-finite field of
+    est (or its inputs) when the step turns non-finite.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    tau = t
-    end = t + dt
-    state = est
-    for n in range(100000):
-        remaining = end - tau
-        if remaining <= 1e-14 * dt:
-            break
-        rate, inn = _stiffness(state, imu, meas, cfg, tau, n)
-        h = min(1.5 / rate, remaining)
-        # Probe the far end, where the rate may have jumped; shrink toward
-        # its stiffer size but by at most half per probe (see docstring).
-        for _ in range(60):
-            rate_end, _ = _stiffness(state, imu, meas, cfg, tau + h, n)
-            h_end = min(1.5 / max(rate, rate_end), remaining)
-            if h_end >= h * (1.0 - 1e-12):
-                break
-            h = max(h_end, 0.5 * h)
-        if h >= remaining * (1.0 - 1e-12):
-            h = remaining
-        state = _substep(state, imu, meas, cfg, tau, h, inn)
-        tau += h
-    else:
-        raise NonFiniteStateError(
-            f"substep budget exhausted at t={tau:.9g} after {n + 1} "
-            "substeps; runaway stiffness")
-    if not all(np.all(np.isfinite(getattr(state, name))) for name in _FIELDS):
-        raise _nonfinite_error(state, tau, n - 1)
-    return state
+    queried = [(imu(tau), None if meas is None else meas(est, tau))
+               for tau in (t, t + 0.5 * dt, t + dt)]
+    inns = [inn if inn is not None and inn[1].size else None
+            for _, inn in queried]
+    if inns[1] is None:         # the onset rule of the docstring
+        inns[2] = None
+    measured = any(inn is not None for inn in inns)
+
+    R0, xi0, V = est.R, _body_frame(est), cfg.v_matrix()
+    g0, g1, g2 = (_generator(imu_tau, inn, cfg, V, xi0)
+                  for (imu_tau, _), inn in zip(queried, inns))
+    Z0 = np.zeros((30, 16))
+    Z0[:15, :15] = est.P
+    Z0[:15, 15] = xi0
+    Z0[15:, :15] = I15
+
+    def stage(g, c, k):
+        """(Zdot, sig_dot) with generator g at Z0 + c k[0], sig = c k[1]."""
+        H, f, omega = g
+        Z, sig = Z0 + c * k[0], c * k[1]
+        xi = Z[:15, 15]
+        if measured:            # lambda != 0: xi = x - X Y^-1 lambda
+            xi = xi - Z[:15, :15] @ np.linalg.solve(Z[15:, :15], Z[15:, 15])
+        R = R0 @ exp_so3(sig)
+        dZ = H @ Z
+        dZ[:, 15] += f
+        s_r = attitude_innovation(xi[3:12].reshape(3, 3) @ R.T, cfg)
+        return dZ, dexpinv_body(sig, omega + R.T @ s_r)
+
+    k1 = stage(g0, 0.0, (Z0, np.zeros(3)))
+    k2 = stage(g1, 0.5 * dt, k1)
+    k3 = stage(g1, 0.5 * dt, k2)
+    k4 = stage(g2, dt, k3)
+    Z, sig = (y + (dt / 6.0) * (a + 2 * b + 2 * c + d)
+              for y, a, b, c, d in zip((Z0, 0.0), k1, k2, k3, k4))
+    P = np.linalg.solve(Z[15:, :15].T, Z[:15, :15].T).T
+    if not all(np.all(np.isfinite(a)) for a in (Z, sig, P)):
+        raise _nonfinite_error(est, t)
+    P = 0.5 * (P + P.T)
+    R = project_to_rotation(R0 @ exp_so3(sig))
+    xi = Z[:15, 15] - P @ Z[15:, 15] if measured else Z[:15, 15]
+    W = xi.reshape(5, 3) @ R.T
+    return ObserverState(R=R, p=W[0], v=W[4], e=W[1:4], P=P)
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +395,9 @@ class FrameSource:
 
     The output matrix C depends on the frame alone, through its
     landmark_blocks, so the blocks of the last two query times are kept:
-    the RK4 stages and the step-size probes of observer.step ask for each
-    stage time two or three times in a row.  Only measurement_model runs
-    per call.  cams are the cameras of the measurement mode.
+    a step asks for t + dt/2 and t + dt, and the next step starts at that
+    t + dt.  Only measurement_model runs per call.  cams are the cameras of
+    the measurement mode.
     """
 
     def __init__(self, cams, lms):
@@ -487,12 +455,17 @@ def run_continuous(est: ObserverState, imu, provider, cfg: GainConfig,
     """Integrate the observer over [t0, t_end] at the IMU rate.
 
     Returns (times, states) with the initial state included; states[k] is
-    the estimate at times[k].
+    the estimate at times[k].  Step k takes dt = times[k+1] - times[k],
+    exact by Sterbenz's lemma once times[k] >= dt, so it ends on times[k+1]
+    bit for bit and a source's frame there serves both steps that meet on
+    it.
     """
     n = int(round((t_end - t0) / dt))
     times = t0 + dt * np.arange(n + 1)
     states = [est.copy()]
     for k in range(n):
-        est = step(est, imu, cfg, dt, t=float(times[k]), meas=provider)
+        t_k = float(times[k])
+        est = step(est, imu, cfg, float(times[k + 1]) - t_k, t=t_k,
+                   meas=provider)
         states.append(est)
     return times, states

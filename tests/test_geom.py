@@ -21,7 +21,7 @@ from visnav.geom import (
     skew,
     vee,
 )
-from visnav.observer import GainConfig, ObserverState, attitude_innovation
+from visnav.observer import GainConfig, attitude_innovation
 
 
 def exp_series(v, terms=26):
@@ -210,23 +210,19 @@ def test_project_to_rotation():
 
 
 def test_cross_matches_np_cross():
-    # the component formula must equal np.cross bit for bit: for two
-    # 3-vectors, row-wise for a 3x3 right operand, and inside the closed
-    # form of the attitude innovation against its np.cross loop
+    # the component formula must equal np.cross bit for bit, and so must
+    # the closed form of the attitude innovation against its np.cross loop
     rng = np.random.default_rng(23)
     for _ in range(200):
         a, b = rng.normal(size=3), rng.normal(size=3)
         E = rng.normal(size=(3, 3))
         assert np.array_equal(cross(a, b), np.cross(a, b))
-        assert np.array_equal(cross(a, E), np.cross(a, E))
         cfg = GainConfig(k_r=rng.uniform(0.5, 30.0),
                          rho=tuple(rng.uniform(0.1, 1.0, 3)))
         s = np.zeros(3)
         for i in range(3):
             s += cfg.rho[i] * np.cross(E[i], np.eye(3)[i])
-        assert np.array_equal(
-            attitude_innovation(ObserverState.initial(e=E), cfg),
-            0.5 * cfg.k_r * s)
+        assert np.array_equal(attitude_innovation(E, cfg), 0.5 * cfg.k_r * s)
 
 
 def test_dexpinv_body_inverts_differential():

@@ -54,13 +54,13 @@ def test_attitude_innovation_hand_value():
     est = ObserverState.initial(e=np.array([[0.0, 1.0, 0.0],
                                             [-1.0, 0.0, 0.0],
                                             [0.0, 0.0, 1.0]]))
-    s = attitude_innovation(est, GainConfig())
+    s = attitude_innovation(est.e, GainConfig())
     assert np.allclose(s, [0.0, 0.0, -0.4], atol=1e-15)
 
 
 def test_attitude_innovation_zero_at_alignment():
     est = ObserverState.initial()
-    assert np.allclose(attitude_innovation(est, GainConfig()), 0.0)
+    assert np.allclose(attitude_innovation(est.e, GainConfig()), 0.0)
 
 
 def test_attitude_innovation_decomposition():
@@ -77,7 +77,7 @@ def test_attitude_innovation_decomposition():
         est.e = E3 @ truth.R @ est.R.T  # consistent: e_tilde = 0
         R_tilde, x = error_state(truth, est)
         assert np.linalg.norm(x[3:12]) < 1e-12
-        s = attitude_innovation(est, cfg)
+        s = attitude_innovation(est.e, cfg)
         worst = max(worst, np.max(np.abs(
             s - cfg.k_r * psi_antisym(M @ R_tilde))))
     assert worst <= 1e-10
@@ -92,7 +92,7 @@ def test_attitude_innovation_decomposition():
         for i in range(3):
             Gam[:, 3 + 3 * i:6 + 3 * i] = \
                 0.5 * cfg.k_r * cfg.rho[i] * skew(E3[i]) @ est.R
-        s = attitude_innovation(est, cfg)
+        s = attitude_innovation(est.e, cfg)
         worst = max(worst, np.max(np.abs(
             s - cfg.k_r * psi_antisym(M @ R_tilde) - Gam @ x)))
     assert worst <= 1e-10
@@ -413,6 +413,46 @@ def test_flow_matches_none_returning_measurement():
         assert np.array_equal(fa, fb)
 
 
+def test_measurement_first_seen_at_step_end_belongs_to_next_step():
+    # a stream whose first frame is at t + dt leaves the step that ends on
+    # it the measurement-free flow, bit for bit
+    traj = EightTrajectory(t_end=0.1)
+    source = PositionSource(traj, sample_landmarks(5, seed=0))
+    t, dt = 0.045, 1.0 / 200.0
+    est = ObserverState.initial(R=exp_so3(np.array([0.2, -0.1, 0.3])))
+    a = step(est, traj.imu, GainConfig(), dt, t=t)
+    b = step(est, traj.imu, GainConfig(), dt, t=t,
+             meas=lambda s, tau: source(s, tau) if tau >= t + dt else None)
+    for name in ("R", "p", "v", "e", "P"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_step_covariance_matches_a_fine_riccati_integration():
+    # one 5 ms step from P = I under a fixed stereo C, Q = 1e3: the stiff
+    # start of the measured Riccati flow, against RK4 of riccati_rhs at
+    # 1 us steps
+    traj = EightTrajectory(t_end=0.1)
+    lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
+    est = ObserverState.initial(R=traj.rotation(0.0))
+    inn = innovation_stereo(est, make_bearing_frame(traj.state(0.0), lms,
+                                                    cams), cams, lms)
+    omega = np.array([0.3, -0.2, 0.5])
+    cfg = GainConfig()
+    dt = 5e-3
+    out = step(est, lambda tau: (omega, np.zeros(3)), cfg, dt,
+               meas=lambda s, tau: inn)
+    A, C = build_A(omega, cfg.gravity), inn[1]
+    Q, V = cfg.q_matrix(C.shape[0]), cfg.v_matrix()
+    P, h = np.eye(15), 1e-6
+    for _ in range(int(round(dt / h))):
+        k1 = riccati_rhs(P, A, C, Q, V)
+        k2 = riccati_rhs(P + 0.5 * h * k1, A, C, Q, V)
+        k3 = riccati_rhs(P + 0.5 * h * k2, A, C, Q, V)
+        k4 = riccati_rhs(P + h * k3, A, C, Q, V)
+        P = P + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    assert np.max(np.abs(out.P - P)) <= 1e-7
+
+
 def test_step_nonfinite_guard():
     est = ObserverState.initial(P=np.full((15, 15), np.nan))
     with pytest.raises(NonFiniteStateError):
@@ -421,13 +461,13 @@ def test_step_nonfinite_guard():
 
 
 def test_step_nonfinite_guard_names_field_with_measurements():
-    # with measurements on, a NaN P makes the stiffness rate NaN; the probe
-    # must not reach the trajectory at t = NaN
+    # with measurements on, a NaN P spreads to every field through the
+    # gain; the error names the field it started in
     traj = EightTrajectory(t_end=0.1)
     source = PositionSource(traj, sample_landmarks(5, seed=0))
     est = ObserverState.initial(P=np.full((15, 15), np.nan))
     with pytest.raises(NonFiniteStateError,
-                       match=r"non-finite P at t=0\.025, substep 0"):
+                       match=r"non-finite P at t=0\.025"):
         step(est, traj.imu, GainConfig(), 1.0 / 200.0, t=0.025, meas=source)
 
 
@@ -445,8 +485,8 @@ n_landmarks = 5
 @pytest.mark.parametrize("mode", ["stereo", "monocular", "position3d"])
 def test_measurement_onset_substeps(mode, tmp_path, monkeypatch):
     # A dataset's first vision frame (t = 0.05) switches the stiff measured
-    # Riccati regime on.  The step that ends on it must cross the switch in
-    # a few substeps, not creep up on it at the stiff step size.
+    # Riccati regime on.  The Hamiltonian form is not stiff there: every
+    # step, the onset included, is one RK4 step.
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(ONSET_CFG.format(mode=mode))
     data = tmp_path / "data"
@@ -463,7 +503,7 @@ def test_measurement_onset_substeps(mode, tmp_path, monkeypatch):
         first_frame = ds.bearings[0].t
     imu_fn = interpolating_imu(ds.imu)
 
-    # project_to_rotation runs once per substep
+    # project_to_rotation runs once per RK4 step
     substeps = []
     project = observer.project_to_rotation
     monkeypatch.setattr(observer, "project_to_rotation",
@@ -475,10 +515,8 @@ def test_measurement_onset_substeps(mode, tmp_path, monkeypatch):
         before = len(substeps)
         est = step(est, imu_fn, gains, dt, t=k * dt, meas=provider)
         per_step.append(len(substeps) - before)
-    onset = int(round(first_frame / dt)) - 1
-    assert np.mean(per_step) <= 10
-    assert per_step[onset] <= 50
-    assert max(per_step[:onset]) == 1  # measurement-free flow before it
+    assert first_frame < 50 * dt
+    assert per_step == [1] * 50
 
 
 def test_run_continuous_bookkeeping():
@@ -492,30 +530,37 @@ def test_run_continuous_bookkeeping():
     assert np.array_equal(states[0].R, est0.R)
 
 
-def test_one_substep_calls_meas_five_times(monkeypatch):
-    # probes at tau and tau + h, then the stages k2, k3 and k4: k1 takes
-    # the innovation of the probe at tau
+def test_step_queries_each_stage_time_once(monkeypatch):
+    # imu and meas once each at t, t + h/2 and t + h, back to back, and
+    # meas always with the step's start state
     traj = EightTrajectory(t_end=0.1)
     source = PositionSource(traj, sample_landmarks(5, seed=0))
-    calls, substeps = [], []
+    calls, seen, substeps = [], [], []
+
+    def imu(t):
+        calls.append(("imu", t))
+        return traj.imu(t)
 
     def meas(est, t):
-        calls.append(t)
+        calls.append(("meas", t))
+        seen.append(est)
         return source(est, t)
 
     project = observer.project_to_rotation
     monkeypatch.setattr(observer, "project_to_rotation",
                         lambda R: substeps.append(1) or project(R))
     est = ObserverState.initial(P=1e-6 * np.eye(15))
-    step(est, traj.imu, GainConfig(), 1.0 / 200.0, t=0.02, meas=meas)
+    h = 1.0 / 200.0
+    step(est, imu, GainConfig(), h, t=0.02, meas=meas)
     assert len(substeps) == 1
-    assert len(calls) == 5 and len(set(calls)) == 3
-    assert calls[0] == 0.02
+    assert calls == [(name, tau) for tau in (0.02, 0.02 + 0.5 * h, 0.02 + h)
+                     for name in ("imu", "meas")]
+    assert all(state is est for state in seen)
 
 
 def test_truth_source_synthesizes_once_per_stage_time(monkeypatch):
-    # from P = I the first steps take many substeps, with shrinking
-    # probes; every distinct query time is synthesized exactly once
+    # every distinct query time is synthesized exactly once, the shared
+    # step boundary included
     traj = EightTrajectory(t_end=0.1)
     source = StereoBearingSource(traj, sample_landmarks(5, seed=0),
                                  default_stereo_rig())
@@ -532,9 +577,23 @@ def test_truth_source_synthesizes_once_per_stage_time(monkeypatch):
     dt = 1.0 / 200.0
     for k in range(2):
         est = step(est, traj.imu, GainConfig(), dt, t=k * dt, meas=meas)
-    assert len(set(queries)) > 20
-    assert len(queries) > 2 * len(built)
     assert sorted(built) == sorted(set(queries))
+
+
+def test_run_continuous_synthesizes_each_stage_time_once(monkeypatch):
+    # steps meet on times[k] bit for bit, so N steps synthesize 2N + 1
+    # frames: t, t + dt/2 and t + dt, the last shared with the next step
+    traj = EightTrajectory(t_end=1.0)
+    source = StereoBearingSource(traj, sample_landmarks(5, seed=0),
+                                 default_stereo_rig())
+    built = []
+    make = observer.make_bearing_frame
+    monkeypatch.setattr(observer, "make_bearing_frame",
+                        lambda st, *a: built.append(st.t) or make(st, *a))
+    times, _ = run_continuous(ObserverState.initial(), traj.imu, source,
+                              GainConfig(), t_end=1.0)
+    n = len(times) - 1
+    assert n == 200 and len(built) == 2 * n + 1
 
 
 def _frame_dataset(traj, lms, cams, times):
