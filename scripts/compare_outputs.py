@@ -81,17 +81,6 @@ def _estimate_trace(seconds):
             for name, cols in TRACE_COLUMNS.items()}
 
 
-def _provider(ds, mode):
-    from visnav import dataio
-    if hasattr(dataio, "DatasetProvider"):
-        return dataio.DatasetProvider(ds, mode)
-    # trees from before the bearing and position providers were merged
-    from visnav.observer import GainConfig
-    if mode == "position3d":
-        return dataio.DatasetPositionProvider(ds, GainConfig())
-    return dataio.DatasetBearingProvider(ds, GainConfig(), mode)
-
-
 def _analyze_windows():
     windows = json.loads(_cli(ANALYZE_CFG, "analyze"))["windows"]
     return {f"analyze.{key}": np.array([w[key] for w in windows])
@@ -99,7 +88,7 @@ def _analyze_windows():
 
 
 def dump(path, seconds):
-    from visnav.dataio import Dataset, interpolating_imu
+    from visnav.dataio import Dataset, DatasetProvider, interpolating_imu
     from visnav.geom import exp_so3
     from visnav.hybrid import NoiseCovariances, run as hybrid_run
     from visnav.observer import (GainConfig, MonoBearingSource, ObserverState,
@@ -141,7 +130,7 @@ def dump(path, seconds):
     for mode in ("stereo", "monocular", "position3d"):
         runs[f"dataset.{mode}"] = (
             lambda mode=mode: continuous(interpolating_imu(ds.imu),
-                                         _provider(ds, mode)))
+                                         DatasetProvider(ds, mode)))
     arrays = {}
     for name, states in runs.items():
         states = states()

@@ -27,9 +27,10 @@ from .observability import (check_mono_motion, check_stereo_condition,
                             transition_matrix)
 # innovation_{position,stereo,mono} stay importable here: the benchmark's
 # span tracer (perfbench/tracer.py) wraps them in this namespace.
-from .observer import (GainConfig, ObserverState, innovation,  # noqa: F401
-                       innovation_mono, innovation_position,
-                       innovation_stereo, mode_cameras, run_continuous)
+from .observer import (GainConfig, innovation_mono,  # noqa: F401
+                       innovation_position, innovation_stereo,
+                       landmark_blocks, linear_output, mode_cameras,
+                       run_continuous)
 from .sim import (EightTrajectory, apply_noise, apply_position_noise,
                   default_stereo_rig, make_bearing_frame, make_position_frame,
                   sample_landmarks)
@@ -181,7 +182,7 @@ def _gramian_windows(cfg, ds):
     def omega_fn(t):
         return zoh(t)[0]
 
-    dummy = ObserverState.initial()
+    cams = mode_cameras(cfg.mode, ds.extrinsics)
     out = []
     gravity = np.array(GainConfig().gravity, dtype=float)
     w = cfg.gramian_window
@@ -199,8 +200,8 @@ def _gramian_windows(cfg, ds):
                 Phi = transition_matrix(omega_fn, gravity, t_prev, fr.t) @ Phi
                 t_prev = fr.t
                 phis.append(Phi)
-                cs.append(innovation(dummy, fr, cfg.mode, ds.extrinsics,
-                                     ds.landmarks)[1])
+                cs.append(linear_output(
+                    landmark_blocks(fr, cams, ds.landmarks))[1])
             rep = gramian_discrete(phis, cs, mu=cfg.gramian_mu,
                                    window=(start, end))
             entry = {"status": "ok", **asdict(rep)}

@@ -483,14 +483,14 @@ def interpolating_imu(imu: np.ndarray):
 
 
 class DatasetProvider(FrameSource):
-    """Continuous-time innovation from the sampled frame stream of a
-    measurement mode (see Dataset.frames).
+    """Continuous-time linear output t -> (y, C) | None from the sampled
+    frame stream of a measurement mode (see Dataset.frames).
 
     Observations are interpolated linearly between bracketing frames for
     the keys present in both, bearings then renormalized; outside the
     stream the provider reports no measurement.  A stereo landmark that
     one camera misses is kept through the other camera's bearing.  The
-    landmark blocks of the last two query times are kept (FrameSource).
+    (y, C) of the last two query times are kept (FrameSource).
     """
 
     def __init__(self, ds: Dataset, mode: str):

@@ -191,23 +191,20 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
     cams = mode_cameras(mode, cams or [])
     states = []
     jumps = []
-    v_cur = None
-    if ncov is not None:
-        v_cur, _ = tune_vq(est, ncov, lms)
+    # the flow's weights, rebuilt only when tune_vq moves V
+    cfg_k = cfg if ncov is None else replace(cfg, v=tune_vq(est, ncov, lms)[0])
     est = est.copy()
     for k in range(n + 1):
         if k:
-            cfg_k = cfg if v_cur is None else replace(cfg, v=v_cur)
             est = flow(est, imu, cfg_k, dt, t=float(times[k - 1]))
         frame = by_node.get(k)
         if frame is not None:
             inn = innovation(est, frame, mode, cams, lms)
             if ncov is not None:
-                v_cur, q_inv = tune_vq(est, ncov, lms, frame=frame, cams=cams)
+                V, q_inv = tune_vq(est, ncov, lms, frame=frame, cams=cams)
+                cfg_k = replace(cfg, v=V)
             else:
-                nrows = inn[1].shape[0]
-                q_inv = (np.linalg.inv(cfg.q_matrix(nrows)) if nrows
-                         else np.zeros((0, 0)))
+                q_inv = np.eye(inn[1].shape[0]) / cfg.q
             lam_before = float(np.linalg.eigvalsh(est.P)[-1])
             est = jump(est, inn, q_inv)
             jumps.append((float(times[k]), lam_before,

@@ -58,10 +58,11 @@ def transition_matrix(omega_fn, gravity, t0: float, t1: float,
     """Phi(t1, t0) of the measurement-free error dynamics in closed form.
 
     A(t) = -I5 (x) skew(omega(t)) + Abar splits into commuting parts with
-    Abar = build_A(0, gravity) and Abar^3 = 0, so Phi(t1, t0) =
-    (I5 (x) dR^T)(I + Abar tau + Abar^2 tau^2 / 2), tau = t1 - t0, where
-    dR = R(t0)^T R(t1) is transported by `rotation_step` in equal steps no
-    longer than dt (exact for a rate held over each step).
+    Abar = build_A(0, gravity) = N (x) I3 and N^3 = 0, so Phi(t1, t0) =
+    e^{N tau} (x) dR^T with e^{N tau} = I5 + N tau + N^2 tau^2 / 2,
+    tau = t1 - t0, where dR = R(t0)^T R(t1) is transported by
+    `rotation_step` in equal steps no longer than dt (exact for a rate held
+    over each step).
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -70,9 +71,8 @@ def transition_matrix(omega_fn, gravity, t0: float, t1: float,
     dR = I3
     for k in range(n):
         dR = rotation_step(dR, omega_fn, t0 + k * tau / n, tau / n)
-    A = build_A(np.zeros(3), gravity)
-    E = np.eye(FULL_STATE_DIM) + tau * A + (0.5 * tau * tau) * (A @ A)
-    return np.kron(np.eye(5), dR.T) @ E
+    N = build_A(np.zeros(3), gravity)[::3, ::3]
+    return np.kron(np.eye(5) + tau * N + (0.5 * tau * tau) * (N @ N), dR.T)
 
 
 def _simpson_grid(delta: float, dt: float):

@@ -28,13 +28,13 @@ class GainConfig:
 
     k_r scales the attitude innovation, rho holds the three distinct
     positive weights of the auxiliary-vector potential, and q and v are
-    the Riccati weights (scalars mean q*I / v*I).  The hybrid estimator's
+    the Riccati weights (q*I, and v*I for a scalar v).  The hybrid estimator's
     adaptive weights are regularized by NoiseCovariances.reg instead.
     """
 
     k_r: float = 1.0
     rho: tuple = (0.5, 0.3, 0.2)
-    q: float | np.ndarray = 1.0e3
+    q: float = 1.0e3
     v: float | np.ndarray = 1.0e-4
     gravity: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
 
@@ -53,14 +53,6 @@ class GainConfig:
 
     def rho_matrix(self) -> np.ndarray:
         return np.diag(self.rho)
-
-    def q_matrix(self, n_rows: int) -> np.ndarray:
-        if np.isscalar(self.q):
-            return float(self.q) * np.eye(n_rows)
-        Q = np.asarray(self.q, dtype=float)
-        if Q.shape != (n_rows, n_rows):
-            raise ValueError(f"Q has shape {Q.shape}, expected {(n_rows,) * 2}")
-        return Q
 
     def v_matrix(self) -> np.ndarray:
         if np.isscalar(self.v):
@@ -148,14 +140,14 @@ def mode_cameras(mode: str, cams) -> list:
 def landmark_blocks(frame, cams, lms):
     """Stacked per-landmark measurement blocks (p, Pi, b) of one frame.
 
-    Every mode measures Pi (z_hat - c) per landmark, with z_hat the
-    predicted body-frame landmark position, so the innovation is
-    Pi z_hat - b.  A PositionFrame gives Pi = I and b = z.  A BearingFrame
-    gives Pi = sum_c pi(R_c y_c) and b = sum_c pi(R_c y_c) c_c over the
-    cameras in cams that see the landmark; observations of other cameras
-    are ignored, and a landmark keeps the projectors of the cameras that
-    see it.  Rows follow ascending landmark ids and the camera sum
-    ascending cam ids.  p is (L, 3), Pi (L, 3, 3) and b (L, 3).
+    Every mode gives a linear constraint Pi z = b on each body-frame
+    landmark position z, so y = -b = C x (linear_output).  A PositionFrame
+    gives Pi = I and b = z.  A BearingFrame gives Pi = sum_c pi(R_c y_c)
+    and b = sum_c pi(R_c y_c) c_c over the cameras in cams that see the
+    landmark; observations of other cameras are ignored, and a landmark
+    keeps the projectors of the cameras that see it.  Rows follow
+    ascending landmark ids and the camera sum ascending cam ids.  p is
+    (L, 3), Pi (L, 3, 3) and b (L, 3).
 
     Raises UnknownLandmarkError for a landmark outside lms and NotUnitError
     for a rotated bearing whose norm is off 1 by more than 1e-6.
@@ -200,17 +192,21 @@ def _landmark_positions(ids, lm_map) -> np.ndarray:
     return np.array([lm_map[i].p for i in ids], dtype=float).reshape(-1, 3)
 
 
-def measurement_model(est: ObserverState, blocks):
-    """Stacked innovation sigma_y = Pi z_hat - b and output matrix C, with
-    row block [Pi, -p_x Pi, -p_y Pi, -p_z Pi, 0] per landmark, from the
-    landmark_blocks of one frame.  sigma_y = C x_tilde exactly."""
+def linear_output(blocks):
+    """The linear output (y, C) of one frame's landmark_blocks: y = C x for
+    the body-frame translational state x of error_state, with y = -b and
+    row block r_i^T (x) Pi_i per landmark, r_i = (1, -p_i, 0).  No estimate
+    enters it."""
     p, Pi, b = blocks
-    z_hat = (p @ est.e - est.p) @ est.R     # rows R^T (p_i e - p)
-    sy = np.einsum("lij,lj->li", Pi, z_hat) - b
-    C = np.zeros((len(p), 3, 15))
-    C[:, :, 0:3] = Pi
-    C[:, :, 3:12] = np.einsum("lj,lik->lijk", -p, Pi).reshape(-1, 3, 9)
-    return sy.reshape(-1), C.reshape(-1, 15)
+    r = np.hstack((np.ones((len(p), 1)), -p, np.zeros((len(p), 1))))
+    return -b.reshape(-1), np.einsum("lj,lab->lajb", r, Pi).reshape(-1, 15)
+
+
+def measurement_model(est: ObserverState, blocks):
+    """Stacked innovation sigma_y = y - C xi of the estimate with body
+    frame xi, and C (see linear_output); sigma_y = C x_tilde exactly."""
+    y, C = linear_output(blocks)
+    return y - C @ _body_frame(est), C
 
 
 def innovation_stereo(est: ObserverState, frame, cams, lms):
@@ -273,11 +269,11 @@ def _body_frame(est: ObserverState) -> np.ndarray:
     return (np.vstack((est.p, est.e, est.v)) @ est.R).reshape(15)
 
 
-def _generator(imu_tau, inn, cfg: GainConfig, V: np.ndarray, xi0):
+def _generator(imu_tau, out, cfg: GainConfig, V: np.ndarray):
     """(H, f, omega) at one stage time: Zdot = H Z + f e_16^T with
     H = [[A, V], [S, -A^T]], S = C^T Q C, and f the IMU forcing a of the
-    velocity rows of x and the measurement forcing -C^T Q y of lambda, where
-    y = sigma_y + C xi0 for the state with body frame xi0 that meas saw."""
+    velocity rows of x and the measurement forcing -C^T Q y of lambda for
+    the linear output (y, C)."""
     omega, a = imu_tau
     A = build_A(omega, cfg.gravity)
     H = np.zeros((30, 30))
@@ -286,11 +282,11 @@ def _generator(imu_tau, inn, cfg: GainConfig, V: np.ndarray, xi0):
     H[15:, 15:] = -A.T
     f = np.zeros(30)
     f[12:15] = a
-    if inn is not None:
-        sy, C = inn
-        CtQ = C.T @ cfg.q_matrix(C.shape[0])
+    if out is not None:
+        y, C = out
+        CtQ = cfg.q * C.T
         H[15:, :15] = CtQ @ C
-        f[15:] = -CtQ @ (sy + C @ xi0)
+        f[15:] = -CtQ @ y
     return H, f, omega
 
 
@@ -311,14 +307,14 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
     """Advance the observer by dt seconds starting at time t: one RK4 step.
 
     imu is a callable t -> (omega, a) and meas is None (pure inertial
-    flow) or a callable (state, t) -> (sigma_y, C) | None, such as a
-    FrameSource.  Both are called once per stage time, at t, t + dt/2 and
-    t + dt in that order, meas always with est.
+    flow) or a callable t -> (y, C) | None, such as a FrameSource, giving
+    the linear output y = C x of the translational state (linear_output).
+    Both are called once per stage time, at t, t + dt/2 and t + dt in that
+    order.
 
     In the body frame, xi = R^T (p, e1, e2, e3, v), the translational
     estimate is a Kalman-Bucy filter: xi_dot = A xi + (0, 0, 0, 0, a)
-    + K (y - C xi) with K = P C^T Q and y = sigma_y + C xi, whatever state
-    meas saw, and P solves the Riccati equation
+    + K (y - C xi) with K = P C^T Q, and P solves the Riccati equation
     P_dot = A P + P A^T + V - P S P with S = C^T Q C.  Both are carried by
     the linear Hamiltonian system Z = [[X, x], [Y, lambda]] (30 x 16) from
     Z0 = [[P, xi], [I, 0]] (see _generator): P = X Y^-1 and
@@ -340,17 +336,17 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    queried = [(imu(tau), None if meas is None else meas(est, tau))
+    queried = [(imu(tau), None if meas is None else meas(tau))
                for tau in (t, t + 0.5 * dt, t + dt)]
-    inns = [inn if inn is not None and inn[1].size else None
-            for _, inn in queried]
-    if inns[1] is None:         # the onset rule of the docstring
-        inns[2] = None
-    measured = any(inn is not None for inn in inns)
+    outs = [out if out is not None and out[1].size else None
+            for _, out in queried]
+    if outs[1] is None:         # the onset rule of the docstring
+        outs[2] = None
+    measured = any(out is not None for out in outs)
 
     R0, xi0, V = est.R, _body_frame(est), cfg.v_matrix()
-    g0, g1, g2 = (_generator(imu_tau, inn, cfg, V, xi0)
-                  for (imu_tau, _), inn in zip(queried, inns))
+    g0, g1, g2 = (_generator(imu_tau, out, cfg, V)
+                  for (imu_tau, _), out in zip(queried, outs))
     Z0 = np.zeros((30, 16))
     Z0[:15, :15] = est.P
     Z0[:15, 15] = xi0
@@ -390,32 +386,29 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
 
 
 class FrameSource:
-    """Continuous-time innovation (state, t) -> (sigma_y, C) | None from a
-    measurement frame per query time, frame_at(t) -> frame | None.
+    """Continuous-time linear output t -> (y, C) | None (see linear_output)
+    from a measurement frame per query time, frame_at(t) -> frame | None.
 
-    The output matrix C depends on the frame alone, through its
-    landmark_blocks, so the blocks of the last two query times are kept:
-    a step asks for t + dt/2 and t + dt, and the next step starts at that
-    t + dt.  Only measurement_model runs per call.  cams are the cameras of
-    the measurement mode.
+    No estimate enters (y, C), so the finished output of the last two
+    query times is kept: a step asks for t + dt/2 and t + dt, and the next
+    step starts at that t + dt.  A call for a kept time does no numeric
+    work.  cams are the cameras of the measurement mode.
     """
 
     def __init__(self, cams, lms):
         self.cams = list(cams)
         self.lms = list(lms)
-        self._blocks = {}
+        self._outputs = {}
 
-    def __call__(self, est: ObserverState, t: float):
-        memo = self._blocks
+    def __call__(self, t: float):
+        memo = self._outputs
         if t not in memo:
             frame = self.frame_at(t)
-            blocks = (None if frame is None
-                      else landmark_blocks(frame, self.cams, self.lms))
             if len(memo) == 2:
                 del memo[next(iter(memo))]          # the older query time
-            memo[t] = blocks
-        blocks = memo[t]
-        return None if blocks is None else measurement_model(est, blocks)
+            memo[t] = (None if frame is None else linear_output(
+                landmark_blocks(frame, self.cams, self.lms)))
+        return memo[t]
 
 
 class TruthSource(FrameSource):

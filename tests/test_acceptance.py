@@ -23,11 +23,11 @@ from visnav.hybrid import NoiseCovariances, run as hybrid_run, zoh_imu
 from visnav.observability import (check_mono_motion, check_stereo_condition,
                                   classify_static_degeneracy,
                                   gramian_continuous, transition_matrix)
-from visnav.observer import (GainConfig, MonoBearingSource, ObserverState,
-                             PositionSource, StereoBearingSource, build_A,
-                             error_state, innovation_mono,
-                             innovation_position, innovation_stereo,
-                             run_continuous)
+from visnav.observer import (FrameSource, GainConfig, MonoBearingSource,
+                             ObserverState, PositionSource,
+                             StereoBearingSource, build_A, error_state,
+                             innovation_mono, innovation_position,
+                             innovation_stereo, run_continuous)
 from visnav.sim import (GRAVITY, EightTrajectory, Landmark, RigidBodyState,
                         apply_noise, default_stereo_rig, make_bearing_frame,
                         make_position_frame, sample_landmarks)
@@ -450,33 +450,30 @@ def test_criterion_08_hybrid_noise_run(eight, scene):
 # criterion 9: camera loss at half-duration
 
 
-class _FallbackStereoSource:
+class _FallbackStereoSource(FrameSource):
     """Stereo bearings that lose camera 2 at t_loss, then fall back to the
     surviving camera's blocks."""
 
     def __init__(self, traj, lms, cams, t_loss):
-        self.traj, self.lms = traj, list(lms)
-        self.cams, self.t_loss = list(cams), t_loss
+        super().__init__(cams, lms)
+        self.traj, self.t_loss = traj, t_loss
 
-    def __call__(self, est, t):
-        if t < self.t_loss:
-            fr = make_bearing_frame(self.traj.state(t), self.lms, self.cams)
-            return innovation_stereo(est, fr, self.cams, self.lms)
-        fr = make_bearing_frame(self.traj.state(t), self.lms, self.cams[:1])
-        return innovation_stereo(est, fr, self.cams[:1], self.lms)
+    def frame_at(self, t):
+        cams = self.cams if t < self.t_loss else self.cams[:1]
+        return make_bearing_frame(self.traj.state(t), self.lms, cams)
 
 
-class _DroppingPositionSource:
+class _DroppingPositionSource(FrameSource):
     """Position measurements that disappear entirely at t_loss."""
 
     def __init__(self, traj, lms, t_loss):
-        self.traj, self.lms, self.t_loss = traj, list(lms), t_loss
+        super().__init__([], lms)
+        self.traj, self.t_loss = traj, t_loss
 
-    def __call__(self, est, t):
+    def frame_at(self, t):
         if t >= self.t_loss:
             return None
-        fr = make_position_frame(self.traj.state(t), self.lms)
-        return innovation_position(est, fr, self.lms)
+        return make_position_frame(self.traj.state(t), self.lms)
 
 
 def test_criterion_09_camera_loss_robustness(eight, scene):

@@ -11,8 +11,7 @@ from visnav.dataio import (Dataset, DatasetProvider, RunConfig, TraceRecord,
                            save_dataset, write_trace)
 from visnav.errors import IoError, ParseError, ValidationError
 from visnav.geom import E3, exp_so3
-from visnav.observer import (GainConfig, ObserverState, innovation_position,
-                             innovation_stereo)
+from visnav.observer import landmark_blocks, linear_output
 from visnav.sim import BearingFrame, CameraExtrinsics, Landmark, PositionFrame
 
 MINIMAL_IMU = "t,wx,wy,wz,ax,ay,az\n0,0.1,0,0,0,0,9.81\n"
@@ -369,27 +368,27 @@ def _provider_dataset():
 def test_bearing_provider_matches_frames_and_interpolates():
     ds, frames, cams, lms = _provider_dataset()
     prov = DatasetProvider(ds, "stereo")
-    est = ObserverState.initial(R=exp_so3(np.array([0.2, -0.1, 0.3])))
 
-    # at a frame time the provider reproduces the frame innovation exactly
-    sy, C = prov(est, 0.1)
-    sy_ref, C_ref = innovation_stereo(est, frames[0], cams, lms)
-    assert np.allclose(sy, sy_ref, atol=1e-12)
+    # at a frame time the provider reproduces the frame's linear output
+    y, C = prov(0.1)
+    y_ref, C_ref = linear_output(landmark_blocks(frames[0], cams, lms))
+    assert np.allclose(y, y_ref, atol=1e-12)
     assert np.allclose(C, C_ref, atol=1e-12)
 
     # between frames the bearings blend linearly and are renormalized
-    sy_mid, C_mid = prov(est, 0.2)
+    y_mid, C_mid = prov(0.2)
     obs = {key: _unit(0.5 * frames[0].obs[key] + 0.5 * frames[1].obs[key])
            for key in frames[0].obs}
-    ref = innovation_stereo(est, BearingFrame(t=0.2, obs=obs), cams, lms)
-    assert np.allclose(sy_mid, ref[0], atol=1e-12)
+    ref = linear_output(landmark_blocks(BearingFrame(t=0.2, obs=obs), cams,
+                                        lms))
+    assert np.allclose(y_mid, ref[0], atol=1e-12)
     assert np.allclose(C_mid, ref[1], atol=1e-12)
 
     # outside the recorded stream there is no measurement
-    assert prov(est, 0.05) is None
-    assert prov(est, 0.35) is None
+    assert prov(0.05) is None
+    assert prov(0.35) is None
     # at the final frame time the last frame is used as-is
-    assert prov(est, 0.3) is not None
+    assert prov(0.3) is not None
 
 
 def test_bearing_provider_key_intersection():
@@ -399,16 +398,14 @@ def test_bearing_provider_key_intersection():
     for cam_id in (1, 2):
         del frames[1].obs[(cam_id, 1)]
     prov = DatasetProvider(ds, "stereo")
-    est = ObserverState.initial()
-    _, C = prov(est, 0.2)
+    _, C = prov(0.2)
     assert C.shape == (3, 15)
 
 
 def test_bearing_provider_mono_mode():
     ds, frames, cams, lms = _provider_dataset()
     prov = DatasetProvider(ds, "monocular")
-    est = ObserverState.initial()
-    sy, C = prov(est, 0.1)
+    _, C = prov(0.1)
     # one 3-row block per landmark from the first camera only
     assert C.shape == (6, 15)
 
@@ -420,10 +417,9 @@ def test_position_provider_interpolates():
     imu = np.array([[0.0, 0, 0, 0, 0, 0, 9.81], [1.0, 0, 0, 0, 0, 0, 9.81]])
     ds = Dataset(imu=imu, landmarks=lms, positions=frames)
     prov = DatasetProvider(ds, "position3d")
-    est = ObserverState.initial()
-    sy, C = prov(est, 0.25)
-    ref = innovation_position(
-        est, PositionFrame(t=0.25, obs={0: np.array([1.5, 0.5, 0.0])}), lms)
-    assert np.allclose(sy, ref[0], atol=1e-12)
+    y, C = prov(0.25)
+    ref = linear_output(landmark_blocks(
+        PositionFrame(t=0.25, obs={0: np.array([1.5, 0.5, 0.0])}), [], lms))
+    assert np.allclose(y, ref[0], atol=1e-12)
     assert np.allclose(C, ref[1], atol=1e-12)
-    assert prov(est, 1.5) is None
+    assert prov(1.5) is None

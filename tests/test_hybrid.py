@@ -300,7 +300,7 @@ def test_run_without_ncov_uses_configured_weights():
         est = flow(est, traj.imu, cfg, 1.0 / 200.0, t=t)
         t += 1.0 / 200.0
     inn = innovation_stereo(est, frames[0], cams, lms)
-    ref = jump(est, inn, np.linalg.inv(cfg.q_matrix(inn[1].shape[0])))
+    ref = jump(est, inn, np.linalg.inv(cfg.q * np.eye(inn[1].shape[0])))
     got = states[50]
     assert np.max(np.abs(got.P - ref.P)) <= 1e-12
     assert np.max(np.abs(got.p - ref.p)) <= 1e-12

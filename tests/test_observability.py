@@ -28,7 +28,8 @@ from visnav.observability import (FULL_STATE_DIM, GramianReport,
                                   static_observability_matrix,
                                   transition_matrix)
 from visnav.observer import (ObserverState, build_A, innovation_mono,
-                             innovation_position, innovation_stereo)
+                             innovation_position, innovation_stereo,
+                             landmark_blocks, linear_output)
 from visnav.sim import (GRAVITY, EightTrajectory, Landmark,
                         default_stereo_rig, make_bearing_frame,
                         make_position_frame, sample_landmarks)
@@ -214,6 +215,26 @@ def test_gramian_discrete_sample_monotonicity(traj, lms, cams):
            for n in range(1, len(ts) + 1)]
     assert all(b >= a - 1e-12 for a, b in zip(lam, lam[1:]))
     assert lam[-1] > lam[0]
+
+
+def test_gramian_discrete_position3d_is_five_by_five(traj, lms):
+    # C = r_i^T (x) I3 per landmark, r_i = (1, -p_i, 0), and Phi =
+    # E5 (x) dR^T with E5 = exp(N tau), so the position3d Gramian is
+    # W5 (x) I3 with W5 = sum of E5^T r_i r_i^T E5: the attitude drops out
+    om = _omega_fn(traj)
+    N = build_A(np.zeros(3), G)[::3, ::3]
+    r = np.array([[1.0, *(-lm.p), 0.0] for lm in lms])
+    phis, cs, W5 = [], [], np.zeros((5, 5))
+    for tk in [0.1 * k for k in range(12)]:
+        phis.append(transition_matrix(om, G, 0.0, tk, dt=1.0 / 200.0))
+        frame = make_position_frame(traj.state(tk), lms)
+        cs.append(linear_output(landmark_blocks(frame, [], lms))[1])
+        rE = r @ (np.eye(5) + tk * N + 0.5 * tk * tk * (N @ N))
+        W5 += rE.T @ rE
+    rep = gramian_discrete(phis, cs)
+    ev = np.linalg.eigvalsh(W5)
+    assert abs(rep.lambda_min - ev[0]) <= 1e-10 * ev[0]
+    assert abs(rep.lambda_max - ev[-1]) <= 1e-10 * ev[-1]
 
 
 def test_gramian_discrete_rejects_bad_lists():

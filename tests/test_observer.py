@@ -15,8 +15,9 @@ from visnav.geom import (E3, I3, dist_identity, exp_so3, pi_proj,
 from visnav.observer import (MODES, GainConfig, ObserverState, TruthSource,
                              attitude_innovation, build_A, error_state,
                              innovation, innovation_mono, innovation_position,
-                             innovation_stereo, riccati_rhs, run_continuous,
-                             step, PositionSource, StereoBearingSource)
+                             innovation_stereo, landmark_blocks, linear_output,
+                             riccati_rhs, run_continuous, step, PositionSource,
+                             StereoBearingSource)
 from visnav.sim import (GRAVITY, BearingFrame, CameraExtrinsics,
                         EightTrajectory, Landmark, RigidBodyState,
                         default_stereo_rig, make_bearing_frame,
@@ -407,7 +408,7 @@ def test_flow_matches_none_returning_measurement():
     t, dt = 0.0, 1.0 / 200.0
     for _ in range(20):
         a = step(a, traj.imu, cfg, dt, t=t)
-        b = step(b, traj.imu, cfg, dt, t=t, meas=lambda est, tau: None)
+        b = step(b, traj.imu, cfg, dt, t=t, meas=lambda tau: None)
         t += dt
     for fa, fb in ((a.R, b.R), (a.p, b.p), (a.v, b.v), (a.e, b.e), (a.P, b.P)):
         assert np.array_equal(fa, fb)
@@ -422,7 +423,7 @@ def test_measurement_first_seen_at_step_end_belongs_to_next_step():
     est = ObserverState.initial(R=exp_so3(np.array([0.2, -0.1, 0.3])))
     a = step(est, traj.imu, GainConfig(), dt, t=t)
     b = step(est, traj.imu, GainConfig(), dt, t=t,
-             meas=lambda s, tau: source(s, tau) if tau >= t + dt else None)
+             meas=lambda tau: source(tau) if tau >= t + dt else None)
     for name in ("R", "p", "v", "e", "P"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -434,15 +435,15 @@ def test_step_covariance_matches_a_fine_riccati_integration():
     traj = EightTrajectory(t_end=0.1)
     lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
     est = ObserverState.initial(R=traj.rotation(0.0))
-    inn = innovation_stereo(est, make_bearing_frame(traj.state(0.0), lms,
-                                                    cams), cams, lms)
+    y, C = linear_output(landmark_blocks(
+        make_bearing_frame(traj.state(0.0), lms, cams), cams, lms))
     omega = np.array([0.3, -0.2, 0.5])
     cfg = GainConfig()
     dt = 5e-3
     out = step(est, lambda tau: (omega, np.zeros(3)), cfg, dt,
-               meas=lambda s, tau: inn)
-    A, C = build_A(omega, cfg.gravity), inn[1]
-    Q, V = cfg.q_matrix(C.shape[0]), cfg.v_matrix()
+               meas=lambda tau: (y, C))
+    A = build_A(omega, cfg.gravity)
+    Q, V = cfg.q * np.eye(C.shape[0]), cfg.v_matrix()
     P, h = np.eye(15), 1e-6
     for _ in range(int(round(dt / h))):
         k1 = riccati_rhs(P, A, C, Q, V)
@@ -531,20 +532,18 @@ def test_run_continuous_bookkeeping():
 
 
 def test_step_queries_each_stage_time_once(monkeypatch):
-    # imu and meas once each at t, t + h/2 and t + h, back to back, and
-    # meas always with the step's start state
+    # imu and meas once each at t, t + h/2 and t + h, back to back
     traj = EightTrajectory(t_end=0.1)
     source = PositionSource(traj, sample_landmarks(5, seed=0))
-    calls, seen, substeps = [], [], []
+    calls, substeps = [], []
 
     def imu(t):
         calls.append(("imu", t))
         return traj.imu(t)
 
-    def meas(est, t):
+    def meas(t):
         calls.append(("meas", t))
-        seen.append(est)
-        return source(est, t)
+        return source(t)
 
     project = observer.project_to_rotation
     monkeypatch.setattr(observer, "project_to_rotation",
@@ -555,7 +554,6 @@ def test_step_queries_each_stage_time_once(monkeypatch):
     assert len(substeps) == 1
     assert calls == [(name, tau) for tau in (0.02, 0.02 + 0.5 * h, 0.02 + h)
                      for name in ("imu", "meas")]
-    assert all(state is est for state in seen)
 
 
 def test_truth_source_synthesizes_once_per_stage_time(monkeypatch):
@@ -566,9 +564,9 @@ def test_truth_source_synthesizes_once_per_stage_time(monkeypatch):
                                  default_stereo_rig())
     queries, built = [], []
 
-    def meas(est, t):
+    def meas(t):
         queries.append(t)
-        return source(est, t)
+        return source(t)
 
     make = observer.make_bearing_frame
     monkeypatch.setattr(observer, "make_bearing_frame",
@@ -582,18 +580,21 @@ def test_truth_source_synthesizes_once_per_stage_time(monkeypatch):
 
 def test_run_continuous_synthesizes_each_stage_time_once(monkeypatch):
     # steps meet on times[k] bit for bit, so N steps synthesize 2N + 1
-    # frames: t, t + dt/2 and t + dt, the last shared with the next step
+    # frames: t, t + dt/2 and t + dt, the last shared with the next step;
+    # a kept time's (y, C) is handed back with no numeric work
     traj = EightTrajectory(t_end=1.0)
     source = StereoBearingSource(traj, sample_landmarks(5, seed=0),
                                  default_stereo_rig())
-    built = []
-    make = observer.make_bearing_frame
+    built, outputs = [], []
+    make, output = observer.make_bearing_frame, observer.linear_output
     monkeypatch.setattr(observer, "make_bearing_frame",
                         lambda st, *a: built.append(st.t) or make(st, *a))
+    monkeypatch.setattr(observer, "linear_output",
+                        lambda blocks: outputs.append(1) or output(blocks))
     times, _ = run_continuous(ObserverState.initial(), traj.imu, source,
                               GainConfig(), t_end=1.0)
     n = len(times) - 1
-    assert n == 200 and len(built) == 2 * n + 1
+    assert n == 200 and len(built) == len(outputs) == 2 * n + 1
 
 
 def _frame_dataset(traj, lms, cams, times):
@@ -606,13 +607,17 @@ def _frame_dataset(traj, lms, cams, times):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_sources_match_a_fresh_innovation(mode):
-    # the kept landmark blocks must not leak between query times, whatever
-    # their order: interleaved, repeated, and returning after an eviction
+    # the kept outputs must not leak between query times, whatever their
+    # order: interleaved, repeated, and returning after an eviction; each
+    # is the linear output of a fresh frame, and a truth source's y = C x
+    # to roundoff of the terms of C x (stereo's y is their near-cancelling
+    # difference)
     traj = EightTrajectory(t_end=1.0)
     lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
     ds = _frame_dataset(traj, lms, cams, 0.05 * np.arange(1, 11))
     truth, provider = TruthSource(traj, lms, mode, cams), DatasetProvider(
         ds, mode)
+    mode_cams = observer.mode_cameras(mode, cams)
     rng = np.random.default_rng(5)
     for t in (0.1, 0.1, 0.13, 0.1, 0.17, 0.13, 0.13, 0.2, 0.1, 0.075, 0.5):
         est = _random_estimate(rng)
@@ -621,9 +626,15 @@ def test_sources_match_a_fresh_innovation(mode):
                          else make_bearing_frame(st, lms, cams)),
                  provider: DatasetProvider(ds, mode).frame_at(t)}
         for source, frame in fresh.items():
-            sy, C = source(est, t)
-            sy_ref, C_ref = innovation(est, frame, mode, cams, lms)
-            assert np.array_equal(sy, sy_ref) and np.array_equal(C, C_ref)
+            y, C = source(t)
+            y_ref, C_ref = linear_output(landmark_blocks(frame, mode_cams,
+                                                         lms))
+            assert np.array_equal(y, y_ref) and np.array_equal(C, C_ref)
+            sy, C_inn = innovation(est, frame, mode, cams, lms)
+            assert np.array_equal(C, C_inn)
+        y, C = truth(t)
+        _, x = error_state(st, ObserverState.initial(e=np.zeros((3, 3))))
+        assert np.all(np.abs(y - C @ x) <= 1e-12 * (np.abs(C) @ np.abs(x)))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -632,9 +643,8 @@ def test_dataset_provider_none_outside_the_stream(mode):
     lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
     provider = DatasetProvider(
         _frame_dataset(traj, lms, cams, [0.05, 0.1, 0.15]), mode)
-    est = ObserverState.initial()
     for t in (0.0, 0.0, 0.2, 0.1, 0.0, 0.2, 0.1):
-        assert (provider(est, t) is None) == (t != 0.1)
+        assert (provider(t) is None) == (t != 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +664,5 @@ def test_gain_config_rejects_bad_values():
 
 def test_gain_config_matrix_weights():
     cfg = GainConfig()
-    assert np.array_equal(cfg.q_matrix(6), 1e3 * np.eye(6))
     assert np.array_equal(cfg.v_matrix(), 1e-4 * np.eye(15))
     assert np.array_equal(cfg.rho_matrix(), np.diag([0.5, 0.3, 0.2]))
