@@ -21,10 +21,13 @@ from .errors import (CameraOnLandmarkError, InsufficientHistoryError,
                      NonFiniteStateError, SingularInnovationError,
                      TooFewLandmarksError, VisnavError)
 from .geom import dist_identity
-from .hybrid import run as hybrid_run, zoh_imu
-from .observability import (check_mono_motion, check_stereo_condition,
-                            classify_static_degeneracy, gramian_discrete,
-                            transition_matrix)
+from .hybrid import run as hybrid_run
+# transition_matrix stays importable here: the benchmark's span tracer
+# (perfbench/tracer.py) wraps it in this namespace.
+from .observability import (HeldRateAttitude,  # noqa: F401
+                            check_mono_motion, check_stereo_condition,
+                            classify_static_degeneracy, closed_form_transition,
+                            gramian_discrete, transition_matrix)
 # innovation_{position,stereo,mono} stay importable here: the benchmark's
 # span tracer (perfbench/tracer.py) wraps them in this namespace.
 from .observer import (GainConfig, innovation_mono,  # noqa: F401
@@ -177,11 +180,7 @@ def _gramian_windows(cfg, ds):
     if not frames:
         return []
     imu = np.asarray(ds.imu)
-    zoh = zoh_imu(imu)
-
-    def omega_fn(t):
-        return zoh(t)[0]
-
+    attitude = HeldRateAttitude(imu)
     cams = mode_cameras(cfg.mode, ds.extrinsics)
     out = []
     gravity = np.array(GainConfig().gravity, dtype=float)
@@ -192,16 +191,15 @@ def _gramian_windows(cfg, ds):
         lo, hi = round(start * 1e9), round(end * 1e9)  # as _truth_lookup
         in_win = [fr for fr in frames if lo <= round(fr.t * 1e9) < hi]
         if in_win:
-            # Phi(t_f, start) chained frame to frame, one pass per window;
+            # Phi(t_f, start) of each frame straight off the attitude table;
             # a frame on the window start may read a hair below it
-            Phi, t_prev = np.eye(15), min(start, in_win[0].t)
-            phis, cs = [], []
-            for fr in in_win:
-                Phi = transition_matrix(omega_fn, gravity, t_prev, fr.t) @ Phi
-                t_prev = fr.t
-                phis.append(Phi)
-                cs.append(linear_output(
-                    landmark_blocks(fr, cams, ds.landmarks))[1])
+            t_s = min(start, in_win[0].t)
+            Rs = attitude(t_s)
+            phis = [closed_form_transition(gravity, fr.t - t_s,
+                                           Rs.T @ attitude(fr.t))
+                    for fr in in_win]
+            cs = [linear_output(landmark_blocks(fr, cams, ds.landmarks))[1]
+                  for fr in in_win]
             rep = gramian_discrete(phis, cs, mu=cfg.gramian_mu,
                                    window=(start, end))
             entry = {"status": "ok", **asdict(rep)}

@@ -128,27 +128,6 @@ def tune_vq(est: ObserverState, ncov: NoiseCovariances, lms, frame=None,
     return V, 0.5 * (q_inv + q_inv.T)
 
 
-def zoh_imu(samples: np.ndarray):
-    """Turn rows (t, wx, wy, wz, ax, ay, az) into a zero-order-hold
-    lookup t -> (omega, a).
-
-    `visnav analyze` is its only user in the package: the closed-form ZOH
-    transition matrix is the benchmark's oracle for the Gramian windows,
-    and a linearly interpolated rate moves their eigenvalues by more than
-    its tolerance.  `visnav estimate` uses `dataio.interpolating_imu`,
-    since a held sample lags the motion by half a sample.
-    """
-    samples = np.asarray(samples, dtype=float)
-    ts = samples[:, 0]
-
-    def imu_fn(t):
-        k = np.searchsorted(ts, t + 1e-12, side="right") - 1
-        k = min(max(k, 0), len(ts) - 1)
-        return samples[k, 1:4], samples[k, 4:7]
-
-    return imu_fn
-
-
 def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
         mode: str = "stereo", cams=None, ncov: NoiseCovariances | None = None,
         t_end: float | None = None, dt: float = 1.0 / 200.0, t0: float = 0.0):

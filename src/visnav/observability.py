@@ -20,7 +20,7 @@ from .errors import (
     TooFewLandmarksError,
     UnsupportedSpectrumError,
 )
-from .geom import I3, rotation_step
+from .geom import I3, exp_so3, rotation_step
 from .observer import build_A
 
 FULL_STATE_DIM = 15
@@ -53,17 +53,23 @@ class DegeneracyVerdict:
     full_rank_required: int
 
 
-def transition_matrix(omega_fn, gravity, t0: float, t1: float,
-                      dt: float = 1.0 / 800.0) -> np.ndarray:
-    """Phi(t1, t0) of the measurement-free error dynamics in closed form.
+def closed_form_transition(gravity, tau: float, dR) -> np.ndarray:
+    """Phi(t1, t0) = e^{N tau} (x) dR^T of the measurement-free error
+    dynamics, tau = t1 - t0 and dR = R(t0)^T R(t1).
 
     A(t) = -I5 (x) skew(omega(t)) + Abar splits into commuting parts with
-    Abar = build_A(0, gravity) = N (x) I3 and N^3 = 0, so Phi(t1, t0) =
-    e^{N tau} (x) dR^T with e^{N tau} = I5 + N tau + N^2 tau^2 / 2,
-    tau = t1 - t0, where dR = R(t0)^T R(t1) is transported by
-    `rotation_step` in equal steps no longer than dt (exact for a rate held
-    over each step).
+    Abar = build_A(0, gravity) = N (x) I3 and N^3 = 0, so e^{N tau} =
+    I5 + N tau + N^2 tau^2 / 2 and the rotation enters through dR alone.
     """
+    N = build_A(np.zeros(3), gravity)[::3, ::3]
+    return np.kron(np.eye(5) + tau * N + (0.5 * tau * tau) * (N @ N), dR.T)
+
+
+def transition_matrix(omega_fn, gravity, t0: float, t1: float,
+                      dt: float = 1.0 / 800.0) -> np.ndarray:
+    """Phi(t1, t0) for a rate given as a callable: `closed_form_transition`
+    with dR = R(t0)^T R(t1) transported by `rotation_step` in equal steps no
+    longer than dt (exact for a rate held over each step)."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     tau = t1 - t0
@@ -71,8 +77,37 @@ def transition_matrix(omega_fn, gravity, t0: float, t1: float,
     dR = I3
     for k in range(n):
         dR = rotation_step(dR, omega_fn, t0 + k * tau / n, tau / n)
-    N = build_A(np.zeros(3), gravity)[::3, ::3]
-    return np.kron(np.eye(5) + tau * N + (0.5 * tau * tau) * (N @ N), dR.T)
+    return closed_form_transition(gravity, tau, dR)
+
+
+class HeldRateAttitude:
+    """Attitude R(t) of Rdot = R skew(omega) for IMU rows (t, wx, wy, wz,
+    ...) with each sample's rate held until the next: R(t_0) = I and
+    R_{k+1} = R_k exp_so3(h_k omega_k), h_k = t_{k+1} - t_k, tabulated once.
+
+    This is the exact solution for that input, so a query at any time, on
+    the sample grid or between samples, transports the attitude exactly;
+    before the first sample and after the last the end rates are held.
+    """
+
+    def __init__(self, samples: np.ndarray):
+        samples = np.asarray(samples, dtype=float)
+        self.ts, self.omega = samples[:, 0], samples[:, 1:4]
+        self.R = np.empty((self.ts.size, 3, 3))
+        self.R[0] = I3
+        for k, h in enumerate(np.diff(self.ts)):
+            self.R[k + 1] = self.R[k] @ exp_so3(h * self.omega[k])
+
+    def sample(self, t: float) -> int:
+        """Index of the sample whose rate is held at t: the last one at or
+        below t, where a time a hair (1e-12 s) below a sample counts as on
+        it, clamped to the table."""
+        k = int(np.searchsorted(self.ts, t + 1e-12, side="right")) - 1
+        return min(max(k, 0), self.ts.size - 1)
+
+    def __call__(self, t: float) -> np.ndarray:
+        k = self.sample(t)
+        return self.R[k] @ exp_so3((t - self.ts[k]) * self.omega[k])
 
 
 def _simpson_grid(delta: float, dt: float):

@@ -19,7 +19,7 @@ import pytest
 
 from visnav.geom import (E3, dist_identity, exp_so3, psi_antisym,
                          potential_terms, random_rotation)
-from visnav.hybrid import NoiseCovariances, run as hybrid_run, zoh_imu
+from visnav.hybrid import NoiseCovariances, run as hybrid_run
 from visnav.observability import (check_mono_motion, check_stereo_condition,
                                   classify_static_degeneracy,
                                   gramian_continuous, transition_matrix)
@@ -423,6 +423,19 @@ def test_criterion_07_gramian_and_motion_checks(eight, scene):
 # criterion 8: sampled-measurement estimator under noise
 
 
+def _held_imu(rows):
+    # each noisy sample held until the next one: the zero-order hold this
+    # criterion's bounds were set with
+    ts = rows[:, 0]
+
+    def imu(t):
+        k = int(np.searchsorted(ts, t + 1e-12, side="right")) - 1
+        k = min(max(k, 0), len(ts) - 1)
+        return rows[k, 1:4], rows[k, 4:7]
+
+    return imu
+
+
 def test_criterion_08_hybrid_noise_run(eight, scene):
     lms, cams = scene
     dt = 1.0 / 200.0
@@ -437,7 +450,7 @@ def test_criterion_08_hybrid_noise_run(eight, scene):
                           0.01, seed=1000 + k)
               for k in range(1, 601)]
     times, states, jumps = hybrid_run(
-        _initial_estimate(), zoh_imu(rows), frames, lms, GainConfig(k_r=20.0),
+        _initial_estimate(), _held_imu(rows), frames, lms, GainConfig(k_r=20.0),
         mode="stereo", cams=cams, ncov=NoiseCovariances(), t_end=30.0)
     att, pos, _ = _final_errors(eight, times, states)
     assert pos < 0.15

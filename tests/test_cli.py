@@ -2,13 +2,15 @@
 
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from visnav import cli
 from visnav.cli import main
-from visnav.dataio import read_trace
+from visnav.dataio import load_config, load_dataset, read_trace
+from visnav.geom import exp_so3
 
 BASE_CFG = """\
 mode = stereo
@@ -304,24 +306,24 @@ def test_hybrid_estimate_interpolates_the_imu(tmp_path):
 def test_analyze_windows_hold_their_frames(tmp_path, monkeypatch):
     # 20 Hz frames in 0.1 s windows: the first window (from t = 0) holds
     # the frame at 0.05 and every later one exactly two, none drifting into
-    # the window before it; Phi is chained with one call per frame gap
+    # the window before it; each frame gets one Phi from its window start
     cfg = tmp_path / "win.cfg"
     cfg.write_text(BASE_CFG.replace("duration = 6", "duration = 3")
                    + "gramian_window = 0.1\n")
     data = tmp_path / "data"
     assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
-    gaps, sizes = [], []
-    transition, discrete = cli.transition_matrix, cli.gramian_discrete
+    taus, sizes = [], []
+    closed_form, discrete = cli.closed_form_transition, cli.gramian_discrete
 
-    def transition_matrix(omega_fn, gravity, t0, t1, *args):
-        gaps.append(t1 - t0)
-        return transition(omega_fn, gravity, t0, t1, *args)
+    def closed_form_transition(gravity, tau, dR):
+        taus.append(tau)
+        return closed_form(gravity, tau, dR)
 
     def gramian_discrete(phis, cs, **kwargs):
         sizes.append(len(phis))
         return discrete(phis, cs, **kwargs)
 
-    monkeypatch.setattr(cli, "transition_matrix", transition_matrix)
+    monkeypatch.setattr(cli, "closed_form_transition", closed_form_transition)
     monkeypatch.setattr(cli, "gramian_discrete", gramian_discrete)
     out = tmp_path / "report.json"
     assert main(["analyze", "--config", str(cfg), "--data", str(data),
@@ -330,4 +332,40 @@ def test_analyze_windows_hold_their_frames(tmp_path, monkeypatch):
     assert [w["window"][0] for w in windows] == pytest.approx(
         [0.1 * k for k in range(30)], abs=1e-12)
     assert sizes == [1] + [2] * 29
-    assert len(gaps) == sum(sizes) and max(gaps) <= 0.05 + 1e-9
+    assert taus == pytest.approx([0.05] + [0.0, 0.05] * 29, abs=1e-9)
+    assert min(taus) >= 0.0 and max(taus) <= 0.1
+
+
+def test_analyze_transports_off_grid_frames_exactly(tmp_path, monkeypatch):
+    # frames a third of an IMU sample off the 200 Hz grid: each Phi carries
+    # R(start)^T R(t_f) of the held rates, the product of exp_so3 over the
+    # span split at the sample times, not steps straddling those times
+    cfg_path = tmp_path / "off.cfg"
+    cfg_path.write_text(BASE_CFG.replace("duration = 6", "duration = 1")
+                        + "gramian_window = 0.5\n")
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(data)]) == 0
+    cfg, ds = load_config(str(cfg_path)), load_dataset(str(data))
+    ds.bearings = [replace(fr, t=fr.t + 1.0 / 600.0) for fr in ds.bearings]
+    seen, discrete = [], cli.gramian_discrete
+
+    def gramian_discrete(phis, cs, **kwargs):
+        seen.append((kwargs["window"][0], phis))
+        return discrete(phis, cs, **kwargs)
+
+    monkeypatch.setattr(cli, "gramian_discrete", gramian_discrete)
+    cli._gramian_windows(cfg, ds)
+    assert [start for start, _ in seen] == [0.0, 0.5]
+    imu, ts = ds.imu, ds.imu[:, 0]
+    frames = iter(ds.bearings)
+    for start, phis in seen:
+        for Phi in phis:
+            t = next(frames).t
+            cuts = np.concatenate(([start], ts[(ts > start) & (ts < t)], [t]))
+            dR = np.eye(3)
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                k = int(np.searchsorted(ts, a, side="right")) - 1
+                dR = dR @ exp_so3((b - a) * imu[k, 1:4])
+            assert np.max(np.abs(Phi[:3, :3] - dR.T)) <= 1e-12
+    assert next(frames).t > 1.0  # the last frame is past both windows

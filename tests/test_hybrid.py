@@ -6,7 +6,7 @@ import pytest
 import visnav.hybrid as hybrid
 from visnav.errors import ScheduleViolationError, SingularInnovationError
 from visnav.geom import E3, dist_identity, exp_so3, random_rotation
-from visnav.hybrid import NoiseCovariances, flow, jump, run, tune_vq, zoh_imu
+from visnav.hybrid import NoiseCovariances, flow, jump, run, tune_vq
 from visnav.observability import transition_matrix
 from visnav.observer import (GainConfig, ObserverState, build_A, error_state,
                              innovation_stereo, step)
@@ -188,20 +188,6 @@ def test_tune_vq_position_blocks_are_isotropic():
     ncov = NoiseCovariances(cov_y=0.06)
     _, q_inv = tune_vq(ObserverState.initial(), ncov, lms, frame=frame)
     assert np.max(np.abs(q_inv - (0.06 + ncov.reg) * np.eye(12))) <= 1e-15
-
-
-# ---------------------------------------------------------------------------
-# zero-order-hold IMU
-
-
-def test_zoh_imu_lookup():
-    table = np.array([[0.0, 1, 2, 3, 4, 5, 6],
-                      [0.1, 10, 20, 30, 40, 50, 60]], dtype=float)
-    fn = zoh_imu(table)
-    assert np.array_equal(fn(-1.0)[0], [1, 2, 3])     # clamped before start
-    assert np.array_equal(fn(0.05)[0], [1, 2, 3])     # held from the left
-    assert np.array_equal(fn(0.1)[1], [40, 50, 60])   # exact node
-    assert np.array_equal(fn(5.0)[1], [40, 50, 60])   # clamped after end
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,8 @@ import pytest
 from visnav.errors import (CameraOnLandmarkError, InsufficientHistoryError,
                            TooFewLandmarksError, UnsupportedSpectrumError)
 from visnav.geom import I3, exp_so3
-from visnav.hybrid import zoh_imu
 from visnav.observability import (FULL_STATE_DIM, GramianReport,
-                                  check_mono_motion, check_stereo_condition,
+                                  HeldRateAttitude, check_mono_motion, check_stereo_condition,
                                   classify_static_degeneracy,
                                   gramian_continuous, gramian_discrete,
                                   check_uniform_observability,
@@ -120,14 +119,59 @@ def test_transition_matrix_exact_under_zero_order_hold(traj):
     # by the product of exp(omega_k dt); Phi is then exact in closed form.
     imu = np.array([[k / 200.0, *traj.omega(k / 200.0), 0.0, 0.0, 0.0]
                     for k in range(101)])
-    zoh = zoh_imu(imu)
     dR = I3
     for k in range(100):
         dR = dR @ exp_so3(imu[k, 1:4] / 200.0)
     Abar = build_A(np.zeros(3), G)
     E = np.eye(15) + 0.5 * Abar + 0.125 * (Abar @ Abar)
-    Phi = transition_matrix(lambda t: zoh(t)[0], G, 0.0, 0.5)
+    # the Magnus nodes are interior to the 200 Hz samples
+    Phi = transition_matrix(lambda t: imu[int(t * 200.0), 1:4], G, 0.0, 0.5)
     assert np.max(np.abs(Phi - _blkdiag_rt(dR) @ E)) <= 1e-12
+
+
+def _held_product(imu, t0, t1):
+    """R(t0)^T R(t1) for rates held from each sample to the next: the
+    product of exp_so3 over [t0, t1] split at the sample times."""
+    ts = imu[:, 0]
+    cuts = np.concatenate(([t0], ts[(ts > t0) & (ts < t1)], [t1]))
+    dR = I3
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        k = int(np.searchsorted(ts, a, side="right")) - 1
+        dR = dR @ exp_so3((b - a) * imu[k, 1:4])
+    return dR
+
+
+def test_held_rate_attitude_lookup():
+    table = np.array([[0.0, 1, 2, 3, 4, 5, 6],
+                      [0.1, 10, 20, 30, 40, 50, 60]], dtype=float)
+    att = HeldRateAttitude(table)
+    assert att.sample(-1.0) == 0            # clamped before start
+    assert att.sample(0.05) == 0            # held from the left
+    assert att.sample(0.1) == 1             # exact node
+    assert att.sample(0.1 - 1e-13) == 1     # a hair below snaps onto it
+    assert att.sample(5.0) == 1             # clamped after end
+    w0, w1 = table[0, 1:4], table[1, 1:4]
+    R1 = exp_so3(0.1 * w0)
+    assert np.max(np.abs(att(-1.0) - exp_so3(-w0))) <= 1e-15
+    assert np.max(np.abs(att(0.05) - exp_so3(0.05 * w0))) <= 1e-15
+    assert np.max(np.abs(att(0.1) - R1)) <= 1e-15
+    assert np.max(np.abs(att(5.0) - R1 @ exp_so3(4.9 * w1))) <= 1e-13
+
+
+def test_held_rate_attitude_matches_the_held_product(traj):
+    # on the grid and off it, R(t0)^T R(t1) is the product of exp_so3 over
+    # the held pieces; the table carries no step of its own
+    imu = np.array([[k / 200.0, *traj.omega(k / 200.0), 0.0, 0.0, 0.0]
+                    for k in range(401)])
+    att = HeldRateAttitude(imu)
+    for k in (1, 7, 200, 400):
+        ref = _held_product(imu, 0.0, imu[k, 0])
+        assert np.max(np.abs(att.R[k] - ref)) <= 1e-12
+        assert np.max(np.abs(att(imu[k, 0]) - ref)) <= 1e-12
+    for t0, t1 in ((0.0123, 0.0623), (0.5 + 1 / 600, 1.5 + 1 / 600),
+                   (1.0, 1.0 + 1 / 600)):
+        dR = att(t0).T @ att(t1)
+        assert np.max(np.abs(dR - _held_product(imu, t0, t1))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
