@@ -16,12 +16,15 @@ on PYTHONPATH:
 - `EightTrajectory.rotation` at 6000 off-grid times over 30 s;
 - `visnav simulate` and `visnav analyze` on a 6 s stereo dataset, keeping
   lambda_min and lambda_max of each 2 s Gramian window;
+- `gramian_continuous` over the stereo window [0, 2] of acceptance
+  criterion 7, keeping lambda_min and lambda_max;
+- `transition_matrix` of the trajectory's rate at a few (t0, t1) pairs;
 - `visnav simulate` and `visnav estimate` with the hybrid estimator
   (k_r = 20) on a stereo dataset of the same length as the runs above,
   keeping the trace columns.
 The script reports, per run and field, whether the outputs agree exactly
 (R, p, v, e and P at every IMU step, the attitude at every query, the
-window eigenvalues, the trace columns), or else their max |diff| over the
+window eigenvalues, each Phi, the trace columns), or else their max |diff| over the
 run beside their |diff| at the last step (last window or query; both
 relative for the eigenvalues), so that a transient that later decays
 shows as such.  It exits 1 on any difference.
@@ -91,10 +94,11 @@ def dump(path, seconds):
     from visnav.dataio import Dataset, DatasetProvider, interpolating_imu
     from visnav.geom import exp_so3
     from visnav.hybrid import NoiseCovariances, run as hybrid_run
+    from visnav.observability import gramian_continuous, transition_matrix
     from visnav.observer import (GainConfig, MonoBearingSource, ObserverState,
                                  PositionSource, StereoBearingSource,
-                                 run_continuous)
-    from visnav.sim import (EightTrajectory, default_stereo_rig,
+                                 innovation_stereo, run_continuous)
+    from visnav.sim import (GRAVITY, EightTrajectory, default_stereo_rig,
                             make_bearing_frame, make_position_frame,
                             sample_landmarks)
 
@@ -138,6 +142,18 @@ def dump(path, seconds):
             arrays[f"{name}.{f}"] = np.stack([getattr(s, f) for s in states])
     arrays["attitude.R"] = np.stack([traj.rotation((k + 0.37) / 200.0)
                                      for k in range(6000)])
+    dummy = ObserverState.initial()
+    rep = gramian_continuous(
+        traj.omega,
+        lambda t: innovation_stereo(
+            dummy, make_bearing_frame(traj.state(t), lms, cams), cams,
+            lms)[1],
+        0.0, 2.0, GRAVITY)
+    arrays["gramian.lambda_min"] = np.array([rep.lambda_min])
+    arrays["gramian.lambda_max"] = np.array([rep.lambda_max])
+    arrays["transition.Phi"] = np.stack([
+        transition_matrix(traj.omega, GRAVITY, t0, t1)
+        for t0, t1 in ((0.0, 0.05), (1.0, 1.0), (0.37, 2.9), (12.3, 15.0))])
     arrays.update(_analyze_windows())
     arrays.update(_estimate_trace(seconds))
     np.savez(path, **arrays)
@@ -175,7 +191,7 @@ def main():
             detail = "identical"
         else:
             diff, kind = np.abs(a - b), "|diff|"
-            if key.startswith("analyze."):
+            if key.startswith(("analyze.", "gramian.")):
                 diff, kind = diff / np.abs(a), "relative |diff|"
             detail = (f"DIFFERS (max {kind} {diff.max():.3g}, "
                       f"last step {diff[-1].max():.3g})")

@@ -20,14 +20,14 @@ from .dataio import (Dataset, DatasetProvider, TraceRecord, apply_overrides,
 from .errors import (CameraOnLandmarkError, InsufficientHistoryError,
                      NonFiniteStateError, SingularInnovationError,
                      TooFewLandmarksError, VisnavError)
-from .geom import dist_identity
+from .geom import AttitudeTable, dist_identity
 from .hybrid import run as hybrid_run
 # transition_matrix stays importable here: the benchmark's span tracer
 # (perfbench/tracer.py) wraps it in this namespace.
-from .observability import (HeldRateAttitude,  # noqa: F401
-                            check_mono_motion, check_stereo_condition,
-                            classify_static_degeneracy, closed_form_transition,
-                            gramian_discrete, transition_matrix)
+from .observability import (check_mono_motion,  # noqa: F401
+                            check_stereo_condition, classify_static_degeneracy,
+                            closed_form_transition, gramian_discrete,
+                            held_rate, transition_matrix)
 # innovation_{position,stereo,mono} stay importable here: the benchmark's
 # span tracer (perfbench/tracer.py) wraps them in this namespace.
 from .observer import (GainConfig, innovation_mono,  # noqa: F401
@@ -74,7 +74,8 @@ def _simulate(cfg, out_dir):
     dt = 1.0 / cfg.imu_rate
     n = int(round(cfg.duration * cfg.imu_rate))
     times = np.arange(n + 1) * dt
-    traj = EightTrajectory(t_end=cfg.duration, dt=dt)
+    # the rounded sample count may run up to dt/2 past the duration
+    traj = EightTrajectory(t_end=max(cfg.duration, times[-1]), dt=dt)
     cams = mode_cameras(cfg.mode, default_stereo_rig(cfg.baseline))
     lms = sample_landmarks(cfg.n_landmarks, seed=cfg.seed)
 
@@ -180,7 +181,7 @@ def _gramian_windows(cfg, ds):
     if not frames:
         return []
     imu = np.asarray(ds.imu)
-    attitude = HeldRateAttitude(imu)
+    attitude = AttitudeTable(imu[:, 0], held_rate(imu))
     cams = mode_cameras(cfg.mode, ds.extrinsics)
     out = []
     gravity = np.array(GainConfig().gravity, dtype=float)

@@ -381,6 +381,11 @@ class RunConfig:
         for key in ("duration", "imu_rate", "vision_rate"):
             if getattr(self, key) <= 0:
                 raise ValidationError(f"{key} must be positive")
+        try:
+            self.gain_config()
+            self.noise_covariances()
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
 
     def gain_config(self) -> GainConfig:
         return GainConfig(k_r=self.k_r, rho=(self.rho1, self.rho2, self.rho3),

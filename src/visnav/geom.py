@@ -2,14 +2,16 @@
 
 Skew/unskew maps, the 3-vector cross product, the antisymmetric-part
 vector, tangent-plane projectors, the Rodrigues exponential, the
-normalized rotation distance, and the auxiliary matrices that appear in
-trace-potential bounds for attitude estimators.  Everything here is a
-pure function of its inputs.
+normalized rotation distance, the auxiliary matrices of trace-potential
+bounds for attitude estimators, and `AttitudeTable`, the one integrator of
+the attitude from a rate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -80,12 +82,20 @@ def pi_proj(x, tol: float = 1e-6) -> np.ndarray:
 
 
 def exp_so3(v) -> np.ndarray:
-    """Rotation matrix exp(skew(v)) via the Rodrigues formula.
+    """Rotation matrix exp(skew(v)) via the Rodrigues formula, of one
+    3-vector or of each row of an (n, 3) stack.
 
     Small angles fall back to the quadratic series, which is exact at v = 0
     and accurate to machine precision below the switch point.
     """
     v = np.asarray(v, dtype=float)
+    if v.ndim > 1:  # a stack: row j of skew(v) is e_j x v
+        S = np.cross(I3, v[:, None, :])
+        th = np.linalg.norm(v, axis=-1)[:, None, None]
+        small, th = th < 1e-8, np.maximum(th, 1e-8)
+        A = np.where(small, 1.0, np.sin(th) / th)
+        B = np.where(small, 0.5, (1.0 - np.cos(th)) / (th * th))
+        return I3 + A * S + B * (S @ S)
     th = np.linalg.norm(v)
     S = skew(v)
     if th < 1e-8:
@@ -171,14 +181,15 @@ def potential_terms(M, R) -> PotentialTerms:
 
 
 def project_to_rotation(M) -> np.ndarray:
-    """Closest rotation matrix in the Frobenius sense (polar factor).
+    """Closest rotation matrix in the Frobenius sense (polar factor), of
+    one matrix or of each matrix of an (n, 3, 3) stack.
 
     The reflection case det < 0 is corrected by flipping the smallest
     singular direction, so the result always has det +1.
     """
     U, _, Vt = np.linalg.svd(np.asarray(M, dtype=float))
-    D = np.array([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))])
-    return (U * D) @ Vt
+    U[..., :, 2] *= np.sign(np.linalg.det(U @ Vt))[..., None]
+    return U @ Vt
 
 
 def is_rotation(R, tol: float = 1e-9) -> bool:
@@ -202,15 +213,54 @@ def dexpinv_body(sigma, omega) -> np.ndarray:
     return omega + 0.5 * c1 + (1.0 / 12.0) * cross(sigma, c1)
 
 
-def rotation_step(R, omega_fn, t: float, h: float) -> np.ndarray:
-    """R(t + h) for Rdot = R skew(omega_fn(t)) from R at t: the 4th-order
-    Magnus step on the Gauss-Legendre nodes t + (1/2 -+ sqrt(3)/6) h
-    (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999).  Both nodes are
-    inside the step, so a rate held over the step is integrated exactly."""
-    c = np.sqrt(3.0) / 6.0
-    w1, w2 = omega_fn(t + (0.5 - c) * h), omega_fn(t + (0.5 + c) * h)
-    sigma = 0.5 * h * (w1 + w2) + (0.5 * c * h * h) * (skew(w1) @ w2)
-    return R @ exp_so3(sigma)
+def grid_index(ts, t: float) -> int:
+    """Index of the node of the ascending grid ts (a list bisects fastest)
+    at or below t, where a time a hair (1e-12 s) below a node counts as on
+    it, clamped to the grid."""
+    k = bisect_right(ts, t + 1e-12) - 1
+    return min(max(k, 0), len(ts) - 1)
+
+
+_GL = np.sqrt(3.0) / 6.0    # Gauss-Legendre nodes at (1/2 -+ _GL) h
+
+
+def _magnus_exponent(h, w1, w2, w1_x_w2):
+    # sigma of one 4th-order Magnus step of length h from the rates w1, w2
+    # at its two Gauss-Legendre nodes
+    return 0.5 * h * (w1 + w2) + (0.5 * _GL * h * h) * w1_x_w2
+
+
+class AttitudeTable:
+    """Attitude R(t) of Rdot = R skew(omega_fn(t)) with R(ts[0]) = I.
+
+    Each interval of the grid ts is one 4th-order Magnus step on its two
+    Gauss-Legendre nodes (Iserles & Norsett, Phil. Trans. R. Soc. A 357,
+    1999); both nodes are inside the step, so a rate held over each
+    interval is integrated exactly.  The steps are built in one batch and
+    chained by prefix products into R, R[k] = R(ts[k]), projected onto
+    SO(3) together.  A query at t reads the node within 1e-12 s of t, or
+    takes one Magnus step from the node at or below t (`grid_index`);
+    before the first node and after the last it steps outward.
+    """
+
+    def __init__(self, ts, omega_fn):
+        ts = np.asarray(ts, dtype=float)
+        self.ts, self.omega_fn = ts.tolist(), omega_fn
+        h = np.diff(ts)
+        w1, w2 = (np.reshape([omega_fn(t) for t in ts[:-1] + c * h], (-1, 3))
+                  for c in (0.5 - _GL, 0.5 + _GL))
+        sigma = _magnus_exponent(h[:, None], w1, w2, np.cross(w1, w2))
+        steps = accumulate(exp_so3(sigma), np.matmul, initial=I3)
+        self.R = project_to_rotation(np.array(list(steps)))
+
+    def __call__(self, t: float) -> np.ndarray:
+        k = grid_index(self.ts, t)
+        h = t - self.ts[k]
+        if abs(h) <= 1e-12:
+            return self.R[k]
+        w1 = self.omega_fn(self.ts[k] + (0.5 - _GL) * h)
+        w2 = self.omega_fn(self.ts[k] + (0.5 + _GL) * h)
+        return self.R[k] @ exp_so3(_magnus_exponent(h, w1, w2, cross(w1, w2)))
 
 
 def random_rotation(rng: np.random.Generator, max_angle: float = np.pi) -> np.ndarray:

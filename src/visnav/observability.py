@@ -20,7 +20,7 @@ from .errors import (
     TooFewLandmarksError,
     UnsupportedSpectrumError,
 )
-from .geom import I3, exp_so3, rotation_step
+from .geom import I3, AttitudeTable, grid_index
 from .observer import build_A
 
 FULL_STATE_DIM = 15
@@ -68,46 +68,23 @@ def closed_form_transition(gravity, tau: float, dR) -> np.ndarray:
 def transition_matrix(omega_fn, gravity, t0: float, t1: float,
                       dt: float = 1.0 / 800.0) -> np.ndarray:
     """Phi(t1, t0) for a rate given as a callable: `closed_form_transition`
-    with dR = R(t0)^T R(t1) transported by `rotation_step` in equal steps no
-    longer than dt (exact for a rate held over each step)."""
+    with dR = R(t0)^T R(t1) read off an `AttitudeTable` over [t0, t1] in
+    equal steps no longer than dt (exact for a rate held over each step)."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     tau = t1 - t0
     n = max(1, int(np.ceil(tau / dt - 1e-12))) if tau > 0 else 0
-    dR = I3
-    for k in range(n):
-        dR = rotation_step(dR, omega_fn, t0 + k * tau / n, tau / n)
+    dR = AttitudeTable(np.linspace(t0, t1, n + 1), omega_fn).R[-1]
     return closed_form_transition(gravity, tau, dR)
 
 
-class HeldRateAttitude:
-    """Attitude R(t) of Rdot = R skew(omega) for IMU rows (t, wx, wy, wz,
-    ...) with each sample's rate held until the next: R(t_0) = I and
-    R_{k+1} = R_k exp_so3(h_k omega_k), h_k = t_{k+1} - t_k, tabulated once.
-
-    This is the exact solution for that input, so a query at any time, on
-    the sample grid or between samples, transports the attitude exactly;
-    before the first sample and after the last the end rates are held.
-    """
-
-    def __init__(self, samples: np.ndarray):
-        samples = np.asarray(samples, dtype=float)
-        self.ts, self.omega = samples[:, 0], samples[:, 1:4]
-        self.R = np.empty((self.ts.size, 3, 3))
-        self.R[0] = I3
-        for k, h in enumerate(np.diff(self.ts)):
-            self.R[k + 1] = self.R[k] @ exp_so3(h * self.omega[k])
-
-    def sample(self, t: float) -> int:
-        """Index of the sample whose rate is held at t: the last one at or
-        below t, where a time a hair (1e-12 s) below a sample counts as on
-        it, clamped to the table."""
-        k = int(np.searchsorted(self.ts, t + 1e-12, side="right")) - 1
-        return min(max(k, 0), self.ts.size - 1)
-
-    def __call__(self, t: float) -> np.ndarray:
-        k = self.sample(t)
-        return self.R[k] @ exp_so3((t - self.ts[k]) * self.omega[k])
+def held_rate(samples):
+    """omega(t) of IMU rows (t, wx, wy, wz, ...), each sample's rate held
+    until the next: the rate of the sample at or below t (`geom.grid_index`,
+    so the end rates hold before the first sample and after the last)."""
+    samples = np.asarray(samples, dtype=float)
+    ts, omega = samples[:, 0].tolist(), samples[:, 1:4]
+    return lambda t: omega[grid_index(ts, t)]
 
 
 def _simpson_grid(delta: float, dt: float):
@@ -126,19 +103,17 @@ def gramian_continuous(omega_fn, c_fn, t: float, delta: float,
                        gravity, dt: float = 1.0 / 800.0,
                        mu: float = 1e-6) -> GramianReport:
     """Windowed Gramian (1/delta) * integral of Phi^T C^T C Phi over
-    [t, t+delta], by composite Simpson quadrature; Phi(tau, t) is carried
-    from node to node by the closed-form `transition_matrix`."""
+    [t, t+delta], by composite Simpson quadrature; each node's Phi(tau, t)
+    comes in closed form off one `AttitudeTable` over the nodes."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     h, weights = _simpson_grid(delta, dt)
-    Phi = np.eye(FULL_STATE_DIM)
+    taus = t + h * np.arange(weights.size)
+    attitude = AttitudeTable(taus, omega_fn)
     W = np.zeros((FULL_STATE_DIM, FULL_STATE_DIM))
-    for k in range(weights.size):
-        tau = t + k * h
-        if k:
-            Phi = transition_matrix(omega_fn, gravity, tau - h, tau, dt) @ Phi
-        C = np.asarray(c_fn(tau), dtype=float)
-        CPhi = C @ Phi
+    for k, tau in enumerate(taus):
+        Phi = closed_form_transition(gravity, tau - t, attitude.R[k])
+        CPhi = np.asarray(c_fn(tau), dtype=float) @ Phi
         W += weights[k] * (CPhi.T @ CPhi)
     W *= h / delta
     return GramianReport.from_gramian(W, (t, t + delta), mu)

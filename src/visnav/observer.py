@@ -88,9 +88,6 @@ class ObserverState:
             P=I15.copy() if P is None else np.array(P, dtype=float),
         )
 
-    def g_hat(self, gravity: np.ndarray) -> np.ndarray:
-        return gravity @ self.e
-
     def copy(self) -> "ObserverState":
         return ObserverState(R=self.R.copy(), p=self.p.copy(), v=self.v.copy(),
                              e=self.e.copy(), P=self.P.copy())

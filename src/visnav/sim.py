@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LandmarkAtCameraError
-from .geom import I3, exp_so3, project_to_rotation, rotation_step
-# dexpinv_body stays importable here: the benchmark's span tracer
-# (perfbench/tracer.py) wraps it in this namespace.
-from .geom import dexpinv_body  # noqa: F401
+from .geom import I3, AttitudeTable, exp_so3
+# dexpinv_body and project_to_rotation stay importable here: the
+# benchmark's span tracer (perfbench/tracer.py) wraps them in this namespace.
+from .geom import dexpinv_body, project_to_rotation  # noqa: F401
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -81,11 +81,9 @@ class EightTrajectory:
 
     p(t) = 2 (sin t, sin t cos t, 1), so v = 2 (cos t, cos 2t, 0), with the
     body rotation rate omega(t) = (-cos 2t, 1, sin 2t) integrated from
-    R(0) = I by 4th-order Magnus steps (`geom.rotation_step`), tabulated
-    once on a fixed grid at construction; a query between grid points
-    takes one partial step from the grid node below, so grid queries and
-    off-grid queries are mutually consistent.  The last query's rotation
-    is kept for a repeated query time.
+    R(0) = I by a `geom.AttitudeTable` on a fixed grid, built once at
+    construction.  The last query's rotation is kept for a repeated query
+    time.
     """
 
     def __init__(self, t_end: float = 30.0, dt: float = 1.0 / 200.0):
@@ -94,13 +92,7 @@ class EightTrajectory:
         self.t_end = float(t_end)
         self.dt = float(dt)
         n = int(np.ceil(self.t_end / self.dt - 1e-9))
-        table = np.empty((n + 1, 3, 3))
-        table[0] = I3
-        for k in range(n):
-            # projected: roundoff must not drift off SO(3) along the table
-            table[k + 1] = project_to_rotation(
-                rotation_step(table[k], self.omega, k * self.dt, self.dt))
-        self._table = table
+        self.attitude = AttitudeTable(np.arange(n + 1) * self.dt, self.omega)
         self._last = (None, None)       # the last rotation query (t, R)
 
     @staticmethod
@@ -125,12 +117,7 @@ class EightTrajectory:
             return self._last[1]
         if t < -1e-12 or t > self.t_end + 1e-9:
             raise ValueError(f"t={t} outside trajectory horizon [0, {self.t_end}]")
-        k = int(np.floor(t / self.dt + 1e-9))
-        k = min(max(k, 0), len(self._table) - 1)
-        R = self._table[k]
-        rem = t - k * self.dt
-        if rem > 1e-12:
-            R = rotation_step(R, self.omega, k * self.dt, rem)
+        R = self.attitude(t)
         self._last = (t, R)
         return R
 

@@ -136,6 +136,31 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "warp_factor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,needle", [
+    ("rho2 = 0.5", "rho values must be pairwise distinct"),
+    ("k_r = 0", "k_r must be positive"),
+    ("reg = 0", "reg must be positive"),
+])
+def test_invalid_gains_fail_with_one_line(tmp_path, capsys, line, needle):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(BASE_CFG.replace("duration = 6", "duration = 0.1")
+                   + line + "\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"visnav: bad.cfg: {needle}\n"
+
+
+def test_simulate_duration_off_the_imu_grid(tmp_path):
+    # 1.0035 s at 200 Hz rounds to 201 steps: the last sample, at 1.005 s,
+    # lies past the duration
+    cfg = tmp_path / "off.cfg"
+    cfg.write_text(BASE_CFG.replace("duration = 6", "duration = 1.0035"))
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    assert len((data / "imu.csv").read_text().splitlines()) == 203
+
+
 def test_missing_config_file_fails(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "absent.cfg"),
                "--out", str(tmp_path / "d")])

@@ -6,6 +6,7 @@ import pytest
 from visnav.errors import NotAntisymmetricError, NotUnitError
 from visnav.geom import (
     I3,
+    AttitudeTable,
     cross,
     dexpinv_body,
     dist_identity,
@@ -17,7 +18,6 @@ from visnav.geom import (
     psi_antisym,
     random_rotation,
     rotation_axis,
-    rotation_step,
     skew,
     vee,
 )
@@ -240,23 +240,70 @@ def test_dexpinv_body_inverts_differential():
         assert np.linalg.norm(lhs - rhs) <= 5e-6
 
 
-def test_rotation_step_exact_for_held_rate_and_fourth_order():
-    w = np.array([0.3, -1.2, 0.7])
-    R0 = exp_so3(np.array([0.2, 0.1, -0.4]))
-    held = rotation_step(R0, lambda t: w, 0.4, 0.25)
-    assert np.max(np.abs(held - R0 @ exp_so3(0.25 * w))) <= 1e-15
+def eight_omega(t):
+    return np.array([-np.cos(2.0 * t), 1.0, np.sin(2.0 * t)])
 
-    def omega(t):
-        return np.array([-np.cos(2.0 * t), 1.0, np.sin(2.0 * t)])
+
+def test_attitude_table_exact_for_held_rate_and_fourth_order():
+    w = np.array([0.3, -1.2, 0.7])
+    held = AttitudeTable([0.4, 0.65], lambda t: w)
+    assert np.max(np.abs(held.R[-1] - exp_so3(0.25 * w))) <= 1e-15
+    assert np.max(np.abs(held(0.5) - exp_so3(0.1 * w))) <= 1e-15
 
     def integrate(n):
-        R = I3
-        for k in range(n):
-            R = rotation_step(R, omega, k / n, 1.0 / n)
-        return R
+        return AttitudeTable(np.arange(n + 1) / n, eight_omega).R[-1]
 
     ref = integrate(640)
     assert is_rotation(ref, tol=1e-12)
     e10, e20 = (np.max(np.abs(integrate(n) - ref)) for n in (10, 20))
     # halving the step divides a fourth-order global error by about 16
     assert 12.0 < e10 / e20 < 20.0
+
+
+def test_exp_so3_stack_matches_single_vectors():
+    rng = np.random.default_rng(31)
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    V = np.vstack([np.zeros(3), 3e-9 * u, 0.5e-8 * u,
+                   rng.normal(size=(200, 3)),
+                   (np.pi - 1e-9) * u, np.pi * u, (np.pi + 1e-7) * u])
+    E = exp_so3(V)
+    assert E.shape == (V.shape[0], 3, 3)
+    for v, R in zip(V, E):
+        assert np.max(np.abs(R - exp_so3(v))) <= 1e-15
+    assert np.array_equal(E[0], I3)
+
+
+def test_project_to_rotation_stack_is_bit_identical():
+    rng = np.random.default_rng(32)
+    M = np.vstack([random_rotation(rng)[None] + 1e-3 * rng.normal(size=(20, 3, 3)),
+                   rng.normal(size=(20, 3, 3))])
+    assert (np.linalg.det(M) < 0).any()
+    P = project_to_rotation(M)
+    for m, r in zip(M, P):
+        assert np.array_equal(r, project_to_rotation(m))
+        assert np.linalg.det(r) > 0
+
+
+def test_attitude_table_matches_stepwise_projected_integration():
+    # reference: one Magnus step from the projected node below, and one
+    # projection per node, over 30 s on the 200 Hz grid
+    c, dt = np.sqrt(3.0) / 6.0, 1.0 / 200.0
+    ts = np.arange(6001) * dt
+    table = AttitudeTable(ts, eight_omega)
+    R, worst = I3, 0.0
+    for k, t in enumerate(ts[:-1]):
+        w1, w2 = eight_omega(t + (0.5 - c) * dt), eight_omega(t + (0.5 + c) * dt)
+        sigma = 0.5 * dt * (w1 + w2) + (0.5 * c * dt * dt) * np.cross(w1, w2)
+        R = project_to_rotation(R @ exp_so3(sigma))
+        worst = max(worst, np.max(np.abs(table.R[k + 1] - R)))
+    assert worst <= 1e-12
+    defect = np.abs(table.R @ table.R.transpose(0, 2, 1) - I3).max()
+    assert defect <= 1e-14
+    # a query on a node (or a hair below it) reads the node; off the grid
+    # it takes one step from the node below
+    assert np.array_equal(table(ts[137]), table.R[137])
+    assert np.array_equal(table(ts[137] - 1e-13), table.R[137])
+    t = ts[137] + 0.4 * dt
+    ref = table.R[137] @ AttitudeTable([ts[137], t], eight_omega).R[1]
+    assert np.max(np.abs(table(t) - ref)) <= 1e-15

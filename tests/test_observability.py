@@ -18,12 +18,12 @@ import pytest
 
 from visnav.errors import (CameraOnLandmarkError, InsufficientHistoryError,
                            TooFewLandmarksError, UnsupportedSpectrumError)
-from visnav.geom import I3, exp_so3
+from visnav.geom import I3, AttitudeTable, exp_so3
 from visnav.observability import (FULL_STATE_DIM, GramianReport,
-                                  HeldRateAttitude, check_mono_motion, check_stereo_condition,
+                                  check_mono_motion, check_stereo_condition,
                                   classify_static_degeneracy,
                                   gramian_continuous, gramian_discrete,
-                                  check_uniform_observability,
+                                  check_uniform_observability, held_rate,
                                   static_observability_matrix,
                                   transition_matrix)
 from visnav.observer import (ObserverState, build_A, innovation_mono,
@@ -144,13 +144,14 @@ def _held_product(imu, t0, t1):
 def test_held_rate_attitude_lookup():
     table = np.array([[0.0, 1, 2, 3, 4, 5, 6],
                       [0.1, 10, 20, 30, 40, 50, 60]], dtype=float)
-    att = HeldRateAttitude(table)
-    assert att.sample(-1.0) == 0            # clamped before start
-    assert att.sample(0.05) == 0            # held from the left
-    assert att.sample(0.1) == 1             # exact node
-    assert att.sample(0.1 - 1e-13) == 1     # a hair below snaps onto it
-    assert att.sample(5.0) == 1             # clamped after end
+    rate = held_rate(table)
     w0, w1 = table[0, 1:4], table[1, 1:4]
+    assert np.array_equal(rate(-1.0), w0)          # clamped before start
+    assert np.array_equal(rate(0.05), w0)          # held from the left
+    assert np.array_equal(rate(0.1), w1)           # exact node
+    assert np.array_equal(rate(0.1 - 1e-13), w1)   # a hair below snaps onto it
+    assert np.array_equal(rate(5.0), w1)           # clamped after end
+    att = AttitudeTable(table[:, 0], rate)
     R1 = exp_so3(0.1 * w0)
     assert np.max(np.abs(att(-1.0) - exp_so3(-w0))) <= 1e-15
     assert np.max(np.abs(att(0.05) - exp_so3(0.05 * w0))) <= 1e-15
@@ -160,10 +161,10 @@ def test_held_rate_attitude_lookup():
 
 def test_held_rate_attitude_matches_the_held_product(traj):
     # on the grid and off it, R(t0)^T R(t1) is the product of exp_so3 over
-    # the held pieces; the table carries no step of its own
+    # the held pieces; on a held rate a Magnus step is that exponential
     imu = np.array([[k / 200.0, *traj.omega(k / 200.0), 0.0, 0.0, 0.0]
                     for k in range(401)])
-    att = HeldRateAttitude(imu)
+    att = AttitudeTable(imu[:, 0], held_rate(imu))
     for k in (1, 7, 200, 400):
         ref = _held_product(imu, 0.0, imu[k, 0])
         assert np.max(np.abs(att.R[k] - ref)) <= 1e-12
