@@ -13,9 +13,11 @@ on PYTHONPATH:
 - continuous runs driven by an in-memory dataset through the dataset
   provider of `visnav.dataio`, one per measurement mode (stereo,
   monocular, position3d);
-- `EightTrajectory.rotation` at 6000 off-grid times over 30 s;
+- `EightTrajectory.rotation` at 6000 times over 30 s, off the 200 Hz
+  sample times;
 - `visnav simulate` and `visnav analyze` on a 6 s stereo dataset, keeping
-  lambda_min and lambda_max of each 2 s Gramian window;
+  the parsed columns of the simulated `imu.csv`, `groundtruth.csv` and
+  `bearings.csv`, and lambda_min and lambda_max of each 2 s Gramian window;
 - `gramian_continuous` over the stereo window [0, 2] of acceptance
   criterion 7, keeping lambda_min and lambda_max;
 - `transition_matrix` of the trajectory's rate at a few (t0, t1) pairs;
@@ -24,10 +26,10 @@ on PYTHONPATH:
   keeping the trace columns.
 The script reports, per run and field, whether the outputs agree exactly
 (R, p, v, e and P at every IMU step, the attitude at every query, the
-window eigenvalues, each Phi, the trace columns), or else their max |diff| over the
-run beside their |diff| at the last step (last window or query; both
-relative for the eigenvalues), so that a transient that later decays
-shows as such.  It exits 1 on any difference.
+simulated columns, the window eigenvalues, each Phi, the trace columns),
+or else their max |diff| over the run beside their |diff| at the last step
+(last window or query; both relative for the eigenvalues), so that a
+transient that later decays shows as such.  It exits 1 on any difference.
 """
 
 import argparse
@@ -55,13 +57,16 @@ estimator = hybrid
 k_r = 20
 """
 
+SIMULATED = ("imu", "groundtruth", "bearings")
+
 TRACE_COLUMNS = {"t": [0], "att_err": [1], "pos_err": [2], "vel_err": [3],
                  "p": [4, 5, 6], "v": [7, 8, 9], "R": list(range(10, 19))}
 
 
 def _cli(cfg_text, command, *extra):
     """Simulate a dataset from cfg_text, run `visnav command` on it, and
-    return the text of its output file."""
+    return the text of its output file and the parsed columns of the
+    simulated files in SIMULATED."""
     from visnav.cli import main
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
@@ -73,21 +78,26 @@ def _cli(cfg_text, command, *extra):
                       "--out", out, *extra]):
             if main(argv) != 0:
                 raise SystemExit(f"visnav {argv[0]} failed")
+        simulated = {f"simulate.{name}": np.loadtxt(
+            os.path.join(data, f"{name}.csv"), delimiter=",", skiprows=1)
+            for name in SIMULATED}
         with open(out, encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read(), simulated
 
 
 def _estimate_trace(seconds):
-    rows = np.loadtxt(_cli(ESTIMATE_CFG, "estimate", "--duration",
-                           str(seconds)).splitlines()[1:], delimiter=",")
+    text, _ = _cli(ESTIMATE_CFG, "estimate", "--duration", str(seconds))
+    rows = np.loadtxt(text.splitlines()[1:], delimiter=",")
     return {f"estimate.{name}": rows[:, cols]
             for name, cols in TRACE_COLUMNS.items()}
 
 
-def _analyze_windows():
-    windows = json.loads(_cli(ANALYZE_CFG, "analyze"))["windows"]
-    return {f"analyze.{key}": np.array([w[key] for w in windows])
-            for key in ("lambda_min", "lambda_max")}
+def _simulate_and_analyze():
+    text, simulated = _cli(ANALYZE_CFG, "analyze")
+    windows = json.loads(text)["windows"]
+    eigenvalues = {f"analyze.{key}": np.array([w[key] for w in windows])
+                   for key in ("lambda_min", "lambda_max")}
+    return {**simulated, **eigenvalues}
 
 
 def dump(path, seconds):
@@ -154,7 +164,7 @@ def dump(path, seconds):
     arrays["transition.Phi"] = np.stack([
         transition_matrix(traj.omega, GRAVITY, t0, t1)
         for t0, t1 in ((0.0, 0.05), (1.0, 1.0), (0.37, 2.9), (12.3, 15.0))])
-    arrays.update(_analyze_windows())
+    arrays.update(_simulate_and_analyze())
     arrays.update(_estimate_trace(seconds))
     np.savez(path, **arrays)
 

@@ -75,7 +75,7 @@ def _simulate(cfg, out_dir):
     n = int(round(cfg.duration * cfg.imu_rate))
     times = np.arange(n + 1) * dt
     # the rounded sample count may run up to dt/2 past the duration
-    traj = EightTrajectory(t_end=max(cfg.duration, times[-1]), dt=dt)
+    traj = EightTrajectory(t_end=max(cfg.duration, times[-1]))
     cams = mode_cameras(cfg.mode, default_stereo_rig(cfg.baseline))
     lms = sample_landmarks(cfg.n_landmarks, seed=cfg.seed)
 

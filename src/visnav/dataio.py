@@ -38,17 +38,13 @@ TRACE_HEADER = ("t,att_err,pos_err,vel_err,px,py,pz,vx,vy,vz,"
 _ESTIMATORS = ("continuous", "hybrid")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_rows(path, header, rows):
+    fmt = ",".join(["%.17g"] * len(header.split(","))) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) if not isinstance(v, str) else v
-                                  for v in row) + "\n")
+                fh.write(fmt % tuple(row))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -378,9 +374,12 @@ class RunConfig:
         if self.estimator not in _ESTIMATORS:
             raise ValidationError(f"estimator must be one of {_ESTIMATORS}, "
                                   f"got {self.estimator!r}")
-        for key in ("duration", "imu_rate", "vision_rate"):
+        for key in ("duration", "imu_rate", "vision_rate", "n_landmarks",
+                    "gramian_window", "mono_window"):
             if getattr(self, key) <= 0:
                 raise ValidationError(f"{key} must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         try:
             self.gain_config()
             self.noise_covariances()

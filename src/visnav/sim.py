@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LandmarkAtCameraError
-from .geom import I3, AttitudeTable, exp_so3
+from .geom import I3, exp_so3
 # dexpinv_body and project_to_rotation stay importable here: the
 # benchmark's span tracer (perfbench/tracer.py) wraps them in this namespace.
 from .geom import dexpinv_body, project_to_rotation  # noqa: F401
@@ -79,20 +79,18 @@ class PositionFrame:
 class EightTrajectory:
     """Figure-eight reference motion at constant height.
 
-    p(t) = 2 (sin t, sin t cos t, 1), so v = 2 (cos t, cos 2t, 0), with the
-    body rotation rate omega(t) = (-cos 2t, 1, sin 2t) integrated from
-    R(0) = I by a `geom.AttitudeTable` on a fixed grid, built once at
-    construction.  The last query's rotation is kept for a repeated query
-    time.
+    p(t) = 2 (sin t, sin t cos t, 1), so v = 2 (cos t, cos 2t, 0).  The body
+    rotation rate omega(t) = (-cos 2t, 1, sin 2t) is the constant
+    w0 = (-1, 1, 0) turned by 2t about the body y axis, so from R(0) = I
+    the attitude is the coning motion in closed form (Savage, J. Guid.
+    Control Dyn. 21(1), 1998), R(t) = exp(t [w0 + 2 e_y]x) exp(-2t [e_y]x).
+    The last query's rotation is kept for a repeated query time.
     """
 
-    def __init__(self, t_end: float = 30.0, dt: float = 1.0 / 200.0):
-        if t_end <= 0 or dt <= 0:
-            raise ValueError("t_end and dt must be positive")
+    def __init__(self, t_end: float = 30.0):
+        if t_end <= 0:
+            raise ValueError("t_end must be positive")
         self.t_end = float(t_end)
-        self.dt = float(dt)
-        n = int(np.ceil(self.t_end / self.dt - 1e-9))
-        self.attitude = AttitudeTable(np.arange(n + 1) * self.dt, self.omega)
         self._last = (None, None)       # the last rotation query (t, R)
 
     @staticmethod
@@ -117,7 +115,11 @@ class EightTrajectory:
             return self._last[1]
         if t < -1e-12 or t > self.t_end + 1e-9:
             raise ValueError(f"t={t} outside trajectory horizon [0, {self.t_end}]")
-        R = self.attitude(t)
+        # exp(t [w0 + 2 e_y]x), w0 + 2 e_y = (-1, 3, 0), then exp(-2t [e_y]x)
+        c, s = np.cos(2.0 * t), np.sin(2.0 * t)
+        R = exp_so3([-t, 3.0 * t, 0.0]) @ np.array([[c, 0.0, -s],
+                                                    [0.0, 1.0, 0.0],
+                                                    [s, 0.0, c]])
         self._last = (t, R)
         return R
 
@@ -129,10 +131,9 @@ class EightTrajectory:
         return self.omega(t), self.body_accel(t)
 
     def state(self, t: float) -> RigidBodyState:
-        R = self.rotation(t)
-        return RigidBodyState(t=float(t), R=R, p=self.position(t),
-                              v=self.velocity(t), omega=self.omega(t),
-                              a=R.T @ (self.vdot(t) - GRAVITY))
+        return RigidBodyState(t=float(t), R=self.rotation(t),
+                              p=self.position(t), v=self.velocity(t),
+                              omega=self.omega(t), a=self.body_accel(t))
 
 
 def sample_landmarks(n: int, low: float = -5.0, high: float = 5.0,

@@ -198,8 +198,9 @@ def test_criterion_04_nilpotency_and_factorization(eight):
         Phi = transition_matrix(omega_fn, G, t0, t1)
         ref = blkdiag_rt(eight.rotation(t1)) @ exp_abar(t1 - t0) \
             @ np.linalg.inv(blkdiag_rt(eight.rotation(t0)))
-        # the table and Phi share geom.AttitudeTable, so Phi is also held
-        # against an integration of the full 15x15 generator
+        # eight.rotation is the exact closed-form attitude, independent of
+        # the geom.AttitudeTable inside Phi; Phi is also held against an
+        # integration of the full 15x15 generator
         ode = _rk4_transition(eight.omega, t0, t1)
         worst = max(worst, float(np.max(np.abs(Phi - ref))),
                     float(np.max(np.abs(Phi - ode))))

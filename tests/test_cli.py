@@ -151,6 +151,33 @@ def test_invalid_gains_fail_with_one_line(tmp_path, capsys, line, needle):
     assert err == f"visnav: bad.cfg: {needle}\n"
 
 
+@pytest.mark.parametrize("line,needle", [
+    ("gramian_window = 0", "gramian_window must be positive"),
+    ("gramian_window = -1", "gramian_window must be positive"),
+    ("mono_window = 0", "mono_window must be positive"),
+    ("mono_window = -2", "mono_window must be positive"),
+    ("n_landmarks = 0", "n_landmarks must be positive"),
+    ("n_landmarks = -1", "n_landmarks must be positive"),
+    ("seed = -1", "seed must be non-negative"),
+])
+def test_invalid_counts_and_windows_fail_with_one_line(tmp_path, capsys,
+                                                       line, needle):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"mode = stereo\nduration = 0.3\n{line}\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"visnav: bad.cfg: {needle}\n"
+
+
+def test_negative_seed_override_fails_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = stereo\nduration = 0.3\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d"),
+               "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "visnav: seed must be non-negative\n"
+
+
 def test_simulate_duration_off_the_imu_grid(tmp_path):
     # 1.0035 s at 200 Hz rounds to 201 steps: the last sample, at 1.005 s,
     # lies past the duration

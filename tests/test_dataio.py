@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from visnav.dataio import (Dataset, DatasetProvider, RunConfig, TraceRecord,
-                           TRACE_HEADER, apply_overrides, interpolating_imu,
+from visnav.dataio import (IMU_HEADER, LANDMARKS_HEADER, TRACE_HEADER,
+                           Dataset, DatasetProvider, RunConfig, TraceRecord,
+                           apply_overrides, interpolating_imu,
                            load_config, load_dataset, read_trace,
                            save_dataset, write_trace)
 from visnav.errors import IoError, ParseError, ValidationError
@@ -241,6 +242,34 @@ def test_trace_zero_error_record(tmp_path):
     write_trace(str(path), [rec])
     back = read_trace(str(path))
     assert back[0].att_err == 0.0 and np.array_equal(back[0].R, np.eye(3))
+
+
+def test_writers_print_each_value_to_17_significant_digits(tmp_path):
+    # the row format string prints what format(float(v), ".17g") prints
+    # per value, on special values and on integer id columns alike
+    rng = np.random.default_rng(4)
+    scaled = rng.normal(size=13) * 10.0 ** rng.integers(-300, 300, 13)
+    vals = np.concatenate([[-0.0, 5e-324, np.inf, -np.inf, np.nan, 1.0 / 3.0],
+                           scaled])
+
+    def expect(header, rows):
+        return "".join([header + "\n"] + [
+            ",".join(format(float(v), ".17g") for v in row) + "\n"
+            for row in rows]).encode()
+
+    rec = TraceRecord(t=vals[0], att_err=vals[1], pos_err=vals[2],
+                      vel_err=vals[3], p=vals[4:7], v=vals[7:10],
+                      R=vals[10:19].reshape(3, 3))
+    write_trace(str(tmp_path / "trace.csv"), [rec])
+    assert (tmp_path / "trace.csv").read_bytes() == expect(TRACE_HEADER,
+                                                           [rec.row()])
+    imu = np.stack([vals[:7], vals[7:14], vals[12:]])
+    lms = [Landmark(7, vals[:3]), Landmark(12, vals[16:])]
+    save_dataset(str(tmp_path / "ds"), Dataset(imu=imu, landmarks=lms))
+    assert (tmp_path / "ds" / "imu.csv").read_bytes() == expect(IMU_HEADER,
+                                                                imu)
+    assert (tmp_path / "ds" / "landmarks.csv").read_bytes() == expect(
+        LANDMARKS_HEADER, [[lm.id, *lm.p] for lm in lms])
 
 
 def test_trace_requires_records(tmp_path):

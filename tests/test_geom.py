@@ -253,11 +253,15 @@ def test_attitude_table_exact_for_held_rate_and_fourth_order():
     def integrate(n):
         return AttitudeTable(np.arange(n + 1) / n, eight_omega).R[-1]
 
-    ref = integrate(640)
-    assert is_rotation(ref, tol=1e-12)
-    e10, e20 = (np.max(np.abs(integrate(n) - ref)) for n in (10, 20))
+    # the exact R(1) of that coning motion: exp([w0 + 2 e_y]x) exp(-2 [e_y]x)
+    # with w0 = (-1, 1, 0) the rate at t = 0
+    c, s = np.cos(2.0), np.sin(2.0)
+    ref = exp_so3([-1.0, 3.0, 0.0]) @ np.array([[c, 0.0, -s],
+                                                 [0.0, 1.0, 0.0],
+                                                 [s, 0.0, c]])
+    e10, e20, e40 = (np.max(np.abs(integrate(n) - ref)) for n in (10, 20, 40))
     # halving the step divides a fourth-order global error by about 16
-    assert 12.0 < e10 / e20 < 20.0
+    assert 15.5 < e10 / e20 < 16.5 and 15.5 < e20 / e40 < 16.5
 
 
 def test_exp_so3_stack_matches_single_vectors():
