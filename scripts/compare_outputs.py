@@ -13,6 +13,9 @@ on PYTHONPATH:
 - continuous runs driven by an in-memory dataset through the dataset
   provider of `visnav.dataio`, one per measurement mode (stereo,
   monocular, position3d);
+- a stereo continuous run through the dataset provider on a rig whose
+  second camera is rotated, with camera 1's bearing of landmark 4 left
+  out of every third frame (`dataset.masked-rig`);
 - `EightTrajectory.rotation` at 6000 times over 30 s, off the 200 Hz
   sample times;
 - `visnav simulate` and `visnav analyze` on a 6 s stereo dataset, keeping
@@ -108,9 +111,9 @@ def dump(path, seconds):
     from visnav.observer import (GainConfig, MonoBearingSource, ObserverState,
                                  PositionSource, StereoBearingSource,
                                  innovation_stereo, run_continuous)
-    from visnav.sim import (GRAVITY, EightTrajectory, default_stereo_rig,
-                            make_bearing_frame, make_position_frame,
-                            sample_landmarks)
+    from visnav.sim import (GRAVITY, CameraExtrinsics, EightTrajectory,
+                            default_stereo_rig, make_bearing_frame,
+                            make_position_frame, sample_landmarks)
 
     traj = EightTrajectory(t_end=max(30.0, seconds))
     lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
@@ -124,6 +127,15 @@ def dump(path, seconds):
                  positions=[make_position_frame(st, lms)
                             for st in frame_states],
                  extrinsics=cams)
+
+    rig = [cams[0], CameraExtrinsics(cams[1].cam_id,
+                                     exp_so3(np.array([0.05, -0.1, 0.2])),
+                                     cams[1].p)]
+    rig_frames = [make_bearing_frame(st, lms, rig) for st in frame_states]
+    for frame in rig_frames[2::3]:
+        del frame.obs[(1, 4)]
+    rig_ds = Dataset(imu=ds.imu, landmarks=lms, bearings=rig_frames,
+                     extrinsics=rig)
 
     def continuous(imu, provider):
         return run_continuous(ObserverState.initial(R=R0), imu, provider,
@@ -145,6 +157,8 @@ def dump(path, seconds):
         runs[f"dataset.{mode}"] = (
             lambda mode=mode: continuous(interpolating_imu(ds.imu),
                                          DatasetProvider(ds, mode)))
+    runs["dataset.masked-rig"] = lambda: continuous(
+        interpolating_imu(rig_ds.imu), DatasetProvider(rig_ds, "stereo"))
     arrays = {}
     for name, states in runs.items():
         states = states()
@@ -206,7 +220,7 @@ def main():
             detail = (f"DIFFERS (max {kind} {diff.max():.3g}, "
                       f"last step {diff[-1].max():.3g})")
         same &= detail == "identical"
-        print(f"{key:22s} {a.shape[0]:5d} rows  {detail}")
+        print(f"{key:26s} {a.shape[0]:5d} rows  {detail}")
     print("all outputs bit-identical" if same else "outputs differ")
     return 0 if same else 1
 

@@ -21,9 +21,11 @@ from .hybrid import NoiseCovariances
 # innovation_{position,stereo,mono} stay importable here: the benchmark's
 # span tracer (perfbench/tracer.py) wraps them in this namespace.
 from .observer import (MODES, FrameSource, GainConfig,  # noqa: F401
-                       ObserverState, innovation_mono, innovation_position,
-                       innovation_stereo, mode_cameras)
-from .sim import BearingFrame, CameraExtrinsics, Landmark, PositionFrame
+                       ObserverState, bearing_blocks, frame_arrays,
+                       innovation_mono, innovation_position, innovation_stereo,
+                       linear_output, mode_cameras, position_blocks)
+from .sim import (BearingFrame, CameraExtrinsics, Landmark, PositionFrame,
+                  rig_arrays)
 
 IMU_HEADER = "t,wx,wy,wz,ax,ay,az"
 LANDMARKS_HEADER = "id,x,y,z"
@@ -490,39 +492,74 @@ class DatasetProvider(FrameSource):
     """Continuous-time linear output t -> (y, C) | None from the sampled
     frame stream of a measurement mode (see Dataset.frames).
 
-    Observations are interpolated linearly between bracketing frames for
-    the keys present in both, bearings then renormalized; outside the
-    stream the provider reports no measurement.  A stereo landmark that
-    one camera misses is kept through the other camera's bearing.  The
+    The frames are stacked once: Y[f, l, k] is frame f's observation of
+    the l-th landmark (ascending ids) by the k-th camera of the mode (one
+    column for positions), and seen[f, l, k] marks the ones present.  A
+    query blends its two bracketing frames linearly on the keys both see,
+    bearings then renormalized (a key blending to norm <= 1e-9 is
+    dropped), and hands the landmarks left to the blocks kernel; outside
+    the stream, or with no key left, the provider reports no measurement.
+    A stereo landmark that one camera misses is kept through the other
+    camera's bearing.  frame_at(t) is the same blend as a frame.  The
     (y, C) of the last two query times are kept (FrameSource).
     """
 
     def __init__(self, ds: Dataset, mode: str):
         super().__init__(mode_cameras(mode, ds.extrinsics),
                          sorted(ds.landmarks, key=lambda lm: lm.id))
-        self.frames = ds.frames(mode)
-        self.times = np.array([fr.t for fr in self.frames])
+        frames = ds.frames(mode)
+        self._unit = mode != "position3d"
+        self.times = [fr.t for fr in frames]
+        self._p = np.array([lm.p for lm in self.lms],
+                           dtype=float).reshape(-1, 3)
+        self._rig = rig_arrays(self.cams)
+        stacked = [frame_arrays(fr, self.cams, self.lms) for fr in frames]
+        shape = (len(frames), len(self.lms),
+                 len(self.cams) if self._unit else 1)
+        self._Y = np.array([Y for Y, _ in stacked]).reshape(shape + (3,))
+        self._seen = np.array([seen for _, seen in stacked],
+                              dtype=bool).reshape(shape)
+
+    def _blend(self, t):
+        """(rows, Y, seen) at t: the mask of the landmarks seen, and their
+        blended observations (unseen entries 0) and seen mask; None when
+        no landmark is seen."""
+        times = self.times
+        if not times or t < times[0] - 1e-9 or t > times[-1] + 1e-9:
+            return None
+        k = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 1)
+        hi = min(k + 1, len(times) - 1)
+        w = 0.0 if hi == k else (t - times[k]) / (times[hi] - times[k])
+        seen = self._seen[k] & self._seen[hi]
+        Y = (1.0 - w) * self._Y[k] + w * self._Y[hi]
+        if self._unit:
+            n = np.sqrt((Y * Y).sum(axis=-1))
+            seen &= n > 1e-9
+            Y = np.where(seen[..., None],
+                         Y / np.where(seen, n, 1.0)[..., None], 0.0)
+        rows = seen.any(axis=-1)
+        if not rows.any():
+            return None
+        return rows, Y[rows], seen[rows]
+
+    def output(self, t):
+        blend = self._blend(t)
+        if blend is None:
+            return None
+        rows, Y, seen = blend
+        if self._unit:
+            return linear_output(bearing_blocks(self._p[rows], Y, seen,
+                                                *self._rig))
+        return linear_output(position_blocks(self._p[rows], Y[:, 0]))
 
     def frame_at(self, t):
-        times = self.times
-        if times.size == 0 or t < times[0] - 1e-9 or t > times[-1] + 1e-9:
+        blend = self._blend(t)
+        if blend is None:
             return None
-        k = int(np.clip(np.searchsorted(times, t, side="right") - 1,
-                        0, times.size - 1))
-        if k == times.size - 1:
-            lo = hi = self.frames[k]
-            blend = 0.0
-        else:
-            lo, hi = self.frames[k], self.frames[k + 1]
-            blend = (t - lo.t) / (hi.t - lo.t)
-        unit = isinstance(lo, BearingFrame)
-        obs = {}
-        for key in lo.obs.keys() & hi.obs.keys():
-            y = (1.0 - blend) * lo.obs[key] + blend * hi.obs[key]
-            if unit:
-                n = np.linalg.norm(y)
-                if n <= 1e-9:
-                    continue
-                y = y / n
-            obs[key] = y
-        return type(lo)(t=t, obs=obs) if obs else None
+        rows, Y, seen = blend
+        ids = [lm.id for lm, r in zip(self.lms, rows) if r]
+        if not self._unit:
+            return PositionFrame(t=t, obs=dict(zip(ids, Y[:, 0])))
+        return BearingFrame(t=t, obs={
+            (self.cams[k].cam_id, ids[i]): Y[i, k]
+            for i, k in zip(*np.nonzero(seen))})

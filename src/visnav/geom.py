@@ -9,6 +9,7 @@ the attitude from a rate.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -86,7 +87,9 @@ def exp_so3(v) -> np.ndarray:
     3-vector or of each row of an (n, 3) stack.
 
     Small angles fall back to the quadratic series, which is exact at v = 0
-    and accurate to machine precision below the switch point.
+    and accurate to machine precision below the switch point.  One vector
+    takes the formula on Python floats, I + A S + B (v v^T - th^2 I) entry
+    by entry, within an ulp or two of the stack's.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim > 1:  # a stack: row j of skew(v) is e_j x v
@@ -96,24 +99,33 @@ def exp_so3(v) -> np.ndarray:
         A = np.where(small, 1.0, np.sin(th) / th)
         B = np.where(small, 0.5, (1.0 - np.cos(th)) / (th * th))
         return I3 + A * S + B * (S @ S)
-    th = np.linalg.norm(v)
-    S = skew(v)
+    x, y, z = v.tolist()
+    xx, yy, zz = x * x, y * y, z * z
+    th = math.sqrt(xx + yy + zz)
     if th < 1e-8:
-        return I3 + S + 0.5 * (S @ S)
-    A = np.sin(th) / th
-    B = (1.0 - np.cos(th)) / (th * th)
-    return I3 + A * S + B * (S @ S)
+        A, B = 1.0, 0.5
+    else:
+        A, B = math.sin(th) / th, (1.0 - math.cos(th)) / (th * th)
+    ax, ay, az = A * x, A * y, A * z
+    bxy, bxz, byz = B * (x * y), B * (x * z), B * (y * z)
+    return np.array([[1.0 - B * (yy + zz), bxy - az, bxz + ay],
+                     [bxy + az, 1.0 - B * (xx + zz), byz - ax],
+                     [bxz - ay, byz + ax, 1.0 - B * (xx + yy)]])
 
 
 def dist_identity(R) -> float:
     """Normalized distance of a rotation from the identity.
 
-    sqrt(tr(I - R)/4), in [0, 1]; equals sin(angle/2) of the rotation angle.
-    The trace argument is clamped to [0, 4] against roundoff.
+    sin(th/2) of the rotation angle th = atan2(|psi_antisym(R)|,
+    (tr R - 1)/2), in [0, 1]; equals sqrt(tr(I - R)/4) on SO(3).  The
+    angle form reads small angles to full relative precision, and an
+    orthogonality defect of R only to first order.
     """
-    R = np.asarray(R, dtype=float)
-    t = float(np.clip(np.trace(I3 - R), 0.0, 4.0))
-    return float(np.sqrt(t / 4.0))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = \
+        np.asarray(R, dtype=float).tolist()
+    s = 0.5 * math.sqrt((r21 - r12) ** 2 + (r02 - r20) ** 2
+                        + (r10 - r01) ** 2)
+    return math.sin(0.5 * math.atan2(s, 0.5 * (r00 + r11 + r22 - 1.0)))
 
 
 def rotation_axis(R, tol: float = 1e-9):

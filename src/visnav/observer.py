@@ -16,8 +16,11 @@ import numpy as np
 
 from .errors import NonFiniteStateError, NotUnitError, UnknownLandmarkError
 from .geom import I3, dexpinv_body, exp_so3, project_to_rotation, skew
-from .sim import (GRAVITY, PositionFrame, make_bearing_frame,
-                  make_position_frame)
+from .sim import (GRAVITY, PositionFrame, rig_arrays, synth_bearings,
+                  synth_positions)
+# make_bearing_frame and make_position_frame stay importable here: the
+# benchmark's span tracer (perfbench/tracer.py) wraps them in this namespace.
+from .sim import make_bearing_frame, make_position_frame  # noqa: F401
 
 I15 = np.eye(15)
 
@@ -139,54 +142,76 @@ def landmark_blocks(frame, cams, lms):
 
     Every mode gives a linear constraint Pi z = b on each body-frame
     landmark position z, so y = -b = C x (linear_output).  A PositionFrame
-    gives Pi = I and b = z.  A BearingFrame gives Pi = sum_c pi(R_c y_c)
-    and b = sum_c pi(R_c y_c) c_c over the cameras in cams that see the
-    landmark; observations of other cameras are ignored, and a landmark
-    keeps the projectors of the cameras that see it.  Rows follow
-    ascending landmark ids and the camera sum ascending cam ids.  p is
-    (L, 3), Pi (L, 3, 3) and b (L, 3).
+    gives Pi = I and b = z (position_blocks).  A BearingFrame gives the
+    bearing_blocks of the cameras in cams that see each landmark;
+    observations of other cameras are ignored.  Rows follow ascending
+    landmark ids and the camera sum ascending cam ids.  p is (L, 3),
+    Pi (L, 3, 3) and b (L, 3).
 
     Raises UnknownLandmarkError for a landmark outside lms and NotUnitError
     for a rotated bearing whose norm is off 1 by more than 1e-6.
     """
-    lm_map = {lm.id: lm for lm in lms}
-    if isinstance(frame, PositionFrame):
-        ids = sorted(frame.obs)
-        b = np.array([frame.obs[i] for i in ids], dtype=float).reshape(-1, 3)
-        return (_landmark_positions(ids, lm_map),
-                np.broadcast_to(I3, (len(ids), 3, 3)), b)
+    lms = sorted(lms, key=lambda lm: lm.id)
     cams = sorted(cams, key=lambda c: c.cam_id)
-    col = {c.cam_id: k for k, c in enumerate(cams)}
-    by_lm: dict = {}
-    for (cam_id, lm_id), y in frame.obs.items():
-        if cam_id in col:
-            by_lm.setdefault(lm_id, {})[col[cam_id]] = y
-    ids = sorted(by_lm)
-    p = _landmark_positions(ids, lm_map)
-    Y = np.zeros((len(ids), len(cams), 3))
-    seen = np.zeros((len(ids), len(cams)), dtype=bool)
-    for i, lm_id in enumerate(ids):
-        for k, y in by_lm[lm_id].items():
-            Y[i, k] = y
-            seen[i, k] = True
-    Rc = np.array([c.R for c in cams]).reshape(-1, 3, 3)
-    X = (Rc @ Y[..., None])[..., 0]                # R_c y_c
+    Y, seen = frame_arrays(frame, cams, lms)
+    rows = seen.any(axis=-1)
+    p = np.array([lm.p for lm in lms], dtype=float).reshape(-1, 3)[rows]
+    if isinstance(frame, PositionFrame):
+        return position_blocks(p, Y[rows, 0])
+    return bearing_blocks(p, Y[rows], seen[rows], *rig_arrays(cams))
+
+
+def frame_arrays(frame, cams, lms):
+    """A frame's observations stacked over lms and cams in their given
+    order: Y (L, K, 3), and seen (L, K) marking the ones present, whose
+    entries are 0 otherwise.  A PositionFrame fills one column (K = 1);
+    observations of cameras outside cams are ignored.
+
+    Raises UnknownLandmarkError for a landmark outside lms.
+    """
+    position = isinstance(frame, PositionFrame)
+    row = {lm.id: i for i, lm in enumerate(lms)}
+    col = {None: 0} if position else {c.cam_id: k for k, c in enumerate(cams)}
+    Y = np.zeros((len(lms), len(col), 3))
+    seen = np.zeros(Y.shape[:-1], dtype=bool)
+    for key, y in frame.obs.items():
+        cam_id, lm_id = (None, key) if position else key
+        if cam_id not in col:
+            continue
+        if lm_id not in row:
+            raise UnknownLandmarkError(f"landmark {lm_id} not in the known map")
+        Y[row[lm_id], col[cam_id]] = y
+        seen[row[lm_id], col[cam_id]] = True
+    return Y, seen
+
+
+def position_blocks(p, z):
+    """(p, Pi, b) of body-frame landmark positions z (L, 3): Pi = I and
+    b = z."""
+    return p, np.broadcast_to(I3, (len(p), 3, 3)), z
+
+
+def bearing_blocks(p, Y, seen, Rc, c):
+    """(p, Pi, b) of stacked camera-frame bearings.
+
+    Y (L, K, 3) holds the bearing of landmark l, at p[l], in camera k of
+    a rig with rotations Rc (K, 3, 3) and centres c (K, 3); seen (L, K)
+    marks the bearings observed, and the others must be finite.  With
+    x = R_c y the rotated bearing, Pi = sum_c pi(x_c) and
+    b = sum_c pi(x_c) c_c over the cameras that see the landmark, in the
+    order of the rig.
+
+    Raises NotUnitError for a seen rotated bearing whose norm is off 1 by
+    more than 1e-6.
+    """
+    X = (Rc @ Y[..., None])[..., 0]
     norm = np.sqrt(np.einsum("lki,lki->lk", X, X))
     off = seen & (np.abs(norm - 1.0) > 1e-6)
     if off.any():
         raise NotUnitError(
             f"expected a unit vector, got norm {float(norm[off][0])!r}")
     proj = (I3 - X[..., :, None] * X[..., None, :]) * seen[..., None, None]
-    b = np.einsum("lkij,kj->li", proj,
-                  np.array([c.p for c in cams]).reshape(-1, 3))
-    return p, proj.sum(axis=1), b
-
-
-def _landmark_positions(ids, lm_map) -> np.ndarray:
-    for lm_id in ids:
-        if lm_id not in lm_map:
-            raise UnknownLandmarkError(f"landmark {lm_id} not in the known map")
-    return np.array([lm_map[i].p for i in ids], dtype=float).reshape(-1, 3)
+    return p, proj.sum(axis=1), np.einsum("lkij,kj->li", proj, c)
 
 
 def linear_output(blocks):
@@ -195,7 +220,9 @@ def linear_output(blocks):
     row block r_i^T (x) Pi_i per landmark, r_i = (1, -p_i, 0).  No estimate
     enters it."""
     p, Pi, b = blocks
-    r = np.hstack((np.ones((len(p), 1)), -p, np.zeros((len(p), 1))))
+    r = np.zeros((len(p), 5))
+    r[:, 0] = 1.0
+    r[:, 1:4] = -p
     return -b.reshape(-1), np.einsum("lj,lab->lajb", r, Pi).reshape(-1, 15)
 
 
@@ -266,17 +293,19 @@ def _body_frame(est: ObserverState) -> np.ndarray:
     return (np.vstack((est.p, est.e, est.v)) @ est.R).reshape(15)
 
 
-def _generator(imu_tau, out, cfg: GainConfig, V: np.ndarray):
+_DIAG = np.arange(10)
+
+
+def _generator(imu_tau, out, cfg: GainConfig, H0: np.ndarray):
     """(H, f, omega) at one stage time: Zdot = H Z + f e_16^T with
     H = [[A, V], [S, -A^T]], S = C^T Q C, and f the IMU forcing a of the
     velocity rows of x and the measurement forcing -C^T Q y of lambda for
-    the linear output (y, C)."""
+    the linear output (y, C).  H0 is _template(cfg): H at omega = 0 and
+    S = 0, so H takes -skew(omega) into its ten diagonal 3 x 3 blocks
+    (those of A and of -A^T alike) and S."""
     omega, a = imu_tau
-    A = build_A(omega, cfg.gravity)
-    H = np.zeros((30, 30))
-    H[:15, :15] = A
-    H[:15, 15:] = V
-    H[15:, 15:] = -A.T
+    H = H0.copy()
+    H.reshape(10, 3, 10, 3)[_DIAG, :, _DIAG, :] = -skew(omega)
     f = np.zeros(30)
     f[12:15] = a
     if out is not None:
@@ -285,6 +314,16 @@ def _generator(imu_tau, out, cfg: GainConfig, V: np.ndarray):
         H[15:, :15] = CtQ @ C
         f[15:] = -CtQ @ y
     return H, f, omega
+
+
+def _template(cfg: GainConfig) -> np.ndarray:
+    """The generator H of one step at omega = 0 and S = 0 (_generator)."""
+    A = build_A(np.zeros(3), cfg.gravity)
+    H0 = np.zeros((30, 30))
+    H0[:15, :15] = A
+    H0[:15, 15:] = cfg.v_matrix()
+    H0[15:, 15:] = -A.T
+    return H0
 
 
 _FIELDS = ("R", "p", "v", "e", "P")
@@ -341,31 +380,35 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
         outs[2] = None
     measured = any(out is not None for out in outs)
 
-    R0, xi0, V = est.R, _body_frame(est), cfg.v_matrix()
-    g0, g1, g2 = (_generator(imu_tau, out, cfg, V)
+    R0, xi0, H0 = est.R, _body_frame(est), _template(cfg)
+    g0, g1, g2 = (_generator(imu_tau, out, cfg, H0)
                   for (imu_tau, _), out in zip(queried, outs))
     Z0 = np.zeros((30, 16))
     Z0[:15, :15] = est.P
     Z0[:15, 15] = xi0
     Z0[15:, :15] = I15
 
-    def stage(g, c, k):
-        """(Zdot, sig_dot) with generator g at Z0 + c k[0], sig = c k[1]."""
-        H, f, omega = g
+    def at(c, k):
+        """(Z, sig, xi, R) at Z0 + c k[0], sig = c k[1]."""
         Z, sig = Z0 + c * k[0], c * k[1]
         xi = Z[:15, 15]
         if measured:            # lambda != 0: xi = x - X Y^-1 lambda
             xi = xi - Z[:15, :15] @ np.linalg.solve(Z[15:, :15], Z[15:, 15])
-        R = R0 @ exp_so3(sig)
+        return Z, sig, xi, R0 @ exp_so3(sig)
+
+    def stage(g, Z, sig, xi, R):
+        """(Zdot, sig_dot) with generator g at (Z, sig, xi, R)."""
+        H, f, omega = g
         dZ = H @ Z
         dZ[:, 15] += f
         s_r = attitude_innovation(xi[3:12].reshape(3, 3) @ R.T, cfg)
         return dZ, dexpinv_body(sig, omega + R.T @ s_r)
 
-    k1 = stage(g0, 0.0, (Z0, np.zeros(3)))
-    k2 = stage(g1, 0.5 * dt, k1)
-    k3 = stage(g1, 0.5 * dt, k2)
-    k4 = stage(g2, dt, k3)
+    # stage 1 is at Z0 itself, where lambda = 0, sig = 0 and R = R0
+    k1 = stage(g0, Z0, np.zeros(3), xi0, R0)
+    k2 = stage(g1, *at(0.5 * dt, k1))
+    k3 = stage(g1, *at(0.5 * dt, k2))
+    k4 = stage(g2, *at(dt, k3))
     Z, sig = (y + (dt / 6.0) * (a + 2 * b + 2 * c + d)
               for y, a, b, c, d in zip((Z0, 0.0), k1, k2, k3, k4))
     P = np.linalg.solve(Z[15:, :15].T, Z[:15, :15].T).T
@@ -384,7 +427,8 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
 
 class FrameSource:
     """Continuous-time linear output t -> (y, C) | None (see linear_output)
-    from a measurement frame per query time, frame_at(t) -> frame | None.
+    from a measurement frame per query time, frame_at(t) -> frame | None;
+    a subclass may instead give the output itself, output(t).
 
     No estimate enters (y, C), so the finished output of the last two
     query times is kept: a step asks for t + dt/2 and t + dt, and the next
@@ -400,29 +444,47 @@ class FrameSource:
     def __call__(self, t: float):
         memo = self._outputs
         if t not in memo:
-            frame = self.frame_at(t)
+            out = self.output(t)
             if len(memo) == 2:
                 del memo[next(iter(memo))]          # the older query time
-            memo[t] = (None if frame is None else linear_output(
-                landmark_blocks(frame, self.cams, self.lms)))
+            memo[t] = out
         return memo[t]
+
+    def output(self, t: float):
+        """(y, C) of frame_at(t), or None without a frame."""
+        frame = self.frame_at(t)
+        return None if frame is None else linear_output(
+            landmark_blocks(frame, self.cams, self.lms))
 
 
 class TruthSource(FrameSource):
     """Continuous measurements of a mode synthesized, noise free, from a
     reference trajectory: bearings of the cameras mode_cameras(mode, cams)
-    or body-frame landmark positions."""
+    or body-frame landmark positions.
+
+    Each query synthesizes the whole frame as one array (sim.synth_bearings
+    or sim.synth_positions) and hands it to the blocks kernel; rows follow
+    ascending landmark ids, as landmark_blocks' of the frame would.
+    """
 
     def __init__(self, traj, lms, mode: str, cams=()):
-        super().__init__(mode_cameras(mode, cams), lms)
+        super().__init__(mode_cameras(mode, cams),
+                         sorted(lms, key=lambda lm: lm.id))
         self.traj = traj
         self.mode = mode
+        self._p = np.array([lm.p for lm in self.lms],
+                           dtype=float).reshape(-1, 3)
+        self._seen = np.ones((len(self.lms), len(self.cams)), dtype=bool)
+        self._rig = rig_arrays(self.cams)
 
-    def frame_at(self, t: float):
+    def output(self, t: float):
         state = self.traj.state(t)
         if self.mode == "position3d":
-            return make_position_frame(state, self.lms)
-        return make_bearing_frame(state, self.lms, self.cams)
+            return linear_output(position_blocks(
+                self._p, synth_positions(state, self.lms)))
+        return linear_output(bearing_blocks(
+            self._p, synth_bearings(state, self.lms, self.cams), self._seen,
+            *self._rig))
 
 
 def StereoBearingSource(traj, lms, cams) -> TruthSource:

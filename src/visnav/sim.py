@@ -150,38 +150,67 @@ def default_stereo_rig(baseline: float = 0.2) -> list:
             CameraExtrinsics(2, I3.copy(), np.array([0.0, +half, 0.0]))]
 
 
-def synth_bearing(state: RigidBodyState, lm: Landmark,
-                  cam: CameraExtrinsics) -> np.ndarray:
-    """Unit bearing to a landmark in the camera frame.
+def rig_arrays(cams):
+    """The rotations R (K, 3, 3) and centres p (K, 3) of cams, in the
+    given order."""
+    return (np.array([c.R for c in cams], dtype=float).reshape(-1, 3, 3),
+            np.array([c.p for c in cams], dtype=float).reshape(-1, 3))
+
+
+def synth_positions(state: RigidBodyState, landmarks) -> np.ndarray:
+    """Body-frame positions R^T (p_l - p) of the landmarks, (L, 3), each
+    row by the same elementwise operations whatever the others."""
+    d = np.array([lm.p for lm in landmarks], dtype=float).reshape(-1, 3)
+    return ((d - state.p)[:, :, None] * state.R).sum(axis=1)
+
+
+def synth_bearings(state: RigidBodyState, landmarks, cams) -> np.ndarray:
+    """Unit bearings of every landmark in every camera, (L, K, 3): row
+    [l, k] is the bearing to landmarks[l] in the frame of cams[k],
+    cam.R^T unit(z_l - cam.p) with z_l the body-frame landmark position.
 
     Raises
     ------
     LandmarkAtCameraError
-        If the landmark is within 1e-6 m of the optical center.
+        If a landmark is within 1e-6 m of an optical center; the first
+        such pair in camera-major order is named.
     """
-    r = state.R.T @ (lm.p - state.p) - cam.p
-    d = np.linalg.norm(r)
-    if d <= 1e-6:
+    Rc, c = rig_arrays(cams)
+    r = synth_positions(state, landmarks)[:, None, :] - c
+    d = np.sqrt((r * r).sum(axis=-1))
+    near = d <= 1e-6
+    if near.any():
+        k, i = np.argwhere(near.T)[0]
         raise LandmarkAtCameraError(
-            f"landmark {lm.id} is {d:.3e} m from camera {cam.cam_id}")
-    return cam.R.T @ (r / d)
+            f"landmark {landmarks[i].id} is {d[i, k]:.3e} m from camera "
+            f"{cams[k].cam_id}")
+    return ((r / d[..., None])[..., :, None] * Rc).sum(axis=-2)
+
+
+def synth_bearing(state: RigidBodyState, lm: Landmark,
+                  cam: CameraExtrinsics) -> np.ndarray:
+    """Unit bearing to a landmark in the camera frame (synth_bearings)."""
+    return synth_bearings(state, [lm], [cam])[0, 0]
 
 
 def synth_position(state: RigidBodyState, lm: Landmark) -> np.ndarray:
-    """Landmark position expressed in the body frame."""
-    return state.R.T @ (lm.p - state.p)
+    """Landmark position expressed in the body frame (synth_positions)."""
+    return synth_positions(state, [lm])[0]
 
 
 def make_bearing_frame(state: RigidBodyState, landmarks, cams) -> BearingFrame:
     """Synthesize one bearing frame: every landmark in every camera."""
+    Y = synth_bearings(state, landmarks, cams)
     return BearingFrame(t=state.t,
-                        obs={(cam.cam_id, lm.id): synth_bearing(state, lm, cam)
-                             for cam in cams for lm in landmarks})
+                        obs={(cam.cam_id, lm.id): Y[i, k]
+                             for k, cam in enumerate(cams)
+                             for i, lm in enumerate(landmarks)})
 
 
 def make_position_frame(state: RigidBodyState, landmarks) -> PositionFrame:
+    Z = synth_positions(state, landmarks)
     return PositionFrame(t=state.t,
-                         obs={lm.id: synth_position(state, lm) for lm in landmarks})
+                         obs={lm.id: z for lm, z in zip(landmarks, Z)})
 
 
 def apply_noise(frame: BearingFrame, sigma: float, seed: int) -> BearingFrame:

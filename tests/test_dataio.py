@@ -439,6 +439,108 @@ def test_bearing_provider_mono_mode():
     assert C.shape == (6, 15)
 
 
+def _edge_dataset():
+    """Three landmarks seen by a rig whose cameras are both rotated, in
+    two frames at t = 0.1 and 0.3."""
+    lms = [Landmark(i, p) for i, p in enumerate(
+        np.array([[2.0, 0.0, 1.0], [-1.0, 2.0, 0.5], [0.5, -3.0, 2.0]]))]
+    cams = [CameraExtrinsics(1, exp_so3(np.array([0.2, 0.1, -0.3])),
+                             np.array([0.0, 0.1, 0.0])),
+            CameraExtrinsics(2, exp_so3(np.array([-0.1, 0.4, 0.2])),
+                             np.array([0.0, -0.1, 0.0]))]
+    rng = np.random.default_rng(11)
+    frames = [BearingFrame(t=t, obs={(c.cam_id, lm.id):
+                                     _unit(rng.normal(size=3))
+                                     for c in cams for lm in lms})
+              for t in (0.1, 0.3)]
+    imu = np.array([[0.0, 0, 0, 0, 0, 0, 9.81], [1.0, 0, 0, 0, 0, 0, 9.81]])
+    return Dataset(imu=imu, landmarks=lms, bearings=frames, extrinsics=cams)
+
+
+def _dict_blend(frames, t):
+    """The bracket blend key by key: the keys both frames hold, blended
+    linearly, renormalized, and dropped at norm <= 1e-9; the last frame
+    alone at its own time."""
+    lo, hi = frames
+    if t >= hi.t:
+        lo = hi
+    w = 0.0 if lo is hi else (t - lo.t) / (hi.t - lo.t)
+    obs = {}
+    for key in lo.obs.keys() & hi.obs.keys():
+        y = (1.0 - w) * lo.obs[key] + w * hi.obs[key]
+        if np.linalg.norm(y) > 1e-9:
+            obs[key] = y / np.linalg.norm(y)
+    return obs
+
+
+def _check_provider(prov, ds, t, cams):
+    """prov(t) is the linear output of prov.frame_at(t), bit for bit, and
+    frame_at(t) the key-by-key blend of the mode's cameras."""
+    frame = prov.frame_at(t)
+    ref = {key: y for key, y in _dict_blend(ds.bearings, t).items()
+           if key[0] in {c.cam_id for c in cams}}
+    assert set(frame.obs) == set(ref)
+    for key, y in ref.items():
+        assert np.max(np.abs(frame.obs[key] - y)) <= 1e-15
+    y, C = prov(t)
+    y_ref, C_ref = linear_output(landmark_blocks(frame, cams, ds.landmarks))
+    assert np.array_equal(y, y_ref) and np.array_equal(C, C_ref)
+    return frame, C
+
+
+def test_bearing_provider_drops_a_key_that_blends_to_zero():
+    ds = _edge_dataset()
+    lo, hi = ds.bearings
+    hi.obs[(1, 0)] = -lo.obs[(1, 0)]
+    frame, C = _check_provider(DatasetProvider(ds, "stereo"), ds, 0.2,
+                               ds.extrinsics)
+    assert set(lo.obs) - set(frame.obs) == {(1, 0)}
+    assert C.shape == (9, 15)
+    # landmark 0 keeps camera 2's projector alone: trace 2, not 4
+    assert np.trace(C[0:3, 0:3]) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_bearing_provider_without_a_shared_key_reports_nothing():
+    ds = _edge_dataset()
+    lo, hi = ds.bearings
+    for key in list(lo.obs):
+        del (lo if key[1] == 0 else hi).obs[key]
+    for mode in ("stereo", "monocular"):
+        prov = DatasetProvider(ds, mode)
+        for t in (0.1, 0.2, 0.29):
+            assert prov(t) is None and prov.frame_at(t) is None
+        assert prov(0.3) is not None        # the last frame on its own
+
+
+def test_bearing_provider_keeps_one_projector_of_a_single_camera():
+    ds = _edge_dataset()
+    for fr in ds.bearings:
+        del fr.obs[(2, 1)]
+    for t in (0.1, 0.17, 0.3):
+        frame, C = _check_provider(DatasetProvider(ds, "stereo"), ds, t,
+                                   ds.extrinsics)
+        assert C.shape == (9, 15)
+        traces = [np.trace(C[3 * i:3 * i + 3, 0:3]) for i in range(3)]
+        assert traces == pytest.approx([4.0, 2.0, 4.0], abs=1e-12)
+
+
+def test_monocular_provider_ignores_the_second_camera():
+    ds = _edge_dataset()
+    lo, hi = ds.bearings
+    del lo.obs[(1, 2)]
+    cam1 = ds.extrinsics[:1]
+    prov = DatasetProvider(ds, "monocular")
+    for t in (0.1, 0.25, 0.3):
+        frame, C = _check_provider(prov, ds, t, cam1)
+        assert {cam_id for cam_id, _ in frame.obs} == {1}
+        assert C.shape == (3 * len(frame.obs), 15) and len(frame.obs) >= 2
+    # camera 1 sees nothing shared while camera 2 still does
+    for lm_id in (0, 1):
+        del hi.obs[(1, lm_id)]
+    assert DatasetProvider(ds, "monocular")(0.2) is None
+    assert DatasetProvider(ds, "stereo")(0.2)[1].shape == (9, 15)
+
+
 def test_position_provider_interpolates():
     lms = [Landmark(0, np.array([2.0, 0.0, 1.0]))]
     frames = [PositionFrame(t=0.0, obs={0: np.array([1.0, 0.0, 0.0])}),

@@ -124,6 +124,20 @@ def test_dist_identity_values():
         assert 0.0 <= d <= 1.0
 
 
+def test_dist_identity_reads_small_angles_and_defects_exactly():
+    # the angle form reads a 1e-9 rad rotation to full precision, where
+    # sqrt(tr(I - R)/4) reads 0 (the trace rounds to 3), and an
+    # orthogonality defect of 1e-13 to first order, where the trace form
+    # reads about its square root
+    u = np.array([1.0, -2.0, 2.0]) / 3.0
+    assert abs(dist_identity(exp_so3(1e-9 * u)) - np.sin(0.5e-9)) <= 1e-12
+    D = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.5], [-0.2, 0.5, 1.5]])
+    assert abs(dist_identity(I3 - 1e-13 * D)) <= 1e-12
+    R = exp_so3(0.7 * u)
+    th = np.arctan2(np.linalg.norm(psi_antisym(R)), 0.5 * (np.trace(R) - 1))
+    assert abs(dist_identity(R - 1e-13 * D) - np.sin(0.5 * th)) <= 1e-12
+
+
 def test_rotation_axis():
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -311,3 +325,23 @@ def test_attitude_table_matches_stepwise_projected_integration():
     t = ts[137] + 0.4 * dt
     ref = table.R[137] @ AttitudeTable([ts[137], t], eight_omega).R[1]
     assert np.max(np.abs(table(t) - ref)) <= 1e-15
+
+
+def test_exp_so3_single_vector_matches_the_stack():
+    # the single-vector path (Python floats) agrees with the stack branch
+    # to an ulp or two at zero, below the series switch, at random angles
+    # and up to a half-turn
+    rng = np.random.default_rng(32)
+    th = np.concatenate([np.zeros(1), [1e-12, 1e-9, 0.99e-8],
+                         rng.uniform(0.0, 1e-8, 46),
+                         rng.uniform(0.0, np.pi, 300),
+                         np.pi - rng.uniform(0.0, 1e-6, 48), [np.pi, np.pi]])
+    u = rng.normal(size=(len(th), 3))
+    V = th[:, None] * (u / np.linalg.norm(u, axis=1)[:, None])
+    for v, R in zip(V, exp_so3(V)):
+        single = exp_so3(v)
+        assert single.shape == (3, 3)
+        assert np.max(np.abs(single - R)) <= 1e-15
+    assert np.array_equal(exp_so3(np.zeros(3)), I3)
+    assert np.array_equal(exp_so3([0.1, -0.2, 0.3]),
+                          exp_so3(np.array([0.1, -0.2, 0.3])))

@@ -8,8 +8,8 @@ import visnav.observer as observer
 from visnav.cli import main
 from visnav.dataio import (Dataset, DatasetProvider, interpolating_imu,
                            load_config, load_dataset)
-from visnav.errors import (NonFiniteStateError, NotUnitError,
-                           UnknownLandmarkError)
+from visnav.errors import (LandmarkAtCameraError, NonFiniteStateError,
+                           NotUnitError, UnknownLandmarkError)
 from visnav.geom import (E3, I3, dist_identity, exp_so3, pi_proj,
                          psi_antisym, random_rotation, skew)
 from visnav.observer import (MODES, GainConfig, ObserverState, TruthSource,
@@ -568,8 +568,8 @@ def test_truth_source_synthesizes_once_per_stage_time(monkeypatch):
         queries.append(t)
         return source(t)
 
-    make = observer.make_bearing_frame
-    monkeypatch.setattr(observer, "make_bearing_frame",
+    make = observer.synth_bearings
+    monkeypatch.setattr(observer, "synth_bearings",
                         lambda st, *a: built.append(st.t) or make(st, *a))
     est = ObserverState.initial(R=exp_so3(np.array([0.3, -0.2, 0.1])))
     dt = 1.0 / 200.0
@@ -586,8 +586,8 @@ def test_run_continuous_synthesizes_each_stage_time_once(monkeypatch):
     source = StereoBearingSource(traj, sample_landmarks(5, seed=0),
                                  default_stereo_rig())
     built, outputs = [], []
-    make, output = observer.make_bearing_frame, observer.linear_output
-    monkeypatch.setattr(observer, "make_bearing_frame",
+    make, output = observer.synth_bearings, observer.linear_output
+    monkeypatch.setattr(observer, "synth_bearings",
                         lambda st, *a: built.append(st.t) or make(st, *a))
     monkeypatch.setattr(observer, "linear_output",
                         lambda blocks: outputs.append(1) or output(blocks))
@@ -635,6 +635,53 @@ def test_sources_match_a_fresh_innovation(mode):
         y, C = truth(t)
         _, x = error_state(st, ObserverState.initial(e=np.zeros((3, 3))))
         assert np.all(np.abs(y - C @ x) <= 1e-12 * (np.abs(C) @ np.abs(x)))
+
+
+class _StillTrajectory:
+    """The body at rest at the origin, R = I."""
+
+    def state(self, t):
+        return RigidBodyState(t=t, R=np.eye(3), p=np.zeros(3), v=np.zeros(3),
+                              omega=np.zeros(3), a=np.zeros(3))
+
+
+@pytest.mark.parametrize("mode", ("stereo", "monocular"))
+def test_truth_source_names_the_first_landmark_at_a_camera(mode):
+    # landmark 1 sits on camera 2's centre and landmark 3 on camera 1's;
+    # the synthesis goes camera by camera, so camera 1's pair is named,
+    # and a monocular source does not look through camera 2
+    cams = default_stereo_rig()
+    lms = [Landmark(0, np.array([1.0, 2.0, 3.0])),
+           Landmark(1, cams[1].p.copy()), Landmark(3, cams[0].p.copy())]
+    source = TruthSource(_StillTrajectory(), lms, mode, cams)
+    with pytest.raises(LandmarkAtCameraError) as exc:
+        source(0.0)
+    assert str(exc.value) == "landmark 3 is 0.000e+00 m from camera 1"
+    y, C = TruthSource(_StillTrajectory(), lms[:2], "monocular", cams)(0.0)
+    assert C.shape == (6, 15) and np.all(np.isfinite(C))
+
+
+@pytest.mark.parametrize("mode", ("position3d", "stereo"))
+def test_truth_source_rows_follow_ids_whatever_the_landmark_order(mode):
+    traj = EightTrajectory(t_end=1.0)
+    lms = sample_landmarks(6, seed=3)
+    cams = [CameraExtrinsics(1, exp_so3(np.array([0.1, -0.2, 0.3])),
+                             np.array([0.0, -0.1, 0.0])),
+            CameraExtrinsics(2, exp_so3(np.array([-0.3, 0.2, 0.1])),
+                             np.array([0.05, 0.1, 0.0]))]
+    shuffled = [lms[i] for i in (4, 0, 5, 2, 1, 3)]
+    source, ordered = (TruthSource(traj, shuffled, mode, cams),
+                       TruthSource(traj, lms, mode, cams))
+    mode_cams = observer.mode_cameras(mode, cams)
+    for t in (0.0, 0.37, 0.8):
+        st = traj.state(t)
+        frame = (make_position_frame(st, shuffled) if mode == "position3d"
+                 else make_bearing_frame(st, shuffled, cams))
+        y, C = source(t)
+        y_ref, C_ref = linear_output(landmark_blocks(frame, mode_cams, lms))
+        assert np.array_equal(y, y_ref) and np.array_equal(C, C_ref)
+        y_ord, C_ord = ordered(t)
+        assert np.array_equal(y, y_ord) and np.array_equal(C, C_ord)
 
 
 @pytest.mark.parametrize("mode", MODES)
