@@ -26,10 +26,15 @@ on PYTHONPATH:
 - `transition_matrix` of the trajectory's rate at a few (t0, t1) pairs;
 - `visnav simulate` and `visnav estimate` with the hybrid estimator
   (k_r = 20) on a stereo dataset of the same length as the runs above,
-  keeping the trace columns.
+  keeping the trace columns;
+- the static analysis on 400 seeded clouds of 5-9 landmarks (see
+  `_static`): the verdict of `classify_static_degeneracy` as (label index
+  in STATIC_LABELS, rank, full rank), and the entries and rank of
+  `static_observability_matrix`.
 The script reports, per run and field, whether the outputs agree exactly
 (R, p, v, e and P at every IMU step, the attitude at every query, the
-simulated columns, the window eigenvalues, each Phi, the trace columns),
+simulated columns, the window eigenvalues, each Phi, the trace columns,
+the static verdicts and matrices),
 or else their max |diff| over the run beside their |diff| at the last step
 (last window or query; both relative for the eigenvalues), so that a
 transient that later decays shows as such.  It exits 1 on any difference.
@@ -61,6 +66,9 @@ k_r = 20
 """
 
 SIMULATED = ("imu", "groundtruth", "bearings")
+
+STATIC_LABELS = ("generic", "coplanar(a)", "gravity-plane(b)",
+                 "camera-aligned(c)", "mixed(d)")
 
 TRACE_COLUMNS = {"t": [0], "att_err": [1], "pos_err": [2], "vel_err": [3],
                  "p": [4, 5, 6], "v": [7, 8, 9], "R": list(range(10, 19))}
@@ -101,6 +109,49 @@ def _simulate_and_analyze():
     eigenvalues = {f"analyze.{key}": np.array([w[key] for w in windows])
                    for key in ("lambda_min", "lambda_max")}
     return {**simulated, **eigenvalues}
+
+
+def _static(count=400):
+    """Static verdicts and matrices on seeded clouds of 5-9 landmarks with
+    shuffled ids.  Landmarks past the first three move, at random, into
+    the gravity-parallel plane through the first two, onto the camera line
+    through the third, or stay; every fifth cloud is flattened into one
+    plane instead.  Each cloud is then moved by 0, 1e-7, 1e-5 or 1e-3 m
+    per coordinate, and every third is classified with rank_tol = 0.5,
+    which sends generic clouds to the rank fallback."""
+    from visnav.observability import (classify_static_degeneracy,
+                                      static_observability_matrix)
+    from visnav.sim import GRAVITY, Landmark
+
+    g = np.asarray(GRAVITY, dtype=float)
+    gdir = g / np.linalg.norm(g)
+    rng = np.random.default_rng(0)
+    verdicts, matrices, ranks = [], [], []
+    for k in range(count):
+        n = int(rng.integers(5, 10))
+        p_prime = rng.uniform(-1.0, 1.0, 3)
+        pts = rng.uniform(-5.0, 5.0, (n, 3))
+        for j, kind in zip(range(3, n), rng.integers(3, size=n - 3)):
+            if kind == 1:
+                pts[j] = pts[0] + rng.uniform(-2.0, 2.0) * (pts[1] - pts[0]) \
+                    + rng.uniform(-4.0, 4.0) * gdir
+            elif kind == 2:
+                pts[j] = p_prime + rng.uniform(1.3, 3.0) * (pts[2] - p_prime)
+        if k % 5 == 0:
+            pts[:, 2] = 0.3 * pts[:, 0] - 0.2 * pts[:, 1] + 1.0
+        pts += (0.0, 1e-7, 1e-5, 1e-3)[k % 4] * rng.normal(size=pts.shape)
+        lms = [Landmark(int(i), p)
+               for i, p in zip(rng.permutation(3 * n)[:n], pts)]
+        v = classify_static_degeneracy(lms, p_prime, g,
+                                       rank_tol=0.5 if k % 3 == 2 else 1e-8)
+        verdicts.append((STATIC_LABELS.index(v.case_label), v.rank_O_prime,
+                         v.full_rank_required))
+        O, rank = static_observability_matrix(lms, p_prime, g)
+        matrices.append(O.ravel())
+        ranks.append(rank)
+    return {"static.verdict": np.array(verdicts),
+            "static.O": np.concatenate(matrices),
+            "static.rank": np.array(ranks)}
 
 
 def dump(path, seconds):
@@ -180,6 +231,7 @@ def dump(path, seconds):
         for t0, t1 in ((0.0, 0.05), (1.0, 1.0), (0.37, 2.9), (12.3, 15.0))])
     arrays.update(_simulate_and_analyze())
     arrays.update(_estimate_trace(seconds))
+    arrays.update(_static())
     np.savez(path, **arrays)
 
 

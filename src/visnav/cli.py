@@ -257,6 +257,8 @@ def _static_entry(cfg, ds):
 
 def _analyze(cfg, data_dir, out_path):
     ds = load_dataset(data_dir)
+    if ds.frames(cfg.mode):
+        _require_cameras(cfg, ds)
     gravity = np.array(GainConfig().gravity, dtype=float)
     if len(ds.landmarks) >= 3:
         ok, witness = check_stereo_condition(ds.landmarks, gravity,

@@ -10,7 +10,7 @@ degenerate static (motionless-camera) configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedSpectrumError,
 )
 from .geom import I3, AttitudeTable, grid_index
-from .observer import build_A
+from .observer import build_A, linear_output, position_blocks
 
 FULL_STATE_DIM = 15
 
@@ -215,10 +215,10 @@ def check_mono_motion(times, bearings_by_lm, triple, epsilon: float,
     against the anchor bearing) at some later sample.
     """
     times = np.asarray(times, dtype=float)
-    if times.size < 2 or times[-1] - times[0] < 2.0 * window:
+    span = times[-1] - times[0] if times.size else 0.0
+    if times.size < 2 or span < 2.0 * window:
         raise InsufficientHistoryError(
-            f"history spans {times[-1] - times[0]:.3f} s, "
-            f"need at least {2 * window:.3f} s")
+            f"history spans {span:.3f} s, need at least {2 * window:.3f} s")
     anchors = np.arange(times[0], times[-1] - window + 1e-12, window)
     for t_star in anchors:
         k0 = int(np.searchsorted(times, t_star))
@@ -238,30 +238,26 @@ def static_observability_matrix(lms, p_prime, gravity,
 
     Unknowns are the 15 error states plus one range scale per landmark;
     rows stack the bearing output blocks with the per-landmark directions
-    p_i - p', a velocity pin, and the gravity coupling.  Returns
-    (matrix, rank) with rank counted by singular values above
-    rank_tol * sigma_max.
+    p_i - p', a velocity pin, and the gravity coupling.  The output blocks
+    are the position3d linear output r_i^T (x) I3 (`observer.linear_output`),
+    landmarks in id order.  Returns (matrix, rank) with rank counted by
+    singular values above rank_tol * sigma_max.
     """
-    g = np.asarray(gravity, dtype=float)
-    p_prime = np.asarray(p_prime, dtype=float)
+    lms = sorted(lms, key=lambda l: l.id)
+    pts = np.array([lm.p for lm in lms], dtype=float).reshape(-1, 3)
+    d = pts - np.asarray(p_prime, dtype=float)
+    on = np.linalg.norm(d, axis=1) <= 1e-9
+    if on.any():
+        raise CameraOnLandmarkError(
+            f"camera position coincides with landmark {lms[np.argmax(on)].id}")
     n = len(lms)
     O = np.zeros((3 * n + 6, FULL_STATE_DIM + n))
-    for i, lm in enumerate(sorted(lms, key=lambda l: l.id)):
-        d = np.asarray(lm.p, dtype=float) - p_prime
-        if np.linalg.norm(d) <= 1e-9:
-            raise CameraOnLandmarkError(
-                f"camera position coincides with landmark {lm.id}")
-        r = 3 * i
-        O[r:r + 3, 0:3] = I3
-        for j in range(3):
-            O[r:r + 3, 3 + 3 * j:6 + 3 * j] = -lm.p[j] * I3
-        O[r:r + 3, FULL_STATE_DIM + i] = d
-    O[3 * n:3 * n + 3, 12:15] = I3
-    for j in range(3):
-        O[3 * n + 3:3 * n + 6, 3 + 3 * j:6 + 3 * j] = g[j] * I3
+    O[:3 * n, :FULL_STATE_DIM] = linear_output(position_blocks(pts, pts))[1]
+    O[np.arange(3 * n), FULL_STATE_DIM + np.arange(3 * n) // 3] = d.ravel()
+    # the velocity pin I3 and the gravity rows g^T (x) I3
+    O[3 * n:, 3:FULL_STATE_DIM] = np.kron([[0, 0, 0, 1], [*gravity, 0]], I3)
     sv = np.linalg.svd(O, compute_uv=False)
-    rank = int(np.sum(sv > rank_tol * sv[0]))
-    return O, rank
+    return O, int(np.sum(sv > rank_tol * sv[0]))
 
 
 def _plane_residual(points):
@@ -271,26 +267,6 @@ def _plane_residual(points):
     _, sv, vt = np.linalg.svd(P - c)
     normal = vt[-1]
     return np.max(np.abs((P - c) @ normal))
-
-
-def _gravity_plane_residual(anchor_a, anchor_b, g, points, tol):
-    # distance of each point from the plane through the two anchors,
-    # parallel to gravity; inf when the anchors do not fix the plane
-    n = np.cross(anchor_b - anchor_a, g)
-    nn = np.linalg.norm(n)
-    if nn <= tol:
-        return np.full(len(points), np.inf)
-    return np.abs((points - anchor_a) @ (n / nn))
-
-
-def _line_residual(origin, through, points, tol):
-    # distance of each point from the line through origin and through;
-    # inf when the two coincide
-    d = through - origin
-    dn = np.linalg.norm(d)
-    if dn <= tol:
-        return np.full(len(points), np.inf)
-    return np.linalg.norm(np.cross(points - origin, d / dn), axis=1)
 
 
 def classify_static_degeneracy(lms, p_prime, gravity, tol: float = 1e-6,
@@ -305,65 +281,53 @@ def classify_static_degeneracy(lms, p_prime, gravity, tol: float = 1e-6,
     verdict is cross-checked against the rank of the static observability
     matrix: generic requires full rank; a deficient rank with no firing
     predicate falls back to the nearest degenerate label by residual.
+
+    Two residual tables hold every distance the predicates read:
+    plane[a, b, j], the distance of landmark j from the gravity-parallel
+    plane through landmarks a and b (inf where |(p_b - p_a) x g| <= atol),
+    and line[c, j], its distance from the line through the camera and
+    landmark c (inf where |p_c - p'| <= atol).  The witnesses read 0 on
+    their own plane or line.  The best free witnesses of (b) and (c) are
+    the landmarks farthest off a pair's plane or a camera line, so the
+    residual of (b) is the 2nd-largest of a row of plane and that of (c)
+    the 3rd-largest of a row of line.
     """
     if len(lms) < 5:
         raise TooFewLandmarksError(f"need at least 5 landmarks, got {len(lms)}")
     lms = sorted(lms, key=lambda l: l.id)
     pts = np.array([lm.p for lm in lms], dtype=float)
-    g = np.asarray(gravity, dtype=float)
-    p_prime = np.asarray(p_prime, dtype=float)
     scale = max(np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1)), 1.0)
     atol = tol * scale
     _, rank = static_observability_matrix(lms, p_prime, gravity, rank_tol)
     full = FULL_STATE_DIM + len(lms)
 
-    def verdict(label):
-        return DegeneracyVerdict(case_label=label, rank_O_prime=rank,
-                                 full_rank_required=full)
+    diff = pts - pts[:, None]  # [a, j] = p_j - p_a
+    normal = np.cross(diff, gravity)  # [a, b] = (p_b - p_a) x g
+    nn = np.linalg.norm(normal, axis=-1, keepdims=True)
+    plane = np.abs((normal / np.where(nn > atol, nn, 1.0))
+                   @ diff.transpose(0, 2, 1))
+    plane[nn[..., 0] <= atol] = np.inf
+    rel = pts - p_prime
+    dn = np.linalg.norm(rel, axis=1, keepdims=True)
+    line = np.linalg.norm(
+        np.cross(rel, (rel / np.where(dn > atol, dn, 1.0))[:, None]), axis=-1)
+    line[dn[:, 0] <= atol] = np.inf
+    k = np.arange(len(lms))
+    plane[k, :, k] = plane[:, k, k] = line[k, k] = 0.0
 
-    if _plane_residual(pts) <= atol:
-        return verdict("coplanar(a)")
-
-    idx = range(len(lms))
-    triples = [(tri, pts[[i for i in idx if i not in tri]])
-               for tri in combinations(idx, 3)]
-    best = (np.inf, "coplanar(a)")  # (residual, label)
-
-    # (b): remaining landmarks inside the gravity-parallel plane through
-    # two of the three witnesses
-    for tri, rest in triples:
-        for ia, ib in combinations(tri, 2):
-            res = _gravity_plane_residual(pts[ia], pts[ib], g, rest,
-                                          atol).max()
-            if res <= atol:
-                return verdict("gravity-plane(b)")
-            if res < best[0]:
-                best = (res, "gravity-plane(b)")
-
-    # (c): remaining landmarks on the line through the camera position and
-    # one of the three witnesses
-    for tri, rest in triples:
-        for ia in tri:
-            res = _line_residual(p_prime, pts[ia], rest, atol).max()
-            if res <= atol:
-                return verdict("camera-aligned(c)")
-            if res < best[0]:
-                best = (res, "camera-aligned(c)")
-
-    # (d): each remaining landmark is either in the gravity-parallel plane
-    # of two witnesses or on the camera line through the third; both kinds
-    # are present, since (b) and (c) returned on the pure cases with the
-    # same residuals
-    for tri, rest in triples:
-        for ia, ib, ic in permutations(tri):
-            if ia > ib:
-                continue  # plane pair unordered
-            in_plane = _gravity_plane_residual(pts[ia], pts[ib], g, rest,
-                                               atol) <= atol
-            on_line = _line_residual(p_prime, pts[ic], rest, atol) <= atol
-            if (in_plane | on_line).all():
-                return verdict("mixed(d)")
-    if rank == full:
-        return verdict("generic")
-    # rank says degenerate but no exact predicate fired: report the closest
-    return verdict(best[1])
+    a, b = np.triu_indices(len(lms), 1)
+    res_b = np.sort(plane[a, b], axis=1)[:, -2].min()
+    res_c = np.sort(line, axis=1)[:, -3].min()
+    # (d): a pair (a, b) and a third witness c with no landmark off both
+    # the pair's plane and c's camera line
+    off = (plane[a, b] > atol) @ (line > atol).T
+    mixed = (~off & (k != a[:, None]) & (k != b[:, None])).any()
+    label = ("coplanar(a)" if _plane_residual(pts) <= atol else
+             "gravity-plane(b)" if res_b <= atol else
+             "camera-aligned(c)" if res_c <= atol else
+             "mixed(d)" if mixed else
+             "generic" if rank == full else
+             # rank deficient with no predicate firing: the closest label
+             "camera-aligned(c)" if res_c < res_b else
+             "gravity-plane(b)" if res_b < np.inf else "coplanar(a)")
+    return DegeneracyVerdict(label, rank, full)

@@ -230,6 +230,39 @@ def test_analyze_without_groundtruth_skips(sim_dir, base_cfg, tmp_path):
     assert all(w["status"] == "ok" for w in report["windows"])
 
 
+def test_analyze_skips_mono_motion_without_witness_frames(sim_dir, base_cfg,
+                                                         tmp_path):
+    # camera 1 never sees witness landmark 0, so no frame holds the whole
+    # witness triple in the camera mono_motion reads
+    data = tmp_path / "nowitness"
+    shutil.copytree(sim_dir, data)
+    rows = (data / "bearings.csv").read_text().splitlines(keepends=True)
+    (data / "bearings.csv").write_text(
+        "".join(r for r in rows if r.split(",")[1:3] != ["1", "0"]))
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--config", base_cfg, "--data", str(data),
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert 0 in report["stereo_condition"]["witness"]
+    assert report["mono_motion"] == {
+        "status": "skipped",
+        "reason": "history spans 0.000 s, need at least 4.000 s"}
+
+
+def test_analyze_without_required_cameras_fails(base_cfg, tmp_path, capsys):
+    # a one-camera dataset analyzed in stereo mode fails as estimate does
+    data = tmp_path / "mono"
+    assert main(["simulate", "--config", base_cfg, "--out", str(data),
+                 "--mode", "monocular", "--duration", "1"]) == 0
+    for command in ("estimate", "analyze"):
+        rc = main([command, "--config", base_cfg, "--data", str(data),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "visnav: extrinsics.csv: mode 'stereo' needs 2 camera(s), "
+            "dataset has 1\n")
+
+
 def test_analyze_coplanar_static_scene(base_cfg, tmp_path):
     data = tmp_path / "static"
     data.mkdir()
