@@ -9,7 +9,9 @@ on PYTHONPATH:
   stereo, monocular);
 - the measurement-free flow (`run_continuous` with no provider, the path
   the hybrid estimator takes between frames);
-- a stereo hybrid run at 20 Hz with noise covariances (`tune_vq`, `jump`);
+- a stereo hybrid run at 20 Hz with noise covariances (`tune_vq`, `jump`),
+  and the same run with every frame 2.4 ms after its 20 Hz instant, off
+  the 200 Hz IMU grid (`hybrid.offgrid`);
 - continuous runs driven by an in-memory dataset through the dataset
   provider of `visnav.dataio`, one per measurement mode (stereo,
   monocular, position3d);
@@ -172,6 +174,10 @@ def dump(path, seconds):
     frame_states = [traj.state(k / 20.0) for k in
                     range(1, int(np.floor(seconds * 20.0 + 1e-9)) + 1)]
     frames = [make_bearing_frame(st, lms, cams) for st in frame_states]
+    # the last of these would fall past the run's end
+    offgrid_frames = [make_bearing_frame(traj.state(k / 20.0 + 2.4e-3), lms,
+                                         cams)
+                      for k in range(1, len(frame_states))]
     imu_rows = [[t, *traj.state(t).omega, *traj.state(t).a]
                 for t in np.arange(int(round(seconds * 200.0)) + 1) / 200.0]
     ds = Dataset(imu=np.array(imu_rows), landmarks=lms, bearings=frames,
@@ -199,11 +205,12 @@ def dump(path, seconds):
         "monocular": lambda: continuous(traj.imu,
                                         MonoBearingSource(traj, lms, cams[0])),
         "flow": lambda: continuous(traj.imu, None),
-        "hybrid": lambda: hybrid_run(
-            ObserverState.initial(R=R0), traj.imu, frames, lms,
-            GainConfig(k_r=20.0), mode="stereo", cams=cams,
-            ncov=NoiseCovariances(), t_end=seconds)[1],
     }
+    for name, fs in (("hybrid", frames), ("hybrid.offgrid", offgrid_frames)):
+        runs[name] = lambda fs=fs: hybrid_run(
+            ObserverState.initial(R=R0), traj.imu, fs, lms,
+            GainConfig(k_r=20.0), mode="stereo", cams=cams,
+            ncov=NoiseCovariances(), t_end=seconds)[1]
     for mode in ("stereo", "monocular", "position3d"):
         runs[f"dataset.{mode}"] = (
             lambda mode=mode: continuous(interpolating_imu(ds.imu),

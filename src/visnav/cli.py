@@ -166,7 +166,8 @@ def _estimate(cfg, data_dir, out_path):
                                        DatasetProvider(ds, cfg.mode), gains,
                                        t_end=t_end, dt=dt, t0=t0)
     else:
-        frames = [fr for fr in ds.frames(cfg.mode) if fr.t <= t_end + 1e-9]
+        t_last = t0 + dt * round((t_end - t0) / dt)    # hybrid.run's last node
+        frames = [fr for fr in ds.frames(cfg.mode) if fr.t <= t_last + 1e-12]
         times, states, _ = hybrid_run(
             est0, interpolating_imu(imu), frames, ds.landmarks, gains,
             mode=cfg.mode, cams=ds.extrinsics, ncov=cfg.noise_covariances(),

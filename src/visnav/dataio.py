@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import IoError, ParseError, ValidationError
-from .geom import is_rotation
+from .geom import I3
 from .hybrid import NoiseCovariances
 # innovation_{position,stereo,mono} stay importable here: the benchmark's
 # span tracer (perfbench/tracer.py) wraps them in this namespace.
@@ -80,15 +80,26 @@ def _read_rows(path, header, n_cols):
 
 
 def _as_int(name, ln, value, what):
-    i = int(round(value))
-    if abs(value - i) > 1e-9:
+    if not (math.isfinite(value) and abs(value - round(value)) <= 1e-9):
         raise ParseError(f"{name}:{ln}: {what} must be an integer, got {value}")
-    return i
+    return int(round(value))
 
 
-def _check_rotation(name, ln, R):
-    if not is_rotation(R, tol=1e-6):
-        raise ValidationError(f"{name}:{ln}: stored matrix is not a rotation")
+def _check_rotations(name, rows, Rs):
+    """Name the line of the first of the stacked matrices Rs (n, 3, 3) that
+    fails geom.is_rotation(R, tol=1e-6), tested all at once."""
+    orth = np.linalg.norm(Rs @ Rs.transpose(0, 2, 1) - I3, axis=(1, 2))
+    ok = (orth <= 1e-6) & (np.abs(np.linalg.det(Rs) - 1.0) <= 1e-6)
+    if not ok.all():
+        raise ValidationError(f"{name}:{rows[int(np.argmin(ok))][0]}: "
+                              f"stored matrix is not a rotation")
+
+
+def _check_increasing(name, rows, t):
+    bad = ~(np.diff(t) > 0)
+    if bad.any():
+        raise ValidationError(f"{name}:{rows[int(np.argmax(bad)) + 1][0]}: "
+                              f"timestamps must be strictly increasing")
 
 
 @dataclass
@@ -122,11 +133,7 @@ def _load_imu(path):
     if not rows:
         raise ValidationError(f"{os.path.basename(path)}: no IMU rows")
     data = np.array([vals for _, vals in rows])
-    if np.any(np.diff(data[:, 0]) <= 0):
-        k = int(np.argmax(np.diff(data[:, 0]) <= 0))
-        raise ValidationError(
-            f"{os.path.basename(path)}:{rows[k + 1][0]}: timestamps must be "
-            f"strictly increasing")
+    _check_increasing(os.path.basename(path), rows, data[:, 0])
     return data
 
 
@@ -178,14 +185,15 @@ def _load_bearings(path, lm_ids, cam_ids):
                 _as_int(nm, ln, vals[2], "landmark_id"))
 
     frames = _group_frames(rows, name, make_key, 2, lm_ids, cam_ids)
-    out = []
-    for t, obs in frames:
-        for key, y in obs.items():
-            if abs(np.linalg.norm(y) - 1.0) > 1e-6:
-                raise ValidationError(
-                    f"{name}: bearing {key} at t={t} is not unit length")
-        out.append(BearingFrame(t=t, obs=obs))
-    return out
+    norms = np.linalg.norm(np.reshape([vals[3:6] for _, vals in rows],
+                                      (-1, 3)), axis=1)
+    bad = ~(np.abs(norms - 1.0) <= 1e-6)
+    if bad.any():
+        ln, vals = rows[int(np.argmax(bad))]
+        raise ValidationError(
+            f"{name}:{ln}: bearing ({round(vals[1])}, {round(vals[2])}) at "
+            f"t={vals[0]} is not unit length")
+    return [BearingFrame(t=t, obs=obs) for t, obs in frames]
 
 
 def _load_positions(path, lm_ids):
@@ -205,24 +213,23 @@ def _load_groundtruth(path):
     if not rows:
         raise ValidationError(f"{name}: no groundtruth rows")
     data = np.array([vals for _, vals in rows])
-    if np.any(np.diff(data[:, 0]) <= 0):
-        raise ValidationError(f"{name}: timestamps must be strictly increasing")
-    for (ln, vals) in rows[:1] + rows[-1:]:
-        _check_rotation(name, ln, np.array(vals[1:10]).reshape(3, 3))
+    _check_increasing(name, rows, data[:, 0])
+    _check_rotations(name, rows, data[:, 1:10].reshape(-1, 3, 3))
     return data
 
 
 def _load_extrinsics(path):
     name = os.path.basename(path)
     out, seen = [], set()
-    for ln, vals in _read_rows(path, EXTRINSICS_HEADER, 13):
+    rows = _read_rows(path, EXTRINSICS_HEADER, 13)
+    for ln, vals in rows:
         cid = _as_int(name, ln, vals[0], "cam_id")
         if cid in seen:
             raise ValidationError(f"{name}:{ln}: duplicate cam_id {cid}")
         seen.add(cid)
         R = np.array(vals[1:10]).reshape(3, 3)
-        _check_rotation(name, ln, R)
         out.append(CameraExtrinsics(cam_id=cid, R=R, p=np.array(vals[10:13])))
+    _check_rotations(name, rows, np.reshape([c.R for c in out], (-1, 3, 3)))
     return sorted(out, key=lambda c: c.cam_id)
 
 

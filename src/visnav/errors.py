@@ -35,8 +35,8 @@ class SingularInnovationError(VisnavError):
 
 
 class ScheduleViolationError(VisnavError):
-    """A vision frame of a hybrid run lies outside the run or off the IMU
-    grid, or two frames snap to the same grid node."""
+    """A vision frame of a hybrid run lies outside the span of its IMU grid,
+    or two frames have the same time."""
 
 
 class UnsupportedSpectrumError(VisnavError):

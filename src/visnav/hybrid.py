@@ -1,10 +1,11 @@
 """Sampled-measurement variant of the observer.
 
 Between vision frames the estimator flows on IMU data alone (the covariance
-grows, no measurement terms); at each frame it jumps with a Kalman-style
-gain from the continuous-discrete Riccati recursion.  Measurement-noise
-covariances can be mapped into the Riccati weights V and Q^-1 through the
-local noise Jacobians of the error dynamics.
+grows, no measurement terms); at each frame's own time it jumps with a
+Kalman-style gain from the continuous-discrete Riccati recursion
+(Jazwinski, Stochastic Processes and Filtering Theory, 1970, ch. 7).
+Measurement-noise covariances can be mapped into the Riccati weights V and
+Q^-1 through the local noise Jacobians of the error dynamics.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ScheduleViolationError, SingularInnovationError
-from .geom import I3, skew
+from .geom import I3, grid_index, skew
 # innovation_{position,stereo,mono} stay importable here: the benchmark's
 # span tracer (perfbench/tracer.py) wraps them in this namespace.
 from .observer import (  # noqa: F401
@@ -36,13 +37,13 @@ from .sim import PositionFrame
 class NoiseCovariances:
     """Measurement noise model feeding the adaptive Riccati weights.
 
-    cov_omega / cov_a are per-axis variances (scalar) or full 3x3 blocks
-    of the gyro and accelerometer noise; cov_y is the per-axis variance of
-    one vision measurement; reg regularizes both constructed weights.
+    cov_omega / cov_a are the per-axis variances of the gyro and
+    accelerometer noise; cov_y is the per-axis variance of one vision
+    measurement; reg regularizes both constructed weights.
     """
 
-    cov_omega: float | np.ndarray = 0.0024
-    cov_a: float | np.ndarray = 0.028
+    cov_omega: float = 0.0024
+    cov_a: float = 0.028
     cov_y: float = 0.0005
     reg: float = 0.002
 
@@ -51,11 +52,7 @@ class NoiseCovariances:
             raise ValueError("reg must be positive")
 
     def cov_x(self) -> np.ndarray:
-        out = np.zeros((6, 6))
-        for k, blk in enumerate((self.cov_omega, self.cov_a)):
-            b = blk * I3 if np.isscalar(blk) else np.asarray(blk, dtype=float)
-            out[3 * k:3 * k + 3, 3 * k:3 * k + 3] = b
-        return out
+        return np.diag(np.repeat([self.cov_omega, self.cov_a], 3))
 
 
 def flow(est: ObserverState, imu, cfg: GainConfig, dt: float,
@@ -131,62 +128,67 @@ def tune_vq(est: ObserverState, ncov: NoiseCovariances, lms, frame=None,
 def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
         mode: str = "stereo", cams=None, ncov: NoiseCovariances | None = None,
         t_end: float | None = None, dt: float = 1.0 / 200.0, t0: float = 0.0):
-    """Flow/jump driver.
+    """Flow/jump driver on the IMU grid times = t0 + dt * arange(n + 1).
 
-    Vision frames are snapped to the nearest IMU grid node (max error
-    dt/2); the jump is applied right after the flow step landing on that
-    node (to the initial state for a frame on node 0), and the recorded
-    state at the node is the post-jump one.
+    The estimate flows from node to node, one `step` of length
+    times[k+1] - times[k] each, and jumps at each vision frame's own time.
+    A frame within 1e-12 s of a node (`grid_index`) jumps on that node,
+    after the flow that lands there (on node 0, the initial state), and
+    the node records the post-jump state.  A frame strictly between nodes
+    k and k+1 ends a partial flow at its time t_f, jumps there, and the
+    flow goes on to node k+1 with the rest of the interval.  n rounds
+    (t_end - t0) / dt; with t_end None the grid reaches the last frame.
     cams is the camera rig; the innovation and Q^-1 both use its
     mode_cameras(mode, cams) and keep a landmark one camera misses.  imu is
     a callable t -> (omega, a).  Raises ScheduleViolationError for a frame
-    outside [t0, t_end], off the grid, or on the node of another frame.
+    off the grid's span (beyond the 1e-12 s hair) or two frames with the
+    same time.
 
-    Returns (times, states, jumps) where jumps is a list of
-    (t, lambda_max_before, lambda_max_after) covariance diagnostics.
+    Returns (times, states, jumps) where states[k] is the estimate at
+    times[k] and jumps is a list of (t, lambda_max_before,
+    lambda_max_after) covariance diagnostics, t being the node time for a
+    frame on a node and t_f otherwise.
     """
     frames = sorted(frames, key=lambda f: f.t)
     if t_end is None:
         if not frames:
             raise ValueError("t_end required when there are no frames")
-        t_end = frames[-1].t
-    n = int(round((t_end - t0) / dt))
+        n = int(np.ceil((frames[-1].t - t0 - 1e-12) / dt))
+    else:
+        n = int(round((t_end - t0) / dt))
     times = t0 + dt * np.arange(n + 1)
-
-    by_node: dict = {}
+    nodes = times.tolist()
     for f in frames:
-        k = int(round((f.t - t0) / dt))
-        if k < 0 or k > n:
+        if not nodes[0] - 1e-12 <= f.t <= nodes[-1] + 1e-12:
             raise ScheduleViolationError(
                 f"frame at t={f.t} outside the run horizon")
-        if abs(f.t - times[k]) > dt / 2 + 1e-12:
-            raise ScheduleViolationError(
-                f"frame at t={f.t} cannot be snapped to the IMU grid")
-        if k in by_node:
-            raise ScheduleViolationError(
-                f"two frames snap to the same IMU node t={times[k]}")
-        by_node[k] = f
+    for a, b in zip(frames, frames[1:]):
+        if a.t == b.t:
+            raise ScheduleViolationError(f"two frames at t={a.t}")
 
     cams = mode_cameras(mode, cams or [])
-    states = []
-    jumps = []
     # the flow's weights, rebuilt only when tune_vq moves V
     cfg_k = cfg if ncov is None else replace(cfg, v=tune_vq(est, ncov, lms)[0])
     est = est.copy()
-    for k in range(n + 1):
-        if k:
-            est = flow(est, imu, cfg_k, dt, t=float(times[k - 1]))
-        frame = by_node.get(k)
-        if frame is not None:
-            inn = innovation(est, frame, mode, cams, lms)
-            if ncov is not None:
-                V, q_inv = tune_vq(est, ncov, lms, frame=frame, cams=cams)
-                cfg_k = replace(cfg, v=V)
-            else:
-                q_inv = np.eye(inn[1].shape[0]) / cfg.q
-            lam_before = float(np.linalg.eigvalsh(est.P)[-1])
-            est = jump(est, inn, q_inv)
-            jumps.append((float(times[k]), lam_before,
-                          float(np.linalg.eigvalsh(est.P)[-1])))
-        states.append(est)
+    states, jumps, t = [est], [], nodes[0]
+    slots = [(grid_index(nodes, f.t), f) for f in frames] + [(n, None)]
+    for k, frame in slots:
+        for t_next in nodes[len(states):k + 1]:    # flow on to node k
+            est, t = flow(est, imu, cfg_k, t_next - t, t=t), t_next
+            states.append(est)
+        if frame is None:
+            break
+        if frame.t - nodes[k] > 1e-12:      # strictly between k and k + 1
+            est, t = flow(est, imu, cfg_k, frame.t - t, t=t), frame.t
+        inn = innovation(est, frame, mode, cams, lms)
+        if ncov is not None:
+            V, q_inv = tune_vq(est, ncov, lms, frame=frame, cams=cams)
+            cfg_k = replace(cfg, v=V)
+        else:
+            q_inv = np.eye(inn[1].shape[0]) / cfg.q
+        lam_before = float(np.linalg.eigvalsh(est.P)[-1])
+        est = jump(est, inn, q_inv)
+        jumps.append((t, lam_before, float(np.linalg.eigvalsh(est.P)[-1])))
+        if t == nodes[k]:       # a frame on node k: it keeps the jumped state
+            states[k] = est
     return times, states, jumps

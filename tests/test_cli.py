@@ -9,8 +9,9 @@ import pytest
 
 from visnav import cli
 from visnav.cli import main
-from visnav.dataio import load_config, load_dataset, read_trace
+from visnav.dataio import load_config, load_dataset, read_trace, save_dataset
 from visnav.geom import exp_so3
+from visnav.sim import EightTrajectory, make_bearing_frame
 
 BASE_CFG = """\
 mode = stereo
@@ -367,6 +368,71 @@ def test_hybrid_estimate_jumps_at_a_frame_on_the_first_imu_sample(
     assert len(recs) == 201 and recs[0].t == 0.0
     assert all(np.isfinite(r.row()).all() for r in recs)
     assert np.linalg.norm(recs[0].p) > 0.1
+
+
+def test_hybrid_estimate_jumps_at_off_grid_frame_times(sim_dir, tmp_path):
+    # bearings resynthesized 2.4 ms after the 20 Hz instants: each frame
+    # jumps at its own time, so the estimate reaches the on-grid accuracy
+    # (7.1e-5 m after 6 s); jumping at the nearest IMU node instead leaves
+    # 9.1e-3 m
+    ds = load_dataset(sim_dir)
+    traj = EightTrajectory(t_end=6.1)
+    ds.bearings = [make_bearing_frame(traj.state(fr.t + 2.4e-3), ds.landmarks,
+                                      ds.extrinsics) for fr in ds.bearings]
+    data = tmp_path / "offgrid"
+    save_dataset(str(data), ds)
+    cfg = tmp_path / "hybrid.cfg"
+    cfg.write_text(HYBRID_CFG)
+    trace = tmp_path / "trace.csv"
+    assert main(["estimate", "--config", str(cfg), "--data", str(data),
+                 "--out", str(trace)]) == 0
+    recs = read_trace(str(trace))
+    assert len(recs) == 1201 and recs[-1].t == 6.0
+    assert recs[-1].pos_err <= 2e-4
+    # 1.0024 s rounds to the node at 1.0 s; the frame at 1.0024 s after it
+    # is left out of the run
+    assert main(["estimate", "--config", str(cfg), "--data", str(data),
+                 "--out", str(trace), "--duration", "1.0024"]) == 0
+    recs = read_trace(str(trace))
+    assert len(recs) == 201 and recs[-1].t == 1.0
+
+
+@pytest.mark.parametrize("name, column, what, value", [
+    ("landmarks.csv", 0, "id", "nan"),
+    ("landmarks.csv", 0, "id", "inf"),
+    ("bearings.csv", 1, "cam_id", "nan"),
+    ("bearings.csv", 1, "cam_id", "-inf"),
+])
+def test_non_finite_id_is_bad_input(sim_dir, base_cfg, tmp_path, capsys,
+                                    name, column, what, value):
+    data = tmp_path / "data"
+    shutil.copytree(sim_dir, data)
+    header, first, *rows = (data / name).read_text().splitlines(keepends=True)
+    fields = first.split(",")
+    fields[column] = value
+    (data / name).write_text("".join([header, ",".join(fields), *rows]))
+    rc = main(["estimate", "--config", base_cfg, "--data", str(data),
+               "--out", str(tmp_path / "trace.csv"), "--duration", "0.1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"visnav: {name}:2: {what} must be an integer, got {value}\n")
+
+
+def test_groundtruth_rotation_checked_on_every_row(sim_dir, base_cfg,
+                                                   tmp_path, capsys):
+    # r11 = 2 on a row in the middle of the file
+    data = tmp_path / "data"
+    shutil.copytree(sim_dir, data)
+    lines = (data / "groundtruth.csv").read_text().splitlines(keepends=True)
+    fields = lines[50].split(",")
+    fields[1] = "2"
+    lines[50] = ",".join(fields)
+    (data / "groundtruth.csv").write_text("".join(lines))
+    rc = main(["estimate", "--config", base_cfg, "--data", str(data),
+               "--out", str(tmp_path / "trace.csv"), "--duration", "0.5"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "visnav: groundtruth.csv:51: stored matrix is not a rotation\n")
 
 
 def test_hybrid_estimate_interpolates_the_imu(tmp_path):

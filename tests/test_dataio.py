@@ -211,6 +211,63 @@ def test_groundtruth_and_extrinsics_must_be_rotations(tmp_path):
         load_dataset(str(tmp_path))
 
 
+GT_HEAD = "t,r11,r12,r13,r21,r22,r23,r31,r32,r33,px,py,pz,vx,vy,vz\n"
+GT_ROW = "{t},{r11},0,0,0,1,0,0,0,1,0,0,0,0,0,0\n"
+
+
+def _groundtruth(*rows):
+    return GT_HEAD + "".join(GT_ROW.format(t=t, r11=r11) for t, r11 in rows)
+
+
+@pytest.mark.parametrize("rows, message", [
+    # a non-rotation on a row that is neither the first nor the last
+    (((0, 1), (0.1, 2), (0.2, 1)),
+     "groundtruth.csv:3: stored matrix is not a rotation"),
+    (((0, 1), (0.1, 1), (0.1, 1)),
+     "groundtruth.csv:4: timestamps must be strictly increasing"),
+])
+def test_groundtruth_errors_name_the_line(tmp_path, rows, message):
+    _write_core(tmp_path, extrinsics=False)
+    (tmp_path / "groundtruth.csv").write_text(_groundtruth(*rows))
+    with pytest.raises(ValidationError) as info:
+        load_dataset(str(tmp_path))
+    assert str(info.value) == message
+
+
+def test_stacked_rotation_check_matches_is_rotation():
+    # the stacked check names the first row is_rotation(R, 1e-6) rejects,
+    # on rotations moved by amounts on both sides of the tolerance
+    from visnav.dataio import _check_rotations
+    from visnav.geom import is_rotation
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        Rs = exp_so3(rng.normal(size=(6, 3)))
+        Rs += rng.choice([0.0, 1e-8, 1e-7, 3e-7, 1e-6, 1e-5], size=(6, 1, 1)) \
+            * rng.normal(size=(6, 3, 3))
+        rows = [(ln, None) for ln in range(2, 8)]
+        bad = [ln for (ln, _), R in zip(rows, Rs)
+               if not is_rotation(R, tol=1e-6)]
+        if not bad:
+            _check_rotations("gt.csv", rows, Rs)
+            continue
+        with pytest.raises(ValidationError) as info:
+            _check_rotations("gt.csv", rows, Rs)
+        assert str(info.value) == (f"gt.csv:{bad[0]}: stored matrix is not "
+                                   f"a rotation")
+
+
+@pytest.mark.parametrize("bz", ["2", "nan"])
+def test_bearing_unit_length_error_names_the_line(tmp_path, bz):
+    _write_core(tmp_path)
+    (tmp_path / "bearings.csv").write_text(
+        "t,cam_id,landmark_id,bx,by,bz\n0.05,1,1,0,0,1\n"
+        f"0.05,1,2,0,0,{bz}\n")
+    with pytest.raises(ValidationError) as info:
+        load_dataset(str(tmp_path))
+    assert str(info.value) == ("bearings.csv:3: bearing (1, 2) at t=0.05 is "
+                               "not unit length")
+
+
 # ---------------------------------------------------------------------------
 # traces
 

@@ -10,7 +10,7 @@ from visnav.hybrid import NoiseCovariances, flow, jump, run, tune_vq
 from visnav.observability import transition_matrix
 from visnav.observer import (GainConfig, ObserverState, build_A, error_state,
                              innovation_stereo, step)
-from visnav.sim import (GRAVITY, EightTrajectory, Landmark,
+from visnav.sim import (GRAVITY, BearingFrame, EightTrajectory, Landmark,
                         default_stereo_rig, make_bearing_frame,
                         sample_landmarks)
 
@@ -210,10 +210,101 @@ def test_run_rejects_bad_frame_times():
     with pytest.raises(ScheduleViolationError):
         run(est, imu, _make_frames(traj_long, lms, cams, [0.5, 2.0]), lms, cfg,
             cams=cams, t_end=1.0)
+    with pytest.raises(ScheduleViolationError, match="outside"):
+        # 1 ms before t0, within dt/2 of node 0 but beyond the 1e-12 s hair
+        run(est, imu, _make_frames(traj, lms, cams, [0.5 - 1e-3]), lms, cfg,
+            cams=cams, t_end=1.0, t0=0.5)
     with pytest.raises(ScheduleViolationError):
-        # two frames snapping onto the same 200 Hz node
-        run(est, imu, _make_frames(traj, lms, cams, [0.5, 0.5015]), lms, cfg,
+        # two frames with the same time
+        run(est, imu, _make_frames(traj, lms, cams, [0.5, 0.5]), lms, cfg,
             cams=cams, t_end=1.0)
+
+
+def test_run_off_grid_frames_converge_to_the_on_grid_level():
+    # noise-free stereo frames 2.4 ms after each 200 Hz node they would
+    # snap to: jumping each at its own time, the estimate converges as an
+    # on-grid run does (1.2e-6 m); applying them at the node instead left
+    # 1.1e-2 m of mean position error over the last 2 s
+    traj = EightTrajectory(t_end=10.1)
+    lms = sample_landmarks(5, seed=0)
+    cams = default_stereo_rig()
+    frames = _make_frames(traj, lms, cams,
+                          np.arange(1, 200) / 20.0 + 2.4e-3)
+    est0 = ObserverState.initial(
+        R=exp_so3(0.5 * np.pi * np.ones(3) / np.sqrt(3)))
+    times, states, jumps = run(est0, traj.imu, frames, lms,
+                               GainConfig(k_r=20.0), cams=cams, t_end=10.0)
+    assert len(times) == len(states) == 2001
+    assert [t for t, _, _ in jumps] == [f.t for f in frames]
+    tail = [np.linalg.norm(traj.state(t).p - s.p)
+            for t, s in zip(times, states) if t >= 8.0 - 1e-9]
+    assert np.mean(tail) <= 1e-5
+
+
+def test_run_two_frames_inside_one_imu_interval():
+    # both frames fall between the nodes 0.5 and 0.505: the estimate flows
+    # to each frame's time, jumps there, and flows on to the next node
+    traj = EightTrajectory(t_end=1.0)
+    lms = sample_landmarks(5, seed=0)
+    cams = default_stereo_rig()
+    cfg = GainConfig()
+    est0 = ObserverState.initial(R=exp_so3(np.array([0.3, 0.0, -0.2])))
+    frames = _make_frames(traj, lms, cams, [0.5012, 0.5031])
+    times, states, jumps = run(est0, traj.imu, frames, lms, cfg, cams=cams,
+                               t_end=0.6)
+    assert [t for t, _, _ in jumps] == [0.5012, 0.5031]
+    frame_at = {f.t: f for f in frames}
+    est, t = est0.copy(), 0.0
+    for t_next in [*times[1:101], 0.5012, 0.5031, times[101]]:
+        est = flow(est, traj.imu, cfg, t_next - t, t=t)
+        t = t_next
+        if t in frame_at:
+            inn = innovation_stereo(est, frame_at[t], cams, lms)
+            est = jump(est, inn, np.eye(inn[1].shape[0]) / cfg.q)
+    got = states[101]
+    for a, b in ((got.R, est.R), (got.p, est.p), (got.v, est.v),
+                 (got.e, est.e), (got.P, est.P)):
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_run_frames_within_the_hair_jump_on_their_node():
+    # frames 1e-13 s below node 0 (t0), 1e-13 s above node 40 and 1e-13 s
+    # below node 80 jump on those nodes, which record the post-jump state:
+    # the run is the one with the frames exactly on the nodes
+    traj = EightTrajectory(t_end=0.5)
+    lms = sample_landmarks(5, seed=0)
+    cams = default_stereo_rig()
+    est0 = ObserverState.initial(R=exp_so3(np.array([0.3, 0.0, -0.2])))
+    on = _make_frames(traj, lms, cams, [0.0, 0.2, 0.4])
+    hair = [BearingFrame(t=f.t + dt, obs=f.obs)
+            for f, dt in zip(on, (-1e-13, 1e-13, -1e-13))]
+    (times, ref, ref_jumps), (_, got, jumps) = (
+        run(est0, traj.imu, frames, lms, GainConfig(), cams=cams, t_end=0.5)
+        for frames in (on, hair))
+    assert [t for t, _, _ in jumps] == [times[0], times[40], times[80]]
+    assert jumps == ref_jumps
+    for (_, _, lam_after), k in zip(jumps, (0, 40, 80)):
+        assert lam_after == np.linalg.eigvalsh(got[k].P)[-1]
+    assert np.linalg.norm(got[0].p) > 0.0    # the initial state, jumped
+    for a, b in zip(ref, got):
+        for f in ("R", "p", "v", "e", "P"):
+            assert np.array_equal(getattr(a, f), getattr(b, f))
+
+
+@pytest.mark.parametrize("t_last, n", [(0.2537, 51), (0.25 + 3e-12, 51),
+                                       (0.25 + 1e-13, 50)])
+def test_run_without_t_end_reaches_the_last_frame(t_last, n):
+    # the grid ends on the first node at or past the last frame; a frame
+    # within 1e-12 s of a node ends it on that node
+    traj = EightTrajectory(t_end=0.3)
+    lms = sample_landmarks(5, seed=0)
+    cams = default_stereo_rig()
+    frames = _make_frames(traj, lms, cams, [0.1, 0.2, t_last])
+    times, states, jumps = run(ObserverState.initial(), traj.imu, frames, lms,
+                               GainConfig(), cams=cams)
+    assert len(times) == len(states) == n + 1
+    assert times[-1] == pytest.approx(n / 200.0, abs=1e-15)
+    assert jumps[-1][0] == (t_last if n == 51 else times[-1])
 
 
 def test_run_converges_and_contracts():
