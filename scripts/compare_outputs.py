@@ -20,9 +20,15 @@ on PYTHONPATH:
   out of every third frame (`dataset.masked-rig`);
 - `EightTrajectory.rotation` at 6000 times over 30 s, off the 200 Hz
   sample times;
+- the attitude table of the in-memory dataset's 200 Hz rates, each held
+  until the next sample, at its nodes and at a scalar query 0.37 of a
+  sample past each node (`table`);
 - `visnav simulate` and `visnav analyze` on a 6 s stereo dataset, keeping
   the parsed columns of the simulated `imu.csv`, `groundtruth.csv` and
   `bearings.csv`, and lambda_min and lambda_max of each 2 s Gramian window;
+- `visnav analyze --mode monocular` on that dataset with every frame
+  1/600 s off the IMU grid, landmark 2 left out of every third frame and
+  camera 1's bearing of landmark 4 out of every fourth (`analyze.mono`);
 - `gramian_continuous` over the stereo window [0, 2] of acceptance
   criterion 7, keeping lambda_min and lambda_max;
 - `transition_matrix` of the trajectory's rate at a few (t0, t1) pairs;
@@ -111,6 +117,48 @@ def _simulate_and_analyze():
     eigenvalues = {f"analyze.{key}": np.array([w[key] for w in windows])
                    for key in ("lambda_min", "lambda_max")}
     return {**simulated, **eigenvalues}
+
+
+def _masked_mono_analyze():
+    """Window eigenvalues of `visnav analyze --mode monocular` on the
+    stereo dataset of ANALYZE_CFG with masked, off-grid frames."""
+    from visnav.cli import main
+    from visnav.dataio import load_dataset, save_dataset
+    from visnav.sim import BearingFrame
+
+    def kept(k, key):
+        return not ((key[1] == 2 and k % 3 == 0)
+                    or (key == (1, 4) and k % 4 == 1))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        data, out = os.path.join(tmp, "data"), os.path.join(tmp, "out")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(ANALYZE_CFG)
+        if main(["simulate", "--config", cfg, "--out", data]) != 0:
+            raise SystemExit("visnav simulate failed")
+        ds = load_dataset(data)
+        ds.bearings = [BearingFrame(t=fr.t + 1.0 / 600.0, obs={
+            key: y for key, y in fr.obs.items() if kept(k, key)})
+            for k, fr in enumerate(ds.bearings)]
+        save_dataset(data, ds)
+        if main(["analyze", "--config", cfg, "--data", data, "--out", out,
+                 "--mode", "monocular"]) != 0:
+            raise SystemExit("visnav analyze failed")
+        with open(out, encoding="utf-8") as fh:
+            windows = json.load(fh)["windows"]
+    return {f"analyze.mono.{key}": np.array([w[key] for w in windows])
+            for key in ("lambda_min", "lambda_max")}
+
+
+def _held_table(imu):
+    """AttitudeTable of the rates of imu, each held until the next sample."""
+    from visnav.geom import AttitudeTable
+    try:    # trees whose table takes the rate only as a callable
+        from visnav.observability import held_rate
+    except ImportError:
+        return AttitudeTable(imu[:, 0], imu[:, 1:4])
+    return AttitudeTable(imu[:, 0], held_rate(imu))
 
 
 def _static(count=400):
@@ -236,7 +284,12 @@ def dump(path, seconds):
     arrays["transition.Phi"] = np.stack([
         transition_matrix(traj.omega, GRAVITY, t0, t1)
         for t0, t1 in ((0.0, 0.05), (1.0, 1.0), (0.37, 2.9), (12.3, 15.0))])
+    table = _held_table(ds.imu)
+    arrays["table.R"] = table.R
+    arrays["table.query"] = np.stack([table((k + 0.37) / 200.0)
+                                      for k in range(len(table.R))])
     arrays.update(_simulate_and_analyze())
+    arrays.update(_masked_mono_analyze())
     arrays.update(_estimate_trace(seconds))
     arrays.update(_static())
     np.savez(path, **arrays)

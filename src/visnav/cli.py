@@ -27,13 +27,12 @@ from .hybrid import run as hybrid_run
 from .observability import (check_mono_motion,  # noqa: F401
                             check_stereo_condition, classify_static_degeneracy,
                             closed_form_transition, gramian_discrete,
-                            held_rate, transition_matrix)
+                            transition_matrix)
 # innovation_{position,stereo,mono} stay importable here: the benchmark's
 # span tracer (perfbench/tracer.py) wraps them in this namespace.
 from .observer import (GainConfig, innovation_mono,  # noqa: F401
-                       innovation_position, innovation_stereo,
-                       landmark_blocks, linear_output, mode_cameras,
-                       run_continuous)
+                       innovation_position, innovation_stereo, mode_cameras,
+                       run_continuous, stacked_output)
 from .sim import (EightTrajectory, apply_noise, apply_position_noise,
                   default_stereo_rig, make_bearing_frame, make_position_frame,
                   sample_landmarks)
@@ -182,27 +181,31 @@ def _gramian_windows(cfg, ds):
     if not frames:
         return []
     imu = np.asarray(ds.imu)
-    attitude = AttitudeTable(imu[:, 0], held_rate(imu))
-    cams = mode_cameras(cfg.mode, ds.extrinsics)
-    out = []
-    gravity = np.array(GainConfig().gravity, dtype=float)
     w = cfg.gramian_window
     t0 = float(imu[0, 0])
-    for k in range(int((frames[-1].t - t0 + 1e-9) // w)):
+    n = int((frames[-1].t - t0 + 1e-9) // w)
+    # the frames from the first window start to the last window end, in
+    # integer nanoseconds as _truth_lookup, and their C and R(t_f) at once
+    t = np.array([fr.t for fr in frames])
+    ns = np.round(t * 1e9)
+    lo, hi = np.searchsorted(ns, [round(t0 * 1e9), round((t0 + n * w) * 1e9)])
+    frames, t, ns = frames[lo:hi], t[lo:hi], ns[lo:hi]
+    cs = stacked_output(frames, mode_cameras(cfg.mode, ds.extrinsics),
+                        ds.landmarks)[1]
+    attitude = AttitudeTable(imu[:, 0], imu[:, 1:4])
+    rotations = attitude(t)
+    gravity = np.array(GainConfig().gravity, dtype=float)
+    out = []
+    for k in range(n):
         start, end = t0 + k * w, t0 + (k + 1) * w
-        lo, hi = round(start * 1e9), round(end * 1e9)  # as _truth_lookup
-        in_win = [fr for fr in frames if lo <= round(fr.t * 1e9) < hi]
-        if in_win:
+        i, j = np.searchsorted(ns, [round(start * 1e9), round(end * 1e9)])
+        if i < j:
             # Phi(t_f, start) of each frame straight off the attitude table;
             # a frame on the window start may read a hair below it
-            t_s = min(start, in_win[0].t)
-            Rs = attitude(t_s)
-            phis = [closed_form_transition(gravity, fr.t - t_s,
-                                           Rs.T @ attitude(fr.t))
-                    for fr in in_win]
-            cs = [linear_output(landmark_blocks(fr, cams, ds.landmarks))[1]
-                  for fr in in_win]
-            rep = gramian_discrete(phis, cs, mu=cfg.gramian_mu,
+            t_s = min(start, t[i])
+            phis = closed_form_transition(gravity, t[i:j] - t_s,
+                                          attitude(t_s).T @ rotations[i:j])
+            rep = gramian_discrete(phis, cs[i:j], mu=cfg.gramian_mu,
                                    window=(start, end))
             entry = {"status": "ok", **asdict(rep)}
         else:
@@ -210,6 +213,20 @@ def _gramian_windows(cfg, ds):
                      "reason": "no measurements in window"}
         out.append(entry)
     return out
+
+
+def _nearest_rows(ts, times):
+    """np.argmin(np.abs(ts - t)) for each t of times over the ascending ts,
+    from one search: the row at or above t or the one below it, the first
+    of equal distances as argmin takes it."""
+    hi = np.minimum(np.searchsorted(ts, times), len(ts) - 1)
+    lo = np.maximum(hi - 1, 0)
+    k = np.where(np.abs(ts[lo] - times) <= np.abs(ts[hi] - times), lo, hi)
+    while True:     # rows below k whose rounded distance ties with k's
+        tie = (k > 0) & (np.abs(ts[k - 1] - times) == np.abs(ts[k] - times))
+        if not tie.any():
+            return k
+        k = k - tie
 
 
 def _mono_motion_entry(cfg, ds, witness):
@@ -222,19 +239,15 @@ def _mono_motion_entry(cfg, ds, witness):
     cam = sorted(ds.extrinsics, key=lambda c: c.cam_id)[0]
     gt = np.asarray(ds.groundtruth)
     ids = list(witness) if witness else [lm.id for lm in ds.landmarks[:3]]
-    times, series = [], {i: [] for i in ids}
-    for fr in ds.bearings:
-        if not all((cam.cam_id, i) in fr.obs for i in ids):
-            continue
-        k = int(np.argmin(np.abs(gt[:, 0] - fr.t)))
-        R = gt[k, 1:10].reshape(3, 3)
-        times.append(fr.t)
-        for i in ids:
-            series[i].append(R @ (cam.R @ fr.obs[(cam.cam_id, i)]))
+    kept = [fr for fr in ds.bearings
+            if all((cam.cam_id, i) in fr.obs for i in ids)]
+    times = np.array([fr.t for fr in kept])
+    Rs = gt[_nearest_rows(gt[:, 0], times), 1:10].reshape(-1, 3, 3)
+    series = {i: np.array([R @ (cam.R @ fr.obs[(cam.cam_id, i)])
+                           for R, fr in zip(Rs, kept)]) for i in ids}
     try:
-        ok = check_mono_motion(np.array(times),
-                               {i: np.array(v) for i, v in series.items()},
-                               ids, cfg.mono_epsilon, cfg.mono_window)
+        ok = check_mono_motion(times, series, ids, cfg.mono_epsilon,
+                               cfg.mono_window)
     except InsufficientHistoryError as exc:
         return {"status": "skipped", "reason": str(exc)}
     return {"status": "ok", "satisfied": bool(ok), "witness": ids}

@@ -163,6 +163,9 @@ def _group_frames(rows, name, make_key, n_key_cols, lm_ids, cam_ids=None):
         if lm not in lm_ids:
             raise ValidationError(f"{name}:{ln}: unknown landmark_id {lm}")
         if cur_t is None or t != cur_t:
+            if not math.isfinite(t):
+                raise ValidationError(f"{name}:{ln}: frame time must be "
+                                      f"finite, got {t}")
             if cur_t is not None and t <= cur_t:
                 raise ValidationError(
                     f"{name}:{ln}: frame timestamps must be strictly "
@@ -520,12 +523,7 @@ class DatasetProvider(FrameSource):
         self._p = np.array([lm.p for lm in self.lms],
                            dtype=float).reshape(-1, 3)
         self._rig = rig_arrays(self.cams)
-        stacked = [frame_arrays(fr, self.cams, self.lms) for fr in frames]
-        shape = (len(frames), len(self.lms),
-                 len(self.cams) if self._unit else 1)
-        self._Y = np.array([Y for Y, _ in stacked]).reshape(shape + (3,))
-        self._seen = np.array([seen for _, seen in stacked],
-                              dtype=bool).reshape(shape)
+        self._Y, self._seen = frame_arrays(frames, self.cams, self.lms)
 
     def _blend(self, t):
         """(rows, Y, seen) at t: the mask of the landmarks seen, and their

@@ -20,7 +20,7 @@ from .errors import (
     TooFewLandmarksError,
     UnsupportedSpectrumError,
 )
-from .geom import I3, AttitudeTable, grid_index
+from .geom import I3, AttitudeTable
 from .observer import build_A, linear_output, position_blocks
 
 FULL_STATE_DIM = 15
@@ -53,16 +53,22 @@ class DegeneracyVerdict:
     full_rank_required: int
 
 
-def closed_form_transition(gravity, tau: float, dR) -> np.ndarray:
+def closed_form_transition(gravity, tau, dR) -> np.ndarray:
     """Phi(t1, t0) = e^{N tau} (x) dR^T of the measurement-free error
-    dynamics, tau = t1 - t0 and dR = R(t0)^T R(t1).
+    dynamics, tau = t1 - t0 and dR = R(t0)^T R(t1); for a stack of m
+    intervals, tau (m,) and dR (m, 3, 3), the (m, 15, 15) stack of them.
 
     A(t) = -I5 (x) skew(omega(t)) + Abar splits into commuting parts with
     Abar = build_A(0, gravity) = N (x) I3 and N^3 = 0, so e^{N tau} =
     I5 + N tau + N^2 tau^2 / 2 and the rotation enters through dR alone.
+    Each entry of the Kronecker product is one product, as in np.kron.
     """
     N = build_A(np.zeros(3), gravity)[::3, ::3]
-    return np.kron(np.eye(5) + tau * N + (0.5 * tau * tau) * (N @ N), dR.T)
+    tau = np.asarray(tau, dtype=float)[..., None, None]
+    E = np.eye(5) + tau * N + (0.5 * tau * tau) * (N @ N)
+    dRT = np.swapaxes(dR, -1, -2)
+    return (E[..., :, None, :, None] * dRT[..., None, :, None, :]).reshape(
+        tau.shape[:-2] + (15, 15))
 
 
 def transition_matrix(omega_fn, gravity, t0: float, t1: float,
@@ -76,15 +82,6 @@ def transition_matrix(omega_fn, gravity, t0: float, t1: float,
     n = max(1, int(np.ceil(tau / dt - 1e-12))) if tau > 0 else 0
     dR = AttitudeTable(np.linspace(t0, t1, n + 1), omega_fn).R[-1]
     return closed_form_transition(gravity, tau, dR)
-
-
-def held_rate(samples):
-    """omega(t) of IMU rows (t, wx, wy, wz, ...), each sample's rate held
-    until the next: the rate of the sample at or below t (`geom.grid_index`,
-    so the end rates hold before the first sample and after the last)."""
-    samples = np.asarray(samples, dtype=float)
-    ts, omega = samples[:, 0].tolist(), samples[:, 1:4]
-    return lambda t: omega[grid_index(ts, t)]
 
 
 def _simpson_grid(delta: float, dt: float):
@@ -109,28 +106,33 @@ def gramian_continuous(omega_fn, c_fn, t: float, delta: float,
         raise ValueError("delta must be positive")
     h, weights = _simpson_grid(delta, dt)
     taus = t + h * np.arange(weights.size)
-    attitude = AttitudeTable(taus, omega_fn)
+    phis = closed_form_transition(gravity, taus - t,
+                                  AttitudeTable(taus, omega_fn).R)
     W = np.zeros((FULL_STATE_DIM, FULL_STATE_DIM))
-    for k, tau in enumerate(taus):
-        Phi = closed_form_transition(gravity, tau - t, attitude.R[k])
+    for w, tau, Phi in zip(weights, taus, phis):
         CPhi = np.asarray(c_fn(tau), dtype=float) @ Phi
-        W += weights[k] * (CPhi.T @ CPhi)
+        W += w * (CPhi.T @ CPhi)
     W *= h / delta
     return GramianReport.from_gramian(W, (t, t + delta), mu)
 
 
-def gramian_discrete(phi_list, c_list, mu: float = 1e-6,
+def gramian_discrete(phis, cs, mu: float = 1e-6,
                      window=None) -> GramianReport:
-    """Sampled-measurement Gramian: sum of Phi_i^T C_i^T C_i Phi_i."""
-    if len(phi_list) != len(c_list) or not phi_list:
-        raise ValueError("phi_list and c_list must be conformable and nonempty")
-    W = np.zeros((FULL_STATE_DIM, FULL_STATE_DIM))
-    for Phi, C in zip(phi_list, c_list):
-        CPhi = np.asarray(C, dtype=float) @ np.asarray(Phi, dtype=float)
-        W += CPhi.T @ CPhi
+    """Sampled-measurement Gramian W = sum over samples of
+    (C_i Phi_i)^T (C_i Phi_i), of a stack of m transition matrices
+    (m, 15, 15) and a stack of output matrices (m, r, 15), or lists of
+    them, all C_i with the same r rows.  A zero row (a landmark a frame
+    does not see) adds nothing, so frames with fewer outputs pad C_i with
+    zero rows.  All m products C_i Phi_i are formed at once and W is one
+    product of their stacked rows; window defaults to (0, m).
+    """
+    phis, cs = np.asarray(phis, dtype=float), np.asarray(cs, dtype=float)
+    if len(phis) != len(cs) or not len(phis):
+        raise ValueError("phis and cs must be conformable and nonempty")
+    CPhi = (cs @ phis).reshape(-1, FULL_STATE_DIM)
     if window is None:
-        window = (0, len(phi_list))
-    return GramianReport.from_gramian(W, window, mu)
+        window = (0, len(phis))
+    return GramianReport.from_gramian(CPhi.T @ CPhi, window, mu)
 
 
 def _nilpotency_index(A: np.ndarray, tol: float = 1e-12):

@@ -153,36 +153,68 @@ def landmark_blocks(frame, cams, lms):
     """
     lms = sorted(lms, key=lambda lm: lm.id)
     cams = sorted(cams, key=lambda c: c.cam_id)
-    Y, seen = frame_arrays(frame, cams, lms)
-    rows = seen.any(axis=-1)
+    Y, seen = frame_arrays([frame], cams, lms)
+    rows = seen[0].any(axis=-1)
+    Y, seen = Y[0, rows], seen[0, rows]
     p = np.array([lm.p for lm in lms], dtype=float).reshape(-1, 3)[rows]
     if isinstance(frame, PositionFrame):
-        return position_blocks(p, Y[rows, 0])
-    return bearing_blocks(p, Y[rows], seen[rows], *rig_arrays(cams))
+        return position_blocks(p, Y[:, 0])
+    return bearing_blocks(p, Y, seen, *rig_arrays(cams))
 
 
-def frame_arrays(frame, cams, lms):
-    """A frame's observations stacked over lms and cams in their given
-    order: Y (L, K, 3), and seen (L, K) marking the ones present, whose
-    entries are 0 otherwise.  A PositionFrame fills one column (K = 1);
+def frame_arrays(frames, cams, lms):
+    """The observations of a list of frames of one kind stacked over lms
+    and cams in their given order: Y (F, L, K, 3), and seen (F, L, K)
+    marking the ones present, whose entries are 0 otherwise.  Position
+    frames fill one column (K = 1), as does an empty list without cams;
     observations of cameras outside cams are ignored.
 
     Raises UnknownLandmarkError for a landmark outside lms.
     """
-    position = isinstance(frame, PositionFrame)
+    position = isinstance(frames[0], PositionFrame) if frames else not cams
     row = {lm.id: i for i, lm in enumerate(lms)}
     col = {None: 0} if position else {c.cam_id: k for k, c in enumerate(cams)}
-    Y = np.zeros((len(lms), len(col), 3))
+    Y = np.zeros((len(frames), len(lms), len(col), 3))
     seen = np.zeros(Y.shape[:-1], dtype=bool)
-    for key, y in frame.obs.items():
-        cam_id, lm_id = (None, key) if position else key
-        if cam_id not in col:
-            continue
-        if lm_id not in row:
-            raise UnknownLandmarkError(f"landmark {lm_id} not in the known map")
-        Y[row[lm_id], col[cam_id]] = y
-        seen[row[lm_id], col[cam_id]] = True
+    at, ys = [], []
+    for f, frame in enumerate(frames):
+        for key, y in frame.obs.items():
+            cam_id, lm_id = (None, key) if position else key
+            if cam_id not in col:
+                continue
+            if lm_id not in row:
+                raise UnknownLandmarkError(
+                    f"landmark {lm_id} not in the known map")
+            at.append((f, row[lm_id], col[cam_id]))
+            ys.append(y)
+    if at:
+        at = tuple(np.array(at).T)
+        Y[at], seen[at] = ys, True
     return Y, seen
+
+
+def stacked_output(frames, cams, lms):
+    """The linear output (y, C) of each of a list of frames of one kind,
+    stacked (F, 3L) and (F, 3L, 15) over every landmark of lms in
+    ascending ids: a landmark a frame does not see (by the cameras in
+    cams, for bearings) has zero rows, which add nothing to a Gramian.
+    The rows of the landmarks a frame sees are landmark_blocks' and
+    linear_output's of that frame; the kernels run once over all frames'
+    landmarks, as one stack of F L landmarks.
+    """
+    lms = sorted(lms, key=lambda lm: lm.id)
+    cams = sorted(cams, key=lambda c: c.cam_id)
+    Y, seen = frame_arrays(frames, cams, lms)
+    F, L, K = seen.shape
+    Y, seen = Y.reshape(F * L, K, 3), seen.reshape(F * L, K)
+    p = np.tile(np.array([lm.p for lm in lms], dtype=float).reshape(-1, 3),
+                (F, 1))
+    if frames and isinstance(frames[0], PositionFrame):
+        blocks = p, seen[:, 0, None, None] * I3, Y[:, 0]
+    else:
+        blocks = bearing_blocks(p, Y, seen, *rig_arrays(cams))
+    y, C = linear_output(blocks)
+    return y.reshape(F, 3 * L), C.reshape(F, 3 * L, 15)
 
 
 def position_blocks(p, z):
@@ -199,7 +231,7 @@ def bearing_blocks(p, Y, seen, Rc, c):
     marks the bearings observed, and the others must be finite.  With
     x = R_c y the rotated bearing, Pi = sum_c pi(x_c) and
     b = sum_c pi(x_c) c_c over the cameras that see the landmark, in the
-    order of the rig.
+    order of the rig; a landmark no camera sees gets Pi = 0 and b = 0.
 
     Raises NotUnitError for a seen rotated bearing whose norm is off 1 by
     more than 1e-6.

@@ -10,8 +10,12 @@ import pytest
 from visnav import cli
 from visnav.cli import main
 from visnav.dataio import load_config, load_dataset, read_trace, save_dataset
-from visnav.geom import exp_so3
-from visnav.sim import EightTrajectory, make_bearing_frame
+from visnav.geom import AttitudeTable, exp_so3, grid_index
+from visnav.observability import closed_form_transition
+from visnav.observer import landmark_blocks, linear_output, mode_cameras
+from visnav.sim import GRAVITY, EightTrajectory, make_bearing_frame
+
+G = np.array(GRAVITY, dtype=float)
 
 BASE_CFG = """\
 mode = stereo
@@ -418,6 +422,46 @@ def test_non_finite_id_is_bad_input(sim_dir, base_cfg, tmp_path, capsys,
         f"visnav: {name}:2: {what} must be an integer, got {value}\n")
 
 
+@pytest.mark.parametrize("mode, name", [("stereo", "bearings.csv"),
+                                        ("position3d", "positions.csv")])
+def test_nan_frame_time_is_bad_input(tmp_path, capsys, mode, name):
+    # a NaN frame time used to pass the loader: estimate then exited 0 and
+    # analyze died with a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG.replace("mode = stereo", f"mode = {mode}")
+                   .replace("duration = 6", "duration = 1"))
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    lines = (data / name).read_text().splitlines(keepends=True)
+    lines[9] = "nan" + lines[9][lines[9].index(","):]
+    (data / name).write_text("".join(lines))
+    for command in ("estimate", "analyze"):
+        rc = main([command, "--config", str(cfg), "--data", str(data),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"visnav: {name}:10: frame time must be finite, got nan\n")
+
+
+def test_nearest_groundtruth_rows_are_argmins():
+    # reference: the per-frame scan np.argmin(np.abs(gt_t - t)), which
+    # takes the first of equal distances; on a dyadic grid the midpoints
+    # are exact ties
+    for ts in (np.arange(1201) / 200.0, np.arange(41) * 0.25):
+        step = ts[1] - ts[0]
+        times = np.concatenate([ts[::7], ts[3::11] + 0.37 * step,
+                                ts[5::13] - 0.21 * step,
+                                ts[:-1:3] + 0.5 * step,
+                                [ts[0] - 1.0, ts[-1] + 1.0, ts[-1] + 0.5,
+                                 ts[-1] + 1e-9]])
+        ref = [int(np.argmin(np.abs(ts - t))) for t in times]
+        assert cli._nearest_rows(ts, times).tolist() == ref
+    # far from a grid finer than its rounding, distances tie across rows
+    ts, times = np.array([0.0, 5e-324, 1e-323]), np.array([1.0, -1.0])
+    assert cli._nearest_rows(ts, times).tolist() == [0, 0]
+    assert cli._nearest_rows(ts, np.array([])).tolist() == []
+
+
 def test_groundtruth_rotation_checked_on_every_row(sim_dir, base_cfg,
                                                    tmp_path, capsys):
     # r11 = 2 on a row in the middle of the file
@@ -457,7 +501,8 @@ def test_hybrid_estimate_interpolates_the_imu(tmp_path):
 def test_analyze_windows_hold_their_frames(tmp_path, monkeypatch):
     # 20 Hz frames in 0.1 s windows: the first window (from t = 0) holds
     # the frame at 0.05 and every later one exactly two, none drifting into
-    # the window before it; each frame gets one Phi from its window start
+    # the window before it; each frame gets one Phi from its window start,
+    # the window's frames in one stacked call
     cfg = tmp_path / "win.cfg"
     cfg.write_text(BASE_CFG.replace("duration = 6", "duration = 3")
                    + "gramian_window = 0.1\n")
@@ -467,7 +512,8 @@ def test_analyze_windows_hold_their_frames(tmp_path, monkeypatch):
     closed_form, discrete = cli.closed_form_transition, cli.gramian_discrete
 
     def closed_form_transition(gravity, tau, dR):
-        taus.append(tau)
+        assert np.shape(tau) == (len(dR),)
+        taus.extend(tau)
         return closed_form(gravity, tau, dR)
 
     def gramian_discrete(phis, cs, **kwargs):
@@ -485,6 +531,70 @@ def test_analyze_windows_hold_their_frames(tmp_path, monkeypatch):
     assert sizes == [1] + [2] * 29
     assert taus == pytest.approx([0.05] + [0.0, 0.05] * 29, abs=1e-9)
     assert min(taus) >= 0.0 and max(taus) <= 0.1
+
+
+def _per_frame_windows(cfg, ds):
+    """(lambda_min, lambda_max) of each Gramian window summed frame by
+    frame: Phi_f = closed_form_transition(tau_f, dR_f) off the table of the
+    held rate as a callable, and C_f of the landmarks the frame sees."""
+    frames, imu = ds.frames(cfg.mode), ds.imu
+    grid = imu[:, 0].tolist()
+    attitude = AttitudeTable(imu[:, 0], lambda t: imu[grid_index(grid, t), 1:4])
+    cams = mode_cameras(cfg.mode, ds.extrinsics)
+    w, t0, out = cfg.gramian_window, grid[0], []
+    for k in range(int((frames[-1].t - t0 + 1e-9) // w)):
+        start, end = t0 + k * w, t0 + (k + 1) * w
+        lo, hi = round(start * 1e9), round(end * 1e9)
+        in_win = [fr for fr in frames if lo <= round(fr.t * 1e9) < hi]
+        t_s = min(start, in_win[0].t)
+        W = np.zeros((15, 15))
+        for fr in in_win:
+            Phi = closed_form_transition(G, fr.t - t_s,
+                                         attitude(t_s).T @ attitude(fr.t))
+            C = linear_output(landmark_blocks(fr, cams, ds.landmarks))[1]
+            W += (C @ Phi).T @ (C @ Phi)
+        ev = np.linalg.eigvalsh(0.5 * (W + W.T))
+        out.append((ev[0], ev[-1]))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["stereo", "monocular", "position3d"])
+def test_analyze_batched_windows_match_the_per_frame_sum(tmp_path, mode):
+    # frames 1/600 s off the 200 Hz grid, landmark 2 missing from every
+    # third frame, camera 1's bearing of landmark 4 from every fourth (for
+    # monocular, landmark 4 itself), and the frame at 1 s a hair below its
+    # window start: the zero rows of the stacked C and the batched Phi give
+    # each window's Gramian to roundoff.  The 1 s windows have condition
+    # numbers near 1e4; at 0.5 s (near 1e5) summing the same per-frame
+    # terms in reverse order alone moves lambda_min by up to 6.5e-12
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BASE_CFG.replace("mode = stereo", f"mode = {mode}")
+                        .replace("duration = 6", "duration = 3")
+                        + "gramian_window = 1.0\n")
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(data)]) == 0
+    cfg, ds = load_config(str(cfg_path)), load_dataset(str(data))
+    frames = [replace(fr, t=fr.t + 1.0 / 600.0, obs=dict(fr.obs))
+              for fr in ds.frames(mode)]
+    frames[19] = replace(frames[19], t=1.0 - 1e-10)
+    for k, fr in enumerate(frames):
+        drop = ([2] if k % 3 == 0 else []) + ([4] if k % 4 == 1 else [])
+        for key in list(fr.obs):
+            lm_id = key if mode == "position3d" else key[1]
+            cam_ok = mode == "position3d" or key[0] == 1 or lm_id == 2
+            if lm_id in drop and cam_ok:
+                del fr.obs[key]
+    if mode == "position3d":
+        ds.positions = frames
+    else:
+        ds.bearings = frames
+    windows = cli._gramian_windows(cfg, ds)
+    ref = _per_frame_windows(cfg, ds)
+    assert [w["window"][0] for w in windows] == [0.0, 1.0, 2.0]
+    for win, (lo, hi) in zip(windows, ref):
+        assert abs(win["lambda_min"] - lo) <= 1e-12 * abs(lo)
+        assert abs(win["lambda_max"] - hi) <= 1e-12 * abs(hi)
 
 
 def test_analyze_transports_off_grid_frames_exactly(tmp_path, monkeypatch):

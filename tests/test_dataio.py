@@ -179,6 +179,13 @@ def test_bearing_stream_validation(tmp_path):
     with pytest.raises(ValidationError, match="unit length"):
         load_dataset(str(tmp_path))
 
+    for t in ("nan", "inf"):
+        br.write_text(head + f"0.1,1,1,0,0,1\n{t},1,2,0,0,1\n")
+        with pytest.raises(ValidationError) as info:
+            load_dataset(str(tmp_path))
+        assert str(info.value) == (
+            f"bearings.csv:3: frame time must be finite, got {t}")
+
     br.write_text(head + "0.1,1,1,0,0,1\n0.2,1,2,1,0,0\n")
     ds = load_dataset(str(tmp_path))
     assert [fr.t for fr in ds.bearings] == [0.1, 0.2]
@@ -190,6 +197,11 @@ def test_position_stream_validation(tmp_path):
     po.write_text("t,landmark_id,x,y,z\n0.1,9,0,0,1\n")
     with pytest.raises(ValidationError, match="unknown landmark_id"):
         load_dataset(str(tmp_path))
+    po.write_text("t,landmark_id,x,y,z\nnan,1,0,0,1\n0.1,2,1,0,0\n")
+    with pytest.raises(ValidationError) as info:
+        load_dataset(str(tmp_path))
+    assert str(info.value) == (
+        "positions.csv:2: frame time must be finite, got nan")
     po.write_text("t,landmark_id,x,y,z\n0.1,1,0,0,1\n0.1,2,1,0,0\n")
     ds = load_dataset(str(tmp_path))
     assert len(ds.positions) == 1 and set(ds.positions[0].obs) == {1, 2}

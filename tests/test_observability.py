@@ -24,12 +24,12 @@ from test_acceptance import _CASES
 
 from visnav.errors import (CameraOnLandmarkError, InsufficientHistoryError,
                            TooFewLandmarksError, UnsupportedSpectrumError)
-from visnav.geom import I3, AttitudeTable, exp_so3
+from visnav.geom import I3, AttitudeTable, exp_so3, grid_index
 from visnav.observability import (FULL_STATE_DIM, GramianReport,
                                   check_mono_motion, check_stereo_condition,
                                   classify_static_degeneracy,
                                   gramian_continuous, gramian_discrete,
-                                  check_uniform_observability, held_rate,
+                                  check_uniform_observability,
                                   static_observability_matrix,
                                   transition_matrix)
 from visnav.observer import (ObserverState, build_A, innovation_mono,
@@ -148,21 +148,25 @@ def _held_product(imu, t0, t1):
 
 
 def test_held_rate_attitude_lookup():
+    # a table of sampled rates holds each sample's rate until the next one
+    # and the end samples outward
     table = np.array([[0.0, 1, 2, 3, 4, 5, 6],
                       [0.1, 10, 20, 30, 40, 50, 60]], dtype=float)
-    rate = held_rate(table)
     w0, w1 = table[0, 1:4], table[1, 1:4]
-    assert np.array_equal(rate(-1.0), w0)          # clamped before start
-    assert np.array_equal(rate(0.05), w0)          # held from the left
-    assert np.array_equal(rate(0.1), w1)           # exact node
-    assert np.array_equal(rate(0.1 - 1e-13), w1)   # a hair below snaps onto it
-    assert np.array_equal(rate(5.0), w1)           # clamped after end
-    att = AttitudeTable(table[:, 0], rate)
+    att = AttitudeTable(table[:, 0], table[:, 1:4])
     R1 = exp_so3(0.1 * w0)
+    # clamped before the start, held from the left, on the node
     assert np.max(np.abs(att(-1.0) - exp_so3(-w0))) <= 1e-15
     assert np.max(np.abs(att(0.05) - exp_so3(0.05 * w0))) <= 1e-15
     assert np.max(np.abs(att(0.1) - R1)) <= 1e-15
+    assert np.array_equal(att(0.1 - 1e-13), att.R[1])  # a hair below: on it
     assert np.max(np.abs(att(5.0) - R1 @ exp_so3(4.9 * w1))) <= 1e-13
+    # the same queries in one batch
+    ts = [-1.0, 0.05, 0.1, 0.1 - 1e-13, 5.0]
+    batch = att(np.array(ts))
+    assert batch.shape == (5, 3, 3)
+    assert np.array_equal(batch[3], att.R[1])
+    assert np.max(np.abs(batch - np.array([att(t) for t in ts]))) <= 1e-14
 
 
 def test_held_rate_attitude_matches_the_held_product(traj):
@@ -170,7 +174,7 @@ def test_held_rate_attitude_matches_the_held_product(traj):
     # the held pieces; on a held rate a Magnus step is that exponential
     imu = np.array([[k / 200.0, *traj.omega(k / 200.0), 0.0, 0.0, 0.0]
                     for k in range(401)])
-    att = AttitudeTable(imu[:, 0], held_rate(imu))
+    att = AttitudeTable(imu[:, 0], imu[:, 1:4])
     for k in (1, 7, 200, 400):
         ref = _held_product(imu, 0.0, imu[k, 0])
         assert np.max(np.abs(att.R[k] - ref)) <= 1e-12
@@ -179,6 +183,29 @@ def test_held_rate_attitude_matches_the_held_product(traj):
                    (1.0, 1.0 + 1 / 600)):
         dR = att(t0).T @ att(t1)
         assert np.max(np.abs(dR - _held_product(imu, t0, t1))) <= 1e-12
+
+
+def test_sampled_rate_table_is_the_held_rate_table_bit_for_bit(traj):
+    # reference: the table of the held rate as a callable, the rate of the
+    # sample at or below t (grid_index), one call per Magnus node.  From
+    # the samples themselves (sigma_k = h_k omega_k) the table and every
+    # scalar query must carry the same bits; a batch of queries agrees to
+    # roundoff
+    rng = np.random.default_rng(5)
+    ts = np.arange(2401) / 200.0
+    rates = (np.array([traj.omega(t) for t in ts])
+             + rng.normal(0.0, 0.05, (ts.size, 3)))
+    rates[7] = 0.0
+    rates[8] = -0.0
+    grid = ts.tolist()
+    held = AttitudeTable(ts, lambda t: rates[grid_index(grid, t)])
+    sampled = AttitudeTable(ts, rates)
+    assert np.array_equal(sampled.R, held.R)
+    q = np.concatenate([ts[::37] + 0.37 / 200.0, ts[::41], ts[1::43] - 1e-13,
+                        [-0.3, 12.5]])
+    assert all(np.array_equal(sampled(t), held(t)) for t in q)
+    ref = np.array([held(t) for t in q])
+    assert np.max(np.abs(sampled(q) - ref)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
