@@ -12,6 +12,10 @@ on PYTHONPATH:
 - a stereo hybrid run at 20 Hz with noise covariances (`tune_vq`, `jump`),
   and the same run with every frame 2.4 ms after its 20 Hz instant, off
   the 200 Hz IMU grid (`hybrid.offgrid`);
+- hybrid runs with noise covariances in the other two modes: position3d
+  (`hybrid.position3d`), and monocular on the frames of the rotated rig
+  below (`hybrid.monocular`), whose first camera misses landmark 4 in
+  every third frame while the second camera's bearings stay in the frames;
 - continuous runs driven by an in-memory dataset through the dataset
   provider of `visnav.dataio`, one per measurement mode (stereo,
   monocular, position3d);
@@ -30,7 +34,9 @@ on PYTHONPATH:
   1/600 s off the IMU grid, landmark 2 left out of every third frame and
   camera 1's bearing of landmark 4 out of every fourth (`analyze.mono`);
 - `gramian_continuous` over the stereo window [0, 2] of acceptance
-  criterion 7, keeping lambda_min and lambda_max;
+  criterion 7, keeping lambda_min and lambda_max, and
+  `check_uniform_observability` of the nilpotent state matrix at zero
+  rate with the same stereo output over that window (`uniform`);
 - `transition_matrix` of the trajectory's rate at a few (t0, t1) pairs;
 - `visnav simulate` and `visnav estimate` with the hybrid estimator
   (k_r = 20) on a stereo dataset of the same length as the runs above,
@@ -208,9 +214,10 @@ def dump(path, seconds):
     from visnav.dataio import Dataset, DatasetProvider, interpolating_imu
     from visnav.geom import exp_so3
     from visnav.hybrid import NoiseCovariances, run as hybrid_run
-    from visnav.observability import gramian_continuous, transition_matrix
+    from visnav.observability import (check_uniform_observability,
+                                      gramian_continuous, transition_matrix)
     from visnav.observer import (GainConfig, MonoBearingSource, ObserverState,
-                                 PositionSource, StereoBearingSource,
+                                 PositionSource, StereoBearingSource, build_A,
                                  innovation_stereo, run_continuous)
     from visnav.sim import (GRAVITY, CameraExtrinsics, EightTrajectory,
                             default_stereo_rig, make_bearing_frame,
@@ -254,10 +261,14 @@ def dump(path, seconds):
                                         MonoBearingSource(traj, lms, cams[0])),
         "flow": lambda: continuous(traj.imu, None),
     }
-    for name, fs in (("hybrid", frames), ("hybrid.offgrid", offgrid_frames)):
-        runs[name] = lambda fs=fs: hybrid_run(
+    for name, mode, fs, rig_k in (
+            ("hybrid", "stereo", frames, cams),
+            ("hybrid.offgrid", "stereo", offgrid_frames, cams),
+            ("hybrid.position3d", "position3d", ds.positions, cams),
+            ("hybrid.monocular", "monocular", rig_frames, rig)):
+        runs[name] = lambda mode=mode, fs=fs, rig_k=rig_k: hybrid_run(
             ObserverState.initial(R=R0), traj.imu, fs, lms,
-            GainConfig(k_r=20.0), mode="stereo", cams=cams,
+            GainConfig(k_r=20.0), mode=mode, cams=rig_k,
             ncov=NoiseCovariances(), t_end=seconds)[1]
     for mode in ("stereo", "monocular", "position3d"):
         runs[f"dataset.{mode}"] = (
@@ -273,14 +284,19 @@ def dump(path, seconds):
     arrays["attitude.R"] = np.stack([traj.rotation((k + 0.37) / 200.0)
                                      for k in range(6000)])
     dummy = ObserverState.initial()
-    rep = gramian_continuous(
-        traj.omega,
-        lambda t: innovation_stereo(
+
+    def c_stereo(t):
+        return innovation_stereo(
             dummy, make_bearing_frame(traj.state(t), lms, cams), cams,
-            lms)[1],
-        0.0, 2.0, GRAVITY)
-    arrays["gramian.lambda_min"] = np.array([rep.lambda_min])
-    arrays["gramian.lambda_max"] = np.array([rep.lambda_max])
+            lms)[1]
+
+    for name, rep in (
+            ("gramian", gramian_continuous(traj.omega, c_stereo, 0.0, 2.0,
+                                           GRAVITY)),
+            ("uniform", check_uniform_observability(
+                build_A(np.zeros(3), GRAVITY), c_stereo, 0.0, 2.0, 1e-6))):
+        arrays[f"{name}.lambda_min"] = np.array([rep.lambda_min])
+        arrays[f"{name}.lambda_max"] = np.array([rep.lambda_max])
     arrays["transition.Phi"] = np.stack([
         transition_matrix(traj.omega, GRAVITY, t0, t1)
         for t0, t1 in ((0.0, 0.05), (1.0, 1.0), (0.37, 2.9), (12.3, 15.0))])
@@ -327,7 +343,7 @@ def main():
             detail = "identical"
         else:
             diff, kind = np.abs(a - b), "|diff|"
-            if key.startswith(("analyze.", "gramian.")):
+            if key.startswith(("analyze.", "gramian.", "uniform.")):
                 diff, kind = diff / np.abs(a), "relative |diff|"
             detail = (f"DIFFERS (max {kind} {diff.max():.3g}, "
                       f"last step {diff[-1].max():.3g})")

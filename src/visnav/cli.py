@@ -8,6 +8,7 @@ diagnostic on standard error naming the offending file or field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -41,6 +42,7 @@ _NUMERIC_ERRORS = (NonFiniteStateError, SingularInnovationError,
                    np.linalg.LinAlgError, FloatingPointError, OverflowError)
 
 
+@functools.cache      # built on the first main call, once per process
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="visnav",

@@ -21,11 +21,10 @@ from .hybrid import NoiseCovariances
 # innovation_{position,stereo,mono} stay importable here: the benchmark's
 # span tracer (perfbench/tracer.py) wraps them in this namespace.
 from .observer import (MODES, FrameSource, GainConfig,  # noqa: F401
-                       ObserverState, bearing_blocks, frame_arrays,
-                       innovation_mono, innovation_position, innovation_stereo,
-                       linear_output, mode_cameras, position_blocks)
-from .sim import (BearingFrame, CameraExtrinsics, Landmark, PositionFrame,
-                  rig_arrays)
+                       ObserverState, frame_arrays, innovation_mono,
+                       innovation_position, innovation_stereo, linear_output,
+                       mode_cameras, observation_blocks)
+from .sim import BearingFrame, CameraExtrinsics, Landmark, PositionFrame
 
 IMU_HEADER = "t,wx,wy,wz,ax,ay,az"
 LANDMARKS_HEADER = "id,x,y,z"
@@ -96,6 +95,13 @@ def _check_rotations(name, rows, Rs):
 
 
 def _check_increasing(name, rows, t):
+    """Name the line of the first non-finite timestamp of t, or else of
+    the first that does not exceed the one before it."""
+    bad = ~np.isfinite(t)
+    if bad.any():
+        ln, vals = rows[int(np.argmax(bad))]
+        raise ValidationError(f"{name}:{ln}: timestamp must be finite, "
+                              f"got {vals[0]}")
     bad = ~(np.diff(t) > 0)
     if bad.any():
         raise ValidationError(f"{name}:{rows[int(np.argmax(bad)) + 1][0]}: "
@@ -515,15 +521,11 @@ class DatasetProvider(FrameSource):
     """
 
     def __init__(self, ds: Dataset, mode: str):
-        super().__init__(mode_cameras(mode, ds.extrinsics),
-                         sorted(ds.landmarks, key=lambda lm: lm.id))
+        super().__init__(mode_cameras(mode, ds.extrinsics), ds.landmarks)
         frames = ds.frames(mode)
-        self._unit = mode != "position3d"
         self.times = [fr.t for fr in frames]
-        self._p = np.array([lm.p for lm in self.lms],
-                           dtype=float).reshape(-1, 3)
-        self._rig = rig_arrays(self.cams)
-        self._Y, self._seen = frame_arrays(frames, self.cams, self.lms)
+        self._p, self._Y, self._seen, self._rig = frame_arrays(
+            frames, self.cams, self.lms)
 
     def _blend(self, t):
         """(rows, Y, seen) at t: the mask of the landmarks seen, and their
@@ -537,7 +539,7 @@ class DatasetProvider(FrameSource):
         w = 0.0 if hi == k else (t - times[k]) / (times[hi] - times[k])
         seen = self._seen[k] & self._seen[hi]
         Y = (1.0 - w) * self._Y[k] + w * self._Y[hi]
-        if self._unit:
+        if self._rig is not None:       # bearings: back to unit length
             n = np.sqrt((Y * Y).sum(axis=-1))
             seen &= n > 1e-9
             Y = np.where(seen[..., None],
@@ -552,10 +554,8 @@ class DatasetProvider(FrameSource):
         if blend is None:
             return None
         rows, Y, seen = blend
-        if self._unit:
-            return linear_output(bearing_blocks(self._p[rows], Y, seen,
-                                                *self._rig))
-        return linear_output(position_blocks(self._p[rows], Y[:, 0]))
+        return linear_output(observation_blocks(self._p[rows], Y, seen,
+                                                self._rig))
 
     def frame_at(self, t):
         blend = self._blend(t)
@@ -563,7 +563,7 @@ class DatasetProvider(FrameSource):
             return None
         rows, Y, seen = blend
         ids = [lm.id for lm, r in zip(self.lms, rows) if r]
-        if not self._unit:
+        if self._rig is None:
             return PositionFrame(t=t, obs=dict(zip(ids, Y[:, 0])))
         return BearingFrame(t=t, obs={
             (self.cams[k].cam_id, ids[i]): Y[i, k]

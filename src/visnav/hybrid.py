@@ -22,15 +22,15 @@ from .observer import (  # noqa: F401
     GainConfig,
     I15,
     ObserverState,
-    innovation,
+    frame_arrays,
     innovation_mono,
     innovation_position,
     innovation_stereo,
-    landmark_blocks,
+    measurement_model,
     mode_cameras,
+    observation_blocks,
     step,
 )
-from .sim import PositionFrame
 
 
 @dataclass
@@ -91,17 +91,16 @@ def jump(est: ObserverState, innovation, q_inv: np.ndarray) -> ObserverState:
     )
 
 
-def tune_vq(est: ObserverState, ncov: NoiseCovariances, lms, frame=None,
-            cams=None):
+def tune_vq(est: ObserverState, ncov: NoiseCovariances, blocks=None,
+            rig=None):
     """Map measurement-noise covariances into the Riccati weights.
 
     V comes from the IMU-noise Jacobian of the error dynamics (always
-    available); Q^-1 needs the current vision frame to know the measured
-    landmarks and their projectors, so it is None when frame is None.
-    Q^-1 is block diagonal over the landmark blocks of landmark_blocks
-    with the cameras cams (those of the measurement mode): identity blocks
-    for position frames (the noise enters directly), range-scaled summed
-    projectors for bearing frames.
+    available); Q^-1 needs the landmark blocks (p, Pi, b) of the current
+    vision frame (observation_blocks), so it is None when blocks is None.
+    Q^-1 is block diagonal over those blocks, its rows following C's:
+    identity blocks for position observations (rig None; the noise enters
+    directly), range-scaled summed projectors for bearings (a rig).
     """
     G = np.zeros((15, 6))
     vecs = (est.p, est.e[0], est.e[1], est.e[2], est.v)
@@ -111,11 +110,10 @@ def tune_vq(est: ObserverState, ncov: NoiseCovariances, lms, frame=None,
     V = G @ ncov.cov_x() @ G.T + ncov.reg * I15
     V = 0.5 * (V + V.T)
 
-    if frame is None:
+    if blocks is None:
         return V, None
-    # the same blocks as the innovation, so Q^-1's rows follow C's rows
-    p, M, _ = landmark_blocks(frame, cams or [], lms)
-    if not isinstance(frame, PositionFrame):
+    p, M, _ = blocks
+    if rig is not None:
         M = np.linalg.norm(p @ est.e - est.p, axis=1)[:, None, None] * M
     n = len(p)
     diag = np.arange(n)
@@ -138,11 +136,12 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
     k and k+1 ends a partial flow at its time t_f, jumps there, and the
     flow goes on to node k+1 with the rest of the interval.  n rounds
     (t_end - t0) / dt; with t_end None the grid reaches the last frame.
-    cams is the camera rig; the innovation and Q^-1 both use its
-    mode_cameras(mode, cams) and keep a landmark one camera misses.  imu is
-    a callable t -> (omega, a).  Raises ScheduleViolationError for a frame
+    cams is the camera rig; the frames are stacked once (frame_arrays) over
+    its mode_cameras(mode, cams), and each jump's blocks feed both the
+    innovation and Q^-1 and keep a landmark one camera misses.  imu is a
+    callable t -> (omega, a).  Raises ScheduleViolationError for a frame
     off the grid's span (beyond the 1e-12 s hair) or two frames with the
-    same time.
+    same time, and UnknownLandmarkError for a landmark outside lms.
 
     Returns (times, states, jumps) where states[k] is the estimate at
     times[k] and jumps is a list of (t, lambda_max_before,
@@ -166,13 +165,14 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
         if a.t == b.t:
             raise ScheduleViolationError(f"two frames at t={a.t}")
 
-    cams = mode_cameras(mode, cams or [])
+    p, Y, seen, rig = frame_arrays(frames, mode_cameras(mode, cams or []),
+                                   lms)
     # the flow's weights, rebuilt only when tune_vq moves V
-    cfg_k = cfg if ncov is None else replace(cfg, v=tune_vq(est, ncov, lms)[0])
+    cfg_k = cfg if ncov is None else replace(cfg, v=tune_vq(est, ncov)[0])
     est = est.copy()
     states, jumps, t = [est], [], nodes[0]
     slots = [(grid_index(nodes, f.t), f) for f in frames] + [(n, None)]
-    for k, frame in slots:
+    for i, (k, frame) in enumerate(slots):
         for t_next in nodes[len(states):k + 1]:    # flow on to node k
             est, t = flow(est, imu, cfg_k, t_next - t, t=t), t_next
             states.append(est)
@@ -180,9 +180,11 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
             break
         if frame.t - nodes[k] > 1e-12:      # strictly between k and k + 1
             est, t = flow(est, imu, cfg_k, frame.t - t, t=t), frame.t
-        inn = innovation(est, frame, mode, cams, lms)
+        rows = seen[i].any(axis=-1)
+        blocks = observation_blocks(p[rows], Y[i, rows], seen[i, rows], rig)
+        inn = measurement_model(est, blocks)
         if ncov is not None:
-            V, q_inv = tune_vq(est, ncov, lms, frame=frame, cams=cams)
+            V, q_inv = tune_vq(est, ncov, blocks, rig)
             cfg_k = replace(cfg, v=V)
         else:
             q_inv = np.eye(inn[1].shape[0]) / cfg.q

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedSpectrumError,
 )
 from .geom import I3, AttitudeTable
-from .observer import build_A, linear_output, position_blocks
+from .observer import build_A, linear_output, observation_blocks
 
 FULL_STATE_DIM = 15
 
@@ -84,36 +84,35 @@ def transition_matrix(omega_fn, gravity, t0: float, t1: float,
     return closed_form_transition(gravity, tau, dR)
 
 
-def _simpson_grid(delta: float, dt: float):
-    """Composite Simpson rule over a window of length delta: the step
-    h = delta / n for the least even n >= 2 with h <= dt, and the n + 1
-    node weights."""
+def _simpson_nodes(t: float, delta: float, dt: float):
+    """Composite Simpson rule over [t, t + delta]: the nodes t + k h for
+    the least even n >= 2 with h = delta / n <= dt, and the square roots
+    of their weights h w_k, so that the quadrature of sum_k h w_k O_k^T O_k
+    is one product O^T O of the stacked rows sqrt(h w_k) O_k."""
     n = int(np.ceil(delta / dt - 1e-12))
     n = max(n + n % 2, 2)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return delta / n, w / 3.0
+    h = delta / n
+    return t + h * np.arange(n + 1), np.sqrt(h * w / 3.0)
 
 
 def gramian_continuous(omega_fn, c_fn, t: float, delta: float,
                        gravity, dt: float = 1.0 / 800.0,
                        mu: float = 1e-6) -> GramianReport:
     """Windowed Gramian (1/delta) * integral of Phi^T C^T C Phi over
-    [t, t+delta], by composite Simpson quadrature; each node's Phi(tau, t)
+    [t, t+delta], by composite Simpson quadrature as one product of the
+    stacked weighted rows C Phi (_simpson_nodes); each node's Phi(tau, t)
     comes in closed form off one `AttitudeTable` over the nodes."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    h, weights = _simpson_grid(delta, dt)
-    taus = t + h * np.arange(weights.size)
+    taus, roots = _simpson_nodes(t, delta, dt)
     phis = closed_form_transition(gravity, taus - t,
                                   AttitudeTable(taus, omega_fn).R)
-    W = np.zeros((FULL_STATE_DIM, FULL_STATE_DIM))
-    for w, tau, Phi in zip(weights, taus, phis):
-        CPhi = np.asarray(c_fn(tau), dtype=float) @ Phi
-        W += w * (CPhi.T @ CPhi)
-    W *= h / delta
-    return GramianReport.from_gramian(W, (t, t + delta), mu)
+    O = np.vstack([r * np.asarray(c_fn(tau), dtype=float) @ Phi
+                   for r, tau, Phi in zip(roots, taus, phis)])
+    return GramianReport.from_gramian(O.T @ O / delta, (t, t + delta), mu)
 
 
 def gramian_discrete(phis, cs, mu: float = 1e-6,
@@ -168,17 +167,11 @@ def check_uniform_observability(A: np.ndarray, c_fn, t: float, delta: float,
                 "defective matrix with real spectrum")
         powers = [np.eye(A.shape[0])]
 
-    def stacked(tau):
-        C = np.asarray(c_fn(tau), dtype=float)
-        return np.vstack([C @ Nk for Nk in powers])
-
-    h, weights = _simpson_grid(delta, dt)
-    W = np.zeros((A.shape[0], A.shape[0]))
-    for k in range(weights.size):
-        O = stacked(t + k * h)
-        W += weights[k] * (O.T @ O)
-    W *= h
-    return GramianReport.from_gramian(W, (t, t + delta), mu)
+    N = np.hstack(powers)       # each row c of C gives the rows c A^k
+    taus, roots = _simpson_nodes(t, delta, dt)
+    O = np.vstack([r * np.asarray(c_fn(tau), dtype=float) @ N
+                   for r, tau in zip(roots, taus)]).reshape(-1, len(A))
+    return GramianReport.from_gramian(O.T @ O, (t, t + delta), mu)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +247,8 @@ def static_observability_matrix(lms, p_prime, gravity,
             f"camera position coincides with landmark {lms[np.argmax(on)].id}")
     n = len(lms)
     O = np.zeros((3 * n + 6, FULL_STATE_DIM + n))
-    O[:3 * n, :FULL_STATE_DIM] = linear_output(position_blocks(pts, pts))[1]
+    O[:3 * n, :FULL_STATE_DIM] = linear_output(observation_blocks(
+        pts, pts[:, None], np.ones((n, 1), dtype=bool), None))[1]
     O[np.arange(3 * n), FULL_STATE_DIM + np.arange(3 * n) // 3] = d.ravel()
     # the velocity pin I3 and the gravity rows g^T (x) I3
     O[3 * n:, 3:FULL_STATE_DIM] = np.kron([[0, 0, 0, 1], [*gravity, 0]], I3)

@@ -138,39 +138,36 @@ def mode_cameras(mode: str, cams) -> list:
 
 
 def landmark_blocks(frame, cams, lms):
-    """Stacked per-landmark measurement blocks (p, Pi, b) of one frame.
-
-    Every mode gives a linear constraint Pi z = b on each body-frame
-    landmark position z, so y = -b = C x (linear_output).  A PositionFrame
-    gives Pi = I and b = z (position_blocks).  A BearingFrame gives the
-    bearing_blocks of the cameras in cams that see each landmark;
-    observations of other cameras are ignored.  Rows follow ascending
-    landmark ids and the camera sum ascending cam ids.  p is (L, 3),
+    """Stacked per-landmark measurement blocks (p, Pi, b) of one frame:
+    the observation_blocks of the landmarks it sees in frame_arrays'
+    stack.  Every mode gives a linear constraint Pi z = b on each
+    body-frame landmark position z, so y = -b = C x (linear_output).
+    Rows follow ascending landmark ids and the camera sum ascending cam
+    ids; observations of cameras outside cams are ignored.  p is (L, 3),
     Pi (L, 3, 3) and b (L, 3).
 
     Raises UnknownLandmarkError for a landmark outside lms and NotUnitError
     for a rotated bearing whose norm is off 1 by more than 1e-6.
     """
-    lms = sorted(lms, key=lambda lm: lm.id)
-    cams = sorted(cams, key=lambda c: c.cam_id)
-    Y, seen = frame_arrays([frame], cams, lms)
+    p, Y, seen, rig = frame_arrays([frame], cams, lms)
     rows = seen[0].any(axis=-1)
-    Y, seen = Y[0, rows], seen[0, rows]
-    p = np.array([lm.p for lm in lms], dtype=float).reshape(-1, 3)[rows]
-    if isinstance(frame, PositionFrame):
-        return position_blocks(p, Y[:, 0])
-    return bearing_blocks(p, Y, seen, *rig_arrays(cams))
+    return observation_blocks(p[rows], Y[0, rows], seen[0, rows], rig)
 
 
 def frame_arrays(frames, cams, lms):
-    """The observations of a list of frames of one kind stacked over lms
-    and cams in their given order: Y (F, L, K, 3), and seen (F, L, K)
-    marking the ones present, whose entries are 0 otherwise.  Position
-    frames fill one column (K = 1), as does an empty list without cams;
-    observations of cameras outside cams are ignored.
+    """The observations of a list of frames of one kind stacked over the
+    landmarks lms in ascending ids and the cameras cams in ascending cam
+    ids: (p, Y, seen, rig) with the landmark positions p (L, 3), Y
+    (F, L, K, 3), seen (F, L, K) marking the observations present, whose
+    entries are 0 otherwise, and rig = rig_arrays(cams) for bearing frames
+    or None for position frames.  Position frames fill one column (K = 1),
+    as does an empty list without cams; observations of cameras outside
+    cams are ignored.
 
     Raises UnknownLandmarkError for a landmark outside lms.
     """
+    lms = sorted(lms, key=lambda lm: lm.id)
+    cams = sorted(cams, key=lambda c: c.cam_id)
     position = isinstance(frames[0], PositionFrame) if frames else not cams
     row = {lm.id: i for i, lm in enumerate(lms)}
     col = {None: 0} if position else {c.cam_id: k for k, c in enumerate(cams)}
@@ -190,7 +187,8 @@ def frame_arrays(frames, cams, lms):
     if at:
         at = tuple(np.array(at).T)
         Y[at], seen[at] = ys, True
-    return Y, seen
+    p = np.array([lm.p for lm in lms], dtype=float).reshape(-1, 3)
+    return p, Y, seen, None if position else rig_arrays(cams)
 
 
 def stacked_output(frames, cams, lms):
@@ -199,28 +197,27 @@ def stacked_output(frames, cams, lms):
     ascending ids: a landmark a frame does not see (by the cameras in
     cams, for bearings) has zero rows, which add nothing to a Gramian.
     The rows of the landmarks a frame sees are landmark_blocks' and
-    linear_output's of that frame; the kernels run once over all frames'
+    linear_output's of that frame; the kernel runs once over all frames'
     landmarks, as one stack of F L landmarks.
     """
-    lms = sorted(lms, key=lambda lm: lm.id)
-    cams = sorted(cams, key=lambda c: c.cam_id)
-    Y, seen = frame_arrays(frames, cams, lms)
+    p, Y, seen, rig = frame_arrays(frames, cams, lms)
     F, L, K = seen.shape
-    Y, seen = Y.reshape(F * L, K, 3), seen.reshape(F * L, K)
-    p = np.tile(np.array([lm.p for lm in lms], dtype=float).reshape(-1, 3),
-                (F, 1))
-    if frames and isinstance(frames[0], PositionFrame):
-        blocks = p, seen[:, 0, None, None] * I3, Y[:, 0]
-    else:
-        blocks = bearing_blocks(p, Y, seen, *rig_arrays(cams))
-    y, C = linear_output(blocks)
+    y, C = linear_output(observation_blocks(
+        np.tile(p, (F, 1)), Y.reshape(F * L, K, 3), seen.reshape(F * L, K),
+        rig))
     return y.reshape(F, 3 * L), C.reshape(F, 3 * L, 15)
 
 
-def position_blocks(p, z):
-    """(p, Pi, b) of body-frame landmark positions z (L, 3): Pi = I and
-    b = z."""
-    return p, np.broadcast_to(I3, (len(p), 3, 3)), z
+def observation_blocks(p, Y, seen, rig):
+    """(p, Pi, b) of landmarks at p (L, 3) from their rows of
+    frame_arrays' stack, observations Y (L, K, 3) and seen mask (L, K),
+    and its rig: bearing_blocks with a rig (Rc, c); without one (None) Y
+    holds body-frame positions z in one column, and Pi = I, b = z where
+    seen and Pi = 0, b = 0 where not.
+    """
+    if rig is not None:
+        return bearing_blocks(p, Y, seen, *rig)
+    return p, seen[:, 0, None, None] * I3, Y[:, 0]
 
 
 def bearing_blocks(p, Y, seen, Rc, c):
@@ -279,17 +276,6 @@ def innovation_mono(est: ObserverState, frame, cam, lms):
 def innovation_position(est: ObserverState, frame, lms):
     """Body-frame landmark position measurements: identity projectors."""
     return measurement_model(est, landmark_blocks(frame, [], lms))
-
-
-def innovation(est: ObserverState, frame, mode: str, cams, lms):
-    """(sigma_y, C) of one frame in a measurement mode, from the cameras
-    mode_cameras(mode, cams) of the rig."""
-    cams = mode_cameras(mode, cams)
-    if mode == "position3d":
-        return innovation_position(est, frame, lms)
-    if mode == "monocular":
-        return innovation_mono(est, frame, cams[0], lms)
-    return innovation_stereo(est, frame, cams, lms)
 
 
 def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray,
@@ -465,12 +451,13 @@ class FrameSource:
     No estimate enters (y, C), so the finished output of the last two
     query times is kept: a step asks for t + dt/2 and t + dt, and the next
     step starts at that t + dt.  A call for a kept time does no numeric
-    work.  cams are the cameras of the measurement mode.
+    work.  cams are the cameras of the measurement mode, and lms are kept
+    in ascending ids.
     """
 
     def __init__(self, cams, lms):
         self.cams = list(cams)
-        self.lms = list(lms)
+        self.lms = sorted(lms, key=lambda lm: lm.id)
         self._outputs = {}
 
     def __call__(self, t: float):
@@ -500,23 +487,18 @@ class TruthSource(FrameSource):
     """
 
     def __init__(self, traj, lms, mode: str, cams=()):
-        super().__init__(mode_cameras(mode, cams),
-                         sorted(lms, key=lambda lm: lm.id))
+        super().__init__(mode_cameras(mode, cams), lms)
         self.traj = traj
-        self.mode = mode
         self._p = np.array([lm.p for lm in self.lms],
                            dtype=float).reshape(-1, 3)
-        self._seen = np.ones((len(self.lms), len(self.cams)), dtype=bool)
-        self._rig = rig_arrays(self.cams)
+        self._rig = None if mode == "position3d" else rig_arrays(self.cams)
 
     def output(self, t: float):
         state = self.traj.state(t)
-        if self.mode == "position3d":
-            return linear_output(position_blocks(
-                self._p, synth_positions(state, self.lms)))
-        return linear_output(bearing_blocks(
-            self._p, synth_bearings(state, self.lms, self.cams), self._seen,
-            *self._rig))
+        Y = (synth_positions(state, self.lms)[:, None] if self._rig is None
+             else synth_bearings(state, self.lms, self.cams))
+        return linear_output(observation_blocks(
+            self._p, Y, np.ones(Y.shape[:-1], dtype=bool), self._rig))
 
 
 def StereoBearingSource(traj, lms, cams) -> TruthSource:

@@ -443,6 +443,26 @@ def test_nan_frame_time_is_bad_input(tmp_path, capsys, mode, name):
             f"visnav: {name}:10: frame time must be finite, got nan\n")
 
 
+@pytest.mark.parametrize("name", ["imu.csv", "groundtruth.csv"])
+def test_inf_last_timestamp_is_bad_input(tmp_path, capsys, name):
+    # an inf last timestamp passed the loader: estimate then died with a
+    # ValueError traceback and analyze exited 2 ("SVD did not converge")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG.replace("duration = 6", "duration = 1"))
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    lines = (data / name).read_text().splitlines(keepends=True)
+    lines[-1] = "inf" + lines[-1][lines[-1].index(","):]
+    (data / name).write_text("".join(lines))
+    for command in ("estimate", "analyze"):
+        rc = main([command, "--config", str(cfg), "--data", str(data),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"visnav: {name}:{len(lines)}: timestamp must be finite, "
+            f"got inf\n")
+
+
 def test_nearest_groundtruth_rows_are_argmins():
     # reference: the per-frame scan np.argmin(np.abs(gt_t - t)), which
     # takes the first of equal distances; on a dyadic grid the midpoints

@@ -105,6 +105,19 @@ def test_imu_rejects_unsorted_timestamps(tmp_path):
         load_dataset(str(tmp_path))
 
 
+@pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
+def test_imu_rejects_non_finite_timestamps(tmp_path, t):
+    # an inf last timestamp passed the increasing check, and estimate then
+    # died with a traceback
+    (tmp_path / "imu.csv").write_text(
+        f"t,wx,wy,wz,ax,ay,az\n0,0,0,0,0,0,0\n0.1,0,0,0,0,0,0\n"
+        f"{t},0,0,0,0,0,0\n")
+    (tmp_path / "landmarks.csv").write_text(MINIMAL_LMS)
+    with pytest.raises(ValidationError) as info:
+        load_dataset(str(tmp_path))
+    assert str(info.value) == f"imu.csv:4: timestamp must be finite, got {t}"
+
+
 def test_parse_errors_carry_file_and_line(tmp_path):
     (tmp_path / "landmarks.csv").write_text(MINIMAL_LMS)
     imu = tmp_path / "imu.csv"
@@ -237,6 +250,10 @@ def _groundtruth(*rows):
      "groundtruth.csv:3: stored matrix is not a rotation"),
     (((0, 1), (0.1, 1), (0.1, 1)),
      "groundtruth.csv:4: timestamps must be strictly increasing"),
+    (((0, 1), (0.1, 1), ("inf", 1)),
+     "groundtruth.csv:4: timestamp must be finite, got inf"),
+    ((("-inf", 1), (0.1, 1), (0.2, 1)),
+     "groundtruth.csv:2: timestamp must be finite, got -inf"),
 ])
 def test_groundtruth_errors_name_the_line(tmp_path, rows, message):
     _write_core(tmp_path, extrinsics=False)

@@ -1,18 +1,22 @@
 """Unit tests for the sampled-measurement (flow/jump) estimator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import visnav.hybrid as hybrid
-from visnav.errors import ScheduleViolationError, SingularInnovationError
+from visnav.errors import (ScheduleViolationError, SingularInnovationError,
+                           UnknownLandmarkError)
 from visnav.geom import E3, dist_identity, exp_so3, random_rotation
 from visnav.hybrid import NoiseCovariances, flow, jump, run, tune_vq
 from visnav.observability import transition_matrix
-from visnav.observer import (GainConfig, ObserverState, build_A, error_state,
-                             innovation_stereo, step)
+from visnav.observer import (MODES, GainConfig, ObserverState, build_A,
+                             error_state, innovation_stereo, landmark_blocks,
+                             measurement_model, mode_cameras, step)
 from visnav.sim import (GRAVITY, BearingFrame, EightTrajectory, Landmark,
-                        default_stereo_rig, make_bearing_frame,
-                        sample_landmarks)
+                        PositionFrame, default_stereo_rig, make_bearing_frame,
+                        make_position_frame, rig_arrays, sample_landmarks)
 
 
 def _spd(rng, n=15, scale=1.0):
@@ -158,7 +162,7 @@ def test_jump_singular_innovation_raises():
 def test_tune_vq_regularization_floor():
     ncov = NoiseCovariances(cov_omega=0.0, cov_a=0.0, cov_y=0.0, reg=0.01)
     est = ObserverState.initial()
-    V, q_inv = tune_vq(est, ncov, [])
+    V, q_inv = tune_vq(est, ncov)
     assert np.max(np.abs(V - 0.01 * np.eye(15))) <= 1e-15
     assert q_inv is None
 
@@ -172,7 +176,8 @@ def test_tune_vq_shapes_and_spd():
     est = ObserverState.initial(R=random_rotation(rng),
                                 p=rng.normal(size=3), v=rng.normal(size=3))
     ncov = NoiseCovariances()
-    V, q_inv = tune_vq(est, ncov, lms, frame=frame, cams=cams)
+    V, q_inv = tune_vq(est, ncov, landmark_blocks(frame, cams, lms),
+                       rig_arrays(cams))
     assert V.shape == (15, 15) and q_inv.shape == (15, 15)
     assert np.linalg.eigvalsh(V)[0] >= ncov.reg - 1e-12
     assert np.linalg.eigvalsh(q_inv)[0] >= ncov.reg - 1e-12
@@ -181,13 +186,36 @@ def test_tune_vq_shapes_and_spd():
 
 
 def test_tune_vq_position_blocks_are_isotropic():
-    from visnav.sim import make_position_frame
     traj = EightTrajectory(t_end=1.0)
     lms = sample_landmarks(4, seed=1)
     frame = make_position_frame(traj.state(0.3), lms)
     ncov = NoiseCovariances(cov_y=0.06)
-    _, q_inv = tune_vq(ObserverState.initial(), ncov, lms, frame=frame)
+    _, q_inv = tune_vq(ObserverState.initial(), ncov,
+                       landmark_blocks(frame, [], lms))
     assert np.max(np.abs(q_inv - (0.06 + ncov.reg) * np.eye(12))) <= 1e-15
+
+
+def test_tune_vq_scales_bearing_blocks_by_range():
+    # the same blocks give range-scaled projectors with a rig and the
+    # projectors themselves without one
+    rng = np.random.default_rng(19)
+    traj = EightTrajectory(t_end=1.0)
+    lms = sample_landmarks(3, seed=2)
+    cams = default_stereo_rig()
+    blocks = landmark_blocks(make_bearing_frame(traj.state(0.4), lms, cams),
+                             cams, lms)
+    est = ObserverState.initial(R=random_rotation(rng), p=rng.normal(size=3))
+    ncov = NoiseCovariances(cov_y=0.01, reg=1e-3)
+    (_, ranged), (_, plain) = (tune_vq(est, ncov, blocks, rig)
+                               for rig in (rig_arrays(cams), None))
+    p, Pi, _ = blocks
+    for i, d in enumerate(np.linalg.norm(p @ est.e - est.p, axis=1)):
+        block = slice(3 * i, 3 * i + 3)
+        ref = 0.01 * Pi[i] @ Pi[i].T + 1e-3 * np.eye(3)
+        assert np.allclose(plain[block, block], ref, rtol=1e-14, atol=0.0)
+        assert np.allclose(ranged[block, block] - 1e-3 * np.eye(3),
+                           d * d * (ref - 1e-3 * np.eye(3)), rtol=1e-12,
+                           atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -381,3 +409,73 @@ def test_run_without_ncov_uses_configured_weights():
     got = states[50]
     assert np.max(np.abs(got.P - ref.P)) <= 1e-12
     assert np.max(np.abs(got.p - ref.p)) <= 1e-12
+
+
+def _mode_frames(mode, traj, lms, cams, times):
+    """Noise-free frames of a mode; bearing frames hold every camera's
+    bearings, so monocular frames also carry the second camera's."""
+    if mode == "position3d":
+        return [make_position_frame(traj.state(t), lms) for t in times]
+    return _make_frames(traj, lms, cams, times)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_jumps_match_per_frame_landmark_blocks(mode):
+    # run stacks its frames once; replicating it frame by frame with each
+    # frame's own landmark_blocks, through the innovation and tune_vq,
+    # gives every state and jump bit for bit: on a frame that misses a
+    # landmark, on one where the first camera misses a landmark the second
+    # sees, and on one between IMU nodes
+    traj = EightTrajectory(t_end=0.5)
+    lms = sample_landmarks(5, seed=0)
+    cams = default_stereo_rig()
+    nodes = (1.0 / 200.0) * np.arange(81)
+    frames = _mode_frames(mode, traj, lms, cams,
+                          [nodes[20], nodes[40], 0.2512, nodes[60]])
+    frames[1].obs = {key: y for key, y in frames[1].obs.items()
+                     if (key if mode == "position3d" else key[1]) != lms[2].id}
+    if mode != "position3d":
+        del frames[2].obs[(cams[0].cam_id, lms[4].id)]
+    cfg, ncov = GainConfig(k_r=20.0), NoiseCovariances()
+    est0 = ObserverState.initial(R=exp_so3(np.array([0.3, 0.0, -0.2])))
+    times, states, jumps = run(est0, traj.imu, frames, lms, cfg, mode=mode,
+                               cams=cams, ncov=ncov, t_end=0.4)
+
+    mode_cams = mode_cameras(mode, cams)
+    rig = None if mode == "position3d" else rig_arrays(mode_cams)
+    cfg_k = replace(cfg, v=tune_vq(est0, ncov)[0])
+    frame_at = {f.t: f for f in frames}
+    est, t, ref, ref_jumps = est0.copy(), 0.0, [est0], []
+    for t_next in [*nodes[1:51], 0.2512, *nodes[51:]]:
+        est, t = flow(est, traj.imu, cfg_k, t_next - t, t=t), t_next
+        if t in frame_at:
+            blocks = landmark_blocks(frame_at[t], mode_cams, lms)
+            inn = measurement_model(est, blocks)
+            V, q_inv = tune_vq(est, ncov, blocks, rig)
+            cfg_k = replace(cfg, v=V)
+            lam_before = float(np.linalg.eigvalsh(est.P)[-1])
+            est = jump(est, inn, q_inv)
+            ref_jumps.append(
+                (t, lam_before, float(np.linalg.eigvalsh(est.P)[-1])))
+        if t != 0.2512:
+            ref.append(est)
+    assert [len(landmark_blocks(f, mode_cams, lms)[0]) for f in frames] == \
+        [5, 4, 4 if mode == "monocular" else 5, 5]
+    assert jumps == ref_jumps
+    assert len(states) == len(ref) == 81
+    for a, b in zip(states, ref):
+        for f in ("R", "p", "v", "e", "P"):
+            assert np.array_equal(getattr(a, f), getattr(b, f))
+
+
+def test_run_rejects_an_unknown_landmark():
+    traj = EightTrajectory(t_end=0.3)
+    lms = sample_landmarks(5, seed=0)
+    cams = default_stereo_rig()
+    for mode, frames in (
+            ("stereo", _make_frames(traj, lms, cams, [0.1, 0.2])),
+            ("position3d", [PositionFrame(t=0.1, obs={
+                lm.id: lm.p for lm in lms})])):
+        with pytest.raises(UnknownLandmarkError, match="landmark"):
+            run(ObserverState.initial(), traj.imu, frames, lms[:4],
+                GainConfig(), mode=mode, cams=cams, t_end=0.3)

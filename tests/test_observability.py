@@ -28,6 +28,7 @@ from visnav.geom import I3, AttitudeTable, exp_so3, grid_index
 from visnav.observability import (FULL_STATE_DIM, GramianReport,
                                   check_mono_motion, check_stereo_condition,
                                   classify_static_degeneracy,
+                                  closed_form_transition,
                                   gramian_continuous, gramian_discrete,
                                   check_uniform_observability,
                                   static_observability_matrix,
@@ -254,6 +255,32 @@ def test_gramian_step_size_insensitive(traj, lms, cams):
     a = gramian_continuous(om, c_fn, 0.0, 1.0, G, dt=1.0 / 800.0)
     b = gramian_continuous(om, c_fn, 0.0, 1.0, G, dt=1.0 / 1600.0)
     assert abs(a.lambda_min - b.lambda_min) <= 1e-6 * max(1.0, a.lambda_max)
+
+
+def test_gramians_are_simpson_sums_of_the_node_products(traj, lms, cams):
+    # gramian_continuous and check_uniform_observability form W as one
+    # product of sqrt-weighted stacked rows; the reference is the Simpson
+    # sum of the per-node products on the same nodes and Phi, equal to
+    # roundoff: |d lambda| <= |dW| <= 1e-12 lambda_max
+    om, c_fn = _omega_fn(traj), _c_stereo(traj, lms, cams)
+    t, delta, n = 0.3, 0.5, 400             # h = delta / n = 1/800
+    taus = t + (delta / n) * np.arange(n + 1)
+    w = (delta / n / 3.0) * np.array([1.0, *[4.0, 2.0] * (n // 2 - 1),
+                                      4.0, 1.0])
+    phis = closed_form_transition(G, taus - t, AttitudeTable(taus, om).R)
+    Abar = build_A(np.zeros(3), G)
+    W_c, W_u = np.zeros((15, 15)), np.zeros((15, 15))
+    for wk, tau, Phi in zip(w, taus, phis):
+        C = c_fn(tau)
+        W_c += wk * (C @ Phi).T @ (C @ Phi) / delta
+        O = np.vstack([C, C @ Abar, C @ Abar @ Abar])
+        W_u += wk * O.T @ O
+    for rep, W in ((gramian_continuous(om, c_fn, t, delta, G), W_c),
+                   (check_uniform_observability(Abar, c_fn, t, delta, 1e-6),
+                    W_u)):
+        ev = np.linalg.eigvalsh(W)
+        assert abs(rep.lambda_min - ev[0]) <= 1e-12 * ev[-1]
+        assert abs(rep.lambda_max - ev[-1]) <= 1e-12 * ev[-1]
 
 
 def test_gramian_rejects_bad_window(traj, lms, cams):

@@ -14,7 +14,7 @@ from visnav.geom import (E3, I3, dist_identity, exp_so3, pi_proj,
                          psi_antisym, random_rotation, skew)
 from visnav.observer import (MODES, GainConfig, ObserverState, TruthSource,
                              attitude_innovation, build_A, error_state,
-                             innovation, innovation_mono, innovation_position,
+                             innovation_mono, innovation_position,
                              innovation_stereo, landmark_blocks, linear_output,
                              riccati_rhs, run_continuous, step, PositionSource,
                              StereoBearingSource)
@@ -235,7 +235,8 @@ def test_innovation_dispatch_uses_the_mode_cameras():
              ("position3d", positions,
               innovation_position(est, positions, lms))]
     for mode, frame, ref in pairs:
-        got = observer.innovation(est, frame, mode, cams[::-1], lms)
+        got = observer.measurement_model(est, landmark_blocks(
+            frame, observer.mode_cameras(mode, cams[::-1]), lms))
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
     # monocular is stereo with one camera
     one = innovation_stereo(est, bearings, cams[:1], lms)
@@ -630,7 +631,11 @@ def test_sources_match_a_fresh_innovation(mode):
             y_ref, C_ref = linear_output(landmark_blocks(frame, mode_cams,
                                                          lms))
             assert np.array_equal(y, y_ref) and np.array_equal(C, C_ref)
-            sy, C_inn = innovation(est, frame, mode, cams, lms)
+            sy, C_inn = {
+                "position3d": lambda: innovation_position(est, frame, lms),
+                "stereo": lambda: innovation_stereo(est, frame, cams, lms),
+                "monocular": lambda: innovation_mono(est, frame, cams[0],
+                                                     lms)}[mode]()
             assert np.array_equal(C, C_inn)
         y, C = truth(t)
         _, x = error_state(st, ObserverState.initial(e=np.zeros((3, 3))))
