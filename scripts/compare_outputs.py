@@ -16,6 +16,9 @@ on PYTHONPATH:
   (`hybrid.position3d`), and monocular on the frames of the rotated rig
   below (`hybrid.monocular`), whose first camera misses landmark 4 in
   every third frame while the second camera's bearings stay in the frames;
+- a stereo hybrid run with noise covariances and no frames
+  (`hybrid.frame-free`): the tune_vq V of the initial state, and the whole
+  run one flow;
 - continuous runs driven by an in-memory dataset through the dataset
   provider of `visnav.dataio`, one per measurement mode (stereo,
   monocular, position3d);
@@ -270,6 +273,9 @@ def dump(path, seconds):
             ObserverState.initial(R=R0), traj.imu, fs, lms,
             GainConfig(k_r=20.0), mode=mode, cams=rig_k,
             ncov=NoiseCovariances(), t_end=seconds)[1]
+    runs["hybrid.frame-free"] = lambda: hybrid_run(
+        ObserverState.initial(R=R0), traj.imu, [], lms, GainConfig(k_r=20.0),
+        cams=cams, ncov=NoiseCovariances(), t_end=seconds)[1]
     for mode in ("stereo", "monocular", "position3d"):
         runs[f"dataset.{mode}"] = (
             lambda mode=mode: continuous(interpolating_imu(ds.imu),

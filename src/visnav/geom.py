@@ -3,8 +3,9 @@
 Skew/unskew maps, the 3-vector cross product, the antisymmetric-part
 vector, tangent-plane projectors, the Rodrigues exponential, the
 normalized rotation distance, the auxiliary matrices of trace-potential
-bounds for attitude estimators, and `AttitudeTable`, the one integrator of
-the attitude from a rate.
+bounds for attitude estimators, `AttitudeTable`, the one integrator of the
+attitude from a rate, and `rk4_exp_floats`, the RK4 step of an attitude
+whose rate reads it.
 """
 
 from __future__ import annotations
@@ -38,9 +39,14 @@ def cross(a, b) -> np.ndarray:
     The component formula: equal bit for bit to np.cross, whose general
     broadcasting costs about ten times more per call on 3-vectors.
     """
-    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
-    x, y, z = np.asarray(b, dtype=float).tolist()
-    return np.array([a1 * z - a2 * y, a2 * x - a0 * z, a0 * y - a1 * x])
+    return np.array(cross_floats(np.asarray(a, dtype=float).tolist(),
+                                 np.asarray(b, dtype=float).tolist()))
+
+
+def cross_floats(a, b) -> tuple:
+    """cross of two 3-sequences of Python floats, as a tuple."""
+    (a0, a1, a2), (x, y, z) = a, b
+    return a1 * z - a2 * y, a2 * x - a0 * z, a0 * y - a1 * x
 
 
 def vee(M, tol: float = 1e-9) -> np.ndarray:
@@ -88,8 +94,7 @@ def exp_so3(v) -> np.ndarray:
 
     Small angles fall back to the quadratic series, which is exact at v = 0
     and accurate to machine precision below the switch point.  One vector
-    takes the formula on Python floats, I + A S + B (v v^T - th^2 I) entry
-    by entry, within an ulp or two of the stack's.
+    takes exp_so3_floats, within an ulp or two of the stack.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim > 1:  # a stack: row j of skew(v) is e_j x v
@@ -99,7 +104,12 @@ def exp_so3(v) -> np.ndarray:
         A = np.where(small, 1.0, np.sin(th) / th)
         B = np.where(small, 0.5, (1.0 - np.cos(th)) / (th * th))
         return I3 + A * S + B * (S @ S)
-    x, y, z = v.tolist()
+    return np.array(exp_so3_floats(*v.tolist()))
+
+
+def exp_so3_floats(x, y, z) -> tuple:
+    """exp_so3 of (x, y, z) on Python floats, I + A S + B (v v^T - th^2 I)
+    entry by entry, as three row tuples."""
     xx, yy, zz = x * x, y * y, z * z
     th = math.sqrt(xx + yy + zz)
     if th < 1e-8:
@@ -108,9 +118,9 @@ def exp_so3(v) -> np.ndarray:
         A, B = math.sin(th) / th, (1.0 - math.cos(th)) / (th * th)
     ax, ay, az = A * x, A * y, A * z
     bxy, bxz, byz = B * (x * y), B * (x * z), B * (y * z)
-    return np.array([[1.0 - B * (yy + zz), bxy - az, bxz + ay],
-                     [bxy + az, 1.0 - B * (xx + zz), byz - ax],
-                     [bxz - ay, byz + ax, 1.0 - B * (xx + yy)]])
+    return ((1.0 - B * (yy + zz), bxy - az, bxz + ay),
+            (bxy + az, 1.0 - B * (xx + zz), byz - ax),
+            (bxz - ay, byz + ax, 1.0 - B * (xx + yy)))
 
 
 def dist_identity(R) -> float:
@@ -221,8 +231,37 @@ def dexpinv_body(sigma, omega) -> np.ndarray:
     + sigma x (sigma x omega) / 12 + O(|sigma|^4).  Sufficient for
     fourth-order one-step integrators restarting sigma at 0 each step.
     """
-    c1 = cross(sigma, omega)
-    return omega + 0.5 * c1 + (1.0 / 12.0) * cross(sigma, c1)
+    return np.array(dexpinv_floats(np.asarray(sigma, dtype=float).tolist(),
+                                   np.asarray(omega, dtype=float).tolist()))
+
+
+def dexpinv_floats(sigma, omega) -> tuple:
+    """dexpinv_body of two 3-sequences of Python floats, as a tuple."""
+    (w0, w1, w2), c = omega, cross_floats(sigma, omega)
+    (c0, c1, c2), (d0, d1, d2), k = c, cross_floats(sigma, c), 1.0 / 12.0
+    return (w0 + 0.5 * c0 + k * d0, w1 + 0.5 * c1 + k * d1,
+            w2 + 0.5 * c2 + k * d2)
+
+
+def rk4_exp_floats(R0, rate, h) -> tuple:
+    """R0 exp(sig) after one RK4 step of length h of sig_dot =
+    dexpinv_body(sig, rate(j, R)), sig(0) = 0, R = R0 exp(sig) at the
+    stages j = 0..3 (at 0, h/2, h/2, h): a body rate that may read R.  On
+    Python floats; R0, R and the result (not projected) are row tuples."""
+    ks = [(0.0, 0.0, 0.0)]
+    for j, c in enumerate((0.0, 0.5 * h, 0.5 * h, h)):
+        sig = [c * k for k in ks[-1]]
+        ks.append(dexpinv_floats(sig, rate(j, _times_exp(R0, sig) if c
+                                           else R0)))
+    return _times_exp(R0, [(h / 6.0) * (a + 2 * b + 2 * c + d)
+                           for a, b, c, d in zip(*ks[1:])])
+
+
+def _times_exp(R, sig):
+    # R exp_so3(sig) on Python floats, R and the result as row tuples
+    (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = exp_so3_floats(*sig)
+    return tuple((a * e00 + b * e10 + c * e20, a * e01 + b * e11 + c * e21,
+                  a * e02 + b * e12 + c * e22) for a, b, c in R)
 
 
 def grid_index(ts, t: float) -> int:

@@ -16,12 +16,13 @@ import numpy as np
 
 from .errors import ScheduleViolationError, SingularInnovationError
 from .geom import I3, grid_index, skew
-# innovation_{position,stereo,mono} stay importable here: the benchmark's
-# span tracer (perfbench/tracer.py) wraps them in this namespace.
+# innovation_{position,stereo,mono} and step stay importable here: the
+# benchmark's span tracer (perfbench/tracer.py) wraps them in this namespace.
 from .observer import (  # noqa: F401
     GainConfig,
     I15,
     ObserverState,
+    flow,
     frame_arrays,
     innovation_mono,
     innovation_position,
@@ -53,14 +54,6 @@ class NoiseCovariances:
 
     def cov_x(self) -> np.ndarray:
         return np.diag(np.repeat([self.cov_omega, self.cov_a], 3))
-
-
-def flow(est: ObserverState, imu, cfg: GainConfig, dt: float,
-         t: float = 0.0) -> ObserverState:
-    """Pure inertial propagation: the continuous observer's step with no
-    measurement terms.  Its Hamiltonian has S = 0, so P advances as
-    Phi P Phi^T + int Phi V Phi^T (Van Loan, IEEE TAC 23(3), 1978)."""
-    return step(est, imu, cfg, dt, t=t, meas=None)
 
 
 def jump(est: ObserverState, innovation, q_inv: np.ndarray) -> ObserverState:
@@ -128,8 +121,10 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
         t_end: float | None = None, dt: float = 1.0 / 200.0, t0: float = 0.0):
     """Flow/jump driver on the IMU grid times = t0 + dt * arange(n + 1).
 
-    The estimate flows from node to node, one `step` of length
-    times[k+1] - times[k] each, and jumps at each vision frame's own time.
+    The estimate flows from node to node, one RK4 step of length
+    times[k+1] - times[k] each, and jumps at each vision frame's own time;
+    each stretch between two jumps (nodes, from a frame's time on, or on
+    to a frame's time) is one `flow` call.
     A frame within 1e-12 s of a node (`grid_index`) jumps on that node,
     after the flow that lands there (on node 0, the initial state), and
     the node records the post-jump state.  A frame strictly between nodes
@@ -139,15 +134,19 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
     cams is the camera rig; the frames are stacked once (frame_arrays) over
     its mode_cameras(mode, cams), and each jump's blocks feed both the
     innovation and Q^-1 and keep a landmark one camera misses.  imu is a
-    callable t -> (omega, a).  Raises ScheduleViolationError for a frame
-    off the grid's span (beyond the 1e-12 s hair) or two frames with the
-    same time, and UnknownLandmarkError for a landmark outside lms.
+    callable t -> (omega, a).  Raises ValueError for a bearing mode
+    without cameras, ScheduleViolationError for a frame off the grid's span
+    (beyond the 1e-12 s hair) or two frames with the same time, and
+    UnknownLandmarkError for a landmark outside lms.
 
     Returns (times, states, jumps) where states[k] is the estimate at
     times[k] and jumps is a list of (t, lambda_max_before,
     lambda_max_after) covariance diagnostics, t being the node time for a
     frame on a node and t_f otherwise.
     """
+    cams = mode_cameras(mode, cams or [])
+    if mode != "position3d" and not cams:
+        raise ValueError(f"a {mode} run needs a camera rig")
     frames = sorted(frames, key=lambda f: f.t)
     if t_end is None:
         if not frames:
@@ -165,21 +164,23 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
         if a.t == b.t:
             raise ScheduleViolationError(f"two frames at t={a.t}")
 
-    p, Y, seen, rig = frame_arrays(frames, mode_cameras(mode, cams or []),
-                                   lms)
+    p, Y, seen, rig = frame_arrays(frames, cams, lms)
     # the flow's weights, rebuilt only when tune_vq moves V
     cfg_k = cfg if ncov is None else replace(cfg, v=tune_vq(est, ncov)[0])
     est = est.copy()
     states, jumps, t = [est], [], nodes[0]
     slots = [(grid_index(nodes, f.t), f) for f in frames] + [(n, None)]
     for i, (k, frame) in enumerate(slots):
-        for t_next in nodes[len(states):k + 1]:    # flow on to node k
-            est, t = flow(est, imu, cfg_k, t_next - t, t=t), t_next
-            states.append(est)
+        ahead = nodes[len(states):k + 1]        # flow on to node k
+        stretch = [t, *ahead]
+        if frame is not None and frame.t - nodes[k] > 1e-12:
+            stretch.append(frame.t)     # strictly between k and k + 1
+        if len(stretch) > 1:
+            flowed = flow(est, imu, cfg_k, stretch)
+            states += flowed[:len(ahead)]
+            est, t = flowed[-1], stretch[-1]
         if frame is None:
             break
-        if frame.t - nodes[k] > 1e-12:      # strictly between k and k + 1
-            est, t = flow(est, imu, cfg_k, frame.t - t, t=t), frame.t
         rows = seen[i].any(axis=-1)
         blocks = observation_blocks(p[rows], Y[i, rows], seen[i, rows], rig)
         inn = measurement_model(est, blocks)

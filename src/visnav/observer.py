@@ -11,11 +11,15 @@ time-varying; their gains come from a continuous Riccati equation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import NonFiniteStateError, NotUnitError, UnknownLandmarkError
-from .geom import I3, dexpinv_body, exp_so3, project_to_rotation, skew
+from .geom import I3, project_to_rotation, rk4_exp_floats, skew
+# exp_so3 and dexpinv_body stay importable here: the benchmark's span tracer
+# (perfbench/tracer.py) wraps them in this namespace.
+from .geom import dexpinv_body, exp_so3  # noqa: F401
 from .sim import (GRAVITY, PositionFrame, rig_arrays, synth_bearings,
                   synth_positions)
 # make_bearing_frame and make_position_frame stay importable here: the
@@ -113,15 +117,16 @@ def build_A(omega: np.ndarray, gravity: np.ndarray) -> np.ndarray:
     return A
 
 
-def attitude_innovation(e: np.ndarray, cfg: GainConfig) -> np.ndarray:
+def attitude_innovation(e, cfg: GainConfig) -> tuple:
     """sigma_R = (k_r / 2) * sum_i rho_i (e_hat_i x e_i) of the auxiliary
-    vectors e_hat_i, the rows of e, in closed form: e_i is the i-th basis
-    vector, so e_hat_i x e_i keeps two components of e_hat_i."""
-    (_, e01, e02), (e10, _, e12), (e20, e21, _) = e.tolist()
+    vectors e_hat_i, the rows of e (an array, or rows of Python floats), in
+    closed form: e_i is the i-th basis vector, so e_hat_i x e_i keeps two
+    components of e_hat_i.  Returns the three components."""
+    (_, e01, e02), (e10, _, e12), (e20, e21, _) = e
     r0, r1, r2 = cfg.rho
     c = 0.5 * cfg.k_r
-    return np.array([c * (r2 * e21 - r1 * e12), c * (r0 * e02 - r2 * e20),
-                     c * (r1 * e10 - r0 * e01)])
+    return (c * (r2 * e21 - r1 * e12), c * (r0 * e02 - r2 * e20),
+            c * (r1 * e10 - r0 * e01))
 
 
 MODES = ("position3d", "stereo", "monocular")
@@ -311,37 +316,29 @@ def _body_frame(est: ObserverState) -> np.ndarray:
     return (np.vstack((est.p, est.e, est.v)) @ est.R).reshape(15)
 
 
-_DIAG = np.arange(10)
+# the measurement-free flow takes at most this many steps in one batch, so
+# that a batch's stacks (a 30 x 16 Z per node) stay small
+_BATCH = 32
+
+# omega @ _LEVI is -skew(omega) of each row of an (m, 3) stack, raveled: its
+# entry (j, k) is the Levi-Civita eps_jkl omega_l
+_LEVI = np.zeros((3, 9))
+_LEVI[[2, 0, 1, 1, 2, 0], [1, 5, 6, 2, 3, 7]] = [1, 1, 1, -1, -1, -1]
 
 
-def _generator(imu_tau, out, cfg: GainConfig, H0: np.ndarray):
-    """(H, f, omega) at one stage time: Zdot = H Z + f e_16^T with
-    H = [[A, V], [S, -A^T]], S = C^T Q C, and f the IMU forcing a of the
-    velocity rows of x and the measurement forcing -C^T Q y of lambda for
-    the linear output (y, C).  H0 is _template(cfg): H at omega = 0 and
-    S = 0, so H takes -skew(omega) into its ten diagonal 3 x 3 blocks
-    (those of A and of -A^T alike) and S."""
-    omega, a = imu_tau
-    H = H0.copy()
-    H.reshape(10, 3, 10, 3)[_DIAG, :, _DIAG, :] = -skew(omega)
-    f = np.zeros(30)
-    f[12:15] = a
-    if out is not None:
-        y, C = out
-        CtQ = cfg.q * C.T
-        H[15:, :15] = CtQ @ C
-        f[15:] = -CtQ @ y
-    return H, f, omega
-
-
-def _template(cfg: GainConfig) -> np.ndarray:
-    """The generator H of one step at omega = 0 and S = 0 (_generator)."""
-    A = build_A(np.zeros(3), cfg.gravity)
-    H0 = np.zeros((30, 30))
-    H0[:15, :15] = A
-    H0[:15, 15:] = cfg.v_matrix()
-    H0[15:, 15:] = -A.T
-    return H0
+def _corrected_rate(xis, omegas, cfg: GainConfig, j, R):
+    """omega + R^T sigma_R at stage j of a step's attitude RK4 (floats):
+    the rate at the stage's time (omegas at start, middle, end) corrected
+    by the attitude_innovation of e = xi_e R^T, xi_e = xis[j]."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = R
+    x, w = xis[j], omegas[(j + 1) // 2]
+    s0, s1, s2 = attitude_innovation(
+        [(x0 * a0 + x1 * a1 + x2 * a2, x0 * b0 + x1 * b1 + x2 * b2,
+          x0 * c0 + x1 * c1 + x2 * c2)
+         for x0, x1, x2 in (x[:3], x[3:6], x[6:])], cfg)
+    return (w[0] + a0 * s0 + b0 * s1 + c0 * s2,
+            w[1] + a1 * s0 + b1 * s1 + c1 * s2,
+            w[2] + a2 * s0 + b2 * s1 + c2 * s2)
 
 
 _FIELDS = ("R", "p", "v", "e", "P")
@@ -354,6 +351,93 @@ def _nonfinite_error(est: ObserverState, t: float) -> NonFiniteStateError:
                  if not np.all(np.isfinite(getattr(est, name)))),
                 "IMU or measurement input")
     return NonFiniteStateError(f"non-finite {name} at t={t:.9g}")
+
+
+def _integrate(est: ObserverState, cfg: GainConfig, starts, h, samples,
+               outs=()):
+    """The states after RK4 steps of lengths h from the times starts,
+    chained from est, given the IMU samples (omega, a) at each step's
+    start, middle and end (an end is the next start) and, for one step,
+    the outputs (y, C) | None there.  H Z of a stage (see step) is H0 Z,
+    H0 the template at omega = 0 and S = 0, plus -skew(omega) (_LEVI) on
+    Z's ten 3-row blocks and S X on the lambda rows: no 30 x 30 generator
+    is stored per stage.  Z runs on with no restart; the attitude follows
+    each step's stages (rk4_exp_floats)."""
+    omega, a = (np.array(x, dtype=float) for x in zip(*samples))
+    A, w = build_A(np.zeros(3), cfg.gravity), (omega @ _LEVI).reshape(-1, 3, 3)
+    H0, f = np.zeros((30, 30)), np.zeros((len(omega), 30))
+    H0[:15, :15], H0[:15, 15:], H0[15:, 15:] = A, cfg.v_matrix(), -A.T
+    S, f[:, 12:15] = [None] * len(omega), a
+    for j, out in enumerate(outs):  # S = C^T Q C, -C^T Q y forcing lambda
+        if out is not None:
+            y, C = out
+            S[j], f[j, 15:] = cfg.q * C.T @ C, -cfg.q * C.T @ y
+    measured = any(x is not None for x in S)
+    Z, nodes = np.zeros((30, 16)), np.empty((len(h), 30, 16))
+    Z[:15, :15], Z[:15, 15], Z[15:, :15] = est.P, _body_frame(est), I15
+    omega, R, Rs = omega.tolist(), est.R.tolist(), []
+    for k, hk in enumerate(h):
+        zj, ks, xis = Z, [], []
+        for j, c in zip((2 * k, 2 * k + 1, 2 * k + 1, 2 * k + 2),
+                        (0.5 * hk, 0.5 * hk, hk, None)):
+            x = zj[3:12, 15]    # xi_e, but x - X Y^-1 lambda for lambda != 0
+            if measured and ks:
+                x = x - zj[3:12, :15] @ np.linalg.solve(zj[15:, :15],
+                                                         zj[15:, 15])
+            xis.append(x.tolist())
+            ks.append(H0 @ zj)
+            ks[-1] += (w[j] @ zj.reshape(10, 3, 16)).reshape(30, 16)
+            if S[j] is not None:
+                ks[-1][15:] += S[j] @ zj[:15]
+            ks[-1][:, 15] += f[j]
+            if c is not None:
+                zj = Z + c * ks[-1]
+        Z = nodes[k] = Z + (hk / 6.0) * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
+        R = rk4_exp_floats(R, partial(_corrected_rate, xis,
+                                      omega[2 * k:2 * k + 3], cfg), hk)
+        Rs.append(R)
+    Rs = np.array(Rs)
+    # P^T = Y^-T X^T, whose symmetric part is that of P = X Y^-1
+    P = np.linalg.solve(nodes[:, 15:, :15].transpose(0, 2, 1),
+                        nodes[:, :15, :15].transpose(0, 2, 1))
+    ok = (np.isfinite(nodes).all(axis=(1, 2))
+          & np.isfinite(P).all(axis=(1, 2)) & np.isfinite(Rs).all(axis=(1, 2)))
+    if not ok.all():
+        raise _nonfinite_error(est, starts[int(ok.argmin())])
+    # free the stack before the states are built, each in arrays of its
+    # own, which a state that a jump replaces then frees
+    xl, nodes, states = nodes[:, :, 15].copy(), None, []
+    for xk, Pk, Rk in zip(xl, P, project_to_rotation(Rs)):
+        Pk = 0.5 * (Pk.T + Pk)
+        W = (xk[:15] - Pk @ xk[15:]).reshape(5, 3) @ Rk.T
+        states.append(ObserverState(R=Rk.copy(), p=W[0], v=W[4], e=W[1:4],
+                                    P=Pk))
+    return states
+
+
+def flow(est: ObserverState, imu, cfg: GainConfig, times) -> list:
+    """The measurement-free flow of est from times[0] through the ascending
+    node times: the estimates at times[1:], each one RK4 step of `step`.
+    With S = 0, P advances as Phi P Phi^T + int Phi V Phi^T (Van Loan,
+    IEEE TAC 23(3), 1978), and Z, which never reads the attitude, runs on
+    from node to node with no restart, which in exact arithmetic is a
+    restart at each node: the RK4 map commutes with the right
+    multiplication a restart applies.  imu is called once per distinct
+    stage time, 2 n + 1 times for n steps.  A batch of at most _BATCH steps
+    shares one template, one solve for its nodes' P and one projection of
+    their attitudes; Z restarts at each batch.  Raises NonFiniteStateError
+    naming the start of the first step that turns non-finite.
+    """
+    times, states = [float(t) for t in times], [est]
+    samples = [imu(times[0])]
+    for i in range(0, len(times) - 1, _BATCH):
+        nodes = times[i:i + _BATCH + 1]
+        h = [b - a for a, b in zip(nodes, nodes[1:])]
+        for a, hk, b in zip(nodes, h, nodes[1:]):
+            samples += (imu(a + 0.5 * hk), imu(b))
+        states += _integrate(states[-1], cfg, nodes, h, samples)
+        samples = samples[-1:]
+    return states[1:]
 
 
 def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
@@ -371,15 +455,17 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
     + K (y - C xi) with K = P C^T Q, and P solves the Riccati equation
     P_dot = A P + P A^T + V - P S P with S = C^T Q C.  Both are carried by
     the linear Hamiltonian system Z = [[X, x], [Y, lambda]] (30 x 16) from
-    Z0 = [[P, xi], [I, 0]] (see _generator): P = X Y^-1 and
-    xi = x - P lambda at every time (Kenney & Leipnik, IEEE TAC 30(10),
-    1985).  Its eigenvalues are about +-sqrt(eig(V S)), so the system is not
-    stiff where the Riccati form is, and restarting it at each step keeps
-    X Y^-1 well conditioned.  The attitude rides in the same RK4 in
-    exponential coordinates, R = R0 exp(sig), each stage correcting it with
-    the sigma_R of that stage's e = R xi_e.  With no measurement rows at any
-    stage lambda stays 0: the step is Van Loan's form of
-    P+ = Phi P Phi^T + int Phi V Phi^T, which the hybrid flow takes.
+    Z0 = [[P, xi], [I, 0]], Zdot = H Z + f e_16^T with H = [[A, V],
+    [S, -A^T]] and f the forcing a of v and -C^T Q y of lambda:
+    P = X Y^-1 and xi = x - P lambda at every time (Kenney & Leipnik, IEEE
+    TAC 30(10), 1985).  Its eigenvalues are about +-sqrt(eig(V S)), so the
+    system is not stiff where the Riccati form is, and restarting it at
+    each step keeps X Y^-1 well conditioned.  Z never reads the attitude:
+    the attitude's RK4 in exponential coordinates, R = R0 exp(sig), runs
+    after Z's stages, each correcting it with the sigma_R of that stage's
+    e = R xi_e (_corrected_rate).  With no measurement rows at any stage the
+    step is the one-step `flow` over [t, t + dt], fed the samples queried
+    here.
 
     A measurement first seen at t + dt, where t + dt/2 saw none, belongs
     to the next step: the step that ends on a stream's first frame is the
@@ -396,47 +482,7 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
             for _, out in queried]
     if outs[1] is None:         # the onset rule of the docstring
         outs[2] = None
-    measured = any(out is not None for out in outs)
-
-    R0, xi0, H0 = est.R, _body_frame(est), _template(cfg)
-    g0, g1, g2 = (_generator(imu_tau, out, cfg, H0)
-                  for (imu_tau, _), out in zip(queried, outs))
-    Z0 = np.zeros((30, 16))
-    Z0[:15, :15] = est.P
-    Z0[:15, 15] = xi0
-    Z0[15:, :15] = I15
-
-    def at(c, k):
-        """(Z, sig, xi, R) at Z0 + c k[0], sig = c k[1]."""
-        Z, sig = Z0 + c * k[0], c * k[1]
-        xi = Z[:15, 15]
-        if measured:            # lambda != 0: xi = x - X Y^-1 lambda
-            xi = xi - Z[:15, :15] @ np.linalg.solve(Z[15:, :15], Z[15:, 15])
-        return Z, sig, xi, R0 @ exp_so3(sig)
-
-    def stage(g, Z, sig, xi, R):
-        """(Zdot, sig_dot) with generator g at (Z, sig, xi, R)."""
-        H, f, omega = g
-        dZ = H @ Z
-        dZ[:, 15] += f
-        s_r = attitude_innovation(xi[3:12].reshape(3, 3) @ R.T, cfg)
-        return dZ, dexpinv_body(sig, omega + R.T @ s_r)
-
-    # stage 1 is at Z0 itself, where lambda = 0, sig = 0 and R = R0
-    k1 = stage(g0, Z0, np.zeros(3), xi0, R0)
-    k2 = stage(g1, *at(0.5 * dt, k1))
-    k3 = stage(g1, *at(0.5 * dt, k2))
-    k4 = stage(g2, *at(dt, k3))
-    Z, sig = (y + (dt / 6.0) * (a + 2 * b + 2 * c + d)
-              for y, a, b, c, d in zip((Z0, 0.0), k1, k2, k3, k4))
-    P = np.linalg.solve(Z[15:, :15].T, Z[:15, :15].T).T
-    if not all(np.all(np.isfinite(a)) for a in (Z, sig, P)):
-        raise _nonfinite_error(est, t)
-    P = 0.5 * (P + P.T)
-    R = project_to_rotation(R0 @ exp_so3(sig))
-    xi = Z[:15, 15] - P @ Z[15:, 15] if measured else Z[:15, 15]
-    W = xi.reshape(5, 3) @ R.T
-    return ObserverState(R=R, p=W[0], v=W[4], e=W[1:4], P=P)
+    return _integrate(est, cfg, [t], [dt], [s for s, _ in queried], outs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,24 @@ def test_hybrid_estimate_jumps_at_off_grid_frame_times(sim_dir, tmp_path):
     assert len(recs) == 201 and recs[-1].t == 1.0
 
 
+def test_hybrid_estimate_leaves_out_frames_before_the_imu(tmp_path):
+    # imu.csv starting at t = 0.1, after the first bearing frame (0.05):
+    # both estimators leave that frame out and start at the first sample
+    cfg = tmp_path / "run.cfg"
+    data, trace = tmp_path / "data", tmp_path / "trace.csv"
+    cfg.write_text(HYBRID_CFG.replace("duration = 6", "duration = 1"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    header, *rows = (data / "imu.csv").read_text().splitlines(keepends=True)
+    (data / "imu.csv").write_text("".join([header, *rows[20:]]))
+    for estimator in ("continuous", "hybrid"):
+        cfg.write_text(HYBRID_CFG.replace("duration = 6", "duration = 1")
+                       .replace("hybrid", estimator))
+        assert main(["estimate", "--config", str(cfg), "--data", str(data),
+                     "--out", str(trace)]) == 0
+        recs = read_trace(str(trace))
+        assert recs[0].t == 0.1 and recs[-1].t == 1.0
+
+
 @pytest.mark.parametrize("name, column, what, value", [
     ("landmarks.csv", 0, "id", "nan"),
     ("landmarks.csv", 0, "id", "inf"),

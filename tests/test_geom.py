@@ -17,6 +17,7 @@ from visnav.geom import (
     project_to_rotation,
     psi_antisym,
     random_rotation,
+    rk4_exp_floats,
     rotation_axis,
     skew,
     vee,
@@ -252,6 +253,25 @@ def test_dexpinv_body_inverts_differential():
         rhs = exp_so3(sig) @ skew(omega)
         # a flipped sign convention would leave an O(|sig||omega|) ~ 1e-1 gap
         assert np.linalg.norm(lhs - rhs) <= 5e-6
+
+
+def test_rk4_exp_floats_is_exact_for_a_constant_rate():
+    # a constant body rate keeps sigma parallel to it, so every dexpinv
+    # correction vanishes and the step is R0 exp(h w); the rate is asked at
+    # stages 0..3 with each stage's R0 exp(sigma)
+    rng = np.random.default_rng(4)
+    R0, w, h = random_rotation(rng), np.array([0.3, -1.2, 0.7]), 0.05
+    seen = []
+
+    def rate(j, R):
+        seen.append((j, np.array(R)))
+        return w.tolist()
+
+    R = np.array(rk4_exp_floats(R0.tolist(), rate, h))
+    assert np.max(np.abs(R - R0 @ exp_so3(h * w))) <= 1e-15
+    assert [j for j, _ in seen] == [0, 1, 2, 3]
+    for (_, Rj), c in zip(seen, (0.0, 0.5, 0.5, 1.0)):
+        assert np.max(np.abs(Rj - R0 @ exp_so3(c * h * w))) <= 1e-15
 
 
 def eight_omega(t):

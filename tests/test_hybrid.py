@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import visnav.hybrid as hybrid
-from visnav.errors import (ScheduleViolationError, SingularInnovationError,
-                           UnknownLandmarkError)
+import visnav.observer as observer
+from visnav.errors import (NonFiniteStateError, ScheduleViolationError,
+                           SingularInnovationError, UnknownLandmarkError)
 from visnav.geom import E3, dist_identity, exp_so3, random_rotation
 from visnav.hybrid import NoiseCovariances, flow, jump, run, tune_vq
 from visnav.observability import transition_matrix
@@ -40,9 +41,8 @@ def test_flow_covariance_nilpotent_closed_form():
     A = build_A(np.zeros(3), np.zeros(3))
     assert np.array_equal(A @ A, np.zeros((15, 15)))
     dt = 1.0 / 200.0
-    for k in range(100):
-        est = flow(est, lambda tau: (np.zeros(3), np.zeros(3)), cfg, dt,
-                   t=k * dt)
+    est = flow(est, lambda tau: (np.zeros(3), np.zeros(3)), cfg,
+               dt * np.arange(101))[-1]
     t = 100 * dt
     phi = np.eye(15) + A * t
     expect = (phi @ (0.5 * np.eye(15)) @ phi.T
@@ -59,8 +59,9 @@ def test_flow_is_measurement_free_step():
     traj = EightTrajectory(t_end=0.1)
     cfg = GainConfig()
     est0 = ObserverState.initial(R=exp_so3(np.array([0.1, 0.2, -0.3])))
-    a = flow(est0.copy(), traj.imu, cfg, 1.0 / 200.0, t=0.02)
-    b = step(est0.copy(), traj.imu, cfg, 1.0 / 200.0, t=0.02, meas=None)
+    t0, t1 = 0.02, 0.02 + 1.0 / 200.0
+    a, = flow(est0.copy(), traj.imu, cfg, [t0, t1])
+    b = step(est0.copy(), traj.imu, cfg, t1 - t0, t=t0, meas=None)
     for fa, fb in ((a.R, b.R), (a.p, b.p), (a.v, b.v), (a.e, b.e), (a.P, b.P)):
         assert np.array_equal(fa, fb)
 
@@ -76,14 +77,48 @@ def test_flow_error_follows_transition_matrix():
         e=E3 + rng.normal(0.0, 0.1, (3, 3)))
     _, x0 = error_state(traj.state(0.0), est)
     cfg = GainConfig()
-    t, dt = 0.0, 1.0 / 200.0
-    for _ in range(100):
-        est = flow(est, traj.imu, cfg, dt, t=t)
-        t += dt
+    est = flow(est, traj.imu, cfg, np.arange(101) / 200.0)[-1]
     _, x_end = error_state(traj.state(0.5), est)
     Phi = transition_matrix(lambda tau: traj.imu(tau)[0], np.array(GRAVITY),
                             0.0, 0.5)
     assert np.max(np.abs(x_end - Phi @ x0)) <= 1e-6
+
+
+def test_flow_batches_match_one_interval_flows():
+    # a 20 s frame-free run flows in one call, its Z chained through
+    # batches of observer._BATCH nodes: it matches a flow per interval to
+    # 1e-12 relative, with the full tune_vq V of NoiseCovariances
+    traj = EightTrajectory(t_end=20.0)
+    est0 = ObserverState.initial(
+        R=exp_so3(0.5 * np.pi * np.ones(3) / np.sqrt(3)), p=[0.3, -0.2, 0.1])
+    cfg = GainConfig(k_r=20.0)
+    times, states, _ = run(est0, traj.imu, [], sample_landmarks(5, seed=0),
+                           cfg, cams=default_stereo_rig(),
+                           ncov=NoiseCovariances(), t_end=20.0)
+    assert len(times) - 1 > 10 * observer._BATCH
+    cfg_k = replace(cfg, v=tune_vq(est0, NoiseCovariances())[0])
+    ref = est0
+    for a, b, got in zip(times, times[1:], states[1:]):
+        ref, = flow(ref, traj.imu, cfg_k, [a, b])
+        for f in ("R", "p", "v", "e", "P"):
+            x, y = getattr(got, f), getattr(ref, f)
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y)), f
+
+
+def test_flow_names_the_node_whose_step_turns_non_finite():
+    # a NaN rate at the middle of the step from 0.12 s, inside the frame
+    # interval [0.1, 0.15]: the error names 0.12, not the interval's start
+    traj = EightTrajectory(t_end=0.3)
+    lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
+    frames = _make_frames(traj, lms, cams, [0.05, 0.1, 0.15])
+
+    def imu(t):
+        omega, a = traj.imu(t)
+        return (np.full(3, np.nan) if abs(t - 0.1225) < 1e-9 else omega), a
+
+    with pytest.raises(NonFiniteStateError, match=r"input at t=0\.12$"):
+        run(ObserverState.initial(), imu, frames, lms, GainConfig(), cams=cams,
+            t_end=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +316,15 @@ def test_run_two_frames_inside_one_imu_interval():
     times, states, jumps = run(est0, traj.imu, frames, lms, cfg, cams=cams,
                                t_end=0.6)
     assert [t for t, _, _ in jumps] == [0.5012, 0.5031]
-    frame_at = {f.t: f for f in frames}
-    est, t = est0.copy(), 0.0
-    for t_next in [*times[1:101], 0.5012, 0.5031, times[101]]:
-        est = flow(est, traj.imu, cfg, t_next - t, t=t)
-        t = t_next
-        if t in frame_at:
-            inn = innovation_stereo(est, frame_at[t], cams, lms)
+    # run's flows: to the first frame, between the frames, and on from
+    # the second frame
+    est = est0.copy()
+    for stretch, frame in (([*times[:101], 0.5012], frames[0]),
+                           ([0.5012, 0.5031], frames[1]),
+                           ([0.5031, *times[101:]], None)):
+        est = flow(est, traj.imu, cfg, stretch)[0 if frame is None else -1]
+        if frame is not None:
+            inn = innovation_stereo(est, frame, cams, lms)
             est = jump(est, inn, np.eye(inn[1].shape[0]) / cfg.q)
     got = states[101]
     for a, b in ((got.R, est.R), (got.p, est.p), (got.v, est.v),
@@ -398,12 +435,8 @@ def test_run_without_ncov_uses_configured_weights():
     times, states, jumps = run(est0, traj.imu, frames, lms, cfg, cams=cams,
                                t_end=1.0)
     assert len(jumps) == 4
-    # replicate the first jump by hand
-    est = est0.copy()
-    t = 0.0
-    for k in range(50):
-        est = flow(est, traj.imu, cfg, 1.0 / 200.0, t=t)
-        t += 1.0 / 200.0
+    # replicate the first jump by hand, after run's flow to its node
+    est = flow(est0.copy(), traj.imu, cfg, times[:51])[-1]
     inn = innovation_stereo(est, frames[0], cams, lms)
     ref = jump(est, inn, np.linalg.inv(cfg.q * np.eye(inn[1].shape[0])))
     got = states[50]
@@ -444,21 +477,27 @@ def test_run_jumps_match_per_frame_landmark_blocks(mode):
     mode_cams = mode_cameras(mode, cams)
     rig = None if mode == "position3d" else rig_arrays(mode_cams)
     cfg_k = replace(cfg, v=tune_vq(est0, ncov)[0])
-    frame_at = {f.t: f for f in frames}
-    est, t, ref, ref_jumps = est0.copy(), 0.0, [est0], []
-    for t_next in [*nodes[1:51], 0.2512, *nodes[51:]]:
-        est, t = flow(est, traj.imu, cfg_k, t_next - t, t=t), t_next
-        if t in frame_at:
-            blocks = landmark_blocks(frame_at[t], mode_cams, lms)
-            inn = measurement_model(est, blocks)
-            V, q_inv = tune_vq(est, ncov, blocks, rig)
-            cfg_k = replace(cfg, v=V)
-            lam_before = float(np.linalg.eigvalsh(est.P)[-1])
-            est = jump(est, inn, q_inv)
-            ref_jumps.append(
-                (t, lam_before, float(np.linalg.eigvalsh(est.P)[-1])))
-        if t != 0.2512:
-            ref.append(est)
+    # run's flows: from each jump to the next frame, then to the last node
+    est, ref, ref_jumps = est0.copy(), [est0], []
+    for stretch, frame in ((nodes[:21], frames[0]), (nodes[20:41], frames[1]),
+                           ([*nodes[40:51], 0.2512], frames[2]),
+                           ([0.2512, *nodes[51:61]], frames[3]),
+                           (nodes[60:], None)):
+        flowed = flow(est, traj.imu, cfg_k, stretch)
+        ref += flowed[:len(flowed) - (stretch[-1] == 0.2512)]
+        if frame is None:
+            break
+        est = flowed[-1]
+        blocks = landmark_blocks(frame, mode_cams, lms)
+        inn = measurement_model(est, blocks)
+        V, q_inv = tune_vq(est, ncov, blocks, rig)
+        cfg_k = replace(cfg, v=V)
+        lam_before = float(np.linalg.eigvalsh(est.P)[-1])
+        est = jump(est, inn, q_inv)
+        ref_jumps.append(
+            (frame.t, lam_before, float(np.linalg.eigvalsh(est.P)[-1])))
+        if frame.t != 0.2512:
+            ref[-1] = est
     assert [len(landmark_blocks(f, mode_cams, lms)[0]) for f in frames] == \
         [5, 4, 4 if mode == "monocular" else 5, 5]
     assert jumps == ref_jumps
@@ -466,6 +505,19 @@ def test_run_jumps_match_per_frame_landmark_blocks(mode):
     for a, b in zip(states, ref):
         for f in ("R", "p", "v", "e", "P"):
             assert np.array_equal(getattr(a, f), getattr(b, f))
+
+
+def test_run_rejects_a_bearing_mode_without_cameras():
+    # with no rig a bearing run would stack no camera columns, so every
+    # jump would have no rows and the run would dead reckon
+    traj = EightTrajectory(t_end=0.3)
+    lms = sample_landmarks(5, seed=0)
+    frames = _make_frames(traj, lms, default_stereo_rig(), [0.1, 0.2])
+    for mode in ("stereo", "monocular"):
+        for cams in (None, []):
+            with pytest.raises(ValueError, match=mode):
+                run(ObserverState.initial(), traj.imu, frames, lms,
+                    GainConfig(), mode=mode, cams=cams, t_end=0.2)
 
 
 def test_run_rejects_an_unknown_landmark():
