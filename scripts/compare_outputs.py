@@ -54,7 +54,11 @@ simulated columns, the window eigenvalues, each Phi, the trace columns,
 the static verdicts and matrices),
 or else their max |diff| over the run beside their |diff| at the last step
 (last window or query; both relative for the eigenvalues), so that a
-transient that later decays shows as such.  It exits 1 on any difference.
+transient that later decays shows as such.  A row of an R, p, v, e or P
+field (one step, query or trace row) reports its largest |diff| relative
+to that row's largest entry: dead-reckoning rows reach |p| ~ 1.8e3 m and
+|P| ~ 3.9e6, where an absolute figure reads roundoff as 5e-8.  It exits 1
+on any difference.
 """
 
 import argparse
@@ -351,6 +355,11 @@ def main():
             diff, kind = np.abs(a - b), "|diff|"
             if key.startswith(("analyze.", "gramian.", "uniform.")):
                 diff, kind = diff / np.abs(a), "relative |diff|"
+            elif key.rsplit(".", 1)[-1] in FIELDS:
+                rows = len(a), -1
+                diff = diff.reshape(rows).max(axis=1) / np.maximum(
+                    np.abs(a).reshape(rows).max(axis=1), np.finfo(float).tiny)
+                kind = "|diff| / row max"
             detail = (f"DIFFERS (max {kind} {diff.max():.3g}, "
                       f"last step {diff[-1].max():.3g})")
         same &= detail == "identical"

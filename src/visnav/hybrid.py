@@ -24,6 +24,7 @@ from .observer import (  # noqa: F401
     ObserverState,
     flow,
     frame_arrays,
+    imu_grid,
     innovation_mono,
     innovation_position,
     innovation_stereo,
@@ -129,15 +130,15 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
     after the flow that lands there (on node 0, the initial state), and
     the node records the post-jump state.  A frame strictly between nodes
     k and k+1 ends a partial flow at its time t_f, jumps there, and the
-    flow goes on to node k+1 with the rest of the interval.  n rounds
-    (t_end - t0) / dt; with t_end None the grid reaches the last frame.
+    flow goes on to node k+1 with the rest of the interval.  The grid is
+    imu_grid(t0, t_end, dt); with t_end None it reaches the last frame.
     cams is the camera rig; the frames are stacked once (frame_arrays) over
     its mode_cameras(mode, cams), and each jump's blocks feed both the
     innovation and Q^-1 and keep a landmark one camera misses.  imu is a
     callable t -> (omega, a).  Raises ValueError for a bearing mode
-    without cameras, ScheduleViolationError for a frame off the grid's span
-    (beyond the 1e-12 s hair) or two frames with the same time, and
-    UnknownLandmarkError for a landmark outside lms.
+    without cameras, dt <= 0 or t_end < t0, ScheduleViolationError for a
+    frame off the grid's span (beyond the 1e-12 s hair) or two frames with
+    the same time, and UnknownLandmarkError for a landmark outside lms.
 
     Returns (times, states, jumps) where states[k] is the estimate at
     times[k] and jumps is a list of (t, lambda_max_before,
@@ -148,14 +149,11 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
     if mode != "position3d" and not cams:
         raise ValueError(f"a {mode} run needs a camera rig")
     frames = sorted(frames, key=lambda f: f.t)
-    if t_end is None:
-        if not frames:
-            raise ValueError("t_end required when there are no frames")
-        n = int(np.ceil((frames[-1].t - t0 - 1e-12) / dt))
-    else:
-        n = int(round((t_end - t0) / dt))
-    times = t0 + dt * np.arange(n + 1)
-    nodes = times.tolist()
+    if t_end is None and not frames:
+        raise ValueError("t_end required when there are no frames")
+    times = (imu_grid(t0, t_end, dt) if t_end is not None
+             else imu_grid(t0, max(frames[-1].t, t0), dt, reach=True))
+    nodes, n = times.tolist(), len(times) - 1
     for f in frames:
         if not nodes[0] - 1e-12 <= f.t <= nodes[-1] + 1e-12:
             raise ScheduleViolationError(

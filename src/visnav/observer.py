@@ -316,9 +316,8 @@ def _body_frame(est: ObserverState) -> np.ndarray:
     return (np.vstack((est.p, est.e, est.v)) @ est.R).reshape(15)
 
 
-# the measurement-free flow takes at most this many steps in one batch, so
-# that a batch's stacks (a 30 x 16 Z per node) stay small
-_BATCH = 32
+# the most steps in one batch, so that what a batch holds stays small
+_BATCH = 16
 
 # omega @ _LEVI is -skew(omega) of each row of an (m, 3) stack, raveled: its
 # entry (j, k) is the Levi-Civita eps_jkl omega_l
@@ -353,96 +352,156 @@ def _nonfinite_error(est: ObserverState, t: float) -> NonFiniteStateError:
     return NonFiniteStateError(f"non-finite {name} at t={t:.9g}")
 
 
-def _integrate(est: ObserverState, cfg: GainConfig, starts, h, samples,
-               outs=()):
-    """The states after RK4 steps of lengths h from the times starts,
-    chained from est, given the IMU samples (omega, a) at each step's
-    start, middle and end (an end is the next start) and, for one step,
-    the outputs (y, C) | None there.  H Z of a stage (see step) is H0 Z,
-    H0 the template at omega = 0 and S = 0, plus -skew(omega) (_LEVI) on
-    Z's ten 3-row blocks and S X on the lambda rows: no 30 x 30 generator
-    is stored per stage.  Z runs on with no restart; the attitude follows
-    each step's stages (rk4_exp_floats)."""
-    omega, a = (np.array(x, dtype=float) for x in zip(*samples))
-    A, w = build_A(np.zeros(3), cfg.gravity), (omega @ _LEVI).reshape(-1, 3, 3)
-    H0, f = np.zeros((30, 30)), np.zeros((len(omega), 30))
+def _transposed_P(Z):
+    """P^T = Y^-T X^T of a stack of Z = [[X, x], [Y, lambda]], one solve;
+    its symmetric part is that of P = X Y^-1."""
+    return np.linalg.solve(Z[:, 15:, :15].transpose(0, 2, 1),
+                           Z[:, :15, :15].transpose(0, 2, 1))
+
+
+def _gain(meas, t: float, cfg: GainConfig):
+    """(S, g) = (q C^T C, -q C^T y) of meas(t) = (y, C), or None."""
+    out = None if meas is None else meas(t)
+    if out is None or not out[1].size:
+        return None
+    y, C = out
+    return cfg.q * C.T @ C, -cfg.q * C.T @ y
+
+
+def _stage_inputs(imu, meas, cfg: GainConfig, times, h):
+    """Step by step, the inputs (omega as floats, -skew(omega) (_LEVI), a,
+    _gain) at its start, middle and end, each built once per stage time
+    (an end is the next start) after imu, then meas, is queried there.
+    Without meas, _BATCH steps are queried at once; with it, one step, so
+    that at most three gains are held.  The onset rule of step: a step
+    whose middle has no gain takes none at its end."""
+    def at(taus):
+        got = [(imu(tau), _gain(meas, tau, cfg)) for tau in taus]
+        omega = np.array([s[0] for s, _ in got], dtype=float)
+        return list(zip(omega.tolist(), (omega @ _LEVI).reshape(-1, 3, 3),
+                        [s[1] for s, _ in got], [g for _, g in got]))
+
+    end, = at([float(times[0])])
+    starts, chunk = times[:-1], _BATCH if meas is None else 1
+    for i in range(0, len(h), chunk):
+        got = at(np.stack((starts[i:i + chunk] + 0.5 * h[i:i + chunk],
+                           times[i + 1:i + 1 + chunk]), 1).ravel().tolist())
+        for mid, nxt in zip(got[::2], got[1::2]):
+            start, end = end, nxt
+            yield start, mid, end[:3] + (None,) if mid[3] is None else end
+
+
+def _integrate(est: ObserverState, cfg: GainConfig, starts, h, inputs,
+               chain: bool):
+    """One batch: the states after RK4 steps of lengths h from the times
+    starts, from est, each step's stage inputs drawn from the iterator
+    inputs.  H Z of a stage (see step) is H0 Z, H0 the template at
+    omega = 0 and S = 0, plus -skew(omega) on Z's ten 3-row blocks and
+    S X on the lambda rows.  With chain (no source) Z runs on from node to
+    node, every node's P comes from one solve at the end, and lambda stays
+    0, so xi = x at every stage and node.  Otherwise Z restarts at every
+    node from its (P, xi), and one solve per step gives the node's P and
+    the P of the step's later stages, whose xi = x - P lambda the attitude
+    needs.  The attitude RK4 runs after all Z stages, and one SVD projects
+    the batch's attitudes.  Between steps a batch holds each node's P and
+    xi, or with chain its Z, and each stage's omega and xi_e."""
+    A = build_A(np.zeros(3), cfg.gravity)
+    H0 = np.zeros((30, 30))
     H0[:15, :15], H0[:15, 15:], H0[15:, 15:] = A, cfg.v_matrix(), -A.T
-    S, f[:, 12:15] = [None] * len(omega), a
-    for j, out in enumerate(outs):  # S = C^T Q C, -C^T Q y forcing lambda
-        if out is not None:
-            y, C = out
-            S[j], f[j, 15:] = cfg.q * C.T @ C, -cfg.q * C.T @ y
-    measured = any(x is not None for x in S)
-    Z, nodes = np.zeros((30, 16)), np.empty((len(h), 30, 16))
+    n, Z = len(h), np.zeros((30, 16))        # Z = [[P, xi], [I, 0]]
     Z[:15, :15], Z[:15, 15], Z[15:, :15] = est.P, _body_frame(est), I15
-    omega, R, Rs = omega.tolist(), est.R.tolist(), []
-    for k, hk in enumerate(h):
-        zj, ks, xis = Z, [], []
-        for j, c in zip((2 * k, 2 * k + 1, 2 * k + 1, 2 * k + 2),
-                        (0.5 * hk, 0.5 * hk, hk, None)):
-            x = zj[3:12, 15]    # xi_e, but x - X Y^-1 lambda for lambda != 0
-            if measured and ks:
-                x = x - zj[3:12, :15] @ np.linalg.solve(zj[15:, :15],
-                                                         zj[15:, 15])
-            xis.append(x.tolist())
-            ks.append(H0 @ zj)
-            ks[-1] += (w[j] @ zj.reshape(10, 3, 16)).reshape(30, 16)
-            if S[j] is not None:
-                ks[-1][15:] += S[j] @ zj[:15]
-            ks[-1][:, 15] += f[j]
-            if c is not None:
-                zj = Z + c * ks[-1]
-        Z = nodes[k] = Z + (hk / 6.0) * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
-        R = rk4_exp_floats(R, partial(_corrected_rate, xis,
-                                      omega[2 * k:2 * k + 3], cfg), hk)
+    Z0, ends, xi, P, omegas = Z, [], np.empty((n, 4, 9)), [], []
+    zs = np.empty((4, 30, 16))      # a step's later stages, then its end
+    for k, (hk, stage) in enumerate(zip(h, inputs)):
+        z, ks = Z, []
+        for i, (c, (_, w, a, g)) in enumerate(zip(
+                (0.5 * hk, 0.5 * hk, hk, None),
+                (stage[0], stage[1], stage[1], stage[2]))):
+            xi[k, i] = z[3:12, 15]
+            dz = H0 @ z
+            dz += (w @ z.reshape(10, 3, 16)).reshape(30, 16)
+            dz[12:15, 15] += a
+            if g is not None:       # S X on the lambda rows, g forcing them
+                dz[15:] += g[0] @ z[:15]
+                dz[15:, 15] += g[1]
+            ks.append(dz)
+            if c is not None:       # a restart solves on the stages in zs
+                z = Z + c * dz if chain else np.add(Z, c * dz, out=zs[i])
+        Z = Z + (hk / 6.0) * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
+        if chain:
+            ends.append(Z)
+        else:
+            zs[3] = Z
+            Pt = _transposed_P(zs)
+            xi[k, 1:] -= (zs[:3, None, 15:, 15] @ Pt[:3, :, 3:12])[:, 0]
+            P.append(0.5 * (Pt[3].T + Pt[3]))
+            ends.append(Z[:15, 15] - P[-1] @ Z[15:, 15])
+            Z0[:15, :15], Z0[:15, 15] = P[-1], ends[-1]      # the restart
+            Z = Z0
+        omegas.append([s[0] for s in stage])
+    R, Rs = est.R.tolist(), []
+    for x, omega, hk in zip(xi, omegas, h):
+        R = rk4_exp_floats(R, partial(_corrected_rate, x.tolist(), omega, cfg),
+                           hk)
         Rs.append(R)
+    ends = np.array(ends)       # each node's xi, or with chain its Z
+    if chain:
+        Pt = _transposed_P(ends)
+        P, ends = 0.5 * (Pt.transpose(0, 2, 1) + Pt), ends[:, :15, 15]
     Rs = np.array(Rs)
-    # P^T = Y^-T X^T, whose symmetric part is that of P = X Y^-1
-    P = np.linalg.solve(nodes[:, 15:, :15].transpose(0, 2, 1),
-                        nodes[:, :15, :15].transpose(0, 2, 1))
-    ok = (np.isfinite(nodes).all(axis=(1, 2))
-          & np.isfinite(P).all(axis=(1, 2)) & np.isfinite(Rs).all(axis=(1, 2)))
+    ok = (np.isfinite(ends).all(axis=1) & np.isfinite(Rs).all(axis=(1, 2))
+          & (np.isfinite(P).all(axis=(1, 2)) if chain
+             else [np.isfinite(Pk).all() for Pk in P]))
     if not ok.all():
         raise _nonfinite_error(est, starts[int(ok.argmin())])
-    # free the stack before the states are built, each in arrays of its
-    # own, which a state that a jump replaces then frees
-    xl, nodes, states = nodes[:, :, 15].copy(), None, []
-    for xk, Pk, Rk in zip(xl, P, project_to_rotation(Rs)):
-        Pk = 0.5 * (Pk.T + Pk)
-        W = (xk[:15] - Pk @ xk[15:]).reshape(5, 3) @ Rk.T
+    # each state in arrays of its own, which a state that a jump replaces
+    # then frees
+    states = []
+    for Pk, xk, Rk in zip(P, ends, project_to_rotation(Rs)):
+        W = xk.reshape(5, 3) @ Rk.T
         states.append(ObserverState(R=Rk.copy(), p=W[0], v=W[4], e=W[1:4],
-                                    P=Pk))
+                                    P=Pk.copy() if chain else Pk))
     return states
 
 
-def flow(est: ObserverState, imu, cfg: GainConfig, times) -> list:
-    """The measurement-free flow of est from times[0] through the ascending
-    node times: the estimates at times[1:], each one RK4 step of `step`.
-    With S = 0, P advances as Phi P Phi^T + int Phi V Phi^T (Van Loan,
-    IEEE TAC 23(3), 1978), and Z, which never reads the attitude, runs on
-    from node to node with no restart, which in exact arithmetic is a
-    restart at each node: the RK4 map commutes with the right
-    multiplication a restart applies.  imu is called once per distinct
-    stage time, 2 n + 1 times for n steps.  A batch of at most _BATCH steps
-    shares one template, one solve for its nodes' P and one projection of
-    their attitudes; Z restarts at each batch.  Raises NonFiniteStateError
-    naming the start of the first step that turns non-finite.
-    """
-    times, states = [float(t) for t in times], [est]
-    samples = [imu(times[0])]
-    for i in range(0, len(times) - 1, _BATCH):
-        nodes = times[i:i + _BATCH + 1]
-        h = [b - a for a, b in zip(nodes, nodes[1:])]
-        for a, hk, b in zip(nodes, h, nodes[1:]):
-            samples += (imu(a + 0.5 * hk), imu(b))
-        states += _integrate(states[-1], cfg, nodes, h, samples)
-        samples = samples[-1:]
+def _drive(est: ObserverState, imu, meas, cfg: GainConfig, times,
+           h=None) -> list:
+    """The one RK4 driver: the estimates at times[1:], a step from each
+    node time to the next (of length h[k], by default their difference),
+    in batches of at most _BATCH steps (_integrate).  imu, then meas, is
+    queried once per distinct stage time: 2 n + 1 times each for n steps.
+    Raises ValueError naming the first step whose length is not positive
+    (node times must strictly ascend), and NonFiniteStateError naming the
+    start of the first step that turns non-finite."""
+    times = np.asarray(times, dtype=float)
+    h = np.diff(times) if h is None else np.asarray(h, dtype=float)
+    if not (h > 0).all():
+        k = int((h > 0).argmin())
+        raise ValueError(f"step at t={float(times[k])!r} has length "
+                         f"{float(h[k])!r}: node times must strictly ascend")
+    inputs, states = _stage_inputs(imu, meas, cfg, times, h), [est]
+    for i in range(0, len(h), _BATCH):
+        states += _integrate(states[-1], cfg, times[i:i + _BATCH].tolist(),
+                             h[i:i + _BATCH].tolist(), inputs, meas is None)
     return states[1:]
+
+
+def flow(est: ObserverState, imu, cfg: GainConfig, times) -> list:
+    """The measurement-free flow of est from times[0] through the strictly
+    ascending node times: the estimates at times[1:], each one RK4 step of
+    `step` (_drive without a source).  With S = 0, P advances as
+    Phi P Phi^T + int Phi V Phi^T (Van Loan, IEEE TAC 23(3), 1978), and Z
+    runs on from node to node with no restart, which in exact arithmetic
+    is a restart at each node: the RK4 map commutes with the right
+    multiplication a restart applies.  Z restarts at each batch.
+    """
+    return _drive(est, imu, None, cfg, times)
 
 
 def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
          meas=None) -> ObserverState:
-    """Advance the observer by dt seconds starting at time t: one RK4 step.
+    """Advance the observer by dt seconds starting at time t: one RK4 step,
+    the one-node case of run_continuous.
 
     imu is a callable t -> (omega, a) and meas is None (pure inertial
     flow) or a callable t -> (y, C) | None, such as a FrameSource, giving
@@ -459,30 +518,26 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
     [S, -A^T]] and f the forcing a of v and -C^T Q y of lambda:
     P = X Y^-1 and xi = x - P lambda at every time (Kenney & Leipnik, IEEE
     TAC 30(10), 1985).  Its eigenvalues are about +-sqrt(eig(V S)), so the
-    system is not stiff where the Riccati form is, and restarting it at
-    each step keeps X Y^-1 well conditioned.  Z never reads the attitude:
-    the attitude's RK4 in exponential coordinates, R = R0 exp(sig), runs
-    after Z's stages, each correcting it with the sigma_R of that stage's
-    e = R xi_e (_corrected_rate).  With no measurement rows at any stage the
-    step is the one-step `flow` over [t, t + dt], fed the samples queried
-    here.
+    system is not stiff where the Riccati form is.  Over a run of steps
+    (run_continuous, in batches) Z chains across the frame-free nodes of
+    a flow without a source and restarts at every node of a run with
+    one: S makes Y ill-conditioned, and chaining 32 measured stereo steps
+    moved R by 2e-9 and p, v and e by up to 5e-8 of their largest entry
+    over 2 s, where a restart at each node keeps P bit for bit that of one
+    step at a time.  Z never
+    reads the attitude: the attitude's RK4 in exponential coordinates,
+    R = R0 exp(sig), runs after Z's stages, each correcting it with the
+    sigma_R of that stage's e = R xi_e (_corrected_rate).
 
     A measurement first seen at t + dt, where t + dt/2 saw none, belongs
     to the next step: the step that ends on a stream's first frame is the
     measurement-free flow.
 
-    Raises NonFiniteStateError naming t and the first non-finite field of
-    est (or its inputs) when the step turns non-finite.
+    Raises ValueError unless dt is positive, and NonFiniteStateError naming
+    t and the first non-finite field of est (or its inputs) when the step
+    turns non-finite.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    queried = [(imu(tau), None if meas is None else meas(tau))
-               for tau in (t, t + 0.5 * dt, t + dt)]
-    outs = [out if out is not None and out[1].size else None
-            for _, out in queried]
-    if outs[1] is None:         # the onset rule of the docstring
-        outs[2] = None
-    return _integrate(est, cfg, [t], [dt], [s for s, _ in queried], outs)[0]
+    return _drive(est, imu, meas, cfg, [t, t + dt], [dt])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -562,22 +617,31 @@ def PositionSource(traj, lms) -> TruthSource:
     return TruthSource(traj, lms, "position3d")
 
 
+def imu_grid(t0: float, t_end: float, dt: float,
+             reach: bool = False) -> np.ndarray:
+    """The node times t0 + dt * arange(n + 1) of a run over [t0, t_end] in
+    steps of dt: n = round((t_end - t0) / dt), or with reach the fewest
+    steps whose last node is not before t_end - 1e-12.  Raises ValueError
+    naming dt unless it is positive, and t_end when it is before t0."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got dt={float(dt)!r}")
+    if not t_end >= t0:
+        raise ValueError(f"t_end={float(t_end)!r} is before t0={float(t0)!r}")
+    n = (np.ceil((t_end - t0 - 1e-12) / dt) if reach
+         else round((t_end - t0) / dt))
+    return t0 + dt * np.arange(int(n) + 1)
+
+
 def run_continuous(est: ObserverState, imu, provider, cfg: GainConfig,
                    t_end: float, dt: float = 1.0 / 200.0, t0: float = 0.0):
-    """Integrate the observer over [t0, t_end] at the IMU rate.
+    """Integrate the observer over [t0, t_end] on the IMU grid
+    times = imu_grid(t0, t_end, dt), in batches of steps (see step).
 
     Returns (times, states) with the initial state included; states[k] is
     the estimate at times[k].  Step k takes dt = times[k+1] - times[k],
     exact by Sterbenz's lemma once times[k] >= dt, so it ends on times[k+1]
     bit for bit and a source's frame there serves both steps that meet on
-    it.
+    it.  With provider None this is flow over times.
     """
-    n = int(round((t_end - t0) / dt))
-    times = t0 + dt * np.arange(n + 1)
-    states = [est.copy()]
-    for k in range(n):
-        t_k = float(times[k])
-        est = step(est, imu, cfg, float(times[k + 1]) - t_k, t=t_k,
-                   meas=provider)
-        states.append(est)
-    return times, states
+    times = imu_grid(t0, t_end, dt)
+    return times, [est.copy(), *_drive(est, imu, provider, cfg, times)]

@@ -121,6 +121,13 @@ def test_flow_names_the_node_whose_step_turns_non_finite():
             t_end=0.2)
 
 
+def test_flow_rejects_node_times_that_do_not_ascend():
+    traj = EightTrajectory(t_end=0.2)
+    for times in ([0.1, 0.05], [0.0, 0.05, 0.05]):
+        with pytest.raises(ValueError, match="strictly ascend"):
+            flow(ObserverState.initial(), traj.imu, GainConfig(), times)
+
+
 # ---------------------------------------------------------------------------
 # jump
 
@@ -281,6 +288,25 @@ def test_run_rejects_bad_frame_times():
         # two frames with the same time
         run(est, imu, _make_frames(traj, lms, cams, [0.5, 0.5]), lms, cfg,
             cams=cams, t_end=1.0)
+    with pytest.raises(ScheduleViolationError, match="outside"):
+        # without t_end, a last frame before t0 leaves the grid at t0
+        run(est, imu, _make_frames(traj, lms, cams, [0.1]), lms, cfg,
+            cams=cams, t0=0.5)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"dt": 0.0}, r"dt=0\.0"),
+    ({"dt": 0.0, "t_end": None}, r"dt=0\.0"),
+    ({"t_end": -0.01}, r"t_end=-0\.01"),
+])
+def test_run_rejects_a_bad_grid(kwargs, match):
+    traj = EightTrajectory(t_end=0.2)
+    lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
+    frames = _make_frames(traj, lms, cams, [0.05, 0.1])
+    args = {"t_end": 0.1, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        run(ObserverState.initial(), traj.imu, frames, lms, GainConfig(),
+            cams=cams, **args)
 
 
 def test_run_off_grid_frames_converge_to_the_on_grid_level():

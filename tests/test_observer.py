@@ -598,6 +598,116 @@ def test_run_continuous_synthesizes_each_stage_time_once(monkeypatch):
     assert n == 200 and len(built) == len(outputs) == 2 * n + 1
 
 
+def test_run_continuous_queries_imu_then_meas_once_per_stage_time():
+    # over several batches: imu(tau) then meas(tau) at t0, and at each
+    # step's middle and end, 2 n + 1 times each
+    traj = EightTrajectory(t_end=0.3)
+    source = TruthSource(traj, sample_landmarks(5, seed=0), "stereo",
+                         default_stereo_rig())
+    calls = []
+
+    def imu(t):
+        calls.append(("imu", t))
+        return traj.imu(t)
+
+    def meas(t):
+        calls.append(("meas", t))
+        return source(t)
+
+    times, _ = run_continuous(ObserverState.initial(), imu, meas,
+                              GainConfig(), t_end=0.3)
+    assert len(times) - 1 > 2 * observer._BATCH
+    taus = [float(times[0])]
+    for a, b in zip(times.tolist(), times[1:].tolist()):
+        taus += [a + 0.5 * (b - a), b]
+    assert calls == [(name, tau) for tau in taus for name in ("imu", "meas")]
+
+
+def _step_loop(est, imu, source, times):
+    """The states of one step call per IMU interval, as a run would be
+    stepped node by node."""
+    states = [est]
+    for a, b in zip(times.tolist(), times[1:].tolist()):
+        states.append(step(states[-1], imu, GainConfig(), b - a, t=a,
+                           meas=source))
+    return states
+
+
+def _assert_matches_step_loop(got, ref):
+    # P bit for bit; R, p, v and e to 1e-12 of the run's largest entry
+    for name in ("R", "p", "v", "e", "P"):
+        x = np.array([getattr(s, name) for s in got])
+        y = np.array([getattr(s, name) for s in ref])
+        if name == "P":
+            assert np.array_equal(x, y)
+        else:
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y)), name
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_continuous_batches_match_a_loop_of_steps(mode):
+    # Z restarts at every node of a run with a source, so the batches
+    # carry P as the steps do, bit for bit; the attitude chains unprojected
+    # through a batch, so R, p, v and e agree to roundoff
+    traj = EightTrajectory(t_end=0.3)
+    source = TruthSource(traj, sample_landmarks(5, seed=0), mode,
+                         default_stereo_rig())
+    est0 = ObserverState.initial(R=exp_so3(np.array([0.9, -0.4, 0.6])),
+                                 p=[0.3, -0.2, 0.1])
+    times, states = run_continuous(est0, traj.imu, source, GainConfig(),
+                                   t_end=0.3)
+    assert len(times) - 1 > 2 * observer._BATCH
+    _assert_matches_step_loop(states, _step_loop(est0, traj.imu, source,
+                                                 times))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_continuous_onset_inside_a_batch_matches_a_loop_of_steps(mode):
+    # a dataset stream from 0.05 s: the onset (the first step with rows)
+    # falls inside the first batch, and the step that ends on the first
+    # frame stays the measurement-free flow
+    traj = EightTrajectory(t_end=0.3)
+    lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
+    provider = DatasetProvider(_frame_dataset(
+        traj, lms, cams, 0.05 * np.arange(1, 7)), mode)
+    est0 = ObserverState.initial(R=exp_so3(np.array([0.9, -0.4, 0.6])))
+    times, states = run_continuous(est0, traj.imu, provider, GainConfig(),
+                                   t_end=0.3)
+    assert 0 < int(round(0.05 * 200)) < observer._BATCH < len(times) - 1
+    _assert_matches_step_loop(states, _step_loop(est0, traj.imu, provider,
+                                                 times))
+
+
+def test_run_continuous_names_the_step_whose_rate_turns_non_finite():
+    # a NaN rate at the middle of the step from 0.12 s, inside a measured
+    # batch: the error names that step's start
+    traj = EightTrajectory(t_end=0.3)
+    source = TruthSource(traj, sample_landmarks(5, seed=0), "stereo",
+                         default_stereo_rig())
+
+    def imu(t):
+        omega, a = traj.imu(t)
+        return (np.full(3, np.nan) if abs(t - 0.1225) < 1e-9 else omega), a
+
+    assert int(round(0.12 * 200)) % observer._BATCH
+    with pytest.raises(NonFiniteStateError, match=r"input at t=0\.12$"):
+        run_continuous(ObserverState.initial(), imu, source, GainConfig(),
+                       t_end=0.3)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"dt": 0.0}, r"dt=0\.0"),
+    ({"dt": -0.005}, r"dt=-0\.005"),
+    ({"t_end": -0.01}, r"t_end=-0\.01"),
+])
+def test_run_continuous_rejects_a_bad_grid(kwargs, match):
+    traj = EightTrajectory(t_end=0.1)
+    args = {"t_end": 0.1, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        run_continuous(ObserverState.initial(), traj.imu, None, GainConfig(),
+                       **args)
+
+
 def _frame_dataset(traj, lms, cams, times):
     states = [traj.state(t) for t in times]
     return Dataset(imu=np.zeros((2, 7)), landmarks=lms, extrinsics=cams,
