@@ -1,7 +1,8 @@
 """Landmark-aided inertial navigation observer and analysis tools."""
 
-from . import dataio, errors, geom, hybrid, observability, observer, sim
+from . import (dataio, errors, geom, hybrid, measurement, observability,
+               observer, sim)
 
-__all__ = ["dataio", "errors", "geom", "hybrid", "observability",
-           "observer", "sim"]
+__all__ = ["dataio", "errors", "geom", "hybrid", "measurement",
+           "observability", "observer", "sim"]
 __version__ = "0.1.0"

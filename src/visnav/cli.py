@@ -31,9 +31,9 @@ from .observability import (check_mono_motion,  # noqa: F401
                             transition_matrix)
 # innovation_{position,stereo,mono} stay importable here: the benchmark's
 # span tracer (perfbench/tracer.py) wraps them in this namespace.
+from .measurement import mode_cameras, stacked_output
 from .observer import (GainConfig, innovation_mono,  # noqa: F401
-                       innovation_position, innovation_stereo, mode_cameras,
-                       run_continuous, stacked_output)
+                       innovation_position, innovation_stereo, run_continuous)
 from .sim import (EightTrajectory, apply_noise, apply_position_noise,
                   default_stereo_rig, make_bearing_frame, make_position_frame,
                   sample_landmarks)

@@ -8,7 +8,6 @@ layout of each file.
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
@@ -20,10 +19,10 @@ from .geom import I3
 from .hybrid import NoiseCovariances
 # innovation_{position,stereo,mono} stay importable here: the benchmark's
 # span tracer (perfbench/tracer.py) wraps them in this namespace.
-from .observer import (MODES, FrameSource, GainConfig,  # noqa: F401
-                       ObserverState, frame_arrays, innovation_mono,
-                       innovation_position, innovation_stereo, linear_output,
-                       mode_cameras, observation_blocks)
+from .measurement import (MODES, frame_arrays, linear_output, mode_cameras,
+                          observation_blocks, stacked_gains)
+from .observer import (FrameSource, GainConfig, ObserverState,  # noqa: F401
+                       innovation_mono, innovation_position, innovation_stereo)
 from .sim import BearingFrame, CameraExtrinsics, Landmark, PositionFrame
 
 IMU_HEADER = "t,wx,wy,wz,ax,ay,az"
@@ -94,6 +93,16 @@ def _check_rotations(name, rows, Rs):
                               f"stored matrix is not a rotation")
 
 
+def _check_finite(name, header, rows, data):
+    """Name the line and column of the first non-finite value of a table's
+    stacked data (n, columns), row by row."""
+    bad = ~np.isfinite(data)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValidationError(f"{name}:{rows[i][0]}: {header.split(',')[j]} "
+                              f"must be finite, got {data[i, j]}")
+
+
 def _check_increasing(name, rows, t):
     """Name the line of the first non-finite timestamp of t, or else of
     the first that does not exceed the one before it."""
@@ -140,13 +149,15 @@ def _load_imu(path):
         raise ValidationError(f"{os.path.basename(path)}: no IMU rows")
     data = np.array([vals for _, vals in rows])
     _check_increasing(os.path.basename(path), rows, data[:, 0])
+    _check_finite(os.path.basename(path), IMU_HEADER, rows, data)
     return data
 
 
 def _load_landmarks(path):
     name = os.path.basename(path)
     out, seen = [], set()
-    for ln, vals in _read_rows(path, LANDMARKS_HEADER, 4):
+    rows = _read_rows(path, LANDMARKS_HEADER, 4)
+    for ln, vals in rows:
         lid = _as_int(name, ln, vals[0], "id")
         if lid in seen:
             raise ValidationError(f"{name}:{ln}: duplicate landmark id {lid}")
@@ -154,6 +165,7 @@ def _load_landmarks(path):
         out.append(Landmark(lid, np.array(vals[1:4])))
     if not out:
         raise ValidationError(f"{name}: no landmarks")
+    _check_finite(name, LANDMARKS_HEADER, rows, np.array([v for _, v in rows]))
     return sorted(out, key=lambda lm: lm.id)
 
 
@@ -212,8 +224,10 @@ def _load_positions(path, lm_ids):
     def make_key(nm, ln, vals):
         return _as_int(nm, ln, vals[1], "landmark_id")
 
-    return [PositionFrame(t=t, obs=obs)
-            for t, obs in _group_frames(rows, name, make_key, 1, lm_ids)]
+    frames = _group_frames(rows, name, make_key, 1, lm_ids)
+    _check_finite(name, POSITIONS_HEADER, rows,
+                  np.reshape([vals for _, vals in rows], (-1, 5)))
+    return [PositionFrame(t=t, obs=obs) for t, obs in frames]
 
 
 def _load_groundtruth(path):
@@ -223,6 +237,7 @@ def _load_groundtruth(path):
         raise ValidationError(f"{name}: no groundtruth rows")
     data = np.array([vals for _, vals in rows])
     _check_increasing(name, rows, data[:, 0])
+    _check_finite(name, GROUNDTRUTH_HEADER, rows, data)
     _check_rotations(name, rows, data[:, 1:10].reshape(-1, 3, 3))
     return data
 
@@ -238,6 +253,8 @@ def _load_extrinsics(path):
         seen.add(cid)
         R = np.array(vals[1:10]).reshape(3, 3)
         out.append(CameraExtrinsics(cam_id=cid, R=R, p=np.array(vals[10:13])))
+    _check_finite(name, EXTRINSICS_HEADER, rows,
+                  np.reshape([vals for _, vals in rows], (-1, 13)))
     _check_rotations(name, rows, np.reshape([c.R for c in out], (-1, 3, 3)))
     return sorted(out, key=lambda c: c.cam_id)
 
@@ -307,7 +324,7 @@ def save_dataset(dir_path: str, ds: Dataset) -> None:
 # estimate traces
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """One estimator snapshot: errors against truth plus the estimate."""
 
@@ -386,6 +403,10 @@ class RunConfig:
     mono_window: float = 2.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, "
                                   f"got {self.mode!r}")
@@ -479,28 +500,18 @@ def apply_overrides(cfg: RunConfig, seed=None, mode=None,
 
 def interpolating_imu(imu: np.ndarray):
     """Piecewise-linear lookup t -> (omega, a) of an IMU table with rows
-    (t, wx, wy, wz, ax, ay, az); clamps outside the recorded span.
-
-    Computes what np.interp does per column, bit for bit: the per-interval
-    slopes once, then slope[k] * (t - t_k) + row_k on the interval found by
-    one bisection of the sample times (a Python list, which bisects faster
-    per call than np.searchsorted).
-    """
+    (t, wx, wy, wz, ax, ay, az), np.interp per column: clamps outside the
+    recorded span.  An array of times gives (T, 3) stacks, each time's
+    rows whatever the other times (the stacked protocol of
+    observer.step)."""
     imu = np.asarray(imu, dtype=float)
-    rows = imu[:, 1:7]
-    slope = np.diff(rows, axis=0) / np.diff(imu[:, 0])[:, None]
-    t = imu[:, 0].tolist()
+    t, cols = imu[:, 0].copy(), imu[:, 1:7].T.copy()
 
     def fn(tau):
-        if tau <= t[0]:
-            row = rows[0]
-        elif tau >= t[-1]:
-            row = rows[-1]
-        else:
-            k = bisect.bisect_right(t, tau) - 1
-            row = slope[k] * (tau - t[k]) + rows[k]
-        return row[0:3], row[3:6]
+        rows = np.array([np.interp(tau, t, col) for col in cols]).T
+        return rows[..., 0:3], rows[..., 3:6]
 
+    fn.stacked = True
     return fn
 
 
@@ -518,47 +529,71 @@ class DatasetProvider(FrameSource):
     A stereo landmark that one camera misses is kept through the other
     camera's bearing.  frame_at(t) is the same blend as a frame.  The
     (y, C) of the last two query times are kept (FrameSource).
+    gains(times, q) blends every landmark at an array of times at once,
+    an unseen one with Pi = 0.
     """
 
     def __init__(self, ds: Dataset, mode: str):
         super().__init__(mode_cameras(mode, ds.extrinsics), ds.landmarks)
         frames = ds.frames(mode)
-        self.times = [fr.t for fr in frames]
+        self.times = np.array([fr.t for fr in frames], dtype=float)
         self._p, self._Y, self._seen, self._rig = frame_arrays(
             frames, self.cams, self.lms)
+        # the bracketing frames (k, hi) of a time after j frame times, as
+        # tables over j: integer ufuncs on the indices would map numpy code
+        # that no other part of a run uses, 64 KB at a time, into memory
+        n = len(frames)
+        self._lo = np.array([max(j - 1, 0) for j in range(n + 1)], dtype=int)
+        self._hi = np.array([min(max(j - 1, 0) + 1, n - 1)
+                             for j in range(n + 1)], dtype=int)
 
-    def _blend(self, t):
-        """(rows, Y, seen) at t: the mask of the landmarks seen, and their
-        blended observations (unseen entries 0) and seen mask; None when
-        no landmark is seen."""
-        times = self.times
-        if not times or t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-            return None
-        k = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 1)
-        hi = min(k + 1, len(times) - 1)
-        w = 0.0 if hi == k else (t - times[k]) / (times[hi] - times[k])
-        seen = self._seen[k] & self._seen[hi]
+    def _blend(self, times):
+        """(Y, seen) at an array of times, (T, L, K, 3) and (T, L, K): the
+        blended observations (unseen entries 0 for bearings) and the keys
+        seen, none outside the stream; one searchsorted for all times."""
+        t, ft = np.asarray(times, dtype=float), self.times
+        if not len(ft):
+            return (np.zeros(t.shape + self._Y.shape[1:]),
+                    np.zeros(t.shape + self._seen.shape[1:], dtype=bool))
+        j = np.searchsorted(ft, t, side="right")
+        k, hi = self._lo[j], self._hi[j]
+        span = ft[hi] - ft[k]
+        w = np.where(span > 0.0, (t - ft[k]) / np.where(span > 0.0, span, 1.0),
+                     0.0)
+        seen = (self._seen[k] & self._seen[hi]
+                & ((t >= ft[0] - 1e-9) & (t <= ft[-1] + 1e-9))[:, None, None])
+        w = w[:, None, None, None]
         Y = (1.0 - w) * self._Y[k] + w * self._Y[hi]
         if self._rig is not None:       # bearings: back to unit length
             n = np.sqrt((Y * Y).sum(axis=-1))
             seen &= n > 1e-9
             Y = np.where(seen[..., None],
                          Y / np.where(seen, n, 1.0)[..., None], 0.0)
-        rows = seen.any(axis=-1)
-        if not rows.any():
-            return None
-        return rows, Y[rows], seen[rows]
+        return Y, seen
+
+    def _rows(self, t):
+        """(rows, Y, seen) at one time: the mask of the landmarks seen,
+        and their blended observations and seen mask; None when no
+        landmark is seen."""
+        Y, seen = self._blend([t])
+        rows = seen[0].any(axis=-1)
+        return (rows, Y[0, rows], seen[0, rows]) if rows.any() else None
 
     def output(self, t):
-        blend = self._blend(t)
+        blend = self._rows(t)
         if blend is None:
             return None
         rows, Y, seen = blend
         return linear_output(observation_blocks(self._p[rows], Y, seen,
                                                 self._rig))
 
+    def gains(self, times, q):
+        """(S, g, has) at an array of times (see observer.step)."""
+        Y, seen = self._blend(times)
+        return stacked_gains(self._p, Y, seen, self._rig, q)
+
     def frame_at(self, t):
-        blend = self._blend(t)
+        blend = self._rows(t)
         if blend is None:
             return None
         rows, Y, seen = blend

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ScheduleViolationError, SingularInnovationError
 from .geom import I3, grid_index, skew
+from .measurement import frame_arrays, mode_cameras, observation_blocks
 # innovation_{position,stereo,mono} and step stay importable here: the
 # benchmark's span tracer (perfbench/tracer.py) wraps them in this namespace.
 from .observer import (  # noqa: F401
@@ -23,14 +24,11 @@ from .observer import (  # noqa: F401
     I15,
     ObserverState,
     flow,
-    frame_arrays,
     imu_grid,
     innovation_mono,
     innovation_position,
     innovation_stereo,
     measurement_model,
-    mode_cameras,
-    observation_blocks,
     step,
 )
 

@@ -21,7 +21,8 @@ from .errors import (
     UnsupportedSpectrumError,
 )
 from .geom import I3, AttitudeTable
-from .observer import build_A, linear_output, observation_blocks
+from .measurement import linear_output, observation_blocks
+from .observer import build_A
 
 FULL_STATE_DIM = 15
 

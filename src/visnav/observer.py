@@ -15,13 +15,14 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NonFiniteStateError, NotUnitError, UnknownLandmarkError
-from .geom import I3, project_to_rotation, rk4_exp_floats, skew
+from .errors import NonFiniteStateError
+from .geom import I3, SKEW, project_to_rotation, rk4_exp_floats, skew
 # exp_so3 and dexpinv_body stay importable here: the benchmark's span tracer
 # (perfbench/tracer.py) wraps them in this namespace.
 from .geom import dexpinv_body, exp_so3  # noqa: F401
-from .sim import (GRAVITY, PositionFrame, rig_arrays, synth_bearings,
-                  synth_positions)
+from .measurement import (landmark_blocks, linear_output, mode_cameras,
+                          observation_blocks, stacked_gains)
+from .sim import GRAVITY, rig_arrays, synth_bearings, synth_positions
 # make_bearing_frame and make_position_frame stay importable here: the
 # benchmark's span tracer (perfbench/tracer.py) wraps them in this namespace.
 from .sim import make_bearing_frame, make_position_frame  # noqa: F401
@@ -70,7 +71,7 @@ class GainConfig:
         return V
 
 
-@dataclass
+@dataclass(slots=True)
 class ObserverState:
     """Full estimator state.
 
@@ -127,137 +128,6 @@ def attitude_innovation(e, cfg: GainConfig) -> tuple:
     c = 0.5 * cfg.k_r
     return (c * (r2 * e21 - r1 * e12), c * (r0 * e02 - r2 * e20),
             c * (r1 * e10 - r0 * e01))
-
-
-MODES = ("position3d", "stereo", "monocular")
-
-
-def mode_cameras(mode: str, cams) -> list:
-    """The cameras a measurement mode uses, in cam_id order: every camera
-    of the rig for stereo, the first one for monocular, none for
-    position3d."""
-    if mode not in MODES:
-        raise ValueError(f"unknown measurement mode {mode!r}")
-    cams = sorted(cams, key=lambda c: c.cam_id)
-    return {"position3d": [], "monocular": cams[:1], "stereo": cams}[mode]
-
-
-def landmark_blocks(frame, cams, lms):
-    """Stacked per-landmark measurement blocks (p, Pi, b) of one frame:
-    the observation_blocks of the landmarks it sees in frame_arrays'
-    stack.  Every mode gives a linear constraint Pi z = b on each
-    body-frame landmark position z, so y = -b = C x (linear_output).
-    Rows follow ascending landmark ids and the camera sum ascending cam
-    ids; observations of cameras outside cams are ignored.  p is (L, 3),
-    Pi (L, 3, 3) and b (L, 3).
-
-    Raises UnknownLandmarkError for a landmark outside lms and NotUnitError
-    for a rotated bearing whose norm is off 1 by more than 1e-6.
-    """
-    p, Y, seen, rig = frame_arrays([frame], cams, lms)
-    rows = seen[0].any(axis=-1)
-    return observation_blocks(p[rows], Y[0, rows], seen[0, rows], rig)
-
-
-def frame_arrays(frames, cams, lms):
-    """The observations of a list of frames of one kind stacked over the
-    landmarks lms in ascending ids and the cameras cams in ascending cam
-    ids: (p, Y, seen, rig) with the landmark positions p (L, 3), Y
-    (F, L, K, 3), seen (F, L, K) marking the observations present, whose
-    entries are 0 otherwise, and rig = rig_arrays(cams) for bearing frames
-    or None for position frames.  Position frames fill one column (K = 1),
-    as does an empty list without cams; observations of cameras outside
-    cams are ignored.
-
-    Raises UnknownLandmarkError for a landmark outside lms.
-    """
-    lms = sorted(lms, key=lambda lm: lm.id)
-    cams = sorted(cams, key=lambda c: c.cam_id)
-    position = isinstance(frames[0], PositionFrame) if frames else not cams
-    row = {lm.id: i for i, lm in enumerate(lms)}
-    col = {None: 0} if position else {c.cam_id: k for k, c in enumerate(cams)}
-    Y = np.zeros((len(frames), len(lms), len(col), 3))
-    seen = np.zeros(Y.shape[:-1], dtype=bool)
-    at, ys = [], []
-    for f, frame in enumerate(frames):
-        for key, y in frame.obs.items():
-            cam_id, lm_id = (None, key) if position else key
-            if cam_id not in col:
-                continue
-            if lm_id not in row:
-                raise UnknownLandmarkError(
-                    f"landmark {lm_id} not in the known map")
-            at.append((f, row[lm_id], col[cam_id]))
-            ys.append(y)
-    if at:
-        at = tuple(np.array(at).T)
-        Y[at], seen[at] = ys, True
-    p = np.array([lm.p for lm in lms], dtype=float).reshape(-1, 3)
-    return p, Y, seen, None if position else rig_arrays(cams)
-
-
-def stacked_output(frames, cams, lms):
-    """The linear output (y, C) of each of a list of frames of one kind,
-    stacked (F, 3L) and (F, 3L, 15) over every landmark of lms in
-    ascending ids: a landmark a frame does not see (by the cameras in
-    cams, for bearings) has zero rows, which add nothing to a Gramian.
-    The rows of the landmarks a frame sees are landmark_blocks' and
-    linear_output's of that frame; the kernel runs once over all frames'
-    landmarks, as one stack of F L landmarks.
-    """
-    p, Y, seen, rig = frame_arrays(frames, cams, lms)
-    F, L, K = seen.shape
-    y, C = linear_output(observation_blocks(
-        np.tile(p, (F, 1)), Y.reshape(F * L, K, 3), seen.reshape(F * L, K),
-        rig))
-    return y.reshape(F, 3 * L), C.reshape(F, 3 * L, 15)
-
-
-def observation_blocks(p, Y, seen, rig):
-    """(p, Pi, b) of landmarks at p (L, 3) from their rows of
-    frame_arrays' stack, observations Y (L, K, 3) and seen mask (L, K),
-    and its rig: bearing_blocks with a rig (Rc, c); without one (None) Y
-    holds body-frame positions z in one column, and Pi = I, b = z where
-    seen and Pi = 0, b = 0 where not.
-    """
-    if rig is not None:
-        return bearing_blocks(p, Y, seen, *rig)
-    return p, seen[:, 0, None, None] * I3, Y[:, 0]
-
-
-def bearing_blocks(p, Y, seen, Rc, c):
-    """(p, Pi, b) of stacked camera-frame bearings.
-
-    Y (L, K, 3) holds the bearing of landmark l, at p[l], in camera k of
-    a rig with rotations Rc (K, 3, 3) and centres c (K, 3); seen (L, K)
-    marks the bearings observed, and the others must be finite.  With
-    x = R_c y the rotated bearing, Pi = sum_c pi(x_c) and
-    b = sum_c pi(x_c) c_c over the cameras that see the landmark, in the
-    order of the rig; a landmark no camera sees gets Pi = 0 and b = 0.
-
-    Raises NotUnitError for a seen rotated bearing whose norm is off 1 by
-    more than 1e-6.
-    """
-    X = (Rc @ Y[..., None])[..., 0]
-    norm = np.sqrt(np.einsum("lki,lki->lk", X, X))
-    off = seen & (np.abs(norm - 1.0) > 1e-6)
-    if off.any():
-        raise NotUnitError(
-            f"expected a unit vector, got norm {float(norm[off][0])!r}")
-    proj = (I3 - X[..., :, None] * X[..., None, :]) * seen[..., None, None]
-    return p, proj.sum(axis=1), np.einsum("lkij,kj->li", proj, c)
-
-
-def linear_output(blocks):
-    """The linear output (y, C) of one frame's landmark_blocks: y = C x for
-    the body-frame translational state x of error_state, with y = -b and
-    row block r_i^T (x) Pi_i per landmark, r_i = (1, -p_i, 0).  No estimate
-    enters it."""
-    p, Pi, b = blocks
-    r = np.zeros((len(p), 5))
-    r[:, 0] = 1.0
-    r[:, 1:4] = -p
-    return -b.reshape(-1), np.einsum("lj,lab->lajb", r, Pi).reshape(-1, 15)
 
 
 def measurement_model(est: ObserverState, blocks):
@@ -319,10 +189,8 @@ def _body_frame(est: ObserverState) -> np.ndarray:
 # the most steps in one batch, so that what a batch holds stays small
 _BATCH = 16
 
-# omega @ _LEVI is -skew(omega) of each row of an (m, 3) stack, raveled: its
-# entry (j, k) is the Levi-Civita eps_jkl omega_l
-_LEVI = np.zeros((3, 9))
-_LEVI[[2, 0, 1, 1, 2, 0], [1, 5, 6, 2, 3, 7]] = [1, 1, 1, -1, -1, -1]
+# omega @ _LEVI is -skew(omega) of each row of an (m, 3) stack, raveled
+_LEVI = -SKEW
 
 
 def _corrected_rate(xis, omegas, cfg: GainConfig, j, R):
@@ -359,36 +227,73 @@ def _transposed_P(Z):
                            Z[:, :15, :15].transpose(0, 2, 1))
 
 
-def _gain(meas, t: float, cfg: GainConfig):
-    """(S, g) = (q C^T C, -q C^T y) of meas(t) = (y, C), or None."""
-    out = None if meas is None else meas(t)
-    if out is None or not out[1].size:
-        return None
-    y, C = out
-    return cfg.q * C.T @ C, -cfg.q * C.T @ y
+def _query(imu, meas, q):
+    """query(times) -> (omega, a, gains) at an array of T times: omega and
+    a stacked (T, 3), and gains None without meas or else the stacks
+    (S, g, has) of the stacked protocol (see step).  From one call each of
+    imu and meas.gains over the array when both take that protocol, else
+    from imu(t), then meas(t) -> (y, C) | None, at each time in turn, with
+    S = q C^T C and g = -q C^T y."""
+    if getattr(imu, "stacked", False) and (meas is None
+                                           or hasattr(meas, "gains")):
+        def query(taus):
+            return (*imu(taus), None if meas is None else meas.gains(taus, q))
+        return query
+
+    def per_time(taus):
+        got = [(imu(tau), None if meas is None else meas(tau))
+               for tau in taus.tolist()]
+        omega, a = (np.array([s[i] for s, _ in got], dtype=float)
+                    for i in (0, 1))
+        if meas is None:
+            return omega, a, None
+        S, g = np.zeros((len(got), 15, 15)), np.zeros((len(got), 15))
+        has = np.array([out is not None and out[1].size > 0
+                        for _, out in got], dtype=bool)
+        for k in np.flatnonzero(has):
+            y, C = got[k][1]
+            S[k], g[k] = q * C.T @ C, -q * C.T @ y
+        return omega, a, (S, g, has)
+    return per_time
+
+
+def _batch_steps(start, omega, a, gains):
+    """The steps (start, middle, end) of one batch from its query (_query)
+    at the middles and ends of its steps, and first at its start when
+    start is None (the first batch): each stage's inputs (omega as
+    floats, -skew(omega) (_LEVI), a, gain (S, g) or None) read off the
+    stacks as the step comes, under the onset rule of step: a step whose
+    middle has no gain takes none at its end.  Returns the last end, its
+    gain copied off the stacks, so that they are freed before the next
+    batch's query."""
+    w, W = omega.tolist(), (omega @ _LEVI).reshape(-1, 3, 3)
+
+    def stage(k):
+        return w[k], W[k], a[k], (None if gains is None or not gains[2][k]
+                                  else (gains[0][k], gains[1][k]))
+
+    first = int(start is None)
+    if first:
+        start = stage(0)
+    for k in range(first, len(w), 2):
+        mid, end = stage(k), stage(k + 1)
+        yield start, mid, end[:3] + (None,) if mid[3] is None else end
+        start = end
+    *last, gain = start
+    return (*last, gain and (gain[0].copy(), gain[1].copy()))
 
 
 def _stage_inputs(imu, meas, cfg: GainConfig, times, h):
-    """Step by step, the inputs (omega as floats, -skew(omega) (_LEVI), a,
-    _gain) at its start, middle and end, each built once per stage time
-    (an end is the next start) after imu, then meas, is queried there.
-    Without meas, _BATCH steps are queried at once; with it, one step, so
-    that at most three gains are held.  The onset rule of step: a step
-    whose middle has no gain takes none at its end."""
-    def at(taus):
-        got = [(imu(tau), _gain(meas, tau, cfg)) for tau in taus]
-        omega = np.array([s[0] for s, _ in got], dtype=float)
-        return list(zip(omega.tolist(), (omega @ _LEVI).reshape(-1, 3, 3),
-                        [s[1] for s, _ in got], [g for _, g in got]))
-
-    end, = at([float(times[0])])
-    starts, chunk = times[:-1], _BATCH if meas is None else 1
-    for i in range(0, len(h), chunk):
-        got = at(np.stack((starts[i:i + chunk] + 0.5 * h[i:i + chunk],
-                           times[i + 1:i + 1 + chunk]), 1).ravel().tolist())
-        for mid, nxt in zip(got[::2], got[1::2]):
-            start, end = end, nxt
-            yield start, mid, end[:3] + (None,) if mid[3] is None else end
+    """Step by step, the stage inputs at its start, middle and end (an end
+    is the next start), from one _query per batch of at most _BATCH steps:
+    the middles and ends of its steps, and times[0] with the first
+    (_batch_steps)."""
+    query, starts, end = _query(imu, meas, cfg.q), times[:-1], None
+    for i in range(0, len(h), _BATCH):
+        taus = np.stack((starts[i:i + _BATCH] + 0.5 * h[i:i + _BATCH],
+                         times[i + 1:i + 1 + _BATCH]), 1).ravel()
+        end = yield from _batch_steps(end, *query(
+            taus if i else np.concatenate((times[:1], taus))))
 
 
 def _integrate(est: ObserverState, cfg: GainConfig, starts, h, inputs,
@@ -404,7 +309,9 @@ def _integrate(est: ObserverState, cfg: GainConfig, starts, h, inputs,
     the P of the step's later stages, whose xi = x - P lambda the attitude
     needs.  The attitude RK4 runs after all Z stages, and one SVD projects
     the batch's attitudes.  Between steps a batch holds each node's P and
-    xi, or with chain its Z, and each stage's omega and xi_e."""
+    xi, or with chain its Z, each stage's omega and xi_e, and the stacks
+    of its stage inputs.  S and g may leave out the rows of v, which no
+    output reads (stacked_gains)."""
     A = build_A(np.zeros(3), cfg.gravity)
     H0 = np.zeros((30, 30))
     H0[:15, :15], H0[:15, 15:], H0[15:, 15:] = A, cfg.v_matrix(), -A.T
@@ -422,8 +329,9 @@ def _integrate(est: ObserverState, cfg: GainConfig, starts, h, inputs,
             dz += (w @ z.reshape(10, 3, 16)).reshape(30, 16)
             dz[12:15, 15] += a
             if g is not None:       # S X on the lambda rows, g forcing them
-                dz[15:] += g[0] @ z[:15]
-                dz[15:, 15] += g[1]
+                m = 15 + len(g[1])  # S and g may leave out v's zero rows
+                dz[15:m] += g[0] @ z[:m - 15]
+                dz[15:m, 15] += g[1]
             ks.append(dz)
             if c is not None:       # a restart solves on the stages in zs
                 z = Z + c * dz if chain else np.add(Z, c * dz, out=zs[i])
@@ -468,8 +376,9 @@ def _drive(est: ObserverState, imu, meas, cfg: GainConfig, times,
            h=None) -> list:
     """The one RK4 driver: the estimates at times[1:], a step from each
     node time to the next (of length h[k], by default their difference),
-    in batches of at most _BATCH steps (_integrate).  imu, then meas, is
-    queried once per distinct stage time: 2 n + 1 times each for n steps.
+    in batches of at most _BATCH steps (_integrate), each batch's stage
+    inputs from one query (_stage_inputs).  Each distinct stage time is
+    queried once: 2 n + 1 times for n steps.
     Raises ValueError naming the first step whose length is not positive
     (node times must strictly ascend), and NonFiniteStateError naming the
     start of the first step that turns non-finite."""
@@ -506,8 +415,17 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
     imu is a callable t -> (omega, a) and meas is None (pure inertial
     flow) or a callable t -> (y, C) | None, such as a FrameSource, giving
     the linear output y = C x of the translational state (linear_output).
-    Both are called once per stage time, at t, t + dt/2 and t + dt in that
-    order.
+    Neither reads the estimate, so a run queries them once per batch of
+    steps in the stacked protocol: imu with a true attribute `stacked`
+    (EightTrajectory.imu, dataio.interpolating_imu) answers an array of
+    T stage times with (T, 3) stacks of omega and a, and a source with a
+    method gains(times, q) (TruthSource, dataio.DatasetProvider) answers
+    with stacked_gains' (S, g, has): q C^T C and -q C^T y of each time,
+    and the mask of the times with a measurement.  Each time's answer must
+    not depend on the times stacked with it, so that a run and a loop of
+    steps see the same inputs.  Otherwise, as for any plain callable, imu
+    and then meas are called once per stage time, at t, t + dt/2 and
+    t + dt in that order.
 
     In the body frame, xi = R^T (p, e1, e2, e3, v), the translational
     estimate is a Kalman-Bucy filter: xi_dot = A xi + (0, 0, 0, 0, a)
@@ -547,7 +465,9 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
 class FrameSource:
     """Continuous-time linear output t -> (y, C) | None (see linear_output)
     from a measurement frame per query time, frame_at(t) -> frame | None;
-    a subclass may instead give the output itself, output(t).
+    a subclass may instead give the output itself, output(t).  Such a
+    source is queried one time at a time; TruthSource and DatasetProvider
+    also take the stacked protocol (gains, see step).
 
     No estimate enters (y, C), so the finished output of the last two
     query times is kept: a step asks for t + dt/2 and t + dt, and the next
@@ -585,6 +505,8 @@ class TruthSource(FrameSource):
     Each query synthesizes the whole frame as one array (sim.synth_bearings
     or sim.synth_positions) and hands it to the blocks kernel; rows follow
     ascending landmark ids, as landmark_blocks' of the frame would.
+    gains(times, q) synthesizes the frames of an array of times as one
+    (T, L, K, 3) stack, from the trajectory's stacked state.
     """
 
     def __init__(self, traj, lms, mode: str, cams=()):
@@ -594,12 +516,24 @@ class TruthSource(FrameSource):
                            dtype=float).reshape(-1, 3)
         self._rig = None if mode == "position3d" else rig_arrays(self.cams)
 
+    def _synth(self, state):
+        # the observations of every landmark by every camera of the mode,
+        # (L, K, 3), or (T, L, K, 3) of a stacked state
+        if self._rig is None:
+            return synth_positions(state, self.lms)[..., None, :]
+        return synth_bearings(state, self.lms, self.cams)
+
     def output(self, t: float):
-        state = self.traj.state(t)
-        Y = (synth_positions(state, self.lms)[:, None] if self._rig is None
-             else synth_bearings(state, self.lms, self.cams))
+        Y = self._synth(self.traj.state(t))
         return linear_output(observation_blocks(
             self._p, Y, np.ones(Y.shape[:-1], dtype=bool), self._rig))
+
+    def gains(self, times, q):
+        """(S, g, has) at an array of times (see step); has is False only
+        without landmarks or cameras."""
+        Y = self._synth(self.traj.state(np.asarray(times, dtype=float)))
+        return stacked_gains(self._p, Y, np.ones(Y.shape[:-1], dtype=bool),
+                             self._rig, q)
 
 
 def StereoBearingSource(traj, lms, cams) -> TruthSource:
@@ -635,7 +569,9 @@ def imu_grid(t0: float, t_end: float, dt: float,
 def run_continuous(est: ObserverState, imu, provider, cfg: GainConfig,
                    t_end: float, dt: float = 1.0 / 200.0, t0: float = 0.0):
     """Integrate the observer over [t0, t_end] on the IMU grid
-    times = imu_grid(t0, t_end, dt), in batches of steps (see step).
+    times = imu_grid(t0, t_end, dt), in batches of steps (see step), with
+    one query of imu and provider per batch when both take the stacked
+    protocol.
 
     Returns (times, states) with the initial state included; states[k] is
     the estimate at times[k].  Step k takes dt = times[k+1] - times[k],

@@ -26,7 +26,8 @@ class RigidBodyState:
 
     R is the body-to-inertial rotation, p/v the inertial position and
     velocity, omega the body-frame rotation rate and a the accelerometer
-    reading (specific force) in the body frame.
+    reading (specific force) in the body frame.  A state of an array of
+    T times (EightTrajectory.state) stacks each field along a leading axis.
     """
 
     t: float
@@ -84,56 +85,63 @@ class EightTrajectory:
     w0 = (-1, 1, 0) turned by 2t about the body y axis, so from R(0) = I
     the attitude is the coning motion in closed form (Savage, J. Guid.
     Control Dyn. 21(1), 1998), R(t) = exp(t [w0 + 2 e_y]x) exp(-2t [e_y]x).
-    The last query's rotation is kept for a repeated query time.
+
+    Every query takes one time or an array of times, whose answers it
+    stacks along a leading axis (T, 3) or (T, 3, 3), each time's by the
+    same elementwise operations whatever the other times; imu over an
+    array is the stacked input protocol of observer.step.
     """
 
     def __init__(self, t_end: float = 30.0):
         if t_end <= 0:
             raise ValueError("t_end must be positive")
         self.t_end = float(t_end)
-        self._last = (None, None)       # the last rotation query (t, R)
+
+    # 0.0 * t gives the constant columns the shape of t
 
     @staticmethod
     def omega(t):
-        return np.array([-np.cos(2.0 * t), 1.0, np.sin(2.0 * t)])
+        return np.array([-np.cos(2.0 * t), 0.0 * t + 1.0, np.sin(2.0 * t)]).T
 
     @staticmethod
     def position(t):
-        return np.array([2.0 * np.sin(t), 2.0 * np.sin(t) * np.cos(t), 2.0])
+        return np.array([2.0 * np.sin(t), 2.0 * np.sin(t) * np.cos(t),
+                         0.0 * t + 2.0]).T
 
     @staticmethod
     def velocity(t):
-        return np.array([2.0 * np.cos(t), 2.0 * np.cos(2.0 * t), 0.0])
+        return np.array([2.0 * np.cos(t), 2.0 * np.cos(2.0 * t), 0.0 * t]).T
 
     @staticmethod
     def vdot(t):
-        return np.array([-2.0 * np.sin(t), -4.0 * np.sin(2.0 * t), 0.0])
+        return np.array([-2.0 * np.sin(t), -4.0 * np.sin(2.0 * t),
+                         0.0 * t]).T
 
-    def rotation(self, t: float) -> np.ndarray:
-        # imu(t) and state(t) ask for the same stage time in turn
-        if t == self._last[0]:
-            return self._last[1]
-        if t < -1e-12 or t > self.t_end + 1e-9:
-            raise ValueError(f"t={t} outside trajectory horizon [0, {self.t_end}]")
+    def rotation(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)[()]     # one time as a numpy scalar
+        out = (t < -1e-12) | (t > self.t_end + 1e-9)
+        if out.any():
+            raise ValueError(f"t={t[out][0] if t.ndim else t} outside "
+                             f"trajectory horizon [0, {self.t_end}]")
         # exp(t [w0 + 2 e_y]x), w0 + 2 e_y = (-1, 3, 0), then exp(-2t [e_y]x)
-        c, s = np.cos(2.0 * t), np.sin(2.0 * t)
-        R = exp_so3([-t, 3.0 * t, 0.0]) @ np.array([[c, 0.0, -s],
-                                                    [0.0, 1.0, 0.0],
-                                                    [s, 0.0, c]])
-        self._last = (t, R)
-        return R
+        c, s, z = np.cos(2.0 * t), np.sin(2.0 * t), 0.0 * t
+        turn = np.array([[c, z, s], [z, z + 1.0, z], [-s, z, c]]).T
+        return exp_so3(np.array([-t, 3.0 * t, z]).T) @ turn
 
-    def body_accel(self, t: float) -> np.ndarray:
-        return self.rotation(t).T @ (self.vdot(t) - GRAVITY)
-
-    def imu(self, t: float):
+    def imu(self, t):
         """(omega, a) pair as an ideal IMU would report at time t."""
-        return self.omega(t), self.body_accel(t)
+        state = self.state(t)
+        return state.omega, state.a
 
-    def state(self, t: float) -> RigidBodyState:
-        return RigidBodyState(t=float(t), R=self.rotation(t),
+    imu.stacked = True      # answers an array of times with (T, 3) stacks
+
+    def state(self, t) -> RigidBodyState:
+        R, f = self.rotation(t), self.vdot(t) - GRAVITY
+        one = R.ndim == 2
+        return RigidBodyState(t=float(t) if one else t, R=R,
                               p=self.position(t), v=self.velocity(t),
-                              omega=self.omega(t), a=self.body_accel(t))
+                              omega=self.omega(t),
+                              a=R.T @ f if one else (f[:, None, :] @ R)[:, 0])
 
 
 def sample_landmarks(n: int, low: float = -5.0, high: float = 5.0,
@@ -158,33 +166,44 @@ def rig_arrays(cams):
 
 
 def synth_positions(state: RigidBodyState, landmarks) -> np.ndarray:
-    """Body-frame positions R^T (p_l - p) of the landmarks, (L, 3), each
-    row by the same elementwise operations whatever the others."""
+    """Body-frame positions R^T (p_l - p) of the landmarks, (L, 3), or
+    (T, L, 3) for a state stacked over T times (EightTrajectory.state of
+    an array), each row by the same elementwise operations whatever the
+    others."""
     d = np.array([lm.p for lm in landmarks], dtype=float).reshape(-1, 3)
-    return ((d - state.p)[:, :, None] * state.R).sum(axis=1)
+    return _row_times(d - state.p[..., None, :], state.R[..., None, :, :])
 
 
 def synth_bearings(state: RigidBodyState, landmarks, cams) -> np.ndarray:
-    """Unit bearings of every landmark in every camera, (L, K, 3): row
-    [l, k] is the bearing to landmarks[l] in the frame of cams[k],
-    cam.R^T unit(z_l - cam.p) with z_l the body-frame landmark position.
+    """Unit bearings of every landmark in every camera, (L, K, 3), or
+    (T, L, K, 3) for a stacked state: row [l, k] is the bearing to
+    landmarks[l] in the frame of cams[k], cam.R^T unit(z_l - cam.p) with
+    z_l the body-frame landmark position.
 
     Raises
     ------
     LandmarkAtCameraError
         If a landmark is within 1e-6 m of an optical center; the first
-        such pair in camera-major order is named.
+        such pair in camera-major order (of the first such time) is named.
     """
     Rc, c = rig_arrays(cams)
-    r = synth_positions(state, landmarks)[:, None, :] - c
+    r = synth_positions(state, landmarks)[..., :, None, :] - c
     d = np.sqrt((r * r).sum(axis=-1))
     near = d <= 1e-6
     if near.any():
-        k, i = np.argwhere(near.T)[0]
+        *at, k, i = np.argwhere(np.swapaxes(near, -1, -2))[0]
         raise LandmarkAtCameraError(
-            f"landmark {landmarks[i].id} is {d[i, k]:.3e} m from camera "
-            f"{cams[k].cam_id}")
-    return ((r / d[..., None])[..., :, None] * Rc).sum(axis=-2)
+            f"landmark {landmarks[i].id} is {d[(*at, i, k)]:.3e} m from "
+            f"camera {cams[k].cam_id}")
+    return _row_times(r / d[..., None], Rc)
+
+
+def _row_times(x, M):
+    """x^T M of broadcast rows x (..., 3) and matrices M (..., 3, 3), as
+    the sum of x_a M[a] in order a = 0, 1, 2: one row at a time, so no
+    (..., 3, 3) product is formed."""
+    return x[..., 0, None] * M[..., 0, :] + x[..., 1, None] * M[..., 1, :] \
+        + x[..., 2, None] * M[..., 2, :]
 
 
 def synth_bearing(state: RigidBodyState, lm: Landmark,

@@ -481,6 +481,64 @@ def test_inf_last_timestamp_is_bad_input(tmp_path, capsys, name):
             f"got inf\n")
 
 
+@pytest.mark.parametrize("name, row, column, what", [
+    ("imu.csv", 51, 1, "wx"),
+    ("imu.csv", 51, 6, "az"),
+    ("groundtruth.csv", 51, 10, "px"),
+    ("groundtruth.csv", 51, 15, "vz"),
+    ("groundtruth.csv", 51, 5, "r22"),
+    ("landmarks.csv", 3, 2, "y"),
+    ("extrinsics.csv", 2, 12, "pz"),
+])
+def test_non_finite_table_value_is_bad_input(tmp_path, capsys, name, row,
+                                             column, what):
+    # a NaN in an imu.csv data column made both estimators exit 2 and blame
+    # "IMU or measurement input" at t=0.235; one in groundtruth.csv left a
+    # nan error column in an exit-0 trace
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BASE_CFG.replace("duration = 6", "duration = 1"))
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    lines = (data / name).read_text().splitlines(keepends=True)
+    fields = lines[row - 1].split(",")
+    fields[column] = "nan" + ("\n" if column == len(fields) - 1 else "")
+    lines[row - 1] = ",".join(fields)
+    (data / name).write_text("".join(lines))
+    for command in ("estimate", "analyze"):
+        for estimator in ("continuous", "hybrid"):
+            cfg.write_text(BASE_CFG.replace("duration = 6", "duration = 1")
+                           .replace("continuous", estimator))
+            rc = main([command, "--config", str(cfg), "--data", str(data),
+                       "--out", str(tmp_path / "out")])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                f"visnav: {name}:{row}: {what} must be finite, got nan\n")
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("analyze", "gramian_window", "nan"),
+    ("analyze", "mono_window", "nan"),
+    ("analyze", "gramian_mu", "nan"),
+    ("estimate", "k_r", "nan"),
+    ("estimate", "q", "nan"),
+    ("estimate", "rho1", "nan"),
+    ("estimate", "v", "inf"),
+    ("estimate", "cov_a", "-inf"),
+])
+def test_non_finite_config_value_is_bad_input(sim_dir, tmp_path, capsys,
+                                              command, key, value):
+    # gramian_window = nan killed analyze with a ValueError traceback, and
+    # k_r = nan made estimate exit 2 blaming the input at t=0: RunConfig's
+    # "<= 0" checks let NaN through
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(BASE_CFG + f"{key} = {value}\n")
+    rc = main([command, "--config", str(cfg), "--data", sim_dir,
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"visnav: bad.cfg: {key} must be finite, got {value}\n")
+
+
 def test_nearest_groundtruth_rows_are_argmins():
     # reference: the per-frame scan np.argmin(np.abs(gt_t - t)), which
     # takes the first of equal distances; on a dyadic grid the midpoints

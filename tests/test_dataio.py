@@ -215,6 +215,10 @@ def test_position_stream_validation(tmp_path):
         load_dataset(str(tmp_path))
     assert str(info.value) == (
         "positions.csv:2: frame time must be finite, got nan")
+    po.write_text("t,landmark_id,x,y,z\n0.1,1,0,0,1\n0.1,2,1,-inf,0\n")
+    with pytest.raises(ValidationError) as info:
+        load_dataset(str(tmp_path))
+    assert str(info.value) == "positions.csv:3: y must be finite, got -inf"
     po.write_text("t,landmark_id,x,y,z\n0.1,1,0,0,1\n0.1,2,1,0,0\n")
     ds = load_dataset(str(tmp_path))
     assert len(ds.positions) == 1 and set(ds.positions[0].obs) == {1, 2}

@@ -12,7 +12,8 @@ from visnav.errors import (LandmarkAtCameraError, NonFiniteStateError,
                            NotUnitError, UnknownLandmarkError)
 from visnav.geom import (E3, I3, dist_identity, exp_so3, pi_proj,
                          psi_antisym, random_rotation, skew)
-from visnav.observer import (MODES, GainConfig, ObserverState, TruthSource,
+from visnav.measurement import MODES
+from visnav.observer import (GainConfig, ObserverState, TruthSource,
                              attitude_innovation, build_A, error_state,
                              innovation_mono, innovation_position,
                              innovation_stereo, landmark_blocks, linear_output,
@@ -581,8 +582,9 @@ def test_truth_source_synthesizes_once_per_stage_time(monkeypatch):
 
 def test_run_continuous_synthesizes_each_stage_time_once(monkeypatch):
     # steps meet on times[k] bit for bit, so N steps synthesize 2N + 1
-    # frames: t, t + dt/2 and t + dt, the last shared with the next step;
-    # a kept time's (y, C) is handed back with no numeric work
+    # stage times: t, t + dt/2 and t + dt, the last shared with the next
+    # step; the stacked protocol synthesizes each time once, one array
+    # per batch, and builds no (y, C)
     traj = EightTrajectory(t_end=1.0)
     source = StereoBearingSource(traj, sample_landmarks(5, seed=0),
                                  default_stereo_rig())
@@ -595,7 +597,11 @@ def test_run_continuous_synthesizes_each_stage_time_once(monkeypatch):
     times, _ = run_continuous(ObserverState.initial(), traj.imu, source,
                               GainConfig(), t_end=1.0)
     n = len(times) - 1
-    assert n == 200 and len(built) == len(outputs) == 2 * n + 1
+    taus = np.empty(2 * n + 1)
+    taus[0], taus[1::2], taus[2::2] = times[0], times[:-1] + 0.5 * np.diff(
+        times), times[1:]
+    assert n == 200 and len(built) == -(-n // observer._BATCH)
+    assert np.array_equal(np.concatenate(built), taus) and not outputs
 
 
 def test_run_continuous_queries_imu_then_meas_once_per_stage_time():
@@ -807,6 +813,132 @@ def test_dataset_provider_none_outside_the_stream(mode):
         _frame_dataset(traj, lms, cams, [0.05, 0.1, 0.15]), mode)
     for t in (0.0, 0.0, 0.2, 0.1, 0.0, 0.2, 0.1):
         assert (provider(t) is None) == (t != 0.1)
+
+
+# ---------------------------------------------------------------------------
+# the stacked input protocol
+
+# stage times inside the stream of _stacked_sources' dataset, on and off its
+# frames, and outside it on both sides
+STACK_TIMES = np.concatenate([[0.0, 0.03], 0.05 + 0.0025 * np.arange(41),
+                              [0.3, 0.49, 0.5, 0.52, 0.9]])
+
+
+def _stacked_sources(mode):
+    traj = EightTrajectory(t_end=1.0)
+    lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
+    ds = _frame_dataset(traj, lms, cams, 0.05 * np.arange(1, 11))
+    return {"truth": TruthSource(traj, lms, mode, cams),
+            "dataset": DatasetProvider(ds, mode)}
+
+
+@pytest.mark.parametrize("kind", ["truth", "dataset"])
+@pytest.mark.parametrize("mode", MODES)
+def test_stacked_gains_do_not_depend_on_the_stack(mode, kind):
+    # a time's (S, g, has) is the same bit for bit whatever times are
+    # stacked with it, so a batch gives what a step gives
+    source = _stacked_sources(mode)[kind]
+    whole = source.gains(STACK_TIMES, 1e3)
+    for k in (1, 2, 17, len(STACK_TIMES) - 1):
+        head, tail = (source.gains(STACK_TIMES[:k], 1e3),
+                      source.gains(STACK_TIMES[k:], 1e3))
+        for got, a, b in zip(whole, head, tail):
+            assert np.array_equal(got, np.concatenate([a, b]))
+
+
+@pytest.mark.parametrize("kind", ["truth", "dataset"])
+@pytest.mark.parametrize("mode", MODES)
+def test_stacked_gains_match_the_per_time_output(mode, kind):
+    # (S, g) is (q C^T C, -q C^T y) of the per-time (y, C) on the first 12
+    # entries of the state, whose v rows and columns are zero; has marks
+    # the times with an output, and a time without one adds nothing
+    q = 1e3
+    source = _stacked_sources(mode)[kind]
+    S, g, has = source.gains(STACK_TIMES, q)
+    assert S.shape == (len(STACK_TIMES), 12, 12) and g.shape[1:] == (12,)
+    for k, t in enumerate(STACK_TIMES.tolist()):
+        out = source(t)
+        assert has[k] == (out is not None)
+        if out is None:
+            assert not S[k].any() and not g[k].any()
+            continue
+        y, C = out
+        S_ref, g_ref = q * C.T @ C, -q * C.T @ y
+        assert not S_ref[12:].any() and not S_ref[:, 12:].any()
+        assert not g_ref[12:].any()
+        assert np.abs(S[k] - S_ref[:12, :12]).max() <= 1e-12 * np.abs(
+            S_ref).max()
+        assert np.abs(g[k] - g_ref[:12]).max() <= 1e-12 * np.abs(g_ref).max()
+
+
+def test_stacked_imu_does_not_depend_on_the_stack():
+    # the trajectory's closed form and the interpolated table: a time's
+    # (omega, a) whatever times are stacked with it, the table's bit for
+    # bit its per-time lookup and the trajectory's to roundoff of it
+    traj = EightTrajectory(t_end=1.0)
+    ts = np.arange(201) / 200.0
+    table = np.column_stack([ts, *np.transpose([np.concatenate(traj.imu(t))
+                                                for t in ts])])
+    for imu in (traj.imu, interpolating_imu(table)):
+        assert imu.stacked
+        whole = imu(STACK_TIMES)
+        for k in (1, 17):
+            for got, a, b in zip(whole, imu(STACK_TIMES[:k]),
+                                 imu(STACK_TIMES[k:])):
+                assert np.array_equal(got, np.concatenate([a, b]))
+        for k, t in enumerate(STACK_TIMES.tolist()):
+            for got, ref in zip(whole, imu(t)):
+                if imu is traj.imu:     # the stacked exp_so3, to an ulp
+                    assert np.abs(got[k] - ref).max() <= 1e-14
+                else:
+                    assert np.array_equal(got[k], ref)
+
+
+@pytest.mark.parametrize("mode", ("stereo", "monocular"))
+def test_stacked_truth_source_keeps_its_checks(mode):
+    # a landmark on camera 2's centre at t = 0.3 names that pair, as the
+    # per-time query does; a camera whose rotation is not one gives rotated
+    # bearings off unit length
+    traj = EightTrajectory(t_end=1.0)
+    cams = default_stereo_rig()
+    st = traj.state(0.3)
+    lms = [Landmark(0, np.array([1.0, 2.0, 3.0])),
+           Landmark(4, st.p + st.R @ cams[1].p)]
+    source = TruthSource(traj, lms, "stereo", cams)
+    with pytest.raises(LandmarkAtCameraError) as stacked:
+        source.gains(np.array([0.1, 0.3, 0.5]), 1e3)
+    with pytest.raises(LandmarkAtCameraError) as per_time:
+        source(0.3)
+    assert str(stacked.value) == str(per_time.value)
+    assert str(stacked.value).startswith("landmark 4 is ")
+    bent = [CameraExtrinsics(c.cam_id, 1.5 * c.R, c.p) for c in cams]
+    source = TruthSource(traj, lms[:1], mode, bent)
+    with pytest.raises(NotUnitError):
+        source.gains(np.array([0.1, 0.3]), 1e3)
+
+
+def test_stacked_onset_inside_a_batch_matches_the_per_time_path():
+    # a dataset stream from 0.05 s: one gains query per batch, the first
+    # covering the onset, and the run agrees with the per-time path of the
+    # same inputs (plain callables) to roundoff
+    traj = EightTrajectory(t_end=0.3)
+    lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
+    provider = DatasetProvider(_frame_dataset(
+        traj, lms, cams, 0.05 * np.arange(1, 7)), "stereo")
+    queried, gains = [], provider.gains
+    provider.gains = lambda times, q: queried.append(times) or gains(times, q)
+    est0 = ObserverState.initial(R=exp_so3(np.array([0.9, -0.4, 0.6])))
+    times, states = run_continuous(est0, traj.imu, provider, GainConfig(),
+                                   t_end=0.3)
+    n = len(times) - 1
+    assert len(queried) == -(-n // observer._BATCH)
+    assert queried[0][0] < 0.05 < queried[0][-1]
+    _, ref = run_continuous(est0, lambda t: traj.imu(t),
+                            lambda t: provider(t), GainConfig(), t_end=0.3)
+    for name in ("R", "p", "v", "e", "P"):
+        x = np.array([getattr(s, name) for s in states])
+        y = np.array([getattr(s, name) for s in ref])
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y)), name
 
 
 # ---------------------------------------------------------------------------
