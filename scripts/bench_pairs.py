@@ -1,13 +1,14 @@
 """Run the benchmark of two checkouts in alternating pairs and compare.
 
     python3 scripts/bench_pairs.py OLD_ROOT NEW_ROOT --out BENCH.json
-        [--workload NAME ...] [--pairs N] [--seed S] [--seconds S]
+        [--workload NAME ...] [--pairs N] [--seed S]
 
 OLD_ROOT and NEW_ROOT are checkouts of the repository.  For each workload
 (all four of BENCHMARK.json when --workload is omitted) the script runs
 each checkout's own `perfbench/run.py --workload NAME` N times, one run of
 each per pair, the old one first in even pairs and the new one first in
-odd ones, so that a drift of the host's speed falls on both sides alike.
+odd ones, so that a drift of the host's speed falls on both sides alike;
+the run length is the benchmark's own default.
 It reads the JSON result line each run prints last, and records in
 --out, under "<workload> seed <S>", per end-to-end metric each side's
 values, median and quartiles, and the number of pairs the new side won
@@ -24,12 +25,11 @@ import subprocess
 import sys
 
 
-def run(root, workload, seed, seconds):
+def run(root, workload, seed):
     """The JSON result of one `perfbench/run.py` run of the checkout."""
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "run.py"),
-         "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--workload", workload, "--seed", str(seed)],
         cwd=root, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -66,7 +66,6 @@ def main():
     ap.add_argument("--workload", action="append", default=None)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
@@ -85,14 +84,13 @@ def main():
         runs = {"old": [], "new": []}
         for i in range(args.pairs):
             for side in ("old", "new") if i % 2 == 0 else ("new", "old"):
-                result = run(roots[side], workload, args.seed, args.seconds)
+                result = run(roots[side], workload, args.seed)
                 runs[side].append(result)
                 print(f"{workload} pair {i + 1} {side}: " + ", ".join(
                     f"{k} {v['value']:.6g}"
                     for k, v in result["metrics"].items()), flush=True)
         keys.append(f"{workload} seed {args.seed}")
-        report[keys[-1]] = {"pairs": args.pairs, "seconds": args.seconds,
-                            **compare(runs, better)}
+        report[keys[-1]] = {"pairs": args.pairs, **compare(runs, better)}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")

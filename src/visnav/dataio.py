@@ -324,7 +324,7 @@ def save_dataset(dir_path: str, ds: Dataset) -> None:
 # estimate traces
 
 
-@dataclass(slots=True)
+@dataclass
 class TraceRecord:
     """One estimator snapshot: errors against truth plus the estimate."""
 
@@ -345,7 +345,7 @@ def write_trace(path: str, records) -> None:
     """Emit one CSV row per record (19 columns; see TRACE_HEADER)."""
     if not records:
         raise ValidationError("trace must contain at least one record")
-    _write_rows(path, TRACE_HEADER, [r.row() for r in records])
+    _write_rows(path, TRACE_HEADER, (r.row() for r in records))
 
 
 def read_trace(path: str):
@@ -540,8 +540,8 @@ class DatasetProvider(FrameSource):
         self._p, self._Y, self._seen, self._rig = frame_arrays(
             frames, self.cams, self.lms)
         # the bracketing frames (k, hi) of a time after j frame times, as
-        # tables over j: integer ufuncs on the indices would map numpy code
-        # that no other part of a run uses, 64 KB at a time, into memory
+        # tables over j: integer maximum and minimum on the indices would
+        # page in numpy code that no other part of a run uses
         n = len(frames)
         self._lo = np.array([max(j - 1, 0) for j in range(n + 1)], dtype=int)
         self._hi = np.array([min(max(j - 1, 0) + 1, n - 1)

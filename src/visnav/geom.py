@@ -24,11 +24,6 @@ I3 = np.eye(3)
 # standard basis, rows e1, e2, e3
 E3 = np.eye(3)
 
-# v @ SKEW is skew(v) of each row of an (m, 3) stack, raveled: its entry
-# (j, k) is the Levi-Civita -eps_jkl v_l, exactly, one term each
-SKEW = np.zeros((3, 9))
-SKEW[[2, 0, 1, 1, 2, 0], [1, 5, 6, 2, 3, 7]] = [-1, -1, -1, 1, 1, 1]
-
 
 def skew(v) -> np.ndarray:
     """Antisymmetric matrix of a 3-vector: skew(v) @ w == np.cross(v, w)."""
@@ -102,8 +97,8 @@ def exp_so3(v) -> np.ndarray:
     takes exp_so3_floats, within an ulp or two of the stack.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim > 1:  # a stack
-        S = (v @ SKEW).reshape(-1, 3, 3)
+    if v.ndim > 1:  # a stack: row j of skew(v) is e_j x v
+        S = np.cross(I3, v[:, None, :])
         th = np.linalg.norm(v, axis=-1)[:, None, None]
         small, th = th < 1e-8, np.maximum(th, 1e-8)
         A = np.where(small, 1.0, np.sin(th) / th)

@@ -147,24 +147,29 @@ def linear_output(blocks):
     return -b.reshape(-1), np.einsum("lj,lab->lajb", r, Pi).reshape(-1, 15)
 
 
+def output_gains(y, C, q):
+    """(S, g) = (q C^T C, -q C^T y) of a linear output y = C x on the
+    first 12 entries of the state, (12, 12) and (12,): no output reads v,
+    so the rows and columns of v are zero and are left out."""
+    return (q * C.T @ C)[:12, :12], (-q * C.T @ y)[:12]
+
+
 def stacked_gains(p, Y, seen, rig, q):
     """(S, g, has) of the stacked protocol (see observer.step) at T times
     from observation stacks as frame_arrays' of T frames: Y (T, L, K, 3)
     and seen (T, L, K) of the landmarks at p (L, 3), and rig.  S and g are
-    q C^T C and -q C^T y of each time's linear output over every landmark
-    (an unseen one has zero rows), on the first 12 entries of the state,
-    (T, 12, 12) and (T, 12): the columns of v in C are zero, as no output
-    reads v.  has marks the times that see a landmark.
+    the output_gains of each time's linear output over every landmark (an
+    unseen one has zero rows), (T, 12, 12) and (T, 12); has marks the
+    times that see a landmark.
 
     Each time's S and g are the products a per-time gain forms, bit for
     bit, time by time: the onset of a measured stereo run amplifies a
     reordered sum of S (the Kronecker form sum_l (r_l r_l^T) (x)
-    (Pi_l^T Pi_l)) about ten thousandfold, and blocks and outputs formed
-    for all T L landmarks at once raised the benchmark's peak memory.
+    (Pi_l^T Pi_l)) about ten thousandfold.
     """
     T = len(seen)
     S, g = np.empty((T, 12, 12)), np.empty((T, 12))
     for k in range(T):
-        y, C = linear_output(observation_blocks(p, Y[k], seen[k], rig))
-        S[k], g[k] = (q * C.T @ C)[:12, :12], (-q * C.T @ y)[:12]
+        S[k], g[k] = output_gains(*linear_output(observation_blocks(
+            p, Y[k], seen[k], rig)), q)
     return S, g, seen.any(axis=(1, 2))

@@ -16,12 +16,12 @@ from functools import partial
 import numpy as np
 
 from .errors import NonFiniteStateError
-from .geom import I3, SKEW, project_to_rotation, rk4_exp_floats, skew
+from .geom import I3, project_to_rotation, rk4_exp_floats, skew
 # exp_so3 and dexpinv_body stay importable here: the benchmark's span tracer
 # (perfbench/tracer.py) wraps them in this namespace.
 from .geom import dexpinv_body, exp_so3  # noqa: F401
 from .measurement import (landmark_blocks, linear_output, mode_cameras,
-                          observation_blocks, stacked_gains)
+                          observation_blocks, output_gains, stacked_gains)
 from .sim import GRAVITY, rig_arrays, synth_bearings, synth_positions
 # make_bearing_frame and make_position_frame stay importable here: the
 # benchmark's span tracer (perfbench/tracer.py) wraps them in this namespace.
@@ -71,7 +71,7 @@ class GainConfig:
         return V
 
 
-@dataclass(slots=True)
+@dataclass(slots=True)      # a run keeps one state per IMU step
 class ObserverState:
     """Full estimator state.
 
@@ -189,8 +189,10 @@ def _body_frame(est: ObserverState) -> np.ndarray:
 # the most steps in one batch, so that what a batch holds stays small
 _BATCH = 16
 
-# omega @ _LEVI is -skew(omega) of each row of an (m, 3) stack, raveled
-_LEVI = -SKEW
+# omega @ _LEVI is -skew(omega) of each row of an (m, 3) stack, raveled: its
+# entry (j, k) is the Levi-Civita eps_jkl omega_l
+_LEVI = np.zeros((3, 9))
+_LEVI[[2, 0, 1, 1, 2, 0], [1, 5, 6, 2, 3, 7]] = [1, 1, 1, -1, -1, -1]
 
 
 def _corrected_rate(xis, omegas, cfg: GainConfig, j, R):
@@ -233,7 +235,7 @@ def _query(imu, meas, q):
     (S, g, has) of the stacked protocol (see step).  From one call each of
     imu and meas.gains over the array when both take that protocol, else
     from imu(t), then meas(t) -> (y, C) | None, at each time in turn, with
-    S = q C^T C and g = -q C^T y."""
+    (S, g) their output_gains."""
     if getattr(imu, "stacked", False) and (meas is None
                                            or hasattr(meas, "gains")):
         def query(taus):
@@ -247,12 +249,11 @@ def _query(imu, meas, q):
                     for i in (0, 1))
         if meas is None:
             return omega, a, None
-        S, g = np.zeros((len(got), 15, 15)), np.zeros((len(got), 15))
+        S, g = np.zeros((len(got), 12, 12)), np.zeros((len(got), 12))
         has = np.array([out is not None and out[1].size > 0
                         for _, out in got], dtype=bool)
         for k in np.flatnonzero(has):
-            y, C = got[k][1]
-            S[k], g[k] = q * C.T @ C, -q * C.T @ y
+            S[k], g[k] = output_gains(*got[k][1], q)
         return omega, a, (S, g, has)
     return per_time
 
@@ -310,8 +311,8 @@ def _integrate(est: ObserverState, cfg: GainConfig, starts, h, inputs,
     needs.  The attitude RK4 runs after all Z stages, and one SVD projects
     the batch's attitudes.  Between steps a batch holds each node's P and
     xi, or with chain its Z, each stage's omega and xi_e, and the stacks
-    of its stage inputs.  S and g may leave out the rows of v, which no
-    output reads (stacked_gains)."""
+    of its stage inputs.  S and g cover the first 12 entries of the state
+    (output_gains)."""
     A = build_A(np.zeros(3), cfg.gravity)
     H0 = np.zeros((30, 30))
     H0[:15, :15], H0[:15, 15:], H0[15:, 15:] = A, cfg.v_matrix(), -A.T
@@ -329,9 +330,8 @@ def _integrate(est: ObserverState, cfg: GainConfig, starts, h, inputs,
             dz += (w @ z.reshape(10, 3, 16)).reshape(30, 16)
             dz[12:15, 15] += a
             if g is not None:       # S X on the lambda rows, g forcing them
-                m = 15 + len(g[1])  # S and g may leave out v's zero rows
-                dz[15:m] += g[0] @ z[:m - 15]
-                dz[15:m, 15] += g[1]
+                dz[15:27] += g[0] @ z[:12]
+                dz[15:27, 15] += g[1]
             ks.append(dz)
             if c is not None:       # a restart solves on the stages in zs
                 z = Z + c * dz if chain else np.add(Z, c * dz, out=zs[i])
@@ -420,8 +420,8 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
     (EightTrajectory.imu, dataio.interpolating_imu) answers an array of
     T stage times with (T, 3) stacks of omega and a, and a source with a
     method gains(times, q) (TruthSource, dataio.DatasetProvider) answers
-    with stacked_gains' (S, g, has): q C^T C and -q C^T y of each time,
-    and the mask of the times with a measurement.  Each time's answer must
+    with stacked_gains' (S, g, has): the output_gains of each time, and
+    the mask of the times with a measurement.  Each time's answer must
     not depend on the times stacked with it, so that a run and a loop of
     steps see the same inputs.  Otherwise, as for any plain callable, imu
     and then meas are called once per stage time, at t, t + dt/2 and

@@ -12,7 +12,7 @@ from visnav.cli import main
 from visnav.dataio import load_config, load_dataset, read_trace, save_dataset
 from visnav.geom import AttitudeTable, exp_so3, grid_index
 from visnav.observability import closed_form_transition
-from visnav.observer import landmark_blocks, linear_output, mode_cameras
+from visnav.measurement import landmark_blocks, linear_output, mode_cameras
 from visnav.sim import GRAVITY, EightTrajectory, make_bearing_frame
 
 G = np.array(GRAVITY, dtype=float)

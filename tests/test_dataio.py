@@ -12,7 +12,7 @@ from visnav.dataio import (IMU_HEADER, LANDMARKS_HEADER, TRACE_HEADER,
                            save_dataset, write_trace)
 from visnav.errors import IoError, ParseError, ValidationError
 from visnav.geom import E3, exp_so3
-from visnav.observer import landmark_blocks, linear_output
+from visnav.measurement import landmark_blocks, linear_output
 from visnav.sim import BearingFrame, CameraExtrinsics, Landmark, PositionFrame
 
 MINIMAL_IMU = "t,wx,wy,wz,ax,ay,az\n0,0.1,0,0,0,0,9.81\n"

@@ -11,11 +11,10 @@ from visnav.errors import (NonFiniteStateError, ScheduleViolationError,
                            SingularInnovationError, UnknownLandmarkError)
 from visnav.geom import E3, dist_identity, exp_so3, random_rotation
 from visnav.hybrid import NoiseCovariances, flow, jump, run, tune_vq
-from visnav.measurement import MODES
 from visnav.observability import transition_matrix
+from visnav.measurement import MODES, landmark_blocks, mode_cameras
 from visnav.observer import (GainConfig, ObserverState, build_A, error_state,
-                             innovation_stereo, landmark_blocks,
-                             measurement_model, mode_cameras, step)
+                             innovation_stereo, measurement_model, step)
 from visnav.sim import (GRAVITY, BearingFrame, EightTrajectory, Landmark,
                         PositionFrame, default_stereo_rig, make_bearing_frame,
                         make_position_frame, rig_arrays, sample_landmarks)

@@ -33,9 +33,9 @@ from visnav.observability import (FULL_STATE_DIM, GramianReport,
                                   check_uniform_observability,
                                   static_observability_matrix,
                                   transition_matrix)
+from visnav.measurement import landmark_blocks, linear_output
 from visnav.observer import (ObserverState, build_A, innovation_mono,
-                             innovation_position, innovation_stereo,
-                             landmark_blocks, linear_output)
+                             innovation_position, innovation_stereo)
 from visnav.sim import (GRAVITY, EightTrajectory, Landmark,
                         default_stereo_rig, make_bearing_frame,
                         make_position_frame, sample_landmarks)

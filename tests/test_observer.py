@@ -4,6 +4,7 @@ identities, Riccati integration, and the step() integrator."""
 import numpy as np
 import pytest
 
+import visnav.measurement as measurement
 import visnav.observer as observer
 from visnav.cli import main
 from visnav.dataio import (Dataset, DatasetProvider, interpolating_imu,
@@ -12,13 +13,12 @@ from visnav.errors import (LandmarkAtCameraError, NonFiniteStateError,
                            NotUnitError, UnknownLandmarkError)
 from visnav.geom import (E3, I3, dist_identity, exp_so3, pi_proj,
                          psi_antisym, random_rotation, skew)
-from visnav.measurement import MODES
+from visnav.measurement import MODES, landmark_blocks, linear_output
 from visnav.observer import (GainConfig, ObserverState, TruthSource,
                              attitude_innovation, build_A, error_state,
                              innovation_mono, innovation_position,
-                             innovation_stereo, landmark_blocks, linear_output,
-                             riccati_rhs, run_continuous, step, PositionSource,
-                             StereoBearingSource)
+                             innovation_stereo, riccati_rhs, run_continuous,
+                             step, PositionSource, StereoBearingSource)
 from visnav.sim import (GRAVITY, BearingFrame, CameraExtrinsics,
                         EightTrajectory, Landmark, RigidBodyState,
                         default_stereo_rig, make_bearing_frame,
@@ -208,7 +208,7 @@ def test_landmark_blocks_match_per_landmark_projectors():
     del frame.obs[(1, lms[1].id)]         # seen by camera 2 only
     del frame.obs[(2, lms[4].id)]         # seen by camera 1 only
     frame.obs[(7, lms[0].id)] = np.array([1.0, 0.0, 0.0])  # not in the rig
-    p, Pi, b = observer.landmark_blocks(frame, cams[::-1], lms)
+    p, Pi, b = measurement.landmark_blocks(frame, cams[::-1], lms)
     for i, lm in enumerate(lms):
         seen = [c for c in cams if (c.cam_id, lm.id) in frame.obs]
         projs = [pi_proj(c.R @ frame.obs[(c.cam_id, lm.id)]) for c in seen]
@@ -226,10 +226,10 @@ def test_innovation_dispatch_uses_the_mode_cameras():
     est = _random_estimate(rng)
     bearings = make_bearing_frame(truth, lms, cams)
     positions = make_position_frame(truth, lms)
-    assert observer.mode_cameras("monocular", cams[::-1]) == cams[:1]
-    assert observer.mode_cameras("position3d", cams) == []
+    assert measurement.mode_cameras("monocular", cams[::-1]) == cams[:1]
+    assert measurement.mode_cameras("position3d", cams) == []
     with pytest.raises(ValueError):
-        observer.mode_cameras("trinocular", cams)
+        measurement.mode_cameras("trinocular", cams)
     pairs = [("stereo", bearings, innovation_stereo(est, bearings, cams, lms)),
              ("monocular", bearings,
               innovation_mono(est, bearings, cams[0], lms)),
@@ -237,7 +237,7 @@ def test_innovation_dispatch_uses_the_mode_cameras():
               innovation_position(est, positions, lms))]
     for mode, frame, ref in pairs:
         got = observer.measurement_model(est, landmark_blocks(
-            frame, observer.mode_cameras(mode, cams[::-1]), lms))
+            frame, measurement.mode_cameras(mode, cams[::-1]), lms))
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
     # monocular is stereo with one camera
     one = innovation_stereo(est, bearings, cams[:1], lms)
@@ -584,15 +584,15 @@ def test_run_continuous_synthesizes_each_stage_time_once(monkeypatch):
     # steps meet on times[k] bit for bit, so N steps synthesize 2N + 1
     # stage times: t, t + dt/2 and t + dt, the last shared with the next
     # step; the stacked protocol synthesizes each time once, one array
-    # per batch, and builds no (y, C)
+    # per batch, and builds each time's (y, C) once
     traj = EightTrajectory(t_end=1.0)
     source = StereoBearingSource(traj, sample_landmarks(5, seed=0),
                                  default_stereo_rig())
     built, outputs = [], []
-    make, output = observer.synth_bearings, observer.linear_output
+    make, output = observer.synth_bearings, measurement.linear_output
     monkeypatch.setattr(observer, "synth_bearings",
                         lambda st, *a: built.append(st.t) or make(st, *a))
-    monkeypatch.setattr(observer, "linear_output",
+    monkeypatch.setattr(measurement, "linear_output",
                         lambda blocks: outputs.append(1) or output(blocks))
     times, _ = run_continuous(ObserverState.initial(), traj.imu, source,
                               GainConfig(), t_end=1.0)
@@ -601,7 +601,8 @@ def test_run_continuous_synthesizes_each_stage_time_once(monkeypatch):
     taus[0], taus[1::2], taus[2::2] = times[0], times[:-1] + 0.5 * np.diff(
         times), times[1:]
     assert n == 200 and len(built) == -(-n // observer._BATCH)
-    assert np.array_equal(np.concatenate(built), taus) and not outputs
+    assert np.array_equal(np.concatenate(built), taus)
+    assert len(outputs) == 2 * n + 1
 
 
 def test_run_continuous_queries_imu_then_meas_once_per_stage_time():
@@ -734,7 +735,7 @@ def test_sources_match_a_fresh_innovation(mode):
     ds = _frame_dataset(traj, lms, cams, 0.05 * np.arange(1, 11))
     truth, provider = TruthSource(traj, lms, mode, cams), DatasetProvider(
         ds, mode)
-    mode_cams = observer.mode_cameras(mode, cams)
+    mode_cams = measurement.mode_cameras(mode, cams)
     rng = np.random.default_rng(5)
     for t in (0.1, 0.1, 0.13, 0.1, 0.17, 0.13, 0.13, 0.2, 0.1, 0.075, 0.5):
         est = _random_estimate(rng)
@@ -793,7 +794,7 @@ def test_truth_source_rows_follow_ids_whatever_the_landmark_order(mode):
     shuffled = [lms[i] for i in (4, 0, 5, 2, 1, 3)]
     source, ordered = (TruthSource(traj, shuffled, mode, cams),
                        TruthSource(traj, lms, mode, cams))
-    mode_cams = observer.mode_cameras(mode, cams)
+    mode_cams = measurement.mode_cameras(mode, cams)
     for t in (0.0, 0.37, 0.8):
         st = traj.state(t)
         frame = (make_position_frame(st, shuffled) if mode == "position3d"
