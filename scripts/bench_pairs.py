@@ -15,6 +15,13 @@ values, median and quartiles, and the number of pairs the new side won
 (by the metric's "better" direction in NEW_ROOT's BENCHMARK.json),
 together with the operations attempted and failed and whether the checks
 passed.  Entries already in --out for other workloads or seeds are kept.
+
+Each metric also gets a verdict by the claim rule of the benchmark's
+guide: "gain" when the new side wins at least nine tenths of the pairs
+(ties count for neither) and its median is better than the old one's by
+more than the old side's quartile spread, "loss" for the same the other
+way round, "unresolved" when that spread is at least as wide as the
+difference of the medians, and "no claim" otherwise.
 """
 
 import argparse
@@ -39,17 +46,33 @@ def summary(values):
     return {"values": values, "median": med, "q1": q1, "q3": q3}
 
 
+def verdict(old, new, wins, losses, sign):
+    """The claim rule's verdict on a metric (see the module docstring)."""
+    delta = sign * (new["median"] - old["median"])
+    if old["q3"] - old["q1"] >= abs(delta):
+        return "unresolved"
+    pairs = len(old["values"])
+    if delta > 0 and 10 * wins >= 9 * pairs:
+        return "gain"
+    if delta < 0 and 10 * losses >= 9 * pairs:
+        return "loss"
+    return "no claim"
+
+
 def compare(runs, better):
-    """Per metric: both sides' summaries and the new side's wins."""
+    """Per metric: both sides' summaries, the new side's wins and the
+    verdict."""
     out = {}
     for name, direction in better.items():
         old = [r["metrics"][name]["value"] for r in runs["old"]]
         new = [r["metrics"][name]["value"] for r in runs["new"]]
         sign = 1.0 if direction == "higher" else -1.0
+        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        losses = sum(sign * (b - a) < 0 for a, b in zip(old, new))
         out[name] = {"better": direction, "old": summary(old),
-                     "new": summary(new),
-                     "new_wins": sum(sign * (b - a) > 0
-                                     for a, b in zip(old, new))}
+                     "new": summary(new), "new_wins": wins}
+        out[name]["verdict"] = verdict(out[name]["old"], out[name]["new"],
+                                       wins, losses, sign)
     for side in ("old", "new"):
         out[f"{side}_operations"] = {
             "attempted": sum(r["attempted"] for r in runs[side]),
@@ -101,7 +124,7 @@ def main():
                   f"[{m['old']['q1']:.6g}, {m['old']['q3']:.6g}]  new "
                   f"{m['new']['median']:.6g} [{m['new']['q1']:.6g}, "
                   f"{m['new']['q3']:.6g}]  new wins {m['new_wins']}/"
-                  f"{args.pairs}")
+                  f"{args.pairs}  {m['verdict']}")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ body-frame landmark positions) stacked into arrays, their per-landmark
 blocks (p, Pi, b), each a linear constraint Pi z = b on a body-frame
 landmark position z, and the linear output y = C x of the body-frame
 translational state that the blocks give, or the gains q C^T C and
--q C^T y of the continuous observer formed straight from them.
+-q C^T y of the continuous observer formed straight from them.  The
+blocks, outputs and gains take leading axes, so a stack of frames or
+stage times goes through each kernel in one pass.
 """
 
 from __future__ import annotations
@@ -89,62 +91,73 @@ def stacked_output(frames, cams, lms):
     ascending ids: a landmark a frame does not see (by the cameras in
     cams, for bearings) has zero rows, which add nothing to a Gramian.
     The rows of the landmarks a frame sees are landmark_blocks' and
-    linear_output's of that frame; the kernel runs once over all frames'
-    landmarks, as one stack of F L landmarks.
+    linear_output's of that frame; the kernels run once over the stack.
     """
-    p, Y, seen, rig = frame_arrays(frames, cams, lms)
-    F, L, K = seen.shape
-    y, C = linear_output(observation_blocks(
-        np.tile(p, (F, 1)), Y.reshape(F * L, K, 3), seen.reshape(F * L, K),
-        rig))
-    return y.reshape(F, 3 * L), C.reshape(F, 3 * L, 15)
+    return linear_output(observation_blocks(*frame_arrays(frames, cams, lms)))
 
 
 def observation_blocks(p, Y, seen, rig):
     """(p, Pi, b) of landmarks at p (L, 3) from their rows of
-    frame_arrays' stack, observations Y (L, K, 3) and seen mask (L, K),
-    and its rig: bearing_blocks with a rig (Rc, c); without one (None) Y
-    holds body-frame positions z in one column, and Pi = I, b = z where
-    seen and Pi = 0, b = 0 where not.
+    frame_arrays' stack, observations Y (..., L, K, 3) and seen mask
+    (..., L, K), and its rig: bearing_blocks with a rig (Rc, c); without
+    one (None) Y holds body-frame positions z in one column, and Pi = I,
+    b = z where seen and Pi = 0, b = 0 where not.  Pi is (..., L, 3, 3)
+    and b (..., L, 3).
     """
     if rig is not None:
         return bearing_blocks(p, Y, seen, *rig)
-    return p, seen[:, 0, None, None] * I3, Y[:, 0]
+    return p, seen[..., 0, None, None] * I3, Y[..., 0, :]
 
 
 def bearing_blocks(p, Y, seen, Rc, c):
     """(p, Pi, b) of stacked camera-frame bearings.
 
-    Y (L, K, 3) holds the bearing of landmark l, at p[l], in camera k of
-    a rig with rotations Rc (K, 3, 3) and centres c (K, 3); seen (L, K)
-    marks the bearings observed, and the others must be finite.  With
-    x = R_c y the rotated bearing, Pi = sum_c pi(x_c) and
+    Y (..., L, K, 3) holds the bearing of landmark l, at p[l], in camera k
+    of a rig with rotations Rc (K, 3, 3) and centres c (K, 3); seen
+    (..., L, K) marks the bearings observed, and the others must be
+    finite.  With x = R_c y the rotated bearing, Pi = sum_c pi(x_c) and
     b = sum_c pi(x_c) c_c over the cameras that see the landmark, in the
     order of the rig; a landmark no camera sees gets Pi = 0 and b = 0.
+    The outer products x x^T are a matmul and the projector is formed in
+    place: numpy's elementwise loops copy a broadcast operand of a stack
+    into a buffer of the result's size, matmul does not.
 
     Raises NotUnitError for a seen rotated bearing whose norm is off 1 by
     more than 1e-6.
     """
     X = (Rc @ Y[..., None])[..., 0]
-    norm = np.sqrt(np.einsum("lki,lki->lk", X, X))
+    norm = np.sqrt(np.einsum("...ki,...ki->...k", X, X))
     off = seen & (np.abs(norm - 1.0) > 1e-6)
     if off.any():
         raise NotUnitError(
             f"expected a unit vector, got norm {float(norm[off][0])!r}")
-    proj = (I3 - X[..., :, None] * X[..., None, :]) * seen[..., None, None]
-    return p, proj.sum(axis=1), np.einsum("lkij,kj->li", proj, c)
+    proj = X[..., :, None] @ X[..., None, :]
+    np.subtract(I3, proj, out=proj)
+    proj *= seen[..., None, None]
+    return p, proj.sum(axis=-3), np.einsum("...kij,kj->...i", proj, c)
 
 
 def linear_output(blocks):
-    """The linear output (y, C) of one frame's landmark_blocks: y = C x for
-    the body-frame translational state x of error_state, with y = -b and
-    row block r_i^T (x) Pi_i per landmark, r_i = (1, -p_i, 0).  No estimate
+    """The linear output (y, C) of landmark_blocks: y = C x for the
+    body-frame translational state x of error_state, with y = -b and row
+    block r_i^T (x) Pi_i per landmark, r_i = (1, -p_i, 0).  Blocks with
+    leading axes give y (..., 3L) and C (..., 3L, 15).  No estimate
     enters it."""
     p, Pi, b = blocks
-    r = np.zeros((len(p), 5))
+    C = _output_matrix(p, Pi, 5)
+    return -b.reshape(C.shape[:-1]), C
+
+
+def _output_matrix(p, Pi, n):
+    """C (..., 3L, 3n) of blocks Pi (..., L, 3, 3) of landmarks at p: the
+    first n of the row weights r_i = (1, -p_i, 0) of linear_output, each
+    entry the product r_ij Pi_i[a, b], as a matmul of single-term sums,
+    which buffers no broadcast operand (see bearing_blocks)."""
+    r = np.zeros((len(p), n))
     r[:, 0] = 1.0
     r[:, 1:4] = -p
-    return -b.reshape(-1), np.einsum("lj,lab->lajb", r, Pi).reshape(-1, 15)
+    C = r[:, None, :, None] @ Pi[..., None, :]
+    return C.reshape(*Pi.shape[:-3], 3 * len(p), 3 * n)
 
 
 def output_gains(y, C, q):
@@ -162,14 +175,27 @@ def stacked_gains(p, Y, seen, rig, q):
     unseen one has zero rows), (T, 12, 12) and (T, 12); has marks the
     times that see a landmark.
 
-    Each time's S and g are the products a per-time gain forms, bit for
-    bit, time by time: the onset of a measured stereo run amplifies a
-    reordered sum of S (the Kronecker form sum_l (r_l r_l^T) (x)
-    (Pi_l^T Pi_l)) about ten thousandfold.
+    The blocks, the output matrices C (without the zero columns of v) and
+    the products (q C^T) C and (q C^T) b = -q C^T y are each one stacked
+    pass over a half of the times, so that the stacks of C and q C^T are
+    half the batch's: under tracemalloc one 33-time stereo gains call
+    peaks at about 110 KB in halves and 165 KB over the whole stack.
+    Each time's S and g are the products output_gains forms, bit for bit:
+    one matmul per time of the same operands, as the onset of a measured
+    stereo run amplifies a reordered sum of S (the Kronecker form
+    sum_l (r_l r_l^T) (x) (Pi_l^T Pi_l)) about ten thousandfold.
     """
     T = len(seen)
-    S, g = np.empty((T, 12, 12)), np.empty((T, 12))
-    for k in range(T):
-        S[k], g[k] = output_gains(*linear_output(observation_blocks(
-            p, Y[k], seen[k], rig)), q)
-    return S, g, seen.any(axis=(1, 2))
+    S, g = np.empty((T, 12, 12)), np.empty((T, 12, 1))
+    for h in (slice(T // 2), slice(T // 2, T)):
+        _gains_into(p, Y[h], seen[h], rig, q, S[h], g[h])
+    return S, g[..., 0], seen.any(axis=(1, 2))
+
+
+def _gains_into(p, Y, seen, rig, q, S, g):
+    """stacked_gains' S and g of a stack of times into S and g (T, 12, 1)."""
+    _, Pi, b = observation_blocks(p, Y, seen, rig)
+    C = _output_matrix(p, Pi, 4)
+    qCt = q * C.transpose(0, 2, 1)
+    np.matmul(qCt, C, out=S)
+    np.matmul(qCt, b.reshape(*C.shape[:2], 1), out=g)

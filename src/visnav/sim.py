@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LandmarkAtCameraError
-from .geom import I3, exp_so3
+from .geom import I3, exp_so3, exp_so3_floats
 # dexpinv_body and project_to_rotation stay importable here: the
 # benchmark's span tracer (perfbench/tracer.py) wraps them in this namespace.
 from .geom import dexpinv_body, project_to_rotation  # noqa: F401
@@ -118,15 +118,29 @@ class EightTrajectory:
                          0.0 * t]).T
 
     def rotation(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)[()]     # one time as a numpy scalar
+        if isinstance(t, float) or np.ndim(t) == 0:
+            return self._rotation_at(float(t))
+        t = np.asarray(t, dtype=float)
         out = (t < -1e-12) | (t > self.t_end + 1e-9)
         if out.any():
-            raise ValueError(f"t={t[out][0] if t.ndim else t} outside "
-                             f"trajectory horizon [0, {self.t_end}]")
+            raise ValueError(f"t={t[out][0]} outside trajectory horizon "
+                             f"[0, {self.t_end}]")
         # exp(t [w0 + 2 e_y]x), w0 + 2 e_y = (-1, 3, 0), then exp(-2t [e_y]x)
         c, s, z = np.cos(2.0 * t), np.sin(2.0 * t), 0.0 * t
         turn = np.array([[c, z, s], [z, z + 1.0, z], [-s, z, c]]).T
         return exp_so3(np.array([-t, 3.0 * t, z]).T) @ turn
+
+    def _rotation_at(self, t: float) -> np.ndarray:
+        # one time on floats: the expressions above with exp_so3's form
+        # for one vector, numpy's sine and cosine, and the 3 x 3 product
+        # of the same memory layouts, so the same values bit for bit
+        if t < -1e-12 or t > self.t_end + 1e-9:
+            raise ValueError(f"t={t} outside trajectory horizon "
+                             f"[0, {self.t_end}]")
+        c, s, z = float(np.cos(2.0 * t)), float(np.sin(2.0 * t)), 0.0 * t
+        rows = np.array([*exp_so3_floats(-t, 3.0 * t, z),
+                         (c, z, s), (z, z + 1.0, z), (-s, z, c)])
+        return rows[:3] @ rows[3:].T
 
     def imu(self, t):
         """(omega, a) pair as an ideal IMU would report at time t."""
@@ -136,12 +150,25 @@ class EightTrajectory:
     imu.stacked = True      # answers an array of times with (T, 3) stacks
 
     def state(self, t) -> RigidBodyState:
+        if isinstance(t, float) or np.ndim(t) == 0:
+            return self._state_at(float(t))
         R, f = self.rotation(t), self.vdot(t) - GRAVITY
-        one = R.ndim == 2
-        return RigidBodyState(t=float(t) if one else t, R=R,
-                              p=self.position(t), v=self.velocity(t),
-                              omega=self.omega(t),
-                              a=R.T @ f if one else (f[:, None, :] @ R)[:, 0])
+        return RigidBodyState(t=t, R=R, p=self.position(t),
+                              v=self.velocity(t), omega=self.omega(t),
+                              a=(f[:, None, :] @ R)[:, 0])
+
+    def _state_at(self, t: float) -> RigidBodyState:
+        # one time on floats, bit for bit the values of the expressions
+        # above at that time: numpy's sines and cosines, and R^T f
+        R = self.rotation(t)
+        s1, s2 = float(np.sin(t)), float(np.sin(2.0 * t))
+        c1, c2 = float(np.cos(t)), float(np.cos(2.0 * t))
+        z = 0.0 * t
+        f = np.array([-2.0 * s1, -4.0 * s2, z]) - GRAVITY
+        return RigidBodyState(t=t, R=R,
+                              p=np.array([2.0 * s1, 2.0 * s1 * c1, z + 2.0]),
+                              v=np.array([2.0 * c1, 2.0 * c2, z]),
+                              omega=np.array([-c2, z + 1.0, s2]), a=R.T @ f)
 
 
 def sample_landmarks(n: int, low: float = -5.0, high: float = 5.0,

@@ -726,3 +726,54 @@ def test_analyze_transports_off_grid_frames_exactly(tmp_path, monkeypatch):
                 dR = dR @ exp_so3((b - a) * imu[k, 1:4])
             assert np.max(np.abs(Phi[:3, :3] - dR.T)) <= 1e-12
     assert next(frames).t > 1.0  # the last frame is past both windows
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract over every column of every table
+
+SWEEP_VALUES = ("nan", "inf", "-inf", "", "x")
+SWEEP_RUNS = (("estimate", "continuous"), ("estimate", "hybrid"),
+              ("analyze", "continuous"))
+
+
+@pytest.mark.parametrize("mode", ["stereo", "position3d"])
+def test_every_bad_table_value_is_a_file_line_exit_1(tmp_path, capsys, mode):
+    # each column of each CSV file of a 1 s dataset, in one seeded data
+    # row, set to nan, inf, -inf, empty or x: estimate (continuous and
+    # hybrid) and analyze each exit 1 naming that file and line, never
+    # with an exception out of main (a traceback) and never exit 0 or 2
+    text = (BASE_CFG.replace("mode = stereo", f"mode = {mode}")
+            .replace("duration = 6", "duration = 1"))
+    cfg, data = tmp_path / "run.cfg", tmp_path / "data"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    rng = np.random.default_rng(22)
+    names = sorted(path.name for path in data.iterdir())
+    assert names == sorted(["imu.csv", "groundtruth.csv", "landmarks.csv",
+                            *{"stereo": ["extrinsics.csv", "bearings.csv"],
+                              "position3d": ["positions.csv"]}[mode]])
+    calls = 0
+    for name in names:
+        original = (data / name).read_text()
+        lines = original.splitlines(keepends=True)
+        for column in range(lines[0].count(",") + 1):
+            row = int(rng.integers(1, len(lines)))
+            for value in SWEEP_VALUES:
+                fields = lines[row].rstrip("\n").split(",")
+                fields[column] = value
+                (data / name).write_text("".join(
+                    [*lines[:row], ",".join(fields) + "\n", *lines[row + 1:]]))
+                for command, estimator in SWEEP_RUNS:
+                    cfg.write_text(text.replace("continuous", estimator))
+                    rc = main([command, "--config", str(cfg), "--data",
+                               str(data), "--out", str(tmp_path / "out")])
+                    err = capsys.readouterr().err
+                    assert (rc, err.startswith(
+                        f"visnav: {name}:{row + 1}: ")) == (1, True), (
+                        name, row + 1, column, value, command, estimator,
+                        rc, err)
+                    calls += 1
+        (data / name).write_text(original)
+    assert calls == 3 * len(SWEEP_VALUES) * sum(
+        (data / name).read_text().split("\n", 1)[0].count(",") + 1
+        for name in names)

@@ -1,6 +1,8 @@
 """Unit tests for the continuous observer: innovation algebra, error-state
 identities, Riccati integration, and the step() integrator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -584,16 +586,22 @@ def test_run_continuous_synthesizes_each_stage_time_once(monkeypatch):
     # steps meet on times[k] bit for bit, so N steps synthesize 2N + 1
     # stage times: t, t + dt/2 and t + dt, the last shared with the next
     # step; the stacked protocol synthesizes each time once, one array
-    # per batch, and builds each time's (y, C) once
+    # per batch, forms its gains in one stacked_gains call over that
+    # array, and builds no per-time output or gain
     traj = EightTrajectory(t_end=1.0)
     source = StereoBearingSource(traj, sample_landmarks(5, seed=0),
                                  default_stereo_rig())
-    built, outputs = [], []
-    make, output = observer.synth_bearings, measurement.linear_output
+    built, stacked, per_time = [], [], []
+    make, gains = observer.synth_bearings, observer.stacked_gains
     monkeypatch.setattr(observer, "synth_bearings",
                         lambda st, *a: built.append(st.t) or make(st, *a))
-    monkeypatch.setattr(measurement, "linear_output",
-                        lambda blocks: outputs.append(1) or output(blocks))
+    monkeypatch.setattr(observer, "stacked_gains",
+                        lambda p, Y, *a: stacked.append(len(Y))
+                        or gains(p, Y, *a))
+    for module in (observer, measurement):
+        for name in ("linear_output", "output_gains"):
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name: per_time.append(name))
     times, _ = run_continuous(ObserverState.initial(), traj.imu, source,
                               GainConfig(), t_end=1.0)
     n = len(times) - 1
@@ -602,7 +610,8 @@ def test_run_continuous_synthesizes_each_stage_time_once(monkeypatch):
         times), times[1:]
     assert n == 200 and len(built) == -(-n // observer._BATCH)
     assert np.array_equal(np.concatenate(built), taus)
-    assert len(outputs) == 2 * n + 1
+    assert stacked == [len(t) for t in built]
+    assert per_time == []
 
 
 def test_run_continuous_queries_imu_then_meas_once_per_stage_time():
@@ -850,9 +859,10 @@ def test_stacked_gains_do_not_depend_on_the_stack(mode, kind):
 @pytest.mark.parametrize("kind", ["truth", "dataset"])
 @pytest.mark.parametrize("mode", MODES)
 def test_stacked_gains_match_the_per_time_output(mode, kind):
-    # (S, g) is (q C^T C, -q C^T y) of the per-time (y, C) on the first 12
-    # entries of the state, whose v rows and columns are zero; has marks
-    # the times with an output, and a time without one adds nothing
+    # (S, g) is output_gains' (q C^T C, -q C^T y) of the per-time (y, C),
+    # bit for bit, on the first 12 entries of the state, whose v rows and
+    # columns are zero; has marks the times with an output, and a time
+    # without one adds nothing
     q = 1e3
     source = _stacked_sources(mode)[kind]
     S, g, has = source.gains(STACK_TIMES, q)
@@ -864,12 +874,12 @@ def test_stacked_gains_match_the_per_time_output(mode, kind):
             assert not S[k].any() and not g[k].any()
             continue
         y, C = out
-        S_ref, g_ref = q * C.T @ C, -q * C.T @ y
-        assert not S_ref[12:].any() and not S_ref[:, 12:].any()
-        assert not g_ref[12:].any()
-        assert np.abs(S[k] - S_ref[:12, :12]).max() <= 1e-12 * np.abs(
-            S_ref).max()
-        assert np.abs(g[k] - g_ref[:12]).max() <= 1e-12 * np.abs(g_ref).max()
+        full = q * C.T @ C, -q * C.T @ y
+        assert not full[0][12:].any() and not full[0][:, 12:].any()
+        assert not full[1][12:].any()
+        # bit for bit: a reordered sum of S is what a tolerance lets by
+        S_ref, g_ref = measurement.output_gains(y, C, q)
+        assert np.array_equal(S[k], S_ref) and np.array_equal(g[k], g_ref)
 
 
 def test_stacked_imu_does_not_depend_on_the_stack():
@@ -916,6 +926,24 @@ def test_stacked_truth_source_keeps_its_checks(mode):
     source = TruthSource(traj, lms[:1], mode, bent)
     with pytest.raises(NotUnitError):
         source.gains(np.array([0.1, 0.3]), 1e3)
+
+
+def test_stacked_truth_gains_peak_memory():
+    # the tracemalloc peak of one stereo gains call over a first batch's
+    # 2 * 16 + 1 stage times, in KiB: 59 with a per-time loop, 166 with
+    # the products over the whole stack, 109 in halves (stacked_gains)
+    traj = EightTrajectory(t_end=1.0)
+    source = TruthSource(traj, sample_landmarks(5, seed=0), "stereo",
+                         default_stereo_rig())
+    taus = 0.5 + 0.0025 * np.arange(2 * observer._BATCH + 1)
+    source.gains(taus, 1e3)
+    tracemalloc.start()
+    try:
+        source.gains(taus, 1e3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 120_000
 
 
 def test_stacked_onset_inside_a_batch_matches_the_per_time_path():
