@@ -19,9 +19,8 @@ from .geom import I3
 from .hybrid import NoiseCovariances
 # innovation_{position,stereo,mono} stay importable here: the benchmark's
 # span tracer (perfbench/tracer.py) wraps them in this namespace.
-from .measurement import (MODES, frame_arrays, linear_output, mode_cameras,
-                          observation_blocks, stacked_gains)
-from .observer import (FrameSource, GainConfig, ObserverState,  # noqa: F401
+from .measurement import MODES, frame_arrays, mode_cameras, stacked_gains
+from .observer import (GainConfig, ObserverState,  # noqa: F401
                        innovation_mono, innovation_position, innovation_stereo)
 from .sim import BearingFrame, CameraExtrinsics, Landmark, PositionFrame
 
@@ -502,8 +501,7 @@ def interpolating_imu(imu: np.ndarray):
     """Piecewise-linear lookup t -> (omega, a) of an IMU table with rows
     (t, wx, wy, wz, ax, ay, az), np.interp per column: clamps outside the
     recorded span.  An array of times gives (T, 3) stacks, each time's
-    rows whatever the other times (the stacked protocol of
-    observer.step)."""
+    rows whatever the other times (the input protocol of observer.step)."""
     imu = np.asarray(imu, dtype=float)
     t, cols = imu[:, 0].copy(), imu[:, 1:7].T.copy()
 
@@ -511,34 +509,30 @@ def interpolating_imu(imu: np.ndarray):
         rows = np.array([np.interp(tau, t, col) for col in cols]).T
         return rows[..., 0:3], rows[..., 3:6]
 
-    fn.stacked = True
     return fn
 
 
-class DatasetProvider(FrameSource):
-    """Continuous-time linear output t -> (y, C) | None from the sampled
-    frame stream of a measurement mode (see Dataset.frames).
+class DatasetProvider:
+    """The continuous estimator's source, provider(times, q) -> (S, g, has)
+    at an array of times (see observer.step), from the sampled frame
+    stream of a measurement mode (see Dataset.frames).
 
     The frames are stacked once: Y[f, l, k] is frame f's observation of
     the l-th landmark (ascending ids) by the k-th camera of the mode (one
     column for positions), and seen[f, l, k] marks the ones present.  A
-    query blends its two bracketing frames linearly on the keys both see,
-    bearings then renormalized (a key blending to norm <= 1e-9 is
-    dropped), and hands the landmarks left to the blocks kernel; outside
-    the stream, or with no key left, the provider reports no measurement.
-    A stereo landmark that one camera misses is kept through the other
-    camera's bearing.  frame_at(t) is the same blend as a frame.  The
-    (y, C) of the last two query times are kept (FrameSource).
-    gains(times, q) blends every landmark at an array of times at once,
-    an unseen one with Pi = 0.
+    query blends each time's two bracketing frames linearly on the keys
+    both see, bearings then renormalized (a key blending to norm <= 1e-9
+    is dropped), and hands every landmark to stacked_gains, an unseen one
+    with Pi = 0; outside the stream, or with no key left, a time has no
+    measurement.  A stereo landmark that one camera misses is kept
+    through the other camera's bearing.
     """
 
     def __init__(self, ds: Dataset, mode: str):
-        super().__init__(mode_cameras(mode, ds.extrinsics), ds.landmarks)
         frames = ds.frames(mode)
         self.times = np.array([fr.t for fr in frames], dtype=float)
         self._p, self._Y, self._seen, self._rig = frame_arrays(
-            frames, self.cams, self.lms)
+            frames, mode_cameras(mode, ds.extrinsics), ds.landmarks)
         # the bracketing frames (k, hi) of a time after j frame times, as
         # tables over j: integer maximum and minimum on the indices would
         # page in numpy code that no other part of a run uses
@@ -571,35 +565,6 @@ class DatasetProvider(FrameSource):
                          Y / np.where(seen, n, 1.0)[..., None], 0.0)
         return Y, seen
 
-    def _rows(self, t):
-        """(rows, Y, seen) at one time: the mask of the landmarks seen,
-        and their blended observations and seen mask; None when no
-        landmark is seen."""
-        Y, seen = self._blend([t])
-        rows = seen[0].any(axis=-1)
-        return (rows, Y[0, rows], seen[0, rows]) if rows.any() else None
-
-    def output(self, t):
-        blend = self._rows(t)
-        if blend is None:
-            return None
-        rows, Y, seen = blend
-        return linear_output(observation_blocks(self._p[rows], Y, seen,
-                                                self._rig))
-
-    def gains(self, times, q):
-        """(S, g, has) at an array of times (see observer.step)."""
+    def __call__(self, times, q):
         Y, seen = self._blend(times)
         return stacked_gains(self._p, Y, seen, self._rig, q)
-
-    def frame_at(self, t):
-        blend = self._rows(t)
-        if blend is None:
-            return None
-        rows, Y, seen = blend
-        ids = [lm.id for lm, r in zip(self.lms, rows) if r]
-        if self._rig is None:
-            return PositionFrame(t=t, obs=dict(zip(ids, Y[:, 0])))
-        return BearingFrame(t=t, obs={
-            (self.cams[k].cam_id, ids[i]): Y[i, k]
-            for i, k in zip(*np.nonzero(seen))})

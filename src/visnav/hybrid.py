@@ -132,11 +132,14 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
     imu_grid(t0, t_end, dt); with t_end None it reaches the last frame.
     cams is the camera rig; the frames are stacked once (frame_arrays) over
     its mode_cameras(mode, cams), and each jump's blocks feed both the
-    innovation and Q^-1 and keep a landmark one camera misses.  imu is a
-    callable t -> (omega, a).  Raises ValueError for a bearing mode
-    without cameras, dt <= 0 or t_end < t0, ScheduleViolationError for a
-    frame off the grid's span (beyond the 1e-12 s hair) or two frames with
-    the same time, and UnknownLandmarkError for a landmark outside lms.
+    innovation and Q^-1 and keep a landmark one camera misses.  imu
+    answers an array of T times with (T, 3) stacks of omega and a (see
+    observer.step).  Raises ValueError for a bearing mode without
+    cameras, dt <= 0 or t_end < t0, ScheduleViolationError for a frame
+    off the grid's span (beyond the 1e-12 s hair) or two frames with the
+    same time, UnknownLandmarkError for a landmark outside lms, and
+    SingularInnovationError naming the time of a frame whose jump has a
+    numerically singular innovation covariance.
 
     Returns (times, states, jumps) where states[k] is the estimate at
     times[k] and jumps is a list of (t, lambda_max_before,
@@ -186,7 +189,11 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
         else:
             q_inv = np.eye(inn[1].shape[0]) / cfg.q
         lam_before = float(np.linalg.eigvalsh(est.P)[-1])
-        est = jump(est, inn, q_inv)
+        try:
+            est = jump(est, inn, q_inv)
+        except SingularInnovationError as exc:
+            raise SingularInnovationError(
+                f"{exc} at the frame at t={frame.t:.9g}") from None
         jumps.append((t, lam_before, float(np.linalg.eigvalsh(est.P)[-1])))
         if t == nodes[k]:       # a frame on node k: it keeps the jumped state
             states[k] = est

@@ -168,7 +168,7 @@ def output_gains(y, C, q):
 
 
 def stacked_gains(p, Y, seen, rig, q):
-    """(S, g, has) of the stacked protocol (see observer.step) at T times
+    """(S, g, has) of a source's answer (see observer.step) at T times
     from observation stacks as frame_arrays' of T frames: Y (T, L, K, 3)
     and seen (T, L, K) of the landmarks at p (L, 3), and rig.  S and g are
     the output_gains of each time's linear output over every landmark (an
@@ -178,7 +178,7 @@ def stacked_gains(p, Y, seen, rig, q):
     The blocks, the output matrices C (without the zero columns of v) and
     the products (q C^T) C and (q C^T) b = -q C^T y are each one stacked
     pass over a half of the times, so that the stacks of C and q C^T are
-    half the batch's: under tracemalloc one 33-time stereo gains call
+    half the batch's: under tracemalloc one 33-time stereo source query
     peaks at about 110 KB in halves and 165 KB over the whole stack.
     Each time's S and g are the products output_gains forms, bit for bit:
     one matmul per time of the same operands, as the onset of a measured

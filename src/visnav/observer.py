@@ -21,7 +21,7 @@ from .geom import I3, project_to_rotation, rk4_exp_floats, skew
 # (perfbench/tracer.py) wraps them in this namespace.
 from .geom import dexpinv_body, exp_so3  # noqa: F401
 from .measurement import (landmark_blocks, linear_output, mode_cameras,
-                          observation_blocks, output_gains, stacked_gains)
+                          stacked_gains)
 from .sim import GRAVITY, rig_arrays, synth_bearings, synth_positions
 # make_bearing_frame and make_position_frame stay importable here: the
 # benchmark's span tracer (perfbench/tracer.py) wraps them in this namespace.
@@ -229,44 +229,16 @@ def _transposed_P(Z):
                            Z[:, :15, :15].transpose(0, 2, 1))
 
 
-def _query(imu, meas, q):
-    """query(times) -> (omega, a, gains) at an array of T times: omega and
-    a stacked (T, 3), and gains None without meas or else the stacks
-    (S, g, has) of the stacked protocol (see step).  From one call each of
-    imu and meas.gains over the array when both take that protocol, else
-    from imu(t), then meas(t) -> (y, C) | None, at each time in turn, with
-    (S, g) their output_gains."""
-    if getattr(imu, "stacked", False) and (meas is None
-                                           or hasattr(meas, "gains")):
-        def query(taus):
-            return (*imu(taus), None if meas is None else meas.gains(taus, q))
-        return query
-
-    def per_time(taus):
-        got = [(imu(tau), None if meas is None else meas(tau))
-               for tau in taus.tolist()]
-        omega, a = (np.array([s[i] for s, _ in got], dtype=float)
-                    for i in (0, 1))
-        if meas is None:
-            return omega, a, None
-        S, g = np.zeros((len(got), 12, 12)), np.zeros((len(got), 12))
-        has = np.array([out is not None and out[1].size > 0
-                        for _, out in got], dtype=bool)
-        for k in np.flatnonzero(has):
-            S[k], g[k] = output_gains(*got[k][1], q)
-        return omega, a, (S, g, has)
-    return per_time
-
-
 def _batch_steps(start, omega, a, gains):
-    """The steps (start, middle, end) of one batch from its query (_query)
-    at the middles and ends of its steps, and first at its start when
-    start is None (the first batch): each stage's inputs (omega as
+    """The steps (start, middle, end) of one batch from its inputs at the
+    middles and ends of its steps, and first at its start when start is
+    None (the first batch): imu's stacks omega and a, and the source's
+    (S, g, has) or None (see step).  Each stage's inputs (omega as
     floats, -skew(omega) (_LEVI), a, gain (S, g) or None) read off the
     stacks as the step comes, under the onset rule of step: a step whose
     middle has no gain takes none at its end.  Returns the last end, its
     gain copied off the stacks, so that they are freed before the next
-    batch's query."""
+    batch's inputs."""
     w, W = omega.tolist(), (omega @ _LEVI).reshape(-1, 3, 3)
 
     def stage(k):
@@ -286,15 +258,24 @@ def _batch_steps(start, omega, a, gains):
 
 def _stage_inputs(imu, meas, cfg: GainConfig, times, h):
     """Step by step, the stage inputs at its start, middle and end (an end
-    is the next start), from one _query per batch of at most _BATCH steps:
-    the middles and ends of its steps, and times[0] with the first
-    (_batch_steps)."""
-    query, starts, end = _query(imu, meas, cfg.q), times[:-1], None
+    is the next start), from one call of imu and then of meas per batch of
+    at most _BATCH steps: at the middles and ends of its steps, and at
+    times[0] with the first (_batch_steps).  Raises ValueError naming the
+    batch's first time unless imu answers with (T, 3) stacks."""
+    starts, end = times[:-1], None
     for i in range(0, len(h), _BATCH):
         taus = np.stack((starts[i:i + _BATCH] + 0.5 * h[i:i + _BATCH],
                          times[i + 1:i + 1 + _BATCH]), 1).ravel()
-        end = yield from _batch_steps(end, *query(
-            taus if i else np.concatenate((times[:1], taus))))
+        if not i:
+            taus = np.concatenate((times[:1], taus))
+        omega, a = imu(taus)
+        if np.shape(omega) != (len(taus), 3) or np.shape(a) != (len(taus), 3):
+            raise ValueError(
+                f"imu answered the {len(taus)} stage times from "
+                f"t={taus[0]:.9g} with shapes {np.shape(omega)} and "
+                f"{np.shape(a)}, expected ({len(taus)}, 3) stacks")
+        end = yield from _batch_steps(
+            end, omega, a, None if meas is None else meas(taus, cfg.q))
 
 
 def _integrate(est: ObserverState, cfg: GainConfig, starts, h, inputs,
@@ -377,8 +358,8 @@ def _drive(est: ObserverState, imu, meas, cfg: GainConfig, times,
     """The one RK4 driver: the estimates at times[1:], a step from each
     node time to the next (of length h[k], by default their difference),
     in batches of at most _BATCH steps (_integrate), each batch's stage
-    inputs from one query (_stage_inputs).  Each distinct stage time is
-    queried once: 2 n + 1 times for n steps.
+    inputs from one call of imu and of meas (_stage_inputs).  Each
+    distinct stage time is queried once: 2 n + 1 times for n steps.
     Raises ValueError naming the first step whose length is not positive
     (node times must strictly ascend), and NonFiniteStateError naming the
     start of the first step that turns non-finite."""
@@ -412,20 +393,18 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
     """Advance the observer by dt seconds starting at time t: one RK4 step,
     the one-node case of run_continuous.
 
-    imu is a callable t -> (omega, a) and meas is None (pure inertial
-    flow) or a callable t -> (y, C) | None, such as a FrameSource, giving
-    the linear output y = C x of the translational state (linear_output).
-    Neither reads the estimate, so a run queries them once per batch of
-    steps in the stacked protocol: imu with a true attribute `stacked`
-    (EightTrajectory.imu, dataio.interpolating_imu) answers an array of
-    T stage times with (T, 3) stacks of omega and a, and a source with a
-    method gains(times, q) (TruthSource, dataio.DatasetProvider) answers
-    with stacked_gains' (S, g, has): the output_gains of each time, and
-    the mask of the times with a measurement.  Each time's answer must
+    imu and meas are functions of an array of T stage times.  imu(times)
+    answers with (T, 3) stacks of omega and a (EightTrajectory.imu,
+    dataio.interpolating_imu), and meas is None (pure inertial flow) or a
+    source, meas(times, q) -> (S, g, has) (TruthSource,
+    dataio.DatasetProvider): stacked_gains' output_gains of each time's
+    linear output y = C x of the translational state (linear_output), and
+    the mask of the times with a measurement.  Neither reads the estimate,
+    so a run calls imu and then meas once per batch of steps, at the
+    middles and ends of its steps and at the first batch's start; a step
+    calls each once, over t, t + dt/2 and t + dt.  Each time's answer must
     not depend on the times stacked with it, so that a run and a loop of
-    steps see the same inputs.  Otherwise, as for any plain callable, imu
-    and then meas are called once per stage time, at t, t + dt/2 and
-    t + dt in that order.
+    steps see the same inputs.
 
     In the body frame, xi = R^T (p, e1, e2, e3, v), the translational
     estimate is a Kalman-Bucy filter: xi_dot = A xi + (0, 0, 0, 0, a)
@@ -451,9 +430,9 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
     to the next step: the step that ends on a stream's first frame is the
     measurement-free flow.
 
-    Raises ValueError unless dt is positive, and NonFiniteStateError naming
-    t and the first non-finite field of est (or its inputs) when the step
-    turns non-finite.
+    Raises ValueError unless dt is positive and imu answers with (T, 3)
+    stacks, and NonFiniteStateError naming t and the first non-finite
+    field of est (or its inputs) when the step turns non-finite.
     """
     return _drive(est, imu, meas, cfg, [t, t + dt], [dt])[0]
 
@@ -462,76 +441,31 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
 # measurement sources for simulation-driven runs
 
 
-class FrameSource:
-    """Continuous-time linear output t -> (y, C) | None (see linear_output)
-    from a measurement frame per query time, frame_at(t) -> frame | None;
-    a subclass may instead give the output itself, output(t).  Such a
-    source is queried one time at a time; TruthSource and DatasetProvider
-    also take the stacked protocol (gains, see step).
-
-    No estimate enters (y, C), so the finished output of the last two
-    query times is kept: a step asks for t + dt/2 and t + dt, and the next
-    step starts at that t + dt.  A call for a kept time does no numeric
-    work.  cams are the cameras of the measurement mode, and lms are kept
-    in ascending ids.
-    """
-
-    def __init__(self, cams, lms):
-        self.cams = list(cams)
-        self.lms = sorted(lms, key=lambda lm: lm.id)
-        self._outputs = {}
-
-    def __call__(self, t: float):
-        memo = self._outputs
-        if t not in memo:
-            out = self.output(t)
-            if len(memo) == 2:
-                del memo[next(iter(memo))]          # the older query time
-            memo[t] = out
-        return memo[t]
-
-    def output(self, t: float):
-        """(y, C) of frame_at(t), or None without a frame."""
-        frame = self.frame_at(t)
-        return None if frame is None else linear_output(
-            landmark_blocks(frame, self.cams, self.lms))
-
-
-class TruthSource(FrameSource):
+class TruthSource:
     """Continuous measurements of a mode synthesized, noise free, from a
     reference trajectory: bearings of the cameras mode_cameras(mode, cams)
     or body-frame landmark positions.
 
-    Each query synthesizes the whole frame as one array (sim.synth_bearings
-    or sim.synth_positions) and hands it to the blocks kernel; rows follow
-    ascending landmark ids, as landmark_blocks' of the frame would.
-    gains(times, q) synthesizes the frames of an array of times as one
-    (T, L, K, 3) stack, from the trajectory's stacked state.
+    source(times, q) -> (S, g, has) at an array of times (see step)
+    synthesizes the frames of all the times as one (T, L, K, 3) stack
+    from the trajectory's stacked state (sim.synth_bearings or
+    sim.synth_positions), rows in ascending landmark ids, and hands it to
+    stacked_gains; has is False only without landmarks or cameras.
     """
 
     def __init__(self, traj, lms, mode: str, cams=()):
-        super().__init__(mode_cameras(mode, cams), lms)
         self.traj = traj
+        self.lms = sorted(lms, key=lambda lm: lm.id)
+        self.cams = mode_cameras(mode, cams)
         self._p = np.array([lm.p for lm in self.lms],
                            dtype=float).reshape(-1, 3)
         self._rig = None if mode == "position3d" else rig_arrays(self.cams)
 
-    def _synth(self, state):
-        # the observations of every landmark by every camera of the mode,
-        # (L, K, 3), or (T, L, K, 3) of a stacked state
-        if self._rig is None:
-            return synth_positions(state, self.lms)[..., None, :]
-        return synth_bearings(state, self.lms, self.cams)
-
-    def output(self, t: float):
-        Y = self._synth(self.traj.state(t))
-        return linear_output(observation_blocks(
-            self._p, Y, np.ones(Y.shape[:-1], dtype=bool), self._rig))
-
-    def gains(self, times, q):
-        """(S, g, has) at an array of times (see step); has is False only
-        without landmarks or cameras."""
-        Y = self._synth(self.traj.state(np.asarray(times, dtype=float)))
+    def __call__(self, times, q):
+        state = self.traj.state(np.asarray(times, dtype=float))
+        Y = (synth_positions(state, self.lms)[..., None, :]
+             if self._rig is None
+             else synth_bearings(state, self.lms, self.cams))
         return stacked_gains(self._p, Y, np.ones(Y.shape[:-1], dtype=bool),
                              self._rig, q)
 
@@ -569,15 +503,14 @@ def imu_grid(t0: float, t_end: float, dt: float,
 def run_continuous(est: ObserverState, imu, provider, cfg: GainConfig,
                    t_end: float, dt: float = 1.0 / 200.0, t0: float = 0.0):
     """Integrate the observer over [t0, t_end] on the IMU grid
-    times = imu_grid(t0, t_end, dt), in batches of steps (see step), with
-    one query of imu and provider per batch when both take the stacked
-    protocol.
+    times = imu_grid(t0, t_end, dt), in batches of steps, with one call
+    of imu and then of provider per batch (see step).
 
     Returns (times, states) with the initial state included; states[k] is
     the estimate at times[k].  Step k takes dt = times[k+1] - times[k],
     exact by Sterbenz's lemma once times[k] >= dt, so it ends on times[k+1]
-    bit for bit and a source's frame there serves both steps that meet on
-    it.  With provider None this is flow over times.
+    bit for bit and one query of that time serves both steps that meet
+    on it.  With provider None this is flow over times.
     """
     times = imu_grid(t0, t_end, dt)
     return times, [est.copy(), *_drive(est, imu, provider, cfg, times)]

@@ -89,7 +89,7 @@ class EightTrajectory:
     Every query takes one time or an array of times, whose answers it
     stacks along a leading axis (T, 3) or (T, 3, 3), each time's by the
     same elementwise operations whatever the other times; imu over an
-    array is the stacked input protocol of observer.step.
+    array is the input protocol of observer.step.
     """
 
     def __init__(self, t_end: float = 30.0):
@@ -143,11 +143,10 @@ class EightTrajectory:
         return rows[:3] @ rows[3:].T
 
     def imu(self, t):
-        """(omega, a) pair as an ideal IMU would report at time t."""
+        """(omega, a) pair as an ideal IMU would report at time t, or their
+        (T, 3) stacks at an array of times."""
         state = self.state(t)
         return state.omega, state.a
-
-    imu.stacked = True      # answers an array of times with (T, 3) stacks
 
     def state(self, t) -> RigidBodyState:
         if isinstance(t, float) or np.ndim(t) == 0:
@@ -231,17 +230,6 @@ def _row_times(x, M):
     (..., 3, 3) product is formed."""
     return x[..., 0, None] * M[..., 0, :] + x[..., 1, None] * M[..., 1, :] \
         + x[..., 2, None] * M[..., 2, :]
-
-
-def synth_bearing(state: RigidBodyState, lm: Landmark,
-                  cam: CameraExtrinsics) -> np.ndarray:
-    """Unit bearing to a landmark in the camera frame (synth_bearings)."""
-    return synth_bearings(state, [lm], [cam])[0, 0]
-
-
-def synth_position(state: RigidBodyState, lm: Landmark) -> np.ndarray:
-    """Landmark position expressed in the body frame (synth_positions)."""
-    return synth_positions(state, [lm])[0]
 
 
 def make_bearing_frame(state: RigidBodyState, landmarks, cams) -> BearingFrame:

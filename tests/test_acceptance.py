@@ -23,11 +23,11 @@ from visnav.hybrid import NoiseCovariances, run as hybrid_run
 from visnav.observability import (check_mono_motion, check_stereo_condition,
                                   classify_static_degeneracy,
                                   gramian_continuous, transition_matrix)
-from visnav.observer import (FrameSource, GainConfig, MonoBearingSource,
-                             ObserverState, PositionSource,
-                             StereoBearingSource, build_A, error_state,
-                             innovation_mono, innovation_position,
-                             innovation_stereo, run_continuous)
+from visnav.observer import (GainConfig, MonoBearingSource, ObserverState,
+                             PositionSource, StereoBearingSource, TruthSource,
+                             build_A, error_state, innovation_mono,
+                             innovation_position, innovation_stereo,
+                             run_continuous)
 from visnav.sim import (GRAVITY, EightTrajectory, Landmark, RigidBodyState,
                         apply_noise, default_stereo_rig, make_bearing_frame,
                         make_position_frame, sample_landmarks)
@@ -430,8 +430,8 @@ def _held_imu(rows):
     ts = rows[:, 0]
 
     def imu(t):
-        k = int(np.searchsorted(ts, t + 1e-12, side="right")) - 1
-        k = min(max(k, 0), len(ts) - 1)
+        k = np.searchsorted(ts, t + 1e-12, side="right") - 1
+        k = np.clip(k, 0, len(ts) - 1)
         return rows[k, 1:4], rows[k, 4:7]
 
     return imu
@@ -464,30 +464,34 @@ def test_criterion_08_hybrid_noise_run(eight, scene):
 # criterion 9: camera loss at half-duration
 
 
-class _FallbackStereoSource(FrameSource):
+def _fallback_stereo_source(traj, lms, cams, t_loss):
     """Stereo bearings that lose camera 2 at t_loss, then fall back to the
-    surviving camera's blocks."""
+    surviving camera's blocks: stereo gains before t_loss and monocular
+    from it, chosen per time."""
+    stereo, mono = (TruthSource(traj, lms, mode, cams)
+                    for mode in ("stereo", "monocular"))
 
-    def __init__(self, traj, lms, cams, t_loss):
-        super().__init__(cams, lms)
-        self.traj, self.t_loss = traj, t_loss
+    def source(times, q):
+        S, g, has = stereo(times, q)
+        lost = times >= t_loss
+        if lost.any():
+            S[lost], g[lost], has[lost] = mono(times[lost], q)
+        return S, g, has
 
-    def frame_at(self, t):
-        cams = self.cams if t < self.t_loss else self.cams[:1]
-        return make_bearing_frame(self.traj.state(t), self.lms, cams)
+    return source
 
 
-class _DroppingPositionSource(FrameSource):
+def _dropping_position_source(traj, lms, t_loss):
     """Position measurements that disappear entirely at t_loss."""
+    position = TruthSource(traj, lms, "position3d")
 
-    def __init__(self, traj, lms, t_loss):
-        super().__init__([], lms)
-        self.traj, self.t_loss = traj, t_loss
+    def source(times, q):
+        S, g, has = position(times, q)
+        lost = times >= t_loss
+        S[lost], g[lost], has[lost] = 0.0, 0.0, False
+        return S, g, has
 
-    def frame_at(self, t):
-        if t >= self.t_loss:
-            return None
-        return make_position_frame(self.traj.state(t), self.lms)
+    return source
 
 
 def test_criterion_09_camera_loss_robustness(eight, scene):
@@ -495,7 +499,7 @@ def test_criterion_09_camera_loss_robustness(eight, scene):
     cfg = GainConfig(k_r=20.0)
     times, states = run_continuous(
         _initial_estimate(), eight.imu,
-        _FallbackStereoSource(eight, lms, cams, 15.0), cfg, t_end=30.0)
+        _fallback_stereo_source(eight, lms, cams, 15.0), cfg, t_end=30.0)
     perr = np.array([np.linalg.norm(eight.state(float(t)).p - s.p)
                      for t, s in zip(times, states)])
     fallback_end = float(perr[-1])
@@ -503,7 +507,7 @@ def test_criterion_09_camera_loss_robustness(eight, scene):
 
     times, states = run_continuous(
         _initial_estimate(), eight.imu,
-        _DroppingPositionSource(eight, lms, 15.0), cfg, t_end=30.0)
+        _dropping_position_source(eight, lms, 15.0), cfg, t_end=30.0)
     deadreckon_end = float(
         np.linalg.norm(eight.state(float(times[-1])).p - states[-1].p))
     assert deadreckon_end > 5.0 * fallback_end

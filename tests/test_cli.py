@@ -539,6 +539,22 @@ def test_non_finite_config_value_is_bad_input(sim_dir, tmp_path, capsys,
         f"visnav: bad.cfg: {key} must be finite, got {value}\n")
 
 
+def test_singular_innovation_is_a_numeric_failure_at_the_frame(
+        sim_dir, tmp_path, capsys):
+    # with reg = 1e-14 the monocular Q^-1 is singular along each bearing
+    # and so is the jump's innovation covariance: exit 2, naming the first
+    # frame's time
+    cfg = tmp_path / "singular.cfg"
+    cfg.write_text(HYBRID_CFG.replace("stereo", "monocular")
+                   + "reg = 1e-14\n")
+    rc = main(["estimate", "--config", str(cfg), "--data", sim_dir,
+               "--out", str(tmp_path / "trace.csv"), "--duration", "0.2"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "visnav: numeric failure: innovation covariance numerically singular"
+        " at the frame at t=0.05\n")
+
+
 def test_nearest_groundtruth_rows_are_argmins():
     # reference: the per-frame scan np.argmin(np.abs(gt_t - t)), which
     # takes the first of equal distances; on a dyadic grid the midpoints

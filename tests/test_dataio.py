@@ -12,7 +12,7 @@ from visnav.dataio import (IMU_HEADER, LANDMARKS_HEADER, TRACE_HEADER,
                            save_dataset, write_trace)
 from visnav.errors import IoError, ParseError, ValidationError
 from visnav.geom import E3, exp_so3
-from visnav.measurement import landmark_blocks, linear_output
+from visnav.measurement import landmark_blocks, linear_output, output_gains
 from visnav.sim import BearingFrame, CameraExtrinsics, Landmark, PositionFrame
 
 MINIMAL_IMU = "t,wx,wy,wz,ax,ay,az\n0,0.1,0,0,0,0,9.81\n"
@@ -484,18 +484,25 @@ def _provider_dataset():
         frames, cams, lms
 
 
+def _has(prov, t):
+    """Whether the provider has a measurement at t."""
+    return bool(prov(np.array([t]), 1.0)[2][0])
+
+
 def test_bearing_provider_matches_frames_and_interpolates():
     ds, frames, cams, lms = _provider_dataset()
     prov = DatasetProvider(ds, "stereo")
 
     # at a frame time the provider reproduces the frame's linear output
-    y, C = prov(0.1)
+    y, C = linear_output(landmark_blocks(
+        _check_provider(prov, ds, 0.1, cams)[0], cams, lms))
     y_ref, C_ref = linear_output(landmark_blocks(frames[0], cams, lms))
     assert np.allclose(y, y_ref, atol=1e-12)
     assert np.allclose(C, C_ref, atol=1e-12)
 
     # between frames the bearings blend linearly and are renormalized
-    y_mid, C_mid = prov(0.2)
+    y_mid, C_mid = linear_output(landmark_blocks(
+        _check_provider(prov, ds, 0.2, cams)[0], cams, lms))
     obs = {key: _unit(0.5 * frames[0].obs[key] + 0.5 * frames[1].obs[key])
            for key in frames[0].obs}
     ref = linear_output(landmark_blocks(BearingFrame(t=0.2, obs=obs), cams,
@@ -504,10 +511,10 @@ def test_bearing_provider_matches_frames_and_interpolates():
     assert np.allclose(C_mid, ref[1], atol=1e-12)
 
     # outside the recorded stream there is no measurement
-    assert prov(0.05) is None
-    assert prov(0.35) is None
+    assert not _has(prov, 0.05)
+    assert not _has(prov, 0.35)
     # at the final frame time the last frame is used as-is
-    assert prov(0.3) is not None
+    assert _has(prov, 0.3)
 
 
 def test_bearing_provider_key_intersection():
@@ -516,15 +523,14 @@ def test_bearing_provider_key_intersection():
     # keys present in both brackets
     for cam_id in (1, 2):
         del frames[1].obs[(cam_id, 1)]
-    prov = DatasetProvider(ds, "stereo")
-    _, C = prov(0.2)
+    _, C = _check_provider(DatasetProvider(ds, "stereo"), ds, 0.2, cams)
     assert C.shape == (3, 15)
 
 
 def test_bearing_provider_mono_mode():
     ds, frames, cams, lms = _provider_dataset()
-    prov = DatasetProvider(ds, "monocular")
-    _, C = prov(0.1)
+    _, C = _check_provider(DatasetProvider(ds, "monocular"), ds, 0.1,
+                           cams[:1])
     # one 3-row block per landmark from the first camera only
     assert C.shape == (6, 15)
 
@@ -564,17 +570,25 @@ def _dict_blend(frames, t):
 
 
 def _check_provider(prov, ds, t, cams):
-    """prov(t) is the linear output of prov.frame_at(t), bit for bit, and
-    frame_at(t) the key-by-key blend of the mode's cameras."""
-    frame = prov.frame_at(t)
+    """The provider's blend at t as a frame of the keys it sees, checked
+    against the key-by-key blend of the mode's cameras (_dict_blend), and
+    its linear output C; the provider's gains at t are output_gains of that
+    frame's linear output, bit for bit."""
+    Y, seen = prov._blend([t])
+    ids = sorted(lm.id for lm in ds.landmarks)
+    cam_ids = sorted(c.cam_id for c in cams)
+    frame = BearingFrame(t=t, obs={(cam_ids[k], ids[i]): Y[0, i, k]
+                                   for i, k in zip(*np.nonzero(seen[0]))})
     ref = {key: y for key, y in _dict_blend(ds.bearings, t).items()
-           if key[0] in {c.cam_id for c in cams}}
+           if key[0] in cam_ids}
     assert set(frame.obs) == set(ref)
     for key, y in ref.items():
         assert np.max(np.abs(frame.obs[key] - y)) <= 1e-15
-    y, C = prov(t)
-    y_ref, C_ref = linear_output(landmark_blocks(frame, cams, ds.landmarks))
-    assert np.array_equal(y, y_ref) and np.array_equal(C, C_ref)
+    y, C = linear_output(landmark_blocks(frame, cams, ds.landmarks))
+    S, g, has = prov(np.array([t]), 1e3)
+    S_ref, g_ref = output_gains(y, C, 1e3)
+    assert has[0] and np.array_equal(S[0], S_ref)
+    assert np.array_equal(g[0], g_ref)
     return frame, C
 
 
@@ -598,8 +612,8 @@ def test_bearing_provider_without_a_shared_key_reports_nothing():
     for mode in ("stereo", "monocular"):
         prov = DatasetProvider(ds, mode)
         for t in (0.1, 0.2, 0.29):
-            assert prov(t) is None and prov.frame_at(t) is None
-        assert prov(0.3) is not None        # the last frame on its own
+            assert not _has(prov, t) and not prov._blend([t])[1].any()
+        assert _has(prov, 0.3)              # the last frame on its own
 
 
 def test_bearing_provider_keeps_one_projector_of_a_single_camera():
@@ -627,8 +641,9 @@ def test_monocular_provider_ignores_the_second_camera():
     # camera 1 sees nothing shared while camera 2 still does
     for lm_id in (0, 1):
         del hi.obs[(1, lm_id)]
-    assert DatasetProvider(ds, "monocular")(0.2) is None
-    assert DatasetProvider(ds, "stereo")(0.2)[1].shape == (9, 15)
+    assert not _has(DatasetProvider(ds, "monocular"), 0.2)
+    assert _check_provider(DatasetProvider(ds, "stereo"), ds, 0.2,
+                           ds.extrinsics)[1].shape == (9, 15)
 
 
 def test_position_provider_interpolates():
@@ -638,9 +653,10 @@ def test_position_provider_interpolates():
     imu = np.array([[0.0, 0, 0, 0, 0, 0, 9.81], [1.0, 0, 0, 0, 0, 0, 9.81]])
     ds = Dataset(imu=imu, landmarks=lms, positions=frames)
     prov = DatasetProvider(ds, "position3d")
-    y, C = prov(0.25)
-    ref = linear_output(landmark_blocks(
-        PositionFrame(t=0.25, obs={0: np.array([1.5, 0.5, 0.0])}), [], lms))
-    assert np.allclose(y, ref[0], atol=1e-12)
-    assert np.allclose(C, ref[1], atol=1e-12)
-    assert prov(1.5) is None
+    S, g, has = prov(np.array([0.25]), 1e3)
+    ref = output_gains(*linear_output(landmark_blocks(
+        PositionFrame(t=0.25, obs={0: np.array([1.5, 0.5, 0.0])}), [], lms)),
+        1e3)
+    assert has[0]
+    assert np.array_equal(S[0], ref[0]) and np.array_equal(g[0], ref[1])
+    assert not _has(prov, 1.5)

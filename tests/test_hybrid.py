@@ -41,8 +41,8 @@ def test_flow_covariance_nilpotent_closed_form():
     A = build_A(np.zeros(3), np.zeros(3))
     assert np.array_equal(A @ A, np.zeros((15, 15)))
     dt = 1.0 / 200.0
-    est = flow(est, lambda tau: (np.zeros(3), np.zeros(3)), cfg,
-               dt * np.arange(101))[-1]
+    est = flow(est, lambda t: (np.zeros((len(t), 3)), np.zeros((len(t), 3))),
+               cfg, dt * np.arange(101))[-1]
     t = 100 * dt
     phi = np.eye(15) + A * t
     expect = (phi @ (0.5 * np.eye(15)) @ phi.T
@@ -114,7 +114,8 @@ def test_flow_names_the_node_whose_step_turns_non_finite():
 
     def imu(t):
         omega, a = traj.imu(t)
-        return (np.full(3, np.nan) if abs(t - 0.1225) < 1e-9 else omega), a
+        omega[np.abs(t - 0.1225) < 1e-9] = np.nan
+        return omega, a
 
     with pytest.raises(NonFiniteStateError, match=r"input at t=0\.12$"):
         run(ObserverState.initial(), imu, frames, lms, GainConfig(), cams=cams,
@@ -195,6 +196,20 @@ def test_jump_singular_innovation_raises():
     C[0, 0] = 1.0
     with pytest.raises(SingularInnovationError):
         jump(est, (np.zeros(3), C), np.zeros((3, 3)))
+
+
+def test_run_names_the_frame_whose_innovation_is_singular():
+    # a monocular C P C^T is singular along each bearing, and Q^-1 = I / q
+    # with q = 1e16 does not lift it: the error names the frame's time
+    traj = EightTrajectory(t_end=0.3)
+    lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
+    frames = _make_frames(traj, lms, cams, [0.05, 0.1])
+    run(ObserverState.initial(), traj.imu, frames, lms, GainConfig(),
+        mode="monocular", cams=cams, t_end=0.15)
+    with pytest.raises(SingularInnovationError,
+                       match=r"singular at the frame at t=0\.05$"):
+        run(ObserverState.initial(), traj.imu, frames, lms,
+            GainConfig(q=1e16), mode="monocular", cams=cams, t_end=0.15)
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,18 @@ from visnav.errors import (LandmarkAtCameraError, NonFiniteStateError,
                            NotUnitError, UnknownLandmarkError)
 from visnav.geom import (E3, I3, dist_identity, exp_so3, pi_proj,
                          psi_antisym, random_rotation, skew)
-from visnav.measurement import MODES, landmark_blocks, linear_output
+from visnav.measurement import (MODES, landmark_blocks, linear_output,
+                                 output_gains)
 from visnav.observer import (GainConfig, ObserverState, TruthSource,
                              attitude_innovation, build_A, error_state,
                              innovation_mono, innovation_position,
                              innovation_stereo, riccati_rhs, run_continuous,
                              step, PositionSource, StereoBearingSource)
 from visnav.sim import (GRAVITY, BearingFrame, CameraExtrinsics,
-                        EightTrajectory, Landmark, RigidBodyState,
-                        default_stereo_rig, make_bearing_frame,
-                        make_position_frame, sample_landmarks)
+                        EightTrajectory, Landmark, PositionFrame,
+                        RigidBodyState, default_stereo_rig,
+                        make_bearing_frame, make_position_frame,
+                        sample_landmarks)
 
 
 def _truth(rng):
@@ -346,6 +348,11 @@ def test_riccati_rhs_no_measurement_growth():
 # integration
 
 
+def _still_imu(t):
+    """omega = 0 and a = 0 at every time of the array t."""
+    return np.zeros((len(t), 3)), np.zeros((len(t), 3))
+
+
 def test_free_fall_exact():
     # omega = 0, accelerometer reads 0: the estimate must reproduce the
     # ballistic arc exactly (RK4 is exact on polynomials of degree <= 3).
@@ -355,8 +362,7 @@ def test_free_fall_exact():
     cfg = GainConfig()
     dt, t = 1.0 / 200.0, 0.0
     for _ in range(200):
-        est = step(est, lambda tau: (np.zeros(3), np.zeros(3)), cfg, dt,
-                   t=t)
+        est = step(est, _still_imu, cfg, dt, t=t)
         t += dt
     assert np.max(np.abs(est.R - I3)) <= 1e-13
     assert np.max(np.abs(est.e - E3)) <= 1e-13
@@ -401,9 +407,15 @@ def test_equilibrium_invariance_long():
     assert np.linalg.norm(st.v - est.v) <= 1e-7
 
 
+def _no_measurement(times, q):
+    """A source without a measurement at any time."""
+    n = len(times)
+    return np.zeros((n, 12, 12)), np.zeros((n, 12)), np.zeros(n, dtype=bool)
+
+
 def test_flow_matches_none_returning_measurement():
-    # a measurement callable that always reports "nothing" must reproduce
-    # the pure inertial flow bit for bit
+    # a source that always reports "nothing" must reproduce the pure
+    # inertial flow bit for bit
     traj = EightTrajectory(t_end=0.1)
     est0 = ObserverState.initial(R=exp_so3(np.array([0.2, -0.1, 0.3])))
     cfg = GainConfig()
@@ -412,7 +424,7 @@ def test_flow_matches_none_returning_measurement():
     t, dt = 0.0, 1.0 / 200.0
     for _ in range(20):
         a = step(a, traj.imu, cfg, dt, t=t)
-        b = step(b, traj.imu, cfg, dt, t=t, meas=lambda tau: None)
+        b = step(b, traj.imu, cfg, dt, t=t, meas=_no_measurement)
         t += dt
     for fa, fb in ((a.R, b.R), (a.p, b.p), (a.v, b.v), (a.e, b.e), (a.P, b.P)):
         assert np.array_equal(fa, fb)
@@ -425,9 +437,15 @@ def test_measurement_first_seen_at_step_end_belongs_to_next_step():
     source = PositionSource(traj, sample_landmarks(5, seed=0))
     t, dt = 0.045, 1.0 / 200.0
     est = ObserverState.initial(R=exp_so3(np.array([0.2, -0.1, 0.3])))
+
+    def from_step_end(times, q):
+        S, g, has = source(times, q)
+        off = times < t + dt
+        S[off], g[off], has[off] = 0.0, 0.0, False
+        return S, g, has
+
     a = step(est, traj.imu, GainConfig(), dt, t=t)
-    b = step(est, traj.imu, GainConfig(), dt, t=t,
-             meas=lambda tau: source(tau) if tau >= t + dt else None)
+    b = step(est, traj.imu, GainConfig(), dt, t=t, meas=from_step_end)
     for name in ("R", "p", "v", "e", "P"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -444,8 +462,14 @@ def test_step_covariance_matches_a_fine_riccati_integration():
     omega = np.array([0.3, -0.2, 0.5])
     cfg = GainConfig()
     dt = 5e-3
-    out = step(est, lambda tau: (omega, np.zeros(3)), cfg, dt,
-               meas=lambda tau: (y, C))
+
+    def held(times, q):         # the one output (y, C) at every time
+        S, g = output_gains(y, C, q)
+        return (np.repeat(S[None], len(times), 0),
+                np.repeat(g[None], len(times), 0), np.ones(len(times), bool))
+
+    out = step(est, lambda t: (np.tile(omega, (len(t), 1)),
+                               np.zeros((len(t), 3))), cfg, dt, meas=held)
     A = build_A(omega, cfg.gravity)
     Q, V = cfg.q * np.eye(C.shape[0]), cfg.v_matrix()
     P, h = np.eye(15), 1e-6
@@ -461,8 +485,7 @@ def test_step_covariance_matches_a_fine_riccati_integration():
 def test_step_nonfinite_guard():
     est = ObserverState.initial(P=np.full((15, 15), np.nan))
     with pytest.raises(NonFiniteStateError):
-        step(est, lambda tau: (np.zeros(3), np.zeros(3)), GainConfig(),
-             1.0 / 200.0)
+        step(est, _still_imu, GainConfig(), 1.0 / 200.0)
 
 
 def test_step_nonfinite_guard_names_field_with_measurements():
@@ -535,53 +558,6 @@ def test_run_continuous_bookkeeping():
     assert np.array_equal(states[0].R, est0.R)
 
 
-def test_step_queries_each_stage_time_once(monkeypatch):
-    # imu and meas once each at t, t + h/2 and t + h, back to back
-    traj = EightTrajectory(t_end=0.1)
-    source = PositionSource(traj, sample_landmarks(5, seed=0))
-    calls, substeps = [], []
-
-    def imu(t):
-        calls.append(("imu", t))
-        return traj.imu(t)
-
-    def meas(t):
-        calls.append(("meas", t))
-        return source(t)
-
-    project = observer.project_to_rotation
-    monkeypatch.setattr(observer, "project_to_rotation",
-                        lambda R: substeps.append(1) or project(R))
-    est = ObserverState.initial(P=1e-6 * np.eye(15))
-    h = 1.0 / 200.0
-    step(est, imu, GainConfig(), h, t=0.02, meas=meas)
-    assert len(substeps) == 1
-    assert calls == [(name, tau) for tau in (0.02, 0.02 + 0.5 * h, 0.02 + h)
-                     for name in ("imu", "meas")]
-
-
-def test_truth_source_synthesizes_once_per_stage_time(monkeypatch):
-    # every distinct query time is synthesized exactly once, the shared
-    # step boundary included
-    traj = EightTrajectory(t_end=0.1)
-    source = StereoBearingSource(traj, sample_landmarks(5, seed=0),
-                                 default_stereo_rig())
-    queries, built = [], []
-
-    def meas(t):
-        queries.append(t)
-        return source(t)
-
-    make = observer.synth_bearings
-    monkeypatch.setattr(observer, "synth_bearings",
-                        lambda st, *a: built.append(st.t) or make(st, *a))
-    est = ObserverState.initial(R=exp_so3(np.array([0.3, -0.2, 0.1])))
-    dt = 1.0 / 200.0
-    for k in range(2):
-        est = step(est, traj.imu, GainConfig(), dt, t=k * dt, meas=meas)
-    assert sorted(built) == sorted(set(queries))
-
-
 def test_run_continuous_synthesizes_each_stage_time_once(monkeypatch):
     # steps meet on times[k] bit for bit, so N steps synthesize 2N + 1
     # stage times: t, t + dt/2 and t + dt, the last shared with the next
@@ -598,10 +574,11 @@ def test_run_continuous_synthesizes_each_stage_time_once(monkeypatch):
     monkeypatch.setattr(observer, "stacked_gains",
                         lambda p, Y, *a: stacked.append(len(Y))
                         or gains(p, Y, *a))
-    for module in (observer, measurement):
-        for name in ("linear_output", "output_gains"):
-            monkeypatch.setattr(module, name,
-                                lambda *a, name=name: per_time.append(name))
+    for module, name in ((observer, "linear_output"),
+                         (measurement, "linear_output"),
+                         (measurement, "output_gains")):
+        monkeypatch.setattr(module, name,
+                            lambda *a, name=name: per_time.append(name))
     times, _ = run_continuous(ObserverState.initial(), traj.imu, source,
                               GainConfig(), t_end=1.0)
     n = len(times) - 1
@@ -614,29 +591,58 @@ def test_run_continuous_synthesizes_each_stage_time_once(monkeypatch):
     assert per_time == []
 
 
-def test_run_continuous_queries_imu_then_meas_once_per_stage_time():
-    # over several batches: imu(tau) then meas(tau) at t0, and at each
-    # step's middle and end, 2 n + 1 times each
+def _forward(fn, calls, name):
+    """A plain forwarder of fn, shaped like the benchmark's span tracer's,
+    that records each call's times under name."""
+    def f(*a, **k):
+        calls.append((name, a[0]))
+        return fn(*a, **k)
+    return f
+
+
+@pytest.mark.parametrize("kind", ["truth", "dataset"])
+def test_run_continuous_reaches_wrapped_inputs_once_per_batch(kind):
+    # through plain forwarders, imu(times) and then source(times, q) once
+    # per batch; their times are the 2 n + 1 stage times, t0 and each
+    # step's middle and end, and the states are the unwrapped run's
     traj = EightTrajectory(t_end=0.3)
-    source = TruthSource(traj, sample_landmarks(5, seed=0), "stereo",
-                         default_stereo_rig())
+    lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
+    if kind == "truth":
+        imu, source = traj.imu, TruthSource(traj, lms, "stereo", cams)
+    else:
+        ts = np.arange(61) / 200.0
+        imu = interpolating_imu(np.column_stack([ts, *traj.imu(ts)]))
+        source = DatasetProvider(_frame_dataset(
+            traj, lms, cams, 0.05 * np.arange(1, 7)), "stereo")
+    est0 = ObserverState.initial(R=exp_so3(np.array([0.9, -0.4, 0.6])))
     calls = []
+    times, states = run_continuous(est0, _forward(imu, calls, "imu"),
+                                   _forward(source, calls, "source"),
+                                   GainConfig(), t_end=0.3)
+    n = len(times) - 1
+    assert n > 2 * observer._BATCH
+    assert [name for name, _ in calls] == ["imu", "source"] * -(
+        -n // observer._BATCH)
+    taus = np.empty(2 * n + 1)
+    taus[0], taus[1::2], taus[2::2] = times[0], times[:-1] + 0.5 * np.diff(
+        times), times[1:]
+    for name in ("imu", "source"):
+        assert np.array_equal(
+            np.concatenate([t for got, t in calls if got == name]), taus)
+    _, ref = run_continuous(est0, imu, source, GainConfig(), t_end=0.3)
+    for name in ("R", "p", "v", "e", "P"):
+        assert np.array_equal([getattr(s, name) for s in states],
+                              [getattr(s, name) for s in ref]), name
 
-    def imu(t):
-        calls.append(("imu", t))
-        return traj.imu(t)
 
-    def meas(t):
-        calls.append(("meas", t))
-        return source(t)
-
-    times, _ = run_continuous(ObserverState.initial(), imu, meas,
-                              GainConfig(), t_end=0.3)
-    assert len(times) - 1 > 2 * observer._BATCH
-    taus = [float(times[0])]
-    for a, b in zip(times.tolist(), times[1:].tolist()):
-        taus += [a + 0.5 * (b - a), b]
-    assert calls == [(name, tau) for tau in taus for name in ("imu", "meas")]
+def test_run_continuous_names_an_imu_that_answers_one_time():
+    # an imu of one time, not of the batch's array, is named at the
+    # batch's first time, not mis-shaped in the stage inputs
+    with pytest.raises(ValueError, match=r"t=0\.05 with shapes \(3,\) and "
+                       r"\(3,\), expected \(33, 3\) stacks"):
+        run_continuous(ObserverState.initial(),
+                       lambda t: (np.zeros(3), np.zeros(3)), None,
+                       GainConfig(), t_end=0.3, t0=0.05)
 
 
 def _step_loop(est, imu, source, times):
@@ -703,7 +709,8 @@ def test_run_continuous_names_the_step_whose_rate_turns_non_finite():
 
     def imu(t):
         omega, a = traj.imu(t)
-        return (np.full(3, np.nan) if abs(t - 0.1225) < 1e-9 else omega), a
+        omega[np.abs(t - 0.1225) < 1e-9] = np.nan
+        return omega, a
 
     assert int(round(0.12 * 200)) % observer._BATCH
     with pytest.raises(NonFiniteStateError, match=r"input at t=0\.12$"):
@@ -732,48 +739,69 @@ def _frame_dataset(traj, lms, cams, times):
                    positions=[make_position_frame(st, lms) for st in states])
 
 
+def _frame(source, t, mode, lms, cams):
+    """The frame that the frame path of a source reads at t: a fresh one
+    from the trajectory state of a TruthSource (the stacked state, which
+    the source reads, of t alone), and a DatasetProvider's blend as a
+    frame of the keys it sees."""
+    if isinstance(source, TruthSource):
+        st = source.traj.state(np.array([t]))
+        st = RigidBodyState(**{name: getattr(st, name)[0] for name in
+                               ("t", "R", "p", "v", "omega", "a")})
+        return (make_position_frame(st, lms) if mode == "position3d"
+                else make_bearing_frame(st, lms, cams))
+    Y, seen = source._blend([t])
+    ids = sorted(lm.id for lm in lms)
+    if mode == "position3d":
+        return PositionFrame(t=t, obs={ids[i]: Y[0, i, 0]
+                                       for i in np.flatnonzero(seen[0])})
+    cam_ids = [c.cam_id for c in measurement.mode_cameras(mode, cams)]
+    return BearingFrame(t=t, obs={(cam_ids[k], ids[i]): Y[0, i, k]
+                                  for i, k in zip(*np.nonzero(seen[0]))})
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_sources_match_a_fresh_innovation(mode):
-    # the kept outputs must not leak between query times, whatever their
-    # order: interleaved, repeated, and returning after an eviction; each
-    # is the linear output of a fresh frame, and a truth source's y = C x
-    # to roundoff of the terms of C x (stereo's y is their near-cancelling
-    # difference)
+    # whatever the order of the times stacked in one query (interleaved and
+    # repeated), each time's S is q C^T C of the C of a fresh innovation
+    # at that time, and a truth source's S x + g = q C^T (C x - y) = 0 for
+    # the true state x, to roundoff of the terms of S x (stereo's y is a
+    # near-cancelling difference)
+    q = 1e3
     traj = EightTrajectory(t_end=1.0)
     lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
     ds = _frame_dataset(traj, lms, cams, 0.05 * np.arange(1, 11))
     truth, provider = TruthSource(traj, lms, mode, cams), DatasetProvider(
         ds, mode)
-    mode_cams = measurement.mode_cameras(mode, cams)
+    times = np.array([0.1, 0.1, 0.13, 0.1, 0.17, 0.13, 0.13, 0.2, 0.1, 0.075,
+                      0.5])
     rng = np.random.default_rng(5)
-    for t in (0.1, 0.1, 0.13, 0.1, 0.17, 0.13, 0.13, 0.2, 0.1, 0.075, 0.5):
-        est = _random_estimate(rng)
-        st = traj.state(t)
-        fresh = {truth: (make_position_frame(st, lms) if mode == "position3d"
-                         else make_bearing_frame(st, lms, cams)),
-                 provider: DatasetProvider(ds, mode).frame_at(t)}
-        for source, frame in fresh.items():
-            y, C = source(t)
-            y_ref, C_ref = linear_output(landmark_blocks(frame, mode_cams,
-                                                         lms))
-            assert np.array_equal(y, y_ref) and np.array_equal(C, C_ref)
-            sy, C_inn = {
+    for source in (truth, provider):
+        S, g, _ = source(times, q)
+        for k, t in enumerate(times.tolist()):
+            est, frame = _random_estimate(rng), _frame(source, t, mode, lms,
+                                                       cams)
+            _, C = {
                 "position3d": lambda: innovation_position(est, frame, lms),
                 "stereo": lambda: innovation_stereo(est, frame, cams, lms),
                 "monocular": lambda: innovation_mono(est, frame, cams[0],
                                                      lms)}[mode]()
-            assert np.array_equal(C, C_inn)
-        y, C = truth(t)
-        _, x = error_state(st, ObserverState.initial(e=np.zeros((3, 3))))
-        assert np.all(np.abs(y - C @ x) <= 1e-12 * (np.abs(C) @ np.abs(x)))
+            assert np.array_equal(S[k], (q * C.T @ C)[:12, :12])
+            if source is truth:
+                _, x = error_state(traj.state(t), ObserverState.initial(
+                    e=np.zeros((3, 3))))
+                assert np.all(np.abs(S[k] @ x[:12] + g[k])
+                              <= 1e-12 * (np.abs(S[k]) @ np.abs(x[:12])))
 
 
 class _StillTrajectory:
     """The body at rest at the origin, R = I."""
 
     def state(self, t):
-        return RigidBodyState(t=t, R=np.eye(3), p=np.zeros(3), v=np.zeros(3),
-                              omega=np.zeros(3), a=np.zeros(3))
+        n = len(t)
+        return RigidBodyState(t=t, R=np.tile(np.eye(3), (n, 1, 1)),
+                              p=np.zeros((n, 3)), v=np.zeros((n, 3)),
+                              omega=np.zeros((n, 3)), a=np.zeros((n, 3)))
 
 
 @pytest.mark.parametrize("mode", ("stereo", "monocular"))
@@ -786,14 +814,16 @@ def test_truth_source_names_the_first_landmark_at_a_camera(mode):
            Landmark(1, cams[1].p.copy()), Landmark(3, cams[0].p.copy())]
     source = TruthSource(_StillTrajectory(), lms, mode, cams)
     with pytest.raises(LandmarkAtCameraError) as exc:
-        source(0.0)
+        source(np.array([0.0]), 1e3)
     assert str(exc.value) == "landmark 3 is 0.000e+00 m from camera 1"
-    y, C = TruthSource(_StillTrajectory(), lms[:2], "monocular", cams)(0.0)
-    assert C.shape == (6, 15) and np.all(np.isfinite(C))
+    S, g, has = TruthSource(_StillTrajectory(), lms[:2], "monocular",
+                            cams)(np.array([0.0]), 1e3)
+    assert has[0] and np.all(np.isfinite(S)) and np.all(np.isfinite(g))
 
 
 @pytest.mark.parametrize("mode", ("position3d", "stereo"))
 def test_truth_source_rows_follow_ids_whatever_the_landmark_order(mode):
+    q = 1e3
     traj = EightTrajectory(t_end=1.0)
     lms = sample_landmarks(6, seed=3)
     cams = [CameraExtrinsics(1, exp_so3(np.array([0.1, -0.2, 0.3])),
@@ -804,15 +834,15 @@ def test_truth_source_rows_follow_ids_whatever_the_landmark_order(mode):
     source, ordered = (TruthSource(traj, shuffled, mode, cams),
                        TruthSource(traj, lms, mode, cams))
     mode_cams = measurement.mode_cameras(mode, cams)
-    for t in (0.0, 0.37, 0.8):
-        st = traj.state(t)
-        frame = (make_position_frame(st, shuffled) if mode == "position3d"
-                 else make_bearing_frame(st, shuffled, cams))
-        y, C = source(t)
-        y_ref, C_ref = linear_output(landmark_blocks(frame, mode_cams, lms))
-        assert np.array_equal(y, y_ref) and np.array_equal(C, C_ref)
-        y_ord, C_ord = ordered(t)
-        assert np.array_equal(y, y_ord) and np.array_equal(C, C_ord)
+    times = np.array([0.0, 0.37, 0.8])
+    got, ref = source(times, q), ordered(times, q)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+    for k, t in enumerate(times.tolist()):
+        frame = _frame(source, t, mode, shuffled, cams)
+        S, g = output_gains(*linear_output(landmark_blocks(frame, mode_cams,
+                                                           lms)), q)
+        assert np.array_equal(got[0][k], S) and np.array_equal(got[1][k], g)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -821,8 +851,10 @@ def test_dataset_provider_none_outside_the_stream(mode):
     lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
     provider = DatasetProvider(
         _frame_dataset(traj, lms, cams, [0.05, 0.1, 0.15]), mode)
-    for t in (0.0, 0.0, 0.2, 0.1, 0.0, 0.2, 0.1):
-        assert (provider(t) is None) == (t != 0.1)
+    times = np.array([0.0, 0.0, 0.2, 0.1, 0.0, 0.2, 0.1])
+    S, g, has = provider(times, 1e3)
+    assert has.tolist() == (times == 0.1).tolist()
+    assert not S[~has].any() and not g[~has].any()
 
 
 # ---------------------------------------------------------------------------
@@ -848,10 +880,10 @@ def test_stacked_gains_do_not_depend_on_the_stack(mode, kind):
     # a time's (S, g, has) is the same bit for bit whatever times are
     # stacked with it, so a batch gives what a step gives
     source = _stacked_sources(mode)[kind]
-    whole = source.gains(STACK_TIMES, 1e3)
+    whole = source(STACK_TIMES, 1e3)
     for k in (1, 2, 17, len(STACK_TIMES) - 1):
-        head, tail = (source.gains(STACK_TIMES[:k], 1e3),
-                      source.gains(STACK_TIMES[k:], 1e3))
+        head, tail = (source(STACK_TIMES[:k], 1e3),
+                      source(STACK_TIMES[k:], 1e3))
         for got, a, b in zip(whole, head, tail):
             assert np.array_equal(got, np.concatenate([a, b]))
 
@@ -859,26 +891,29 @@ def test_stacked_gains_do_not_depend_on_the_stack(mode, kind):
 @pytest.mark.parametrize("kind", ["truth", "dataset"])
 @pytest.mark.parametrize("mode", MODES)
 def test_stacked_gains_match_the_per_time_output(mode, kind):
-    # (S, g) is output_gains' (q C^T C, -q C^T y) of the per-time (y, C),
-    # bit for bit, on the first 12 entries of the state, whose v rows and
-    # columns are zero; has marks the times with an output, and a time
-    # without one adds nothing
+    # (S, g) is output_gains' (q C^T C, -q C^T y) of the frame path, the
+    # linear output of landmark_blocks of the time's frame, bit for bit,
+    # on the first 12 entries of the state, whose v rows and columns are
+    # zero; has marks the times with a measurement, and a time without
+    # one adds nothing
     q = 1e3
     source = _stacked_sources(mode)[kind]
-    S, g, has = source.gains(STACK_TIMES, q)
+    lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
+    mode_cams = measurement.mode_cameras(mode, cams)
+    S, g, has = source(STACK_TIMES, q)
     assert S.shape == (len(STACK_TIMES), 12, 12) and g.shape[1:] == (12,)
     for k, t in enumerate(STACK_TIMES.tolist()):
-        out = source(t)
-        assert has[k] == (out is not None)
-        if out is None:
+        frame = _frame(source, t, mode, lms, cams)
+        assert has[k] == bool(frame.obs)
+        if not frame.obs:
             assert not S[k].any() and not g[k].any()
             continue
-        y, C = out
+        y, C = linear_output(landmark_blocks(frame, mode_cams, lms))
         full = q * C.T @ C, -q * C.T @ y
         assert not full[0][12:].any() and not full[0][:, 12:].any()
         assert not full[1][12:].any()
         # bit for bit: a reordered sum of S is what a tolerance lets by
-        S_ref, g_ref = measurement.output_gains(y, C, q)
+        S_ref, g_ref = output_gains(y, C, q)
         assert np.array_equal(S[k], S_ref) and np.array_equal(g[k], g_ref)
 
 
@@ -891,7 +926,6 @@ def test_stacked_imu_does_not_depend_on_the_stack():
     table = np.column_stack([ts, *np.transpose([np.concatenate(traj.imu(t))
                                                 for t in ts])])
     for imu in (traj.imu, interpolating_imu(table)):
-        assert imu.stacked
         whole = imu(STACK_TIMES)
         for k in (1, 17):
             for got, a, b in zip(whole, imu(STACK_TIMES[:k]),
@@ -907,9 +941,9 @@ def test_stacked_imu_does_not_depend_on_the_stack():
 
 @pytest.mark.parametrize("mode", ("stereo", "monocular"))
 def test_stacked_truth_source_keeps_its_checks(mode):
-    # a landmark on camera 2's centre at t = 0.3 names that pair, as the
-    # per-time query does; a camera whose rotation is not one gives rotated
-    # bearings off unit length
+    # a landmark on camera 2's centre at t = 0.3 names that pair, as a
+    # query of that time alone does; a camera whose rotation is not one
+    # gives rotated bearings off unit length
     traj = EightTrajectory(t_end=1.0)
     cams = default_stereo_rig()
     st = traj.state(0.3)
@@ -917,29 +951,29 @@ def test_stacked_truth_source_keeps_its_checks(mode):
            Landmark(4, st.p + st.R @ cams[1].p)]
     source = TruthSource(traj, lms, "stereo", cams)
     with pytest.raises(LandmarkAtCameraError) as stacked:
-        source.gains(np.array([0.1, 0.3, 0.5]), 1e3)
-    with pytest.raises(LandmarkAtCameraError) as per_time:
-        source(0.3)
-    assert str(stacked.value) == str(per_time.value)
+        source(np.array([0.1, 0.3, 0.5]), 1e3)
+    with pytest.raises(LandmarkAtCameraError) as alone:
+        source(np.array([0.3]), 1e3)
+    assert str(stacked.value) == str(alone.value)
     assert str(stacked.value).startswith("landmark 4 is ")
     bent = [CameraExtrinsics(c.cam_id, 1.5 * c.R, c.p) for c in cams]
     source = TruthSource(traj, lms[:1], mode, bent)
     with pytest.raises(NotUnitError):
-        source.gains(np.array([0.1, 0.3]), 1e3)
+        source(np.array([0.1, 0.3]), 1e3)
 
 
 def test_stacked_truth_gains_peak_memory():
-    # the tracemalloc peak of one stereo gains call over a first batch's
+    # the tracemalloc peak of one stereo query over a first batch's
     # 2 * 16 + 1 stage times, in KiB: 59 with a per-time loop, 166 with
     # the products over the whole stack, 109 in halves (stacked_gains)
     traj = EightTrajectory(t_end=1.0)
     source = TruthSource(traj, sample_landmarks(5, seed=0), "stereo",
                          default_stereo_rig())
     taus = 0.5 + 0.0025 * np.arange(2 * observer._BATCH + 1)
-    source.gains(taus, 1e3)
+    source(taus, 1e3)
     tracemalloc.start()
     try:
-        source.gains(taus, 1e3)
+        source(taus, 1e3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -947,23 +981,23 @@ def test_stacked_truth_gains_peak_memory():
 
 
 def test_stacked_onset_inside_a_batch_matches_the_per_time_path():
-    # a dataset stream from 0.05 s: one gains query per batch, the first
-    # covering the onset, and the run agrees with the per-time path of the
-    # same inputs (plain callables) to roundoff
+    # a dataset stream from 0.05 s: one query per batch, the first
+    # covering the onset, and the run agrees with a loop of step calls,
+    # one step per interval, to roundoff
     traj = EightTrajectory(t_end=0.3)
     lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
     provider = DatasetProvider(_frame_dataset(
         traj, lms, cams, 0.05 * np.arange(1, 7)), "stereo")
-    queried, gains = [], provider.gains
-    provider.gains = lambda times, q: queried.append(times) or gains(times, q)
+    queried = []
     est0 = ObserverState.initial(R=exp_so3(np.array([0.9, -0.4, 0.6])))
-    times, states = run_continuous(est0, traj.imu, provider, GainConfig(),
-                                   t_end=0.3)
+    times, states = run_continuous(
+        est0, traj.imu,
+        lambda times, q: queried.append(times) or provider(times, q),
+        GainConfig(), t_end=0.3)
     n = len(times) - 1
     assert len(queried) == -(-n // observer._BATCH)
     assert queried[0][0] < 0.05 < queried[0][-1]
-    _, ref = run_continuous(est0, lambda t: traj.imu(t),
-                            lambda t: provider(t), GainConfig(), t_end=0.3)
+    ref = _step_loop(est0, traj.imu, provider, times)
     for name in ("R", "p", "v", "e", "P"):
         x = np.array([getattr(s, name) for s in states])
         y = np.array([getattr(s, name) for s in ref])

@@ -18,8 +18,8 @@ from visnav.sim import (
     make_bearing_frame,
     make_position_frame,
     sample_landmarks,
-    synth_bearing,
-    synth_position,
+    synth_bearings,
+    synth_positions,
 )
 
 
@@ -83,10 +83,12 @@ def test_closed_form_rotation_matches_fine_attitude_table():
 def test_synth_bearing_simple_cases():
     s = identity_state()
     cam = CameraExtrinsics(1, I3.copy(), np.zeros(3))
-    y = synth_bearing(s, Landmark(0, np.array([1.0, 0.0, 0.0])), cam)
+    y = synth_bearings(s, [Landmark(0, np.array([1.0, 0.0, 0.0]))],
+                       [cam])[0, 0]
     assert np.allclose(y, [1.0, 0.0, 0.0])
     cam2 = CameraExtrinsics(1, I3.copy(), np.array([0.0, 0.0, 0.1]))
-    y = synth_bearing(s, Landmark(0, np.array([0.0, 0.0, 1.1])), cam2)
+    y = synth_bearings(s, [Landmark(0, np.array([0.0, 0.0, 1.1]))],
+                       [cam2])[0, 0]
     assert np.allclose(y, [0.0, 0.0, 1.0])
 
 
@@ -99,7 +101,7 @@ def test_synth_bearing_general_pose():
         cam = CameraExtrinsics(1, exp_so3(rng.normal(size=3) * 0.1),
                                rng.normal(size=3) * 0.1)
         lm = Landmark(0, rng.normal(size=3) * 5.0)
-        y = synth_bearing(s, lm, cam)
+        y = synth_bearings(s, [lm], [cam])[0, 0]
         assert abs(np.linalg.norm(y) - 1.0) <= 1e-12
         r = s.R.T @ (lm.p - s.p) - cam.p
         cosang = float((cam.R @ y) @ r) / np.linalg.norm(r)
@@ -110,21 +112,24 @@ def test_synth_bearing_rejects_landmark_at_center():
     s = identity_state()
     cam = CameraExtrinsics(1, I3.copy(), np.array([0.0, -0.1, 0.0]))
     with pytest.raises(LandmarkAtCameraError):
-        synth_bearing(s, Landmark(0, np.array([0.0, -0.1, 0.0])), cam)
+        synth_bearings(s, [Landmark(0, np.array([0.0, -0.1, 0.0]))], [cam])
 
 
 def test_synth_position():
     s = identity_state()
-    assert np.allclose(synth_position(s, Landmark(0, np.array([1.0, 2.0, 3.0]))),
-                       [1.0, 2.0, 3.0])
+    assert np.allclose(
+        synth_positions(s, [Landmark(0, np.array([1.0, 2.0, 3.0]))])[0],
+        [1.0, 2.0, 3.0])
     s_rot = RigidBodyState(t=0.0, R=exp_so3([0.0, 0.0, np.pi / 2]),
                            p=np.zeros(3), v=np.zeros(3), omega=np.zeros(3),
                            a=np.zeros(3))
-    assert np.allclose(synth_position(s_rot, Landmark(0, np.array([1.0, 0.0, 0.0]))),
-                       [0.0, -1.0, 0.0], atol=1e-12)
+    assert np.allclose(
+        synth_positions(s_rot, [Landmark(0, np.array([1.0, 0.0, 0.0]))])[0],
+        [0.0, -1.0, 0.0], atol=1e-12)
     s_at = identity_state(p=(1.0, 2.0, 3.0))
-    assert np.allclose(synth_position(s_at, Landmark(0, np.array([1.0, 2.0, 3.0]))),
-                       [0.0, 0.0, 0.0])
+    assert np.allclose(
+        synth_positions(s_at, [Landmark(0, np.array([1.0, 2.0, 3.0]))])[0],
+        [0.0, 0.0, 0.0])
 
 
 def test_stereo_triangulation(traj):
