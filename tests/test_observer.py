@@ -558,6 +558,31 @@ def test_run_continuous_bookkeeping():
     assert np.array_equal(states[0].R, est0.R)
 
 
+def test_step_queries_each_stage_time_once(monkeypatch):
+    # imu and then meas once each, over t, t + h/2 and t + h
+    traj = EightTrajectory(t_end=0.1)
+    source = TruthSource(traj, sample_landmarks(5, seed=0), "position3d")
+    calls, substeps = [], []
+
+    def imu(times):
+        calls.append(("imu", times.tolist()))
+        return traj.imu(times)
+
+    def meas(times, q):
+        calls.append(("meas", times.tolist()))
+        return source(times, q)
+
+    project = observer.project_to_rotation
+    monkeypatch.setattr(observer, "project_to_rotation",
+                        lambda R: substeps.append(1) or project(R))
+    est = ObserverState.initial(P=1e-6 * np.eye(15))
+    h = 1.0 / 200.0
+    step(est, imu, GainConfig(), h, t=0.02, meas=meas)
+    assert len(substeps) == 1
+    taus = [0.02, 0.02 + 0.5 * h, 0.02 + h]
+    assert calls == [("imu", taus), ("meas", taus)]
+
+
 def test_run_continuous_synthesizes_each_stage_time_once(monkeypatch):
     # steps meet on times[k] bit for bit, so N steps synthesize 2N + 1
     # stage times: t, t + dt/2 and t + dt, the last shared with the next
@@ -633,6 +658,35 @@ def test_run_continuous_reaches_wrapped_inputs_once_per_batch(kind):
     for name in ("R", "p", "v", "e", "P"):
         assert np.array_equal([getattr(s, name) for s in states],
                               [getattr(s, name) for s in ref]), name
+
+
+def test_run_continuous_queries_imu_then_meas_once_per_stage_time():
+    # over several batches, imu(taus) and then meas(taus, q) per batch;
+    # together they reach t0 and each step's middle and end once, 2 n + 1
+    # times each, a batch's last end not repeated by the next batch
+    traj = EightTrajectory(t_end=0.3)
+    source = TruthSource(traj, sample_landmarks(5, seed=0), "stereo",
+                         default_stereo_rig())
+    calls = []
+
+    def imu(times):
+        calls.append(("imu", times.tolist()))
+        return traj.imu(times)
+
+    def meas(times, q):
+        calls.append(("meas", times.tolist()))
+        return source(times, q)
+
+    times, _ = run_continuous(ObserverState.initial(), imu, meas,
+                              GainConfig(), t_end=0.3)
+    assert len(times) - 1 > 2 * observer._BATCH
+    taus = [float(times[0])]
+    for a, b in zip(times.tolist(), times[1:].tolist()):
+        taus += [a + 0.5 * (b - a), b]
+    assert [name for name, _ in calls] == ["imu", "meas"] * (len(calls) // 2)
+    for name in ("imu", "meas"):
+        assert sum((t for got, t in calls if got == name), []) == taus
+    assert [t for _, t in calls[::2]] == [t for _, t in calls[1::2]]
 
 
 def test_run_continuous_names_an_imu_that_answers_one_time():
