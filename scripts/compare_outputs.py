@@ -48,6 +48,11 @@ on PYTHONPATH:
   `_static`): the verdict of `classify_static_degeneracy` as (label index
   in STATIC_LABELS, rank, full rank), and the entries and rank of
   `static_observability_matrix`.
+Every input above is built through the trajectory's stacked queries
+(`EightTrajectory.state` and `rotation` of an array of times; one time as
+a one-row stack), so both trees get the same inputs.  The runs of the
+`simulate.*`, `analyze.*`, `analyze.mono.*` and `estimate.*` keys read
+each tree's own `visnav simulate` output instead.
 The script reports, per run and field, whether the outputs agree exactly
 (R, p, v, e and P at every IMU step, the attitude at every query, the
 simulated columns, the window eigenvalues, each Phi, the trace columns,
@@ -217,6 +222,15 @@ def _static(count=400):
             "static.rank": np.array(ranks)}
 
 
+def _states(traj, times):
+    """The state of traj at each of times, as the rows of one stacked
+    query, so that every tree builds its inputs through the stacked path."""
+    from visnav.sim import RigidBodyState
+    st = traj.state(np.asarray(times, dtype=float))
+    return [RigidBodyState(t, st.R[k], st.p[k], st.v[k], st.omega[k],
+                           st.a[k]) for k, t in enumerate(st.t.tolist())]
+
+
 def dump(path, seconds):
     from visnav.dataio import Dataset, DatasetProvider, interpolating_imu
     from visnav.geom import exp_so3
@@ -233,16 +247,16 @@ def dump(path, seconds):
     traj = EightTrajectory(t_end=max(30.0, seconds))
     lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
     R0 = exp_so3(0.5 * np.pi * np.ones(3) / np.sqrt(3.0))
-    frame_states = [traj.state(k / 20.0) for k in
-                    range(1, int(np.floor(seconds * 20.0 + 1e-9)) + 1)]
+    frame_times = np.arange(1, int(np.floor(seconds * 20.0 + 1e-9)) + 1) / 20.0
+    frame_states = _states(traj, frame_times)
     frames = [make_bearing_frame(st, lms, cams) for st in frame_states]
     # the last of these would fall past the run's end
-    offgrid_frames = [make_bearing_frame(traj.state(k / 20.0 + 2.4e-3), lms,
-                                         cams)
-                      for k in range(1, len(frame_states))]
-    imu_rows = [[t, *traj.state(t).omega, *traj.state(t).a]
-                for t in np.arange(int(round(seconds * 200.0)) + 1) / 200.0]
-    ds = Dataset(imu=np.array(imu_rows), landmarks=lms, bearings=frames,
+    offgrid_frames = [make_bearing_frame(st, lms, cams) for st in
+                      _states(traj, frame_times[:-1] + 2.4e-3)]
+    imu_times = np.arange(int(round(seconds * 200.0)) + 1) / 200.0
+    truth = traj.state(imu_times)
+    ds = Dataset(imu=np.column_stack([imu_times, truth.omega, truth.a]),
+                 landmarks=lms, bearings=frames,
                  positions=[make_position_frame(st, lms)
                             for st in frame_states],
                  extrinsics=cams)
@@ -291,14 +305,13 @@ def dump(path, seconds):
         states = states()
         for f in FIELDS:
             arrays[f"{name}.{f}"] = np.stack([getattr(s, f) for s in states])
-    arrays["attitude.R"] = np.stack([traj.rotation((k + 0.37) / 200.0)
-                                     for k in range(6000)])
+    arrays["attitude.R"] = traj.rotation((np.arange(6000) + 0.37) / 200.0)
     dummy = ObserverState.initial()
 
     def c_stereo(t):
         return innovation_stereo(
-            dummy, make_bearing_frame(traj.state(t), lms, cams), cams,
-            lms)[1]
+            dummy, make_bearing_frame(_states(traj, [t])[0], lms, cams),
+            cams, lms)[1]
 
     for name, rep in (
             ("gramian", gramian_continuous(traj.omega, c_stereo, 0.0, 2.0,

@@ -131,12 +131,6 @@ class Dataset:
     groundtruth: np.ndarray | None = None
     extrinsics: list = field(default_factory=list)
 
-    def landmark_ids(self):
-        return {lm.id for lm in self.landmarks}
-
-    def cam_ids(self):
-        return {cam.cam_id for cam in self.extrinsics}
-
     def frames(self, mode: str) -> list:
         """The frame stream a measurement mode reads."""
         return self.positions if mode == "position3d" else self.bearings

@@ -59,9 +59,6 @@ class GainConfig:
         if self.gravity.shape != (3,):
             raise ValueError("gravity must be a 3-vector")
 
-    def rho_matrix(self) -> np.ndarray:
-        return np.diag(self.rho)
-
     def v_matrix(self) -> np.ndarray:
         if np.isscalar(self.v):
             return float(self.v) * I15

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LandmarkAtCameraError
-from .geom import I3, exp_so3, exp_so3_floats
+from .geom import I3, exp_so3
 # dexpinv_body and project_to_rotation stay importable here: the
 # benchmark's span tracer (perfbench/tracer.py) wraps them in this namespace.
 from .geom import dexpinv_body, project_to_rotation  # noqa: F401
@@ -27,7 +27,8 @@ class RigidBodyState:
     R is the body-to-inertial rotation, p/v the inertial position and
     velocity, omega the body-frame rotation rate and a the accelerometer
     reading (specific force) in the body frame.  A state of an array of
-    T times (EightTrajectory.state) stacks each field along a leading axis.
+    T times (EightTrajectory.state) stacks each field along a leading axis;
+    a state of one time is the one row of the stack of that time.
     """
 
     t: float
@@ -89,7 +90,9 @@ class EightTrajectory:
     Every query takes one time or an array of times, whose answers it
     stacks along a leading axis (T, 3) or (T, 3, 3), each time's by the
     same elementwise operations whatever the other times; imu over an
-    array is the input protocol of observer.step.
+    array is the input protocol of observer.step.  rotation, state and
+    imu answer one time as a one-row stack, returned unstacked, so its
+    values are bit for bit that time's row of any stack.
     """
 
     def __init__(self, t_end: float = 30.0):
@@ -118,29 +121,16 @@ class EightTrajectory:
                          0.0 * t]).T
 
     def rotation(self, t) -> np.ndarray:
-        if isinstance(t, float) or np.ndim(t) == 0:
-            return self._rotation_at(float(t))
-        t = np.asarray(t, dtype=float)
-        out = (t < -1e-12) | (t > self.t_end + 1e-9)
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        out = (ts < -1e-12) | (ts > self.t_end + 1e-9)
         if out.any():
-            raise ValueError(f"t={t[out][0]} outside trajectory horizon "
+            raise ValueError(f"t={ts[out][0]} outside trajectory horizon "
                              f"[0, {self.t_end}]")
         # exp(t [w0 + 2 e_y]x), w0 + 2 e_y = (-1, 3, 0), then exp(-2t [e_y]x)
-        c, s, z = np.cos(2.0 * t), np.sin(2.0 * t), 0.0 * t
+        c, s, z = np.cos(2.0 * ts), np.sin(2.0 * ts), 0.0 * ts
         turn = np.array([[c, z, s], [z, z + 1.0, z], [-s, z, c]]).T
-        return exp_so3(np.array([-t, 3.0 * t, z]).T) @ turn
-
-    def _rotation_at(self, t: float) -> np.ndarray:
-        # one time on floats: the expressions above with exp_so3's form
-        # for one vector, numpy's sine and cosine, and the 3 x 3 product
-        # of the same memory layouts, so the same values bit for bit
-        if t < -1e-12 or t > self.t_end + 1e-9:
-            raise ValueError(f"t={t} outside trajectory horizon "
-                             f"[0, {self.t_end}]")
-        c, s, z = float(np.cos(2.0 * t)), float(np.sin(2.0 * t)), 0.0 * t
-        rows = np.array([*exp_so3_floats(-t, 3.0 * t, z),
-                         (c, z, s), (z, z + 1.0, z), (-s, z, c)])
-        return rows[:3] @ rows[3:].T
+        R = exp_so3(np.array([-ts, 3.0 * ts, z]).T) @ turn
+        return R if np.ndim(t) else R[0]
 
     def imu(self, t):
         """(omega, a) pair as an ideal IMU would report at time t, or their
@@ -149,25 +139,13 @@ class EightTrajectory:
         return state.omega, state.a
 
     def state(self, t) -> RigidBodyState:
-        if isinstance(t, float) or np.ndim(t) == 0:
-            return self._state_at(float(t))
-        R, f = self.rotation(t), self.vdot(t) - GRAVITY
-        return RigidBodyState(t=t, R=R, p=self.position(t),
-                              v=self.velocity(t), omega=self.omega(t),
-                              a=(f[:, None, :] @ R)[:, 0])
-
-    def _state_at(self, t: float) -> RigidBodyState:
-        # one time on floats, bit for bit the values of the expressions
-        # above at that time: numpy's sines and cosines, and R^T f
-        R = self.rotation(t)
-        s1, s2 = float(np.sin(t)), float(np.sin(2.0 * t))
-        c1, c2 = float(np.cos(t)), float(np.cos(2.0 * t))
-        z = 0.0 * t
-        f = np.array([-2.0 * s1, -4.0 * s2, z]) - GRAVITY
-        return RigidBodyState(t=t, R=R,
-                              p=np.array([2.0 * s1, 2.0 * s1 * c1, z + 2.0]),
-                              v=np.array([2.0 * c1, 2.0 * c2, z]),
-                              omega=np.array([-c2, z + 1.0, s2]), a=R.T @ f)
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        R, f = self.rotation(ts), self.vdot(ts) - GRAVITY
+        fields = (R, self.position(ts), self.velocity(ts), self.omega(ts),
+                  (f[:, None, :] @ R)[:, 0])
+        if np.ndim(t):
+            return RigidBodyState(ts, *fields)
+        return RigidBodyState(float(t), *(x[0] for x in fields))
 
 
 def sample_landmarks(n: int, low: float = -5.0, high: float = 5.0,

@@ -309,6 +309,34 @@ def test_simulate_is_deterministic(tmp_path):
     assert (a / "bearings.csv").read_bytes() != (c / "bearings.csv").read_bytes()
 
 
+@pytest.mark.parametrize("omega, accel",
+                         [(0.01, 0.02), (0.01, 0.0), (0.0, 0.02), (0.0, 0.0)])
+def test_simulate_tables_are_stacked_truth_plus_per_sample_draws(
+        tmp_path, omega, accel):
+    # one stacked state query, and the noise of one draw keeps the draws of
+    # a per-sample loop: 3 rate draws, then 3 accel draws, of each positive
+    # sigma from default_rng([seed, 1])
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text(NOISY_CFG.replace("omega = 0.01", f"omega = {omega}")
+                   .replace("accel = 0.02", f"accel = {accel}"))
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    ds = load_dataset(str(data))
+    t = ds.imu[:, 0]
+    st = EightTrajectory(t_end=1.0).state(t)
+    want = np.column_stack([st.omega, st.a])
+    rng = np.random.default_rng([0, 1])
+    for row in want:
+        if omega > 0:
+            row[:3] += rng.normal(0.0, omega, 3)
+        if accel > 0:
+            row[3:] += rng.normal(0.0, accel, 3)
+    assert np.array_equal(t, np.arange(201) * (1.0 / 200.0))
+    assert np.array_equal(ds.imu[:, 1:], want)
+    assert np.array_equal(ds.groundtruth, np.column_stack(
+        [t, st.R.reshape(-1, 9), st.p, st.v]))
+
+
 def test_position3d_pipeline(tmp_path):
     cfg = tmp_path / "pos.cfg"
     cfg.write_text(BASE_CFG.replace("mode = stereo", "mode = position3d")

@@ -80,8 +80,8 @@ def test_dataset_round_trip_is_exact(tmp_path):
     assert [c.cam_id for c in back.extrinsics] == [1, 2]
     for ca, cb in zip(back.extrinsics, ds.extrinsics):
         assert np.array_equal(ca.R, cb.R) and np.array_equal(ca.p, cb.p)
-    assert back.landmark_ids() == {1, 3, 7}
-    assert back.cam_ids() == {1, 2}
+    assert {lm.id for lm in back.landmarks} == {1, 3, 7}
+    assert {c.cam_id for c in back.extrinsics} == {1, 2}
 
 
 def test_minimal_dataset_and_missing_required(tmp_path):

@@ -59,10 +59,6 @@ def cams():
     return default_stereo_rig()
 
 
-def _omega_fn(traj):
-    return lambda t: traj.imu(t)[0]
-
-
 def _c_stereo(traj, lms, cams):
     dummy = ObserverState.initial()
 
@@ -92,7 +88,7 @@ def test_gravity_frame_state_matrix_nilpotent_cubed():
 
 
 def test_transition_matrix_identity_and_composition(traj):
-    om = _omega_fn(traj)
+    om = traj.omega
     assert np.array_equal(transition_matrix(om, G, 1.0, 1.0), np.eye(15))
     full = transition_matrix(om, G, 0.0, 2.0)
     split = transition_matrix(om, G, 1.0, 2.0) @ transition_matrix(
@@ -105,7 +101,7 @@ def test_transition_matrix_identity_and_composition(traj):
 def test_transition_matrix_factorization(traj):
     # Phi(t1, t0) = T(t1) exp(Abar (t1 - t0)) T(t0)^-1 with T the attitude
     # block diagonal and exp terminating at the quadratic term.
-    om = _omega_fn(traj)
+    om = traj.omega
     Abar = build_A(np.zeros(3), G)
 
     def exp_abar(dt):
@@ -214,7 +210,7 @@ def test_sampled_rate_table_is_the_held_rate_table_bit_for_bit(traj):
 
 
 def test_gramian_stereo_positive(traj, lms, cams):
-    rep = gramian_continuous(_omega_fn(traj), _c_stereo(traj, lms, cams),
+    rep = gramian_continuous(traj.omega, _c_stereo(traj, lms, cams),
                              0.0, 2.0, G)
     assert rep.verdict
     assert rep.lambda_min > 0.05
@@ -234,7 +230,7 @@ def test_gramian_position_and_mono_positive(traj, lms, cams):
         fr = make_bearing_frame(traj.state(t), lms, [cams[0]])
         return innovation_mono(dummy, fr, cams[0], lms)[1]
 
-    om = _omega_fn(traj)
+    om = traj.omega
     assert gramian_continuous(om, c_pos, 0.0, 2.0, G).verdict
     rep_m = gramian_continuous(om, c_mono, 0.0, 2.0, G)
     assert rep_m.verdict
@@ -244,14 +240,14 @@ def test_gramian_position_and_mono_positive(traj, lms, cams):
 def test_gramian_collinear_landmarks_deficient(traj, cams):
     lms_col = [Landmark(i, np.array([1.0 + 0.7 * i, 2.0 - 0.3 * i,
                                      3.0 + 0.5 * i])) for i in range(3)]
-    rep = gramian_continuous(_omega_fn(traj), _c_stereo(traj, lms_col, cams),
+    rep = gramian_continuous(traj.omega, _c_stereo(traj, lms_col, cams),
                              0.0, 2.0, G)
     assert not rep.verdict
     assert rep.lambda_min / rep.lambda_max < 1e-8
 
 
 def test_gramian_step_size_insensitive(traj, lms, cams):
-    om, c_fn = _omega_fn(traj), _c_stereo(traj, lms, cams)
+    om, c_fn = traj.omega, _c_stereo(traj, lms, cams)
     a = gramian_continuous(om, c_fn, 0.0, 1.0, G, dt=1.0 / 800.0)
     b = gramian_continuous(om, c_fn, 0.0, 1.0, G, dt=1.0 / 1600.0)
     assert abs(a.lambda_min - b.lambda_min) <= 1e-6 * max(1.0, a.lambda_max)
@@ -262,7 +258,7 @@ def test_gramians_are_simpson_sums_of_the_node_products(traj, lms, cams):
     # product of sqrt-weighted stacked rows; the reference is the Simpson
     # sum of the per-node products on the same nodes and Phi, equal to
     # roundoff: |d lambda| <= |dW| <= 1e-12 lambda_max
-    om, c_fn = _omega_fn(traj), _c_stereo(traj, lms, cams)
+    om, c_fn = traj.omega, _c_stereo(traj, lms, cams)
     t, delta, n = 0.3, 0.5, 400             # h = delta / n = 1/800
     taus = t + (delta / n) * np.arange(n + 1)
     w = (delta / n / 3.0) * np.array([1.0, *[4.0, 2.0] * (n // 2 - 1),
@@ -285,7 +281,7 @@ def test_gramians_are_simpson_sums_of_the_node_products(traj, lms, cams):
 
 def test_gramian_rejects_bad_window(traj, lms, cams):
     with pytest.raises(ValueError):
-        gramian_continuous(_omega_fn(traj), _c_stereo(traj, lms, cams),
+        gramian_continuous(traj.omega, _c_stereo(traj, lms, cams),
                            0.0, 0.0, G)
 
 
@@ -312,7 +308,7 @@ def test_gramian_discrete_matches_hand_sum():
 def test_gramian_discrete_sample_monotonicity(traj, lms, cams):
     # adding samples adds a positive semidefinite term, so the smallest
     # eigenvalue cannot decrease
-    om, c_fn = _omega_fn(traj), _c_stereo(traj, lms, cams)
+    om, c_fn = traj.omega, _c_stereo(traj, lms, cams)
     ts = [0.1 * k for k in range(12)]
     phis = [transition_matrix(om, G, 0.0, tk, dt=1.0 / 200.0) for tk in ts]
     cs = [c_fn(tk) for tk in ts]
@@ -326,7 +322,7 @@ def test_gramian_discrete_position3d_is_five_by_five(traj, lms):
     # C = r_i^T (x) I3 per landmark, r_i = (1, -p_i, 0), and Phi =
     # E5 (x) dR^T with E5 = exp(N tau), so the position3d Gramian is
     # W5 (x) I3 with W5 = sum of E5^T r_i r_i^T E5: the attitude drops out
-    om = _omega_fn(traj)
+    om = traj.omega
     N = build_A(np.zeros(3), G)[::3, ::3]
     r = np.array([[1.0, *(-lm.p), 0.0] for lm in lms])
     phis, cs, W5 = [], [], np.zeros((5, 5))

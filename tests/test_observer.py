@@ -75,7 +75,7 @@ def test_attitude_innovation_decomposition():
     # linear term (k_r/2) rho_i e_i^x R_hat acting on the e_tilde blocks.
     rng = np.random.default_rng(11)
     cfg = GainConfig(k_r=1.7)
-    M = cfg.rho_matrix()
+    M = np.diag(cfg.rho)
     worst = 0.0
     for _ in range(1000):
         truth = _truth(rng)
@@ -1076,4 +1076,3 @@ def test_gain_config_rejects_bad_values():
 def test_gain_config_matrix_weights():
     cfg = GainConfig()
     assert np.array_equal(cfg.v_matrix(), 1e-4 * np.eye(15))
-    assert np.array_equal(cfg.rho_matrix(), np.diag([0.5, 0.3, 0.2]))

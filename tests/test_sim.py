@@ -69,14 +69,30 @@ def test_rotation_stays_on_manifold(traj):
         assert is_rotation(traj.rotation(t), tol=1e-9)
 
 
+def test_one_time_is_its_row_of_the_stack():
+    # one time runs the stacked expressions as a one-row stack: bit for bit
+    # its row of the 30 s, 200 Hz stack, at both horizon ends too
+    traj = EightTrajectory(t_end=30.0)
+    ts = np.append(np.arange(6001) / 200.0, 30.0 + 1e-9)
+    stack = traj.state(ts)
+    for k, t in enumerate(ts.tolist()):
+        one = traj.state(t)
+        assert one.t == t and np.array_equal(traj.rotation(t), stack.R[k])
+        for name in ("R", "p", "v", "omega", "a"):
+            assert np.array_equal(getattr(one, name), getattr(stack, name)[k])
+    for t in (-1e-9, 30.0 + 1e-8):
+        for query in (traj.state, traj.rotation):
+            with pytest.raises(ValueError, match="outside trajectory horizon"):
+                query(t)
+
+
 def test_closed_form_rotation_matches_fine_attitude_table():
     # the closed-form coning attitude against a 3200 Hz Magnus integration
     # of the same rate over 30 s, at every 16th node (the 200 Hz samples)
     ts = np.arange(96001) / 3200.0
     table = AttitudeTable(ts, EightTrajectory.omega)
     traj = EightTrajectory(t_end=30.0)
-    worst = max(np.max(np.abs(traj.rotation(t) - R))
-                for t, R in zip(ts[::16], table.R[::16]))
+    worst = np.max(np.abs(traj.rotation(ts[::16]) - table.R[::16]))
     assert worst <= 1e-13
 
 
