@@ -48,6 +48,13 @@ on PYTHONPATH:
   `_static`): the verdict of `classify_static_degeneracy` as (label index
   in STATIC_LABELS, rank, full rank), and the entries and rank of
   `static_observability_matrix`.
+- `load_dataset` and `read_trace` on the hand-edited tables of HAND_EDITED
+  (`load.*`): empty and whitespace-only lines, CRLF line ends, `1_0`, and
+  the forms `1e5`, ` 2 `, `+3`, `.5`, `5.`, `-0` and `1E-320` (and `nan`,
+  `inf`, `-inf` in the trace, which no dataset table accepts), so that
+  both numpy's parse and the row loop of `visnav.dataio` are read.  These
+  keys hold the bit patterns of the loaded values, so that a sign of zero
+  or a nan compares exactly.
 Every input above is built through the trajectory's stacked queries
 (`EightTrajectory.state` and `rotation` of an array of times; one time as
 a one-row stack), so both trees get the same inputs.  The runs of the
@@ -56,7 +63,7 @@ each tree's own `visnav simulate` output instead.
 The script reports, per run and field, whether the outputs agree exactly
 (R, p, v, e and P at every IMU step, the attitude at every query, the
 simulated columns, the window eigenvalues, each Phi, the trace columns,
-the static verdicts and matrices),
+the static verdicts and matrices, the loaded values),
 or else their max |diff| over the run beside their |diff| at the last step
 (last window or query; both relative for the eigenvalues), so that a
 transient that later decays shows as such.  A row of an R, p, v, e or P
@@ -99,6 +106,35 @@ STATIC_LABELS = ("generic", "coplanar(a)", "gravity-plane(b)",
 TRACE_COLUMNS = {"t": [0], "att_err": [1], "pos_err": [2], "vel_err": [3],
                  "p": [4, 5, 6], "v": [7, 8, 9], "R": list(range(10, 19))}
 
+
+# Each table names its parse: empty lines only (numpy), a whitespace-only
+# line or a `1_0` (the row loop).
+HAND_EDITED = {
+    "imu.csv": ("t,wx,wy,wz,ax,ay,az\n\n"
+                "0,1e5, 2 ,+3,.5,5.,-0\n"
+                "0.005,1E-320,-0.0,1e-5,-.25,9.81,-1e308\n\n"
+                "0.01,+0.5,-2.5e-3,4E+2,0,0,1\n"),
+    "groundtruth.csv": ("t,r11,r12,r13,r21,r22,r23,r31,r32,r33,"
+                        "px,py,pz,vx,vy,vz\n"
+                        "0,1,0,0,0,1,0,0,0,1,1e5, 2 ,+3,.5,5.,-0\n"
+                        "  \t\n"
+                        "0.01,0,-1,0,1.,0,-0,0,0,+1,1E-320,0,0,0,0,0\n"),
+    "landmarks.csv": "id,x,y,z\n1_0,.5,5.,-0\n\n3,1e5, 2 ,+3\n",
+    "extrinsics.csv": ("cam_id,r11,r12,r13,r21,r22,r23,r31,r32,r33,"
+                       "px,py,pz\r\n"
+                       "1,1,0,0,0,1,0,0,0,1,0,.1,-0\r\n\r\n"
+                       "2,0,-1,0,1,0,0,0,0,1,0,-.1,1E-320\r\n"),
+    "bearings.csv": ("t,cam_id,landmark_id,bx,by,bz\n"
+                     "0.005,1,3,0,0,1\n0.005,2,10,.6,.8,-0\n\n"
+                     "0.01,1,10, 1 ,+0,-0\n"),
+    "positions.csv": ("t,landmark_id,x,y,z\n"
+                      "0.005,3,1e5, 2 ,+3\n   \n"
+                      "0.005,10,.5,5.,-0\n0.01,3,1E-320,-1e308,1e308\n"),
+    "trace.csv": ("t,att_err,pos_err,vel_err,px,py,pz,vx,vy,vz,"
+                  "r11,r12,r13,r21,r22,r23,r31,r32,r33\n"
+                  "nan,inf,-inf,1e5, 2 ,+3,.5,5.,-0,1E-320,1,0,0,0,1,0,0,0,1"
+                  "\n\n0.05,0,-0,0,1,2,3,4,5,6,0,-1,0,1,0,0,0,0,1\n"),
+}
 
 def _cli(cfg_text, command, *extra):
     """Simulate a dataset from cfg_text, run `visnav command` on it, and
@@ -168,6 +204,28 @@ def _masked_mono_analyze():
     return {f"analyze.mono.{key}": np.array([w[key] for w in windows])
             for key in ("lambda_min", "lambda_max")}
 
+
+def _hand_edited():
+    """The bit patterns of the values loaded from HAND_EDITED."""
+    from visnav.dataio import load_dataset, read_trace
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in HAND_EDITED.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8",
+                      newline="") as fh:
+                fh.write(text)
+        ds = load_dataset(tmp)
+        trace = read_trace(os.path.join(tmp, "trace.csv"))
+    tables = {
+        "imu": ds.imu, "groundtruth": ds.groundtruth,
+        "landmarks": [[lm.id, *lm.p] for lm in ds.landmarks],
+        "extrinsics": [[c.cam_id, *c.R.ravel(), *c.p] for c in ds.extrinsics],
+        "bearings": [[fr.t, *key, *y] for fr in ds.bearings
+                     for key, y in fr.obs.items()],
+        "positions": [[fr.t, key, *y] for fr in ds.positions
+                      for key, y in fr.obs.items()],
+        "trace": [r.row() for r in trace]}
+    return {f"load.{name}": np.asarray(rows, dtype=float).view(np.uint64)
+            for name, rows in tables.items()}
 
 def _held_table(imu):
     """AttitudeTable of the rates of imu, each held until the next sample."""
@@ -331,6 +389,7 @@ def dump(path, seconds):
     arrays.update(_masked_mono_analyze())
     arrays.update(_estimate_trace(seconds))
     arrays.update(_static())
+    arrays.update(_hand_edited())
     np.savez(path, **arrays)
 
 
@@ -364,6 +423,9 @@ def main():
             detail = f"DIFFERS (shape {a.shape} vs {b.shape})"
         elif np.array_equal(a, b):
             detail = "identical"
+        elif key.startswith("load."):
+            detail = (f"DIFFERS ({np.count_nonzero(a != b)} of {a.size} "
+                      f"values)")
         else:
             diff, kind = np.abs(a - b), "|diff|"
             if key.startswith(("analyze.", "gramian.", "uniform.")):

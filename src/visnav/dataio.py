@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -49,70 +50,155 @@ def _write_rows(path, header, rows):
 
 
 def _read_rows(path, header, n_cols):
-    """Yield (line_number, fields-as-floats) for each data row."""
-    name = os.path.basename(path)
+    """The data rows of a CSV table as one (n, n_cols) float array, and a
+    function giving the file line of row i (for diagnostics).
+
+    numpy's C parser reads the rows straight from the file.  The row loop
+    of _parse_rows runs only when numpy rejects the text or finds another
+    number of columns: it names the line at fault, and still loads what
+    numpy does not (whitespace-only lines, `1_0`, non-ASCII digits)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            if fh.readline().strip() == header:
+                with warnings.catch_warnings():   # a header-only table
+                    warnings.filterwarnings("ignore", "loadtxt: input "
+                                            "contained no data")
+                    data = np.loadtxt(fh, delimiter=",", comments=None,
+                                      ndmin=2)
+                if data.shape[1] == n_cols:
+                    return data, lambda i: _data_lines(path)[i]
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    if not lines:
+    except ValueError:  # a row numpy cannot read, or a byte not UTF-8
+        pass
+    return _parse_rows(path, header, n_cols)
+
+
+def _data_lines(path):
+    """The file line of each data row: each line past the header that is
+    not blank."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [ln for ln, line in enumerate(fh, start=1)
+                if ln > 1 and line.strip()]
+
+
+def _parse_rows(path, header, n_cols):
+    """_read_rows one line at a time with float(): raise the error of the
+    first bad line, or else return what _read_rows does."""
+    name = os.path.basename(path)
+    rows, lines, ln = [], [], 0
+    try:
+        with open(path, "r", encoding="utf-8",
+                  errors="surrogateescape") as fh:
+            for ln, line in enumerate(fh, start=1):
+                _check_utf8(name, ln, line)
+                if ln == 1:
+                    if line.strip() != header:
+                        raise ParseError(f"{name}:1: bad header "
+                                         f"{line.strip()!r}, expected "
+                                         f"{header!r}")
+                    continue
+                if not line.strip():
+                    continue
+                parts = line.rstrip("\n").split(",")
+                if len(parts) != n_cols:
+                    raise ParseError(f"{name}:{ln}: expected {n_cols} "
+                                     f"columns, got {len(parts)}")
+                try:
+                    rows.append([float(p) for p in parts])
+                except ValueError as exc:
+                    raise ParseError(f"{name}:{ln}: non-numeric field: "
+                                     f"{exc}") from exc
+                lines.append(ln)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    if ln == 0:
         raise ParseError(f"{name}:1: empty file, expected header '{header}'")
-    if lines[0].strip() != header:
-        raise ParseError(f"{name}:1: bad header {lines[0].strip()!r}, "
-                         f"expected {header!r}")
-    out = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise ParseError(f"{name}:{ln}: expected {n_cols} columns, "
-                             f"got {len(parts)}")
+    return np.array(rows).reshape(-1, n_cols), lines.__getitem__
+
+
+def _check_utf8(name, ln, line):
+    """Name the first byte of a line read with errors="surrogateescape"
+    that is not valid UTF-8."""
+    if not line.isascii():
         try:
-            out.append((ln, [float(p) for p in parts]))
-        except ValueError as exc:
-            raise ParseError(f"{name}:{ln}: non-numeric field: {exc}") from exc
-    return out
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"{name}:{ln}: byte "
+                             f"{ord(line[exc.start]) - 0xDC00:#04x} is not "
+                             f"valid UTF-8") from None
 
 
-def _as_int(name, ln, value, what):
-    if not (math.isfinite(value) and abs(value - round(value)) <= 1e-9):
-        raise ParseError(f"{name}:{ln}: {what} must be an integer, got {value}")
-    return int(round(value))
+def _integers(col):
+    """The Python ints nearest the values of col, and whether each value
+    fails to be an integer: not finite, or more than 1e-9 off one."""
+    finite = np.isfinite(col)
+    nearest = np.round(np.where(finite, col, 0.0))
+    return (list(map(int, nearest.tolist())),
+            ~(finite & (np.abs(col - nearest) <= 1e-9)))
 
 
-def _check_rotations(name, rows, Rs):
+def _repeats(keys):
+    """Whether each of keys equals one before it."""
+    first = {}
+    return np.array([first.setdefault(k, i) != i
+                     for i, k in enumerate(keys)], dtype=bool)
+
+
+def _raise_first(name, line, checks):
+    """Raise the error of the first row any of checks fails, and within
+    that row of the first check that fails.  Each check is (failed,
+    error type, message of row i), failed a bool array over the rows."""
+    failed = np.column_stack([f for f, _, _ in checks])
+    if failed.any():
+        i, k = np.argwhere(failed)[0]
+        _, error, message = checks[k]
+        raise error(f"{name}:{line(i)}: {message(i)}")
+
+
+def _checked_ids(name, data, line, what, key):
+    """The first column of a table as Python ints, each row checked to be
+    an integer and then to differ from the rows before it."""
+    ids, bad = _integers(data[:, 0])
+    _raise_first(name, line, [
+        (bad, ParseError,
+         lambda i: f"{what} must be an integer, got {data[i, 0]}"),
+        (_repeats(ids), ValidationError,
+         lambda i: f"duplicate {key} {ids[i]}")])
+    return ids
+
+
+def _check_rotations(name, line, Rs):
     """Name the line of the first of the stacked matrices Rs (n, 3, 3) that
     fails geom.is_rotation(R, tol=1e-6), tested all at once."""
     orth = np.linalg.norm(Rs @ Rs.transpose(0, 2, 1) - I3, axis=(1, 2))
     ok = (orth <= 1e-6) & (np.abs(np.linalg.det(Rs) - 1.0) <= 1e-6)
     if not ok.all():
-        raise ValidationError(f"{name}:{rows[int(np.argmin(ok))][0]}: "
+        raise ValidationError(f"{name}:{line(int(np.argmin(ok)))}: "
                               f"stored matrix is not a rotation")
 
 
-def _check_finite(name, header, rows, data):
+def _check_finite(name, header, line, data):
     """Name the line and column of the first non-finite value of a table's
     stacked data (n, columns), row by row."""
     bad = ~np.isfinite(data)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise ValidationError(f"{name}:{rows[i][0]}: {header.split(',')[j]} "
+        raise ValidationError(f"{name}:{line(i)}: {header.split(',')[j]} "
                               f"must be finite, got {data[i, j]}")
 
 
-def _check_increasing(name, rows, t):
+def _check_increasing(name, line, t):
     """Name the line of the first non-finite timestamp of t, or else of
     the first that does not exceed the one before it."""
     bad = ~np.isfinite(t)
     if bad.any():
-        ln, vals = rows[int(np.argmax(bad))]
-        raise ValidationError(f"{name}:{ln}: timestamp must be finite, "
-                              f"got {vals[0]}")
+        i = int(np.argmax(bad))
+        raise ValidationError(f"{name}:{line(i)}: timestamp must be finite, "
+                              f"got {t[i]}")
     bad = ~(np.diff(t) > 0)
     if bad.any():
-        raise ValidationError(f"{name}:{rows[int(np.argmax(bad)) + 1][0]}: "
+        raise ValidationError(f"{name}:{line(int(np.argmax(bad)) + 1)}: "
                               f"timestamps must be strictly increasing")
 
 
@@ -137,119 +223,114 @@ class Dataset:
 
 
 def _load_imu(path):
-    rows = _read_rows(path, IMU_HEADER, 7)
-    if not rows:
-        raise ValidationError(f"{os.path.basename(path)}: no IMU rows")
-    data = np.array([vals for _, vals in rows])
-    _check_increasing(os.path.basename(path), rows, data[:, 0])
-    _check_finite(os.path.basename(path), IMU_HEADER, rows, data)
+    name = os.path.basename(path)
+    data, line = _read_rows(path, IMU_HEADER, 7)
+    if not len(data):
+        raise ValidationError(f"{name}: no IMU rows")
+    _check_increasing(name, line, data[:, 0])
+    _check_finite(name, IMU_HEADER, line, data)
     return data
 
 
 def _load_landmarks(path):
     name = os.path.basename(path)
-    out, seen = [], set()
-    rows = _read_rows(path, LANDMARKS_HEADER, 4)
-    for ln, vals in rows:
-        lid = _as_int(name, ln, vals[0], "id")
-        if lid in seen:
-            raise ValidationError(f"{name}:{ln}: duplicate landmark id {lid}")
-        seen.add(lid)
-        out.append(Landmark(lid, np.array(vals[1:4])))
-    if not out:
+    data, line = _read_rows(path, LANDMARKS_HEADER, 4)
+    ids = _checked_ids(name, data, line, "id", "landmark id")
+    if not ids:
         raise ValidationError(f"{name}: no landmarks")
-    _check_finite(name, LANDMARKS_HEADER, rows, np.array([v for _, v in rows]))
-    return sorted(out, key=lambda lm: lm.id)
+    _check_finite(name, LANDMARKS_HEADER, line, data)
+    return sorted(map(Landmark, ids, data[:, 1:4].copy()),
+                  key=lambda lm: lm.id)
 
 
-def _group_frames(rows, name, make_key, n_key_cols, lm_ids, cam_ids=None):
-    frames = []
-    cur_t, cur = None, None
-    for ln, vals in rows:
-        t = vals[0]
-        key = make_key(name, ln, vals)
-        if cam_ids is not None and key[0] not in cam_ids:
-            raise ValidationError(f"{name}:{ln}: unknown cam_id {key[0]}")
-        lm = key[-1] if isinstance(key, tuple) else key
-        if lm not in lm_ids:
-            raise ValidationError(f"{name}:{ln}: unknown landmark_id {lm}")
-        if cur_t is None or t != cur_t:
-            if not math.isfinite(t):
-                raise ValidationError(f"{name}:{ln}: frame time must be "
-                                      f"finite, got {t}")
-            if cur_t is not None and t <= cur_t:
-                raise ValidationError(
-                    f"{name}:{ln}: frame timestamps must be strictly "
-                    f"increasing and rows grouped by t")
-            cur_t, cur = t, {}
-            frames.append((t, cur))
-        if key in cur:
-            raise ValidationError(f"{name}:{ln}: duplicate observation "
-                                  f"{key} at t={t}")
-        cur[key] = np.array(vals[1 + n_key_cols:])
-    return frames
+def _group_frames(name, data, line, lm_ids, cam_ids=None):
+    """Validate the rows of a bearings table (given cam_ids) or a positions
+    table, and group them into frames: (t, {key: value columns}) for each
+    run of rows of one time, keyed (cam_id, landmark_id) or landmark_id.
+
+    The first failing row raises; within it the checks run in the order
+    cam_id integer, landmark_id integer, unknown cam_id, unknown
+    landmark_id, finite frame time, increasing frame time, duplicate key."""
+    valid = {} if cam_ids is None else {"cam_id": cam_ids}
+    valid["landmark_id"] = lm_ids
+    n, k = len(data), len(valid)
+    t = data[:, 0]
+    ts = t.tolist()
+    ids = {what: _integers(data[:, j]) for j, what in enumerate(valid, 1)}
+    columns = [ints for ints, _ in ids.values()]
+    keys = columns[0] if k == 1 else list(zip(*columns))
+    new = np.ones(n, dtype=bool)
+    new[1:] = t[1:] != t[:-1]
+    later = np.zeros(n, dtype=bool)
+    later[1:] = t[1:] <= t[:-1]
+    starts = np.flatnonzero(new).tolist()
+    values = list(data[:, 1 + k:].copy())
+    obs = [dict(zip(keys[a:b], values[a:b]))
+           for a, b in zip(starts, starts[1:] + [n])]
+    dup = (np.zeros(n, dtype=bool) if sum(map(len, obs)) == n else
+           _repeats(list(zip(np.cumsum(new).tolist(), keys))))
+    checks = [(bad, ParseError, lambda i, j=j, what=what:
+               f"{what} must be an integer, got {data[i, j]}")
+              for j, (what, (_, bad)) in enumerate(ids.items(), 1)]
+    checks += [(~np.fromiter(map(valid[what].__contains__, ints), bool, n),
+                ValidationError, lambda i, what=what, ints=ints:
+                f"unknown {what} {ints[i]}")
+               for what, (ints, _) in ids.items()]
+    checks += [
+        (new & ~np.isfinite(t), ValidationError,
+         lambda i: f"frame time must be finite, got {ts[i]}"),
+        (new & later, ValidationError,
+         lambda i: "frame timestamps must be strictly increasing and rows "
+                   "grouped by t"),
+        (dup, ValidationError,
+         lambda i: f"duplicate observation {keys[i]} at t={ts[i]}")]
+    _raise_first(name, line, checks)
+    return [(ts[a], o) for a, o in zip(starts, obs)]
 
 
 def _load_bearings(path, lm_ids, cam_ids):
     name = os.path.basename(path)
-    rows = _read_rows(path, BEARINGS_HEADER, 6)
-
-    def make_key(nm, ln, vals):
-        return (_as_int(nm, ln, vals[1], "cam_id"),
-                _as_int(nm, ln, vals[2], "landmark_id"))
-
-    frames = _group_frames(rows, name, make_key, 2, lm_ids, cam_ids)
-    norms = np.linalg.norm(np.reshape([vals[3:6] for _, vals in rows],
-                                      (-1, 3)), axis=1)
+    data, line = _read_rows(path, BEARINGS_HEADER, 6)
+    frames = _group_frames(name, data, line, lm_ids, cam_ids)
+    norms = np.linalg.norm(data[:, 3:6], axis=1)
     bad = ~(np.abs(norms - 1.0) <= 1e-6)
     if bad.any():
-        ln, vals = rows[int(np.argmax(bad))]
+        i = int(np.argmax(bad))
+        t, cam_id, lm_id = data[i, :3].tolist()
         raise ValidationError(
-            f"{name}:{ln}: bearing ({round(vals[1])}, {round(vals[2])}) at "
-            f"t={vals[0]} is not unit length")
+            f"{name}:{line(i)}: bearing ({round(cam_id)}, {round(lm_id)}) "
+            f"at t={t} is not unit length")
     return [BearingFrame(t=t, obs=obs) for t, obs in frames]
 
 
 def _load_positions(path, lm_ids):
     name = os.path.basename(path)
-    rows = _read_rows(path, POSITIONS_HEADER, 5)
-
-    def make_key(nm, ln, vals):
-        return _as_int(nm, ln, vals[1], "landmark_id")
-
-    frames = _group_frames(rows, name, make_key, 1, lm_ids)
-    _check_finite(name, POSITIONS_HEADER, rows,
-                  np.reshape([vals for _, vals in rows], (-1, 5)))
+    data, line = _read_rows(path, POSITIONS_HEADER, 5)
+    frames = _group_frames(name, data, line, lm_ids)
+    _check_finite(name, POSITIONS_HEADER, line, data)
     return [PositionFrame(t=t, obs=obs) for t, obs in frames]
 
 
 def _load_groundtruth(path):
     name = os.path.basename(path)
-    rows = _read_rows(path, GROUNDTRUTH_HEADER, 16)
-    if not rows:
+    data, line = _read_rows(path, GROUNDTRUTH_HEADER, 16)
+    if not len(data):
         raise ValidationError(f"{name}: no groundtruth rows")
-    data = np.array([vals for _, vals in rows])
-    _check_increasing(name, rows, data[:, 0])
-    _check_finite(name, GROUNDTRUTH_HEADER, rows, data)
-    _check_rotations(name, rows, data[:, 1:10].reshape(-1, 3, 3))
+    _check_increasing(name, line, data[:, 0])
+    _check_finite(name, GROUNDTRUTH_HEADER, line, data)
+    _check_rotations(name, line, data[:, 1:10].reshape(-1, 3, 3))
     return data
 
 
 def _load_extrinsics(path):
     name = os.path.basename(path)
-    out, seen = [], set()
-    rows = _read_rows(path, EXTRINSICS_HEADER, 13)
-    for ln, vals in rows:
-        cid = _as_int(name, ln, vals[0], "cam_id")
-        if cid in seen:
-            raise ValidationError(f"{name}:{ln}: duplicate cam_id {cid}")
-        seen.add(cid)
-        R = np.array(vals[1:10]).reshape(3, 3)
-        out.append(CameraExtrinsics(cam_id=cid, R=R, p=np.array(vals[10:13])))
-    _check_finite(name, EXTRINSICS_HEADER, rows,
-                  np.reshape([vals for _, vals in rows], (-1, 13)))
-    _check_rotations(name, rows, np.reshape([c.R for c in out], (-1, 3, 3)))
-    return sorted(out, key=lambda c: c.cam_id)
+    data, line = _read_rows(path, EXTRINSICS_HEADER, 13)
+    ids = _checked_ids(name, data, line, "cam_id", "cam_id")
+    _check_finite(name, EXTRINSICS_HEADER, line, data)
+    Rs = data[:, 1:10].reshape(-1, 3, 3)
+    _check_rotations(name, line, Rs)
+    return sorted(map(CameraExtrinsics, ids, Rs.copy(),
+                      data[:, 10:13].copy()), key=lambda c: c.cam_id)
 
 
 def load_dataset(dir_path: str) -> Dataset:
@@ -342,13 +423,12 @@ def write_trace(path: str, records) -> None:
 
 
 def read_trace(path: str):
-    out = []
-    for _, vals in _read_rows(path, TRACE_HEADER, 19):
-        out.append(TraceRecord(t=vals[0], att_err=vals[1], pos_err=vals[2],
-                               vel_err=vals[3], p=np.array(vals[4:7]),
-                               v=np.array(vals[7:10]),
-                               R=np.array(vals[10:19]).reshape(3, 3)))
-    return out
+    data, _ = _read_rows(path, TRACE_HEADER, 19)
+    return [TraceRecord(t=vals[0], att_err=vals[1], pos_err=vals[2],
+                        vel_err=vals[3], p=np.array(vals[4:7]),
+                        v=np.array(vals[7:10]),
+                        R=np.array(vals[10:19]).reshape(3, 3))
+            for vals in data.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +524,13 @@ def load_config(path: str) -> RunConfig:
     valid = {f.name for f in fields(RunConfig)}
     kwargs = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8",
+                  errors="surrogateescape") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     for ln, raw in enumerate(lines, start=1):
+        _check_utf8(name, ln, raw)
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -543,6 +543,26 @@ def test_non_finite_table_value_is_bad_input(tmp_path, capsys, name, row,
                 f"visnav: {name}:{row}: {what} must be finite, got nan\n")
 
 
+@pytest.mark.parametrize("name, line", [("imu.csv", 150),
+                                        ("bearings.csv", 1),
+                                        ("run.cfg", 3)])
+def test_byte_not_utf8_is_bad_input(tmp_path, capsys, name, line):
+    # one byte that is not UTF-8 in a dataset file or the config made
+    # estimate and analyze die with a UnicodeDecodeError traceback
+    cfg, data = tmp_path / "run.cfg", tmp_path / "data"
+    cfg.write_text(BASE_CFG.replace("duration = 6", "duration = 1"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    path = cfg if name == "run.cfg" else data / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1][:4] + b"\xe9" + lines[line - 1][4:]
+    path.write_bytes(b"".join(lines))
+    for command in ("estimate", "analyze"):
+        rc = main([command, "--config", str(cfg), "--data", str(data),
+                   "--out", str(tmp_path / "out")])
+        assert (rc, capsys.readouterr().err) == (
+            1, f"visnav: {name}:{line}: byte 0xe9 is not valid UTF-8\n")
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("analyze", "gramian_window", "nan"),
     ("analyze", "mono_window", "nan"),

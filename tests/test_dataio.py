@@ -1,10 +1,12 @@
 """Unit tests for dataset files, run configuration, and trace emission."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from visnav import dataio
 from visnav.dataio import (IMU_HEADER, LANDMARKS_HEADER, TRACE_HEADER,
                            Dataset, DatasetProvider, RunConfig, TraceRecord,
                            apply_overrides, interpolating_imu,
@@ -277,14 +279,13 @@ def test_stacked_rotation_check_matches_is_rotation():
         Rs = exp_so3(rng.normal(size=(6, 3)))
         Rs += rng.choice([0.0, 1e-8, 1e-7, 3e-7, 1e-6, 1e-5], size=(6, 1, 1)) \
             * rng.normal(size=(6, 3, 3))
-        rows = [(ln, None) for ln in range(2, 8)]
-        bad = [ln for (ln, _), R in zip(rows, Rs)
-               if not is_rotation(R, tol=1e-6)]
+        lines = list(range(2, 8))
+        bad = [ln for ln, R in zip(lines, Rs) if not is_rotation(R, tol=1e-6)]
         if not bad:
-            _check_rotations("gt.csv", rows, Rs)
+            _check_rotations("gt.csv", lines.__getitem__, Rs)
             continue
         with pytest.raises(ValidationError) as info:
-            _check_rotations("gt.csv", rows, Rs)
+            _check_rotations("gt.csv", lines.__getitem__, Rs)
         assert str(info.value) == (f"gt.csv:{bad[0]}: stored matrix is not "
                                    f"a rotation")
 
@@ -299,6 +300,195 @@ def test_bearing_unit_length_error_names_the_line(tmp_path, bz):
         load_dataset(str(tmp_path))
     assert str(info.value) == ("bearings.csv:3: bearing (1, 2) at t=0.05 is "
                                "not unit length")
+
+
+# ---------------------------------------------------------------------------
+# the one parse per table, and its row-loop error path
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_numpy_and_the_row_loop_parse_bit_for_bit(tmp_path, monkeypatch):
+    # random doubles of every scale written with %.17g, with subnormals,
+    # signed zeros and +-1e308, and the hand-written forms of a number:
+    # numpy's parser and float() give the same bits, and the bits written
+    rng = np.random.default_rng(25)
+    vals = rng.normal(size=(300, 7)) * 10.0 ** rng.integers(-320, 308,
+                                                            (300, 7))
+    vals[0] = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2e-308]
+    forms = ["1e5", " 2 ", "+3", ".5", "5.", "-0", "1E-320", "nan", "inf",
+             "-inf", "1e5", "-0"]
+    text = "".join([IMU_HEADER + "\n"]
+                   + [",".join("%.17g" % v for v in row) + "\n"
+                      for row in vals]
+                   + [",".join(forms[:7]) + "\n", "\n",
+                      ",".join(forms[5:]) + "\n"])
+    (tmp_path / "imu.csv").write_text(text)
+    path = str(tmp_path / "imu.csv")
+    want = np.vstack([vals, [[float(f) for f in forms[:7]],
+                             [float(f) for f in forms[5:]]]])
+    loop, loop_line = dataio._parse_rows(path, IMU_HEADER, 7)
+
+    def no_row_loop(*args):
+        raise AssertionError("the row loop ran on text numpy reads")
+
+    monkeypatch.setattr(dataio, "_parse_rows", no_row_loop)
+    fast, fast_line = dataio._read_rows(path, IMU_HEADER, 7)
+    assert np.array_equal(_bits(fast), _bits(want))
+    assert np.array_equal(_bits(loop), _bits(want))
+    assert np.signbit(fast[0, 1]) and not np.signbit(fast[0, 0])
+    assert fast[300, 6] == 1e-320 and np.signbit(fast[300, 5])
+    assert [fast_line(i) for i in (0, 299, 300, 301)] == [
+        loop_line(i) for i in (0, 299, 300, 301)] == [2, 301, 302, 304]
+
+
+def test_row_loop_still_loads_whitespace_lines_and_underscores(tmp_path):
+    (tmp_path / "imu.csv").write_text(
+        IMU_HEADER + "\n0,0,0,0,0,0,1_0\n  \t \n\n0.1,1_000.5,0,0,0,0,0\n")
+    (tmp_path / "landmarks.csv").write_text(MINIMAL_LMS)
+    ds = load_dataset(str(tmp_path))
+    assert ds.imu.tolist() == [[0, 0, 0, 0, 0, 0, 10.0],
+                               [0.1, 1000.5, 0, 0, 0, 0, 0]]
+
+
+EXT_ROW = "1,1,0,0,0,1,0,0,0,1,0,0.1,0"
+
+
+@pytest.mark.parametrize("name, good, bad, message", [
+    ("imu.csv", "0,0,0,0,0,0,0", "0.1,nan,0,0,0,0,0",
+     "wx must be finite, got nan"),
+    ("groundtruth.csv", GT_ROW.format(t=0, r11=1).strip(),
+     GT_ROW.format(t=0.1, r11=2).strip(), "stored matrix is not a rotation"),
+    ("landmarks.csv", "1,0,0,2", "2.5,1,0,2",
+     "id must be an integer, got 2.5"),
+    ("landmarks.csv", "1,0,0,2", "1,1,0,2", "duplicate landmark id 1"),
+    ("extrinsics.csv", EXT_ROW, "1.5" + EXT_ROW[1:],
+     "cam_id must be an integer, got 1.5"),
+    ("extrinsics.csv", EXT_ROW, EXT_ROW, "duplicate cam_id 1"),
+    ("bearings.csv", "0.1,1,1,0,0,1", "0.1,1,1.5,0,0,1",
+     "landmark_id must be an integer, got 1.5"),
+    ("bearings.csv", "0.1,1,1,0,0,1", "0.1,1,1,0,1,0",
+     "duplicate observation (1, 1) at t=0.1"),
+    ("bearings.csv", "0.1,1,1,0,0,1", "0.1,1,2,0,0,2",
+     "bearing (1, 2) at t=0.1 is not unit length"),
+    ("positions.csv", "0.1,1,0,0,1", "0.1,1,1,0,1",
+     "duplicate observation 1 at t=0.1"),
+    ("positions.csv", "0.1,1,0,0,1", "0.1,2,0,inf,1",
+     "y must be finite, got inf"),
+])
+@pytest.mark.parametrize("blanks", ["\n", "\n \t \n"])
+def test_errors_name_the_line_past_blank_lines(tmp_path, name, good, bad,
+                                               message, blanks):
+    # an empty line keeps numpy's parse (the line is found after the
+    # error); a whitespace-only line sends the table through the row loop
+    _write_core(tmp_path)
+    header = {"imu.csv": IMU_HEADER, "landmarks.csv": LANDMARKS_HEADER,
+              "groundtruth.csv": GT_HEAD.strip(),
+              "extrinsics.csv": dataio.EXTRINSICS_HEADER,
+              "bearings.csv": dataio.BEARINGS_HEADER,
+              "positions.csv": dataio.POSITIONS_HEADER}[name]
+    (tmp_path / name).write_text(f"{header}\n{good}\n{blanks}{bad}\n")
+    with pytest.raises((ParseError, ValidationError)) as info:
+        load_dataset(str(tmp_path))
+    assert str(info.value) == f"{name}:{3 + blanks.count(chr(10))}: {message}"
+
+
+@pytest.mark.parametrize("name, rows, message", [
+    # the earlier row fails a check that comes later in a row's order
+    ("bearings.csv", ["0.1,1,1,0,0,1", "0.1,1,1,0,1,0", "0.2,1.5,1,0,0,1"],
+     "3: duplicate observation (1, 1) at t=0.1"),
+    ("bearings.csv", ["0.2,1,1,0,0,1", "0.1,1,2,0,0,1", "0.3,9,1,0,0,1"],
+     "3: frame timestamps must be strictly increasing and rows grouped "
+     "by t"),
+    ("bearings.csv", ["0.1,1,9,0,0,1", "nan,1.5,1,0,0,1"],
+     "2: unknown landmark_id 9"),
+    ("bearings.csv", ["0.1,1,1,0,0,1", "inf,1,9,0,0,1", "0.3,1,2.5,0,0,1"],
+     "3: unknown landmark_id 9"),
+    # within one row: cam_id, landmark_id, unknown cam, unknown landmark
+    ("bearings.csv", ["nan,9.5,7.5,0,0,1"], "2: cam_id must be an "
+     "integer, got 9.5"),
+    ("bearings.csv", ["nan,9,7.5,0,0,1"], "2: landmark_id must be an "
+     "integer, got 7.5"),
+    ("bearings.csv", ["nan,9,7,0,0,1"], "2: unknown cam_id 9"),
+    ("bearings.csv", ["nan,1,7,0,0,1"], "2: unknown landmark_id 7"),
+    # grouping errors come before the unit length of any row
+    ("bearings.csv", ["0.1,1,1,0,0,2", "0.1,1,9,0,0,1"],
+     "3: unknown landmark_id 9"),
+    ("positions.csv", ["0.1,1,0,0,1", "0.1,1,1,1,1", "0.2,2.5,0,0,0"],
+     "3: duplicate observation 1 at t=0.1"),
+    ("positions.csv", ["0.1,9,0,0,1", "nan,1.5,0,0,1"],
+     "2: unknown landmark_id 9"),
+    ("positions.csv", ["0.1,1,0,nan,1", "0.1,9,0,0,1"],
+     "3: unknown landmark_id 9"),
+])
+def test_frame_errors_name_the_earlier_row(tmp_path, name, rows, message):
+    _write_core(tmp_path)
+    header = (dataio.BEARINGS_HEADER if name == "bearings.csv"
+              else dataio.POSITIONS_HEADER)
+    (tmp_path / name).write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises((ParseError, ValidationError)) as info:
+        load_dataset(str(tmp_path))
+    assert str(info.value) == f"{name}:{message}"
+
+
+def test_header_only_tables_raise_no_warning(tmp_path):
+    # numpy warns on a table without rows; the loaders stay silent
+    _write_core(tmp_path)
+    for name, header in (("bearings.csv", dataio.BEARINGS_HEADER),
+                         ("positions.csv", dataio.POSITIONS_HEADER),
+                         ("extrinsics.csv", dataio.EXTRINSICS_HEADER)):
+        (tmp_path / name).write_text(header + "\n\n")
+    (tmp_path / "trace.csv").write_text(TRACE_HEADER + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = load_dataset(str(tmp_path))
+        assert ds.bearings == [] and ds.positions == []
+        assert ds.extrinsics == []
+        assert read_trace(str(tmp_path / "trace.csv")) == []
+        for name, header, message in (
+                ("groundtruth.csv", GT_HEAD, "groundtruth.csv: no "
+                 "groundtruth rows"),
+                ("landmarks.csv", LANDMARKS_HEADER + "\n",
+                 "landmarks.csv: no landmarks"),
+                ("imu.csv", IMU_HEADER, "imu.csv: no IMU rows")):
+            (tmp_path / name).write_text(header)
+            with pytest.raises(ValidationError) as info:
+                load_dataset(str(tmp_path))
+            assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["imu.csv", "landmarks.csv",
+                                  "bearings.csv", "positions.csv",
+                                  "groundtruth.csv", "extrinsics.csv"])
+@pytest.mark.parametrize("line", [1, 3])
+def test_byte_not_utf8_names_its_line(tmp_path, name, line):
+    # a byte that is not UTF-8 used to escape as a UnicodeDecodeError
+    save_dataset(str(tmp_path), _full_dataset())
+    path = tmp_path / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1][:3] + b"\xff" + lines[line - 1][3:]
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError) as info:
+        load_dataset(str(tmp_path))
+    assert str(info.value) == f"{name}:{line}: byte 0xff is not valid UTF-8"
+
+
+def test_byte_not_utf8_in_trace_and_config(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(TRACE_HEADER.encode() + b"\n" + b"0," * 18
+                      + b"0\n\n0," + b"\xc3(" + b",0" * 17 + b"\n")
+    with pytest.raises(ParseError) as info:
+        read_trace(str(trace))
+    assert str(info.value) == "trace.csv:4: byte 0xc3 is not valid UTF-8"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed = 3\n# caf\xe9\nmode = stereo\n")
+    with pytest.raises(ParseError) as info:
+        load_config(str(cfg))
+    assert str(info.value) == "run.cfg:2: byte 0xe9 is not valid UTF-8"
+    cfg.write_bytes("seed = 3\n# café\n".encode())
+    assert load_config(str(cfg)).seed == 3
 
 
 # ---------------------------------------------------------------------------
