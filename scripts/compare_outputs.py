@@ -33,9 +33,15 @@ on PYTHONPATH:
 - `visnav simulate` and `visnav analyze` on a 6 s stereo dataset, keeping
   the parsed columns of the simulated `imu.csv`, `groundtruth.csv` and
   `bearings.csv`, and lambda_min and lambda_max of each 2 s Gramian window;
+- `visnav simulate` of that stereo dataset under the sensor noise of the
+  benchmark's dataset-hybrid workload (bearing std 0.01, IMU std
+  sqrt(0.0024) and sqrt(0.028); `simulate.noisy`), and of a position3d
+  one with position std 0.01 (`simulate.noisy-position3d`), keeping the
+  bytes of every file;
 - `visnav analyze --mode monocular` on that dataset with every frame
   1/600 s off the IMU grid, landmark 2 left out of every third frame and
-  camera 1's bearing of landmark 4 out of every fourth (`analyze.mono`);
+  camera 1's bearing of landmark 4 out of every fourth, edited in the
+  rows of its `bearings.csv` (`analyze.mono`);
 - `gramian_continuous` over the stereo window [0, 2] of acceptance
   criterion 7, keeping lambda_min and lambda_max, and
   `check_uniform_observability` of the nilpotent state matrix at zero
@@ -54,16 +60,20 @@ on PYTHONPATH:
   `inf`, `-inf` in the trace, which no dataset table accepts), so that
   both numpy's parse and the row loop of `visnav.dataio` are read.  These
   keys hold the bit patterns of the loaded values, so that a sign of zero
-  or a nan compares exactly.
+  or a nan compares exactly; the bearings and positions are read back
+  from the tables `save_dataset` writes of them.
 Every input above is built through the trajectory's stacked queries
 (`EightTrajectory.state` and `rotation` of an array of times; one time as
-a one-row stack), so both trees get the same inputs.  The runs of the
+a one-row stack), so both trees get the same inputs.  The in-memory
+datasets and the frames of the hybrid runs are built as frame lists and
+handed to each tree in its own form (`_stream`): the lists where datasets
+hold frame lists, or else their stacked records.  The runs of the
 `simulate.*`, `analyze.*`, `analyze.mono.*` and `estimate.*` keys read
 each tree's own `visnav simulate` output instead.
 The script reports, per run and field, whether the outputs agree exactly
 (R, p, v, e and P at every IMU step, the attitude at every query, the
-simulated columns, the window eigenvalues, each Phi, the trace columns,
-the static verdicts and matrices, the loaded values),
+simulated columns and bytes, the window eigenvalues, each Phi, the trace
+columns, the static verdicts and matrices, the loaded values),
 or else their max |diff| over the run beside their |diff| at the last step
 (last window or query; both relative for the eigenvalues), so that a
 transient that later decays shows as such.  A row of an R, p, v, e or P
@@ -75,6 +85,7 @@ on any difference.
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -97,6 +108,16 @@ ESTIMATE_CFG = ANALYZE_CFG + """\
 estimator = hybrid
 k_r = 20
 """
+
+# the sensor noise of the benchmark's dataset-hybrid workload, and the
+# position noise of a position3d dataset
+NOISE = (f"imu_noise_omega = {math.sqrt(0.0024)!r}\n"
+         f"imu_noise_accel = {math.sqrt(0.028)!r}\n")
+NOISY_CFGS = {
+    "noisy": ESTIMATE_CFG + NOISE + "bearing_noise = 0.01\n",
+    "noisy-position3d": (ESTIMATE_CFG + NOISE + "position_noise = 0.01\n")
+    .replace("mode = stereo", "mode = position3d"),
+}
 
 SIMULATED = ("imu", "groundtruth", "bearings")
 
@@ -158,6 +179,25 @@ def _cli(cfg_text, command, *extra):
             return fh.read(), simulated
 
 
+def _noisy_simulate():
+    """The bytes of the files `visnav simulate` writes under NOISY_CFGS."""
+    from visnav.cli import main
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        for key, text in NOISY_CFGS.items():
+            data = os.path.join(tmp, key)
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            if main(["simulate", "--config", cfg, "--out", data]) != 0:
+                raise SystemExit("visnav simulate failed")
+            for name in sorted(os.listdir(data)):
+                with open(os.path.join(data, name), "rb") as fh:
+                    out[f"simulate.{key}.{name}"] = np.frombuffer(
+                        fh.read(), dtype=np.uint8)
+    return out
+
+
 def _estimate_trace(seconds):
     text, _ = _cli(ESTIMATE_CFG, "estimate", "--duration", str(seconds))
     rows = np.loadtxt(text.splitlines()[1:], delimiter=",")
@@ -175,14 +215,9 @@ def _simulate_and_analyze():
 
 def _masked_mono_analyze():
     """Window eigenvalues of `visnav analyze --mode monocular` on the
-    stereo dataset of ANALYZE_CFG with masked, off-grid frames."""
+    stereo dataset of ANALYZE_CFG with masked, off-grid frames, edited
+    in the rows of its bearings.csv."""
     from visnav.cli import main
-    from visnav.dataio import load_dataset, save_dataset
-    from visnav.sim import BearingFrame
-
-    def kept(k, key):
-        return not ((key[1] == 2 and k % 3 == 0)
-                    or (key == (1, 4) and k % 4 == 1))
 
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
@@ -191,11 +226,16 @@ def _masked_mono_analyze():
             fh.write(ANALYZE_CFG)
         if main(["simulate", "--config", cfg, "--out", data]) != 0:
             raise SystemExit("visnav simulate failed")
-        ds = load_dataset(data)
-        ds.bearings = [BearingFrame(t=fr.t + 1.0 / 600.0, obs={
-            key: y for key, y in fr.obs.items() if kept(k, key)})
-            for k, fr in enumerate(ds.bearings)]
-        save_dataset(data, ds)
+        path = os.path.join(data, "bearings.csv")
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        k = np.unique(rows[:, 0], return_inverse=True)[1]
+        cam, lm = rows[:, 1], rows[:, 2]
+        drop = ((lm == 2) & (k % 3 == 0)) | ((cam == 1) & (lm == 4)
+                                             & (k % 4 == 1))
+        rows = rows[~drop]
+        rows[:, 0] += 1.0 / 600.0
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",",
+                   header="t,cam_id,landmark_id,bx,by,bz", comments="")
         if main(["analyze", "--config", cfg, "--data", data, "--out", out,
                  "--mode", "monocular"]) != 0:
             raise SystemExit("visnav analyze failed")
@@ -206,8 +246,10 @@ def _masked_mono_analyze():
 
 
 def _hand_edited():
-    """The bit patterns of the values loaded from HAND_EDITED."""
-    from visnav.dataio import load_dataset, read_trace
+    """The bit patterns of the values loaded from HAND_EDITED; those of
+    the frame streams read back from the tables save_dataset writes of
+    them (whose %.17g text round-trips every value)."""
+    from visnav.dataio import load_dataset, read_trace, save_dataset
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in HAND_EDITED.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8",
@@ -215,15 +257,16 @@ def _hand_edited():
                 fh.write(text)
         ds = load_dataset(tmp)
         trace = read_trace(os.path.join(tmp, "trace.csv"))
+        saved = os.path.join(tmp, "saved")
+        save_dataset(saved, ds)
+        streams = {name: np.loadtxt(os.path.join(saved, f"{name}.csv"),
+                                    delimiter=",", skiprows=1, ndmin=2)
+                   for name in ("bearings", "positions")}
     tables = {
         "imu": ds.imu, "groundtruth": ds.groundtruth,
         "landmarks": [[lm.id, *lm.p] for lm in ds.landmarks],
         "extrinsics": [[c.cam_id, *c.R.ravel(), *c.p] for c in ds.extrinsics],
-        "bearings": [[fr.t, *key, *y] for fr in ds.bearings
-                     for key, y in fr.obs.items()],
-        "positions": [[fr.t, key, *y] for fr in ds.positions
-                      for key, y in fr.obs.items()],
-        "trace": [r.row() for r in trace]}
+        **streams, "trace": [r.row() for r in trace]}
     return {f"load.{name}": np.asarray(rows, dtype=float).view(np.uint64)
             for name, rows in tables.items()}
 
@@ -289,10 +332,21 @@ def _states(traj, times):
                            st.a[k]) for k, t in enumerate(st.t.tolist())]
 
 
+def _stream(frames, cams, lms):
+    """A list of frames in the form the tree's datasets and hybrid runs
+    take: the list itself where they take frame lists, or else its
+    record (Frames) over lms and cams."""
+    import visnav.measurement as measurement
+    if not hasattr(measurement, "Frames"):
+        return frames
+    return measurement.frame_arrays(frames, cams, lms)[1]
+
+
 def dump(path, seconds):
     from visnav.dataio import Dataset, DatasetProvider, interpolating_imu
     from visnav.geom import exp_so3
     from visnav.hybrid import NoiseCovariances, run as hybrid_run
+    from visnav.measurement import mode_cameras
     from visnav.observability import (check_uniform_observability,
                                       gramian_continuous, transition_matrix)
     from visnav.observer import (GainConfig, MonoBearingSource, ObserverState,
@@ -313,11 +367,10 @@ def dump(path, seconds):
                       _states(traj, frame_times[:-1] + 2.4e-3)]
     imu_times = np.arange(int(round(seconds * 200.0)) + 1) / 200.0
     truth = traj.state(imu_times)
+    positions = [make_position_frame(st, lms) for st in frame_states]
     ds = Dataset(imu=np.column_stack([imu_times, truth.omega, truth.a]),
-                 landmarks=lms, bearings=frames,
-                 positions=[make_position_frame(st, lms)
-                            for st in frame_states],
-                 extrinsics=cams)
+                 landmarks=lms, bearings=_stream(frames, cams, lms),
+                 positions=_stream(positions, [], lms), extrinsics=cams)
 
     rig = [cams[0], CameraExtrinsics(cams[1].cam_id,
                                      exp_so3(np.array([0.05, -0.1, 0.2])),
@@ -325,8 +378,8 @@ def dump(path, seconds):
     rig_frames = [make_bearing_frame(st, lms, rig) for st in frame_states]
     for frame in rig_frames[2::3]:
         del frame.obs[(1, 4)]
-    rig_ds = Dataset(imu=ds.imu, landmarks=lms, bearings=rig_frames,
-                     extrinsics=rig)
+    rig_ds = Dataset(imu=ds.imu, landmarks=lms,
+                     bearings=_stream(rig_frames, rig, lms), extrinsics=rig)
 
     def continuous(imu, provider):
         return run_continuous(ObserverState.initial(R=R0), imu, provider,
@@ -343,15 +396,14 @@ def dump(path, seconds):
     for name, mode, fs, rig_k in (
             ("hybrid", "stereo", frames, cams),
             ("hybrid.offgrid", "stereo", offgrid_frames, cams),
-            ("hybrid.position3d", "position3d", ds.positions, cams),
-            ("hybrid.monocular", "monocular", rig_frames, rig)):
+            ("hybrid.position3d", "position3d", positions, cams),
+            ("hybrid.monocular", "monocular", rig_frames, rig),
+            ("hybrid.frame-free", "stereo", [], cams)):
+        fs = _stream(fs, mode_cameras(mode, rig_k), lms)
         runs[name] = lambda mode=mode, fs=fs, rig_k=rig_k: hybrid_run(
             ObserverState.initial(R=R0), traj.imu, fs, lms,
             GainConfig(k_r=20.0), mode=mode, cams=rig_k,
             ncov=NoiseCovariances(), t_end=seconds)[1]
-    runs["hybrid.frame-free"] = lambda: hybrid_run(
-        ObserverState.initial(R=R0), traj.imu, [], lms, GainConfig(k_r=20.0),
-        cams=cams, ncov=NoiseCovariances(), t_end=seconds)[1]
     for mode in ("stereo", "monocular", "position3d"):
         runs[f"dataset.{mode}"] = (
             lambda mode=mode: continuous(interpolating_imu(ds.imu),
@@ -386,6 +438,7 @@ def dump(path, seconds):
     arrays["table.query"] = np.stack([table((k + 0.37) / 200.0)
                                       for k in range(len(table.R))])
     arrays.update(_simulate_and_analyze())
+    arrays.update(_noisy_simulate())
     arrays.update(_masked_mono_analyze())
     arrays.update(_estimate_trace(seconds))
     arrays.update(_static())
@@ -416,14 +469,14 @@ def main():
             with np.load(out) as data:
                 results.append(dict(data))
     old, new = results
-    same = True
+    same, width = True, max(map(len, old))
     for key in old:
         a, b = old[key], new[key]
         if a.shape != b.shape:
             detail = f"DIFFERS (shape {a.shape} vs {b.shape})"
         elif np.array_equal(a, b):
             detail = "identical"
-        elif key.startswith("load."):
+        elif key.startswith(("load.", "simulate.noisy")):
             detail = (f"DIFFERS ({np.count_nonzero(a != b)} of {a.size} "
                       f"values)")
         else:
@@ -438,7 +491,7 @@ def main():
             detail = (f"DIFFERS (max {kind} {diff.max():.3g}, "
                       f"last step {diff[-1].max():.3g})")
         same &= detail == "identical"
-        print(f"{key:26s} {a.shape[0]:5d} rows  {detail}")
+        print(f"{key:{width}s} {a.shape[0]:6d} rows  {detail}")
     print("all outputs bit-identical" if same else "outputs differ")
     return 0 if same else 1
 

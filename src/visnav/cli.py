@@ -29,14 +29,15 @@ from .observability import (check_mono_motion,  # noqa: F401
                             check_stereo_condition, classify_static_degeneracy,
                             closed_form_transition, gramian_discrete,
                             transition_matrix)
-# innovation_{position,stereo,mono} stay importable here: the benchmark's
-# span tracer (perfbench/tracer.py) wraps them in this namespace.
-from .measurement import mode_cameras, stacked_output
+from .measurement import Frames, mode_arrays, mode_cameras, stacked_output
+# innovation_* and make_{bearing,position}_frame stay importable here: the
+# benchmark's span tracer (perfbench/tracer.py) wraps them in this namespace.
 from .observer import (GainConfig, innovation_mono,  # noqa: F401
                        innovation_position, innovation_stereo, run_continuous)
-from .sim import (EightTrajectory, apply_noise, apply_position_noise,
-                  default_stereo_rig, make_bearing_frame, make_position_frame,
-                  sample_landmarks)
+from .sim import (EightTrajectory, apply_noise,  # noqa: F401
+                  apply_position_noise, default_stereo_rig, make_bearing_frame,
+                  make_position_frame, sample_landmarks, synth_bearings,
+                  synth_positions)
 
 _NUMERIC_ERRORS = (NonFiniteStateError, SingularInnovationError,
                    np.linalg.LinAlgError, FloatingPointError, OverflowError)
@@ -93,25 +94,26 @@ def _simulate(cfg, out_dir):
     imu_rows = np.column_stack([times, imu.reshape(-1, 6)])
     gt_rows = np.column_stack([times, st.R.reshape(-1, 9), st.p, st.v])
 
-    bearings, positions = [], []
+    # the frames at k / vision_rate, k = 1, 2, ..., from one stacked truth
+    # query; frame k's noise is drawn from the seed [seed, 2 or 3, k]
     n_frames = int(np.floor(cfg.duration * cfg.vision_rate + 1e-9))
-    for k in range(1, n_frames + 1):
-        t = k / cfg.vision_rate
-        st = traj.state(t)
-        if cfg.mode == "position3d":
-            fr = make_position_frame(st, lms)
-            if cfg.position_noise > 0:
-                fr = apply_position_noise(fr, cfg.position_noise,
-                                          seed=[cfg.seed, 3, k])
-            positions.append(fr)
-        else:
-            fr = make_bearing_frame(st, lms, cams)
-            if cfg.bearing_noise > 0:
-                fr = apply_noise(fr, cfg.bearing_noise, seed=[cfg.seed, 2, k])
-            bearings.append(fr)
+    frame_times = np.arange(1, n_frames + 1) / cfg.vision_rate
+    st = traj.state(frame_times)
+    position = cfg.mode == "position3d"
+    if position:
+        Y = synth_positions(st, lms)[:, :, None]
+        noise, sigma, stream = apply_position_noise, cfg.position_noise, 3
+    else:
+        Y = synth_bearings(st, lms, cams)
+        noise, sigma, stream = apply_noise, cfg.bearing_noise, 2
+    if sigma > 0:
+        Y = np.array([noise(Yk, sigma, [cfg.seed, stream, k])
+                      for k, Yk in enumerate(Y, 1)]).reshape(Y.shape)
+    frames = Frames(frame_times, Y, np.ones(Y.shape[:-1], dtype=bool))
 
     save_dataset(out_dir, Dataset(imu=imu_rows, landmarks=lms,
-                                  bearings=bearings, positions=positions,
+                                  bearings=None if position else frames,
+                                  positions=frames if position else None,
                                   groundtruth=gt_rows, extrinsics=cams))
     return 0
 
@@ -169,8 +171,9 @@ def _estimate(cfg, data_dir, out_path):
     else:
         # the frames within hybrid.run's first and last node (and its hair)
         t_last = t0 + dt * round((t_end - t0) / dt)
-        frames = [fr for fr in ds.frames(cfg.mode)
-                  if t0 - 1e-12 <= fr.t <= t_last + 1e-12]
+        frames = ds.frames(cfg.mode)
+        frames = frames[(t0 - 1e-12 <= frames.t)
+                        & (frames.t <= t_last + 1e-12)]
         times, states, _ = hybrid_run(
             est0, interpolating_imu(imu), frames, ds.landmarks, gains,
             mode=cfg.mode, cams=ds.extrinsics, ncov=cfg.noise_covariances(),
@@ -182,22 +185,21 @@ def _estimate(cfg, data_dir, out_path):
 
 def _gramian_windows(cfg, ds):
     frames = ds.frames(cfg.mode)
-    if not frames:
+    if not len(frames):
         return []
     imu = np.asarray(ds.imu)
     w = cfg.gramian_window
     t0 = float(imu[0, 0])
-    n = int((frames[-1].t - t0 + 1e-9) // w)
+    n = int((frames.t[-1] - t0 + 1e-9) // w)
     # the frames from the first window start to the last window end, in
     # integer nanoseconds as _truth_lookup, and their C and R(t_f) at once
-    t = np.array([fr.t for fr in frames])
-    ns = np.round(t * 1e9)
+    ns = np.round(frames.t * 1e9)
     lo, hi = np.searchsorted(ns, [round(t0 * 1e9), round((t0 + n * w) * 1e9)])
-    frames, t, ns = frames[lo:hi], t[lo:hi], ns[lo:hi]
-    cs = stacked_output(frames, mode_cameras(cfg.mode, ds.extrinsics),
-                        ds.landmarks)[1]
+    frames, ns = frames[lo:hi], ns[lo:hi]
+    p, rig = mode_arrays(cfg.mode, ds.extrinsics, ds.landmarks)
+    cs = stacked_output(p, frames, rig)[1]
     attitude = AttitudeTable(imu[:, 0], imu[:, 1:4])
-    rotations = attitude(t)
+    rotations = attitude(frames.t)
     gravity = np.array(GainConfig().gravity, dtype=float)
     out = []
     for k in range(n):
@@ -206,8 +208,8 @@ def _gramian_windows(cfg, ds):
         if i < j:
             # Phi(t_f, start) of each frame straight off the attitude table;
             # a frame on the window start may read a hair below it
-            t_s = min(start, t[i])
-            phis = closed_form_transition(gravity, t[i:j] - t_s,
+            t_s = min(start, frames.t[i])
+            phis = closed_form_transition(gravity, frames.t[i:j] - t_s,
                                           attitude(t_s).T @ rotations[i:j])
             rep = gramian_discrete(phis, cs[i:j], mu=cfg.gramian_mu,
                                    window=(start, end))
@@ -243,12 +245,14 @@ def _mono_motion_entry(cfg, ds, witness):
     cam = sorted(ds.extrinsics, key=lambda c: c.cam_id)[0]
     gt = np.asarray(ds.groundtruth)
     ids = list(witness) if witness else [lm.id for lm in ds.landmarks[:3]]
-    kept = [fr for fr in ds.bearings
-            if all((cam.cam_id, i) in fr.obs for i in ids)]
-    times = np.array([fr.t for fr in kept])
+    # the frames in which the first camera (column 0) sees every witness
+    fr, lm_ids = ds.bearings, sorted(lm.id for lm in ds.landmarks)
+    rows = [lm_ids.index(i) for i in ids]
+    kept = fr.seen[:, rows, 0].all(axis=1)
+    times = fr.t[kept]
     Rs = gt[_nearest_rows(gt[:, 0], times), 1:10].reshape(-1, 3, 3)
-    series = {i: np.array([R @ (cam.R @ fr.obs[(cam.cam_id, i)])
-                           for R, fr in zip(Rs, kept)]) for i in ids}
+    series = {i: (Rs @ (cam.R @ fr.Y[kept, r, 0, :, None]))[..., 0]
+              for i, r in zip(ids, rows)}
     try:
         ok = check_mono_motion(times, series, ids, cfg.mono_epsilon,
                                cfg.mono_window)

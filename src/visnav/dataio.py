@@ -20,10 +20,11 @@ from .geom import I3
 from .hybrid import NoiseCovariances
 # innovation_{position,stereo,mono} stay importable here: the benchmark's
 # span tracer (perfbench/tracer.py) wraps them in this namespace.
-from .measurement import MODES, frame_arrays, mode_cameras, stacked_gains
+from .measurement import (MODES, Frames, mode_arrays, mode_cameras,
+                          stacked_gains)
 from .observer import (GainConfig, ObserverState,  # noqa: F401
                        innovation_mono, innovation_position, innovation_stereo)
-from .sim import BearingFrame, CameraExtrinsics, Landmark, PositionFrame
+from .sim import CameraExtrinsics, Landmark
 
 IMU_HEADER = "t,wx,wy,wz,ax,ay,az"
 LANDMARKS_HEADER = "id,x,y,z"
@@ -208,18 +209,29 @@ class Dataset:
 
     imu is an (n, 7) array of rows (t, wx, wy, wz, ax, ay, az); groundtruth,
     when present, is an (n, 16) array of rows (t, r11..r33 row-major, p, v).
+    bearings and positions are each one record (measurement.Frames) of a
+    frame stream, over the landmarks in ascending ids and, for bearings,
+    the extrinsics in ascending cam ids; None when the stream is absent.
     """
 
     imu: np.ndarray
     landmarks: list
-    bearings: list = field(default_factory=list)
-    positions: list = field(default_factory=list)
+    bearings: Frames | None = None
+    positions: Frames | None = None
     groundtruth: np.ndarray | None = None
     extrinsics: list = field(default_factory=list)
 
-    def frames(self, mode: str) -> list:
-        """The frame stream a measurement mode reads."""
-        return self.positions if mode == "position3d" else self.bearings
+    def frames(self, mode: str) -> Frames:
+        """The record a measurement mode reads: the positions, or the
+        bearings' columns of mode_cameras(mode, extrinsics), the first
+        for monocular; an absent stream has no frames."""
+        position = mode == "position3d"
+        K = 1 if position else len(mode_cameras(mode, self.extrinsics))
+        fr = self.positions if position else self.bearings
+        if fr is None:
+            Y = np.zeros((0, len(self.landmarks), K, 3))
+            fr = Frames(np.zeros(0), Y, np.zeros(Y.shape[:-1], dtype=bool))
+        return Frames(fr.t, fr.Y[:, :, :K], fr.seen[:, :, :K])
 
 
 def _load_imu(path):
@@ -243,36 +255,50 @@ def _load_landmarks(path):
                   key=lambda lm: lm.id)
 
 
-def _group_frames(name, data, line, lm_ids, cam_ids=None):
-    """Validate the rows of a bearings table (given cam_ids) or a positions
-    table, and group them into frames: (t, {key: value columns}) for each
-    run of rows of one time, keyed (cam_id, landmark_id) or landmark_id.
+def _load_frames(path, header, lm_ids, cam_ids=None):
+    """Load a bearings table (given cam_ids) or a positions table as one
+    record (Frames): a frame for each run of rows of one time, each row's
+    values in the slot of its landmark and camera, whose indices the dicts
+    lm_ids and cam_ids map the ids to.
 
     The first failing row raises; within it the checks run in the order
     cam_id integer, landmark_id integer, unknown cam_id, unknown
-    landmark_id, finite frame time, increasing frame time, duplicate key."""
+    landmark_id, finite frame time, increasing frame time, duplicate key
+    (a slot written twice).  Then the first row with a bearing off unit
+    length, or with a non-finite position, raises."""
+    name = os.path.basename(path)
+    data, line = _read_rows(path, header, header.count(",") + 1)
     valid = {} if cam_ids is None else {"cam_id": cam_ids}
     valid["landmark_id"] = lm_ids
     n, k = len(data), len(valid)
     t = data[:, 0]
     ts = t.tolist()
     ids = {what: _integers(data[:, j]) for j, what in enumerate(valid, 1)}
+    index = {what: [valid[what].get(i, -1) for i in ints]
+             for what, (ints, _) in ids.items()}
     columns = [ints for ints, _ in ids.values()]
     keys = columns[0] if k == 1 else list(zip(*columns))
     new = np.ones(n, dtype=bool)
     new[1:] = t[1:] != t[:-1]
     later = np.zeros(n, dtype=bool)
     later[1:] = t[1:] <= t[:-1]
+    # each row's slot in the (F, L, K) stack from the run starts and the id
+    # dicts, in Python: numpy's integer kernels would page in code that no
+    # other part of a run uses; a row of an unknown id goes past the stack
     starts = np.flatnonzero(new).tolist()
-    values = list(data[:, 1 + k:].copy())
-    obs = [dict(zip(keys[a:b], values[a:b]))
-           for a, b in zip(starts, starts[1:] + [n])]
-    dup = (np.zeros(n, dtype=bool) if sum(map(len, obs)) == n else
-           _repeats(list(zip(np.cumsum(new).tolist(), keys))))
+    shape = (len(starts), len(lm_ids), 1 if cam_ids is None else len(cam_ids))
+    size = math.prod(shape)
+    frame = [f for f, (a, b) in enumerate(zip(starts, starts[1:] + [n]))
+             for _ in range(a, b)]
+    slot = [(f * shape[1] + i) * shape[2] + c if min(i, c) >= 0 else size
+            for f, i, c in zip(frame, index["landmark_id"],
+                               index.get("cam_id", [0] * n))]
+    dup = (np.zeros(n, dtype=bool) if len(set(slot)) == n else
+           _repeats(list(zip(frame, keys))))
     checks = [(bad, ParseError, lambda i, j=j, what=what:
                f"{what} must be an integer, got {data[i, j]}")
               for j, (what, (_, bad)) in enumerate(ids.items(), 1)]
-    checks += [(~np.fromiter(map(valid[what].__contains__, ints), bool, n),
+    checks += [(np.fromiter((i < 0 for i in index[what]), bool, n),
                 ValidationError, lambda i, what=what, ints=ints:
                 f"unknown {what} {ints[i]}")
                for what, (ints, _) in ids.items()]
@@ -285,30 +311,19 @@ def _group_frames(name, data, line, lm_ids, cam_ids=None):
         (dup, ValidationError,
          lambda i: f"duplicate observation {keys[i]} at t={ts[i]}")]
     _raise_first(name, line, checks)
-    return [(ts[a], o) for a, o in zip(starts, obs)]
-
-
-def _load_bearings(path, lm_ids, cam_ids):
-    name = os.path.basename(path)
-    data, line = _read_rows(path, BEARINGS_HEADER, 6)
-    frames = _group_frames(name, data, line, lm_ids, cam_ids)
-    norms = np.linalg.norm(data[:, 3:6], axis=1)
-    bad = ~(np.abs(norms - 1.0) <= 1e-6)
-    if bad.any():
-        i = int(np.argmax(bad))
-        t, cam_id, lm_id = data[i, :3].tolist()
-        raise ValidationError(
-            f"{name}:{line(i)}: bearing ({round(cam_id)}, {round(lm_id)}) "
-            f"at t={t} is not unit length")
-    return [BearingFrame(t=t, obs=obs) for t, obs in frames]
-
-
-def _load_positions(path, lm_ids):
-    name = os.path.basename(path)
-    data, line = _read_rows(path, POSITIONS_HEADER, 5)
-    frames = _group_frames(name, data, line, lm_ids)
-    _check_finite(name, POSITIONS_HEADER, line, data)
-    return [PositionFrame(t=t, obs=obs) for t, obs in frames]
+    if cam_ids is None:
+        _check_finite(name, header, line, data)
+    else:
+        bad = ~(np.abs(np.linalg.norm(data[:, 3:6], axis=1) - 1.0) <= 1e-6)
+        if bad.any():
+            i = int(np.argmax(bad))
+            _, cam_id, lm_id = data[i, :3].tolist()
+            raise ValidationError(
+                f"{name}:{line(i)}: bearing ({round(cam_id)}, "
+                f"{round(lm_id)}) at t={ts[i]} is not unit length")
+    Y, seen = np.zeros((size, 3)), np.zeros(size, dtype=bool)
+    Y[slot], seen[slot] = data[:, 1 + k:], True
+    return Frames(t[starts], Y.reshape(*shape, 3), seen.reshape(shape))
 
 
 def _load_groundtruth(path):
@@ -349,12 +364,13 @@ def load_dataset(dir_path: str) -> Dataset:
     landmarks = _load_landmarks(p("landmarks.csv"))
     extrinsics = (_load_extrinsics(p("extrinsics.csv"))
                   if os.path.exists(p("extrinsics.csv")) else [])
-    lm_ids = {lm.id for lm in landmarks}
-    cam_ids = {c.cam_id for c in extrinsics}
-    bearings = (_load_bearings(p("bearings.csv"), lm_ids, cam_ids)
-                if os.path.exists(p("bearings.csv")) else [])
-    positions = (_load_positions(p("positions.csv"), lm_ids)
-                 if os.path.exists(p("positions.csv")) else [])
+    lm_ids = {lm.id: i for i, lm in enumerate(landmarks)}
+    cam_ids = {c.cam_id: k for k, c in enumerate(extrinsics)}
+    bearings = (_load_frames(p("bearings.csv"), BEARINGS_HEADER, lm_ids,
+                             cam_ids)
+                if os.path.exists(p("bearings.csv")) else None)
+    positions = (_load_frames(p("positions.csv"), POSITIONS_HEADER, lm_ids)
+                 if os.path.exists(p("positions.csv")) else None)
     groundtruth = (_load_groundtruth(p("groundtruth.csv"))
                    if os.path.exists(p("groundtruth.csv")) else None)
     return Dataset(imu=imu, landmarks=landmarks, bearings=bearings,
@@ -369,29 +385,28 @@ def save_dataset(dir_path: str, ds: Dataset) -> None:
     def p(name):
         return os.path.join(dir_path, name)
 
+    lms = sorted(ds.landmarks, key=lambda lm: lm.id)
+    cams = sorted(ds.extrinsics, key=lambda c: c.cam_id)
     _write_rows(p("imu.csv"), IMU_HEADER, np.asarray(ds.imu))
     _write_rows(p("landmarks.csv"), LANDMARKS_HEADER,
-                [[lm.id, *lm.p] for lm in sorted(ds.landmarks,
-                                                 key=lambda l: l.id)])
+                [[lm.id, *lm.p] for lm in lms])
+    # each record's observations in (t, cam_id, landmark_id) order
+    lm_ids = np.array([lm.id for lm in lms])
     if ds.bearings:
-        rows = []
-        for fr in ds.bearings:
-            for cam_id, lm_id, y in fr.rows():
-                rows.append([fr.t, cam_id, lm_id, *y])
-        _write_rows(p("bearings.csv"), BEARINGS_HEADER, rows)
+        f, k, i = np.nonzero(ds.bearings.seen.transpose(0, 2, 1))
+        cam_ids = np.array([c.cam_id for c in cams])[k]
+        _write_rows(p("bearings.csv"), BEARINGS_HEADER, np.column_stack(
+            [ds.bearings.t[f], cam_ids, lm_ids[i], ds.bearings.Y[f, i, k]]))
     if ds.positions:
-        rows = []
-        for fr in ds.positions:
-            for lm_id in sorted(fr.obs):
-                rows.append([fr.t, lm_id, *fr.obs[lm_id]])
-        _write_rows(p("positions.csv"), POSITIONS_HEADER, rows)
+        f, i, _ = np.nonzero(ds.positions.seen)
+        _write_rows(p("positions.csv"), POSITIONS_HEADER, np.column_stack(
+            [ds.positions.t[f], lm_ids[i], ds.positions.Y[f, i, 0]]))
     if ds.groundtruth is not None:
         _write_rows(p("groundtruth.csv"), GROUNDTRUTH_HEADER,
                     np.asarray(ds.groundtruth))
-    if ds.extrinsics:
+    if cams:
         _write_rows(p("extrinsics.csv"), EXTRINSICS_HEADER,
-                    [[c.cam_id, *c.R.reshape(-1), *c.p]
-                     for c in sorted(ds.extrinsics, key=lambda c: c.cam_id)])
+                    [[c.cam_id, *c.R.reshape(-1), *c.p] for c in cams])
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +541,8 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8",
                   errors="surrogateescape") as fh:
-            lines = fh.read().splitlines()
+            # lines end at \n, \r\n and \r only, as in the CSV readers
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     for ln, raw in enumerate(lines, start=1):
@@ -593,12 +609,12 @@ class DatasetProvider:
     at an array of times (see observer.step), from the sampled frame
     stream of a measurement mode (see Dataset.frames).
 
-    The frames are stacked once: Y[f, l, k] is frame f's observation of
-    the l-th landmark (ascending ids) by the k-th camera of the mode (one
-    column for positions), and seen[f, l, k] marks the ones present.  A
-    query blends each time's two bracketing frames linearly on the keys
-    both see, bearings then renormalized (a key blending to norm <= 1e-9
-    is dropped), and hands every landmark to stacked_gains, an unseen one
+    The mode's record holds Y[f, l, k], frame f's observation of the l-th
+    landmark (ascending ids) by the k-th camera of the mode (one column
+    for positions), and seen[f, l, k] marking the ones present.  A query
+    blends each time's two bracketing frames linearly on the keys both
+    see, bearings then renormalized (a key blending to norm <= 1e-9 is
+    dropped), and hands every landmark to stacked_gains, an unseen one
     with Pi = 0; outside the stream, or with no key left, a time has no
     measurement.  A stereo landmark that one camera misses is kept
     through the other camera's bearing.
@@ -606,9 +622,8 @@ class DatasetProvider:
 
     def __init__(self, ds: Dataset, mode: str):
         frames = ds.frames(mode)
-        self.times = np.array([fr.t for fr in frames], dtype=float)
-        self._p, self._Y, self._seen, self._rig = frame_arrays(
-            frames, mode_cameras(mode, ds.extrinsics), ds.landmarks)
+        self.times, self._Y, self._seen = frames.t, frames.Y, frames.seen
+        self._p, self._rig = mode_arrays(mode, ds.extrinsics, ds.landmarks)
         # the bracketing frames (k, hi) of a time after j frame times, as
         # tables over j: integer maximum and minimum on the indices would
         # page in numpy code that no other part of a run uses

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ScheduleViolationError, SingularInnovationError
 from .geom import I3, grid_index, skew
-from .measurement import frame_arrays, mode_cameras, observation_blocks
+from .measurement import mode_arrays, observation_blocks
 # innovation_{position,stereo,mono} and step stay importable here: the
 # benchmark's span tracer (perfbench/tracer.py) wraps them in this namespace.
 from .observer import (  # noqa: F401
@@ -130,55 +130,60 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
     k and k+1 ends a partial flow at its time t_f, jumps there, and the
     flow goes on to node k+1 with the rest of the interval.  The grid is
     imu_grid(t0, t_end, dt); with t_end None it reaches the last frame.
-    cams is the camera rig; the frames are stacked once (frame_arrays) over
-    its mode_cameras(mode, cams), and each jump's blocks feed both the
+    frames is a record (measurement.Frames) over lms and the cameras
+    mode_cameras(mode, cams) of the rig cams (Dataset.frames(mode)'s
+    columns), its times ascending; each jump's blocks feed both the
     innovation and Q^-1 and keep a landmark one camera misses.  imu
     answers an array of T times with (T, 3) stacks of omega and a (see
     observer.step).  Raises ValueError for a bearing mode without
-    cameras, dt <= 0 or t_end < t0, ScheduleViolationError for a frame
-    off the grid's span (beyond the 1e-12 s hair) or two frames with the
-    same time, UnknownLandmarkError for a landmark outside lms, and
-    SingularInnovationError naming the time of a frame whose jump has a
-    numerically singular innovation covariance.
+    cameras, a record over other landmarks or cameras, dt <= 0 or
+    t_end < t0, ScheduleViolationError for frame times out of order, a
+    frame off the grid's span (beyond the 1e-12 s hair) or two frames
+    with the same time, and SingularInnovationError naming the time of a
+    frame whose jump has a numerically singular innovation covariance.
 
     Returns (times, states, jumps) where states[k] is the estimate at
     times[k] and jumps is a list of (t, lambda_max_before,
     lambda_max_after) covariance diagnostics, t being the node time for a
     frame on a node and t_f otherwise.
     """
-    cams = mode_cameras(mode, cams or [])
-    if mode != "position3d" and not cams:
+    p, rig = mode_arrays(mode, cams or [], lms)
+    if rig is not None and not len(rig[0]):
         raise ValueError(f"a {mode} run needs a camera rig")
-    frames = sorted(frames, key=lambda f: f.t)
-    if t_end is None and not frames:
+    Y, seen, ft = frames.Y, frames.seen, frames.t.tolist()
+    if Y.shape[1:3] != (len(p), 1 if rig is None else len(rig[0])):
+        raise ValueError(f"frames of shape {Y.shape[1:3]} are not over "
+                         f"the {len(p)} landmarks and the {mode} cameras")
+    if t_end is None and not ft:
         raise ValueError("t_end required when there are no frames")
     times = (imu_grid(t0, t_end, dt) if t_end is not None
-             else imu_grid(t0, max(frames[-1].t, t0), dt, reach=True))
+             else imu_grid(t0, max(ft[-1], t0), dt, reach=True))
     nodes, n = times.tolist(), len(times) - 1
-    for f in frames:
-        if not nodes[0] - 1e-12 <= f.t <= nodes[-1] + 1e-12:
+    for tf in ft:
+        if not nodes[0] - 1e-12 <= tf <= nodes[-1] + 1e-12:
             raise ScheduleViolationError(
-                f"frame at t={f.t} outside the run horizon")
-    for a, b in zip(frames, frames[1:]):
-        if a.t == b.t:
-            raise ScheduleViolationError(f"two frames at t={a.t}")
+                f"frame at t={tf} outside the run horizon")
+    for a, b in zip(ft, ft[1:]):
+        if a >= b:
+            raise ScheduleViolationError(
+                f"two frames at t={a}" if a == b else
+                f"frame at t={b} after the frame at t={a}")
 
-    p, Y, seen, rig = frame_arrays(frames, cams, lms)
     # the flow's weights, rebuilt only when tune_vq moves V
     cfg_k = cfg if ncov is None else replace(cfg, v=tune_vq(est, ncov)[0])
     est = est.copy()
     states, jumps, t = [est], [], nodes[0]
-    slots = [(grid_index(nodes, f.t), f) for f in frames] + [(n, None)]
-    for i, (k, frame) in enumerate(slots):
+    slots = [(grid_index(nodes, tf), tf) for tf in ft] + [(n, None)]
+    for i, (k, tf) in enumerate(slots):
         ahead = nodes[len(states):k + 1]        # flow on to node k
         stretch = [t, *ahead]
-        if frame is not None and frame.t - nodes[k] > 1e-12:
-            stretch.append(frame.t)     # strictly between k and k + 1
+        if tf is not None and tf - nodes[k] > 1e-12:
+            stretch.append(tf)          # strictly between k and k + 1
         if len(stretch) > 1:
             flowed = flow(est, imu, cfg_k, stretch)
             states += flowed[:len(ahead)]
             est, t = flowed[-1], stretch[-1]
-        if frame is None:
+        if tf is None:
             break
         rows = seen[i].any(axis=-1)
         blocks = observation_blocks(p[rows], Y[i, rows], seen[i, rows], rig)
@@ -193,7 +198,7 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
             est = jump(est, inn, q_inv)
         except SingularInnovationError as exc:
             raise SingularInnovationError(
-                f"{exc} at the frame at t={frame.t:.9g}") from None
+                f"{exc} at the frame at t={tf:.9g}") from None
         jumps.append((t, lam_before, float(np.linalg.eigvalsh(est.P)[-1])))
         if t == nodes[k]:       # a frame on node k: it keeps the jumped state
             states[k] = est

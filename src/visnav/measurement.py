@@ -1,7 +1,7 @@
 """The one measurement model of the three modes.
 
-Frames of landmark observations (stereo or monocular bearings, or
-body-frame landmark positions) stacked into arrays, their per-landmark
+Streams of landmark observations (stereo or monocular bearings, or
+body-frame landmark positions) as one stacked record, their per-landmark
 blocks (p, Pi, b), each a linear constraint Pi z = b on a body-frame
 landmark position z, and the linear output y = C x of the body-frame
 translational state that the blocks give, or the gains q C^T C and
@@ -11,6 +11,8 @@ stage times goes through each kernel in one pass.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +33,41 @@ def mode_cameras(mode: str, cams) -> list:
     return {"position3d": [], "monocular": cams[:1], "stereo": cams}[mode]
 
 
+@dataclass(eq=False)
+class Frames:
+    """A stream of frames of one kind as one stacked record: frame times
+    t (F,), observations Y (F, L, K, 3) over the landmarks in ascending
+    ids and the cameras in ascending cam ids (one column, K = 1, for
+    body-frame positions), and seen (F, L, K) marking the observations
+    present, whose entries of Y are 0 otherwise.  len() is F, and
+    indexing takes the frames of a slice or mask as a record."""
+
+    t: np.ndarray
+    Y: np.ndarray
+    seen: np.ndarray
+
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, k):
+        return Frames(self.t[k], self.Y[k], self.seen[k])
+
+
+def mode_arrays(mode: str, cams, lms):
+    """(p, rig) of a mode's record (Frames) over lms: the landmark
+    positions p (L, 3) in ascending ids, and rig_arrays of
+    mode_cameras(mode, cams), or None for position3d."""
+    p = np.array([lm.p for lm in sorted(lms, key=lambda lm: lm.id)],
+                 dtype=float).reshape(-1, 3)
+    if mode == "position3d":
+        return p, None
+    return p, rig_arrays(mode_cameras(mode, cams))
+
+
 def landmark_blocks(frame, cams, lms):
     """Stacked per-landmark measurement blocks (p, Pi, b) of one frame:
     the observation_blocks of the landmarks it sees in frame_arrays'
-    stack.  Every mode gives a linear constraint Pi z = b on each
+    record.  Every mode gives a linear constraint Pi z = b on each
     body-frame landmark position z, so y = -b = C x (linear_output).
     Rows follow ascending landmark ids and the camera sum ascending cam
     ids; observations of cameras outside cams are ignored.  p is (L, 3),
@@ -43,20 +76,19 @@ def landmark_blocks(frame, cams, lms):
     Raises UnknownLandmarkError for a landmark outside lms and NotUnitError
     for a rotated bearing whose norm is off 1 by more than 1e-6.
     """
-    p, Y, seen, rig = frame_arrays([frame], cams, lms)
-    rows = seen[0].any(axis=-1)
-    return observation_blocks(p[rows], Y[0, rows], seen[0, rows], rig)
+    p, fr, rig = frame_arrays([frame], cams, lms)
+    rows = fr.seen[0].any(axis=-1)
+    return observation_blocks(p[rows], fr.Y[0, rows], fr.seen[0, rows], rig)
 
 
 def frame_arrays(frames, cams, lms):
-    """The observations of a list of frames of one kind stacked over the
-    landmarks lms in ascending ids and the cameras cams in ascending cam
-    ids: (p, Y, seen, rig) with the landmark positions p (L, 3), Y
-    (F, L, K, 3), seen (F, L, K) marking the observations present, whose
-    entries are 0 otherwise, and rig = rig_arrays(cams) for bearing frames
-    or None for position frames.  Position frames fill one column (K = 1),
-    as does an empty list without cams; observations of cameras outside
-    cams are ignored.
+    """A list of hand-built frames of one kind (sim.BearingFrame or
+    sim.PositionFrame) as (p, record, rig): the Frames record of the list
+    over the landmarks lms in ascending ids and the cameras cams in
+    ascending cam ids, with the landmark positions p (L, 3) and rig =
+    rig_arrays(cams) for bearing frames or None for position frames.
+    Position frames fill one column (K = 1), as does an empty list
+    without cams; observations of cameras outside cams are ignored.
 
     Raises UnknownLandmarkError for a landmark outside lms.
     """
@@ -67,38 +99,34 @@ def frame_arrays(frames, cams, lms):
     col = {None: 0} if position else {c.cam_id: k for k, c in enumerate(cams)}
     Y = np.zeros((len(frames), len(lms), len(col), 3))
     seen = np.zeros(Y.shape[:-1], dtype=bool)
-    at, ys = [], []
     for f, frame in enumerate(frames):
         for key, y in frame.obs.items():
             cam_id, lm_id = (None, key) if position else key
-            if cam_id not in col:
-                continue
-            if lm_id not in row:
-                raise UnknownLandmarkError(
-                    f"landmark {lm_id} not in the known map")
-            at.append((f, row[lm_id], col[cam_id]))
-            ys.append(y)
-    if at:
-        at = tuple(np.array(at).T)
-        Y[at], seen[at] = ys, True
+            if cam_id in col:
+                if lm_id not in row:
+                    raise UnknownLandmarkError(
+                        f"landmark {lm_id} not in the known map")
+                at = f, row[lm_id], col[cam_id]
+                Y[at], seen[at] = y, True
     p = np.array([lm.p for lm in lms], dtype=float).reshape(-1, 3)
-    return p, Y, seen, None if position else rig_arrays(cams)
+    return (p, Frames(np.array([fr.t for fr in frames], dtype=float), Y, seen),
+            None if position else rig_arrays(cams))
 
 
-def stacked_output(frames, cams, lms):
-    """The linear output (y, C) of each of a list of frames of one kind,
-    stacked (F, 3L) and (F, 3L, 15) over every landmark of lms in
-    ascending ids: a landmark a frame does not see (by the cameras in
-    cams, for bearings) has zero rows, which add nothing to a Gramian.
-    The rows of the landmarks a frame sees are landmark_blocks' and
-    linear_output's of that frame; the kernels run once over the stack.
+def stacked_output(p, frames, rig):
+    """The linear output (y, C) of each frame of a record (Frames) of the
+    landmarks at p with rig (see mode_arrays), stacked (F, 3L) and
+    (F, 3L, 15) over every landmark: a landmark a frame does not see has
+    zero rows, which add nothing to a Gramian.  The rows of the landmarks
+    a frame sees are landmark_blocks' and linear_output's of that frame;
+    the kernels run once over the stack.
     """
-    return linear_output(observation_blocks(*frame_arrays(frames, cams, lms)))
+    return linear_output(observation_blocks(p, frames.Y, frames.seen, rig))
 
 
 def observation_blocks(p, Y, seen, rig):
-    """(p, Pi, b) of landmarks at p (L, 3) from their rows of
-    frame_arrays' stack, observations Y (..., L, K, 3) and seen mask
+    """(p, Pi, b) of landmarks at p (L, 3) from their rows of a record's
+    stack (Frames), observations Y (..., L, K, 3) and seen mask
     (..., L, K), and its rig: bearing_blocks with a rig (Rc, c); without
     one (None) Y holds body-frame positions z in one column, and Pi = I,
     b = z where seen and Pi = 0, b = 0 where not.  Pi is (..., L, 3, 3)
@@ -169,11 +197,11 @@ def output_gains(y, C, q):
 
 def stacked_gains(p, Y, seen, rig, q):
     """(S, g, has) of a source's answer (see observer.step) at T times
-    from observation stacks as frame_arrays' of T frames: Y (T, L, K, 3)
-    and seen (T, L, K) of the landmarks at p (L, 3), and rig.  S and g are
-    the output_gains of each time's linear output over every landmark (an
-    unseen one has zero rows), (T, 12, 12) and (T, 12); has marks the
-    times that see a landmark.
+    from observation stacks as a record's (Frames) of T frames: Y
+    (T, L, K, 3) and seen (T, L, K) of the landmarks at p (L, 3), and
+    rig.  S and g are the output_gains of each time's linear output over
+    every landmark (an unseen one has zero rows), (T, 12, 12) and
+    (T, 12); has marks the times that see a landmark.
 
     The blocks, the output matrices C (without the zero columns of v) and
     the products (q C^T) C and (q C^T) b = -q C^T y are each one stacked

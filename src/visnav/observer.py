@@ -20,9 +20,9 @@ from .geom import I3, project_to_rotation, rk4_exp_floats, skew
 # exp_so3 and dexpinv_body stay importable here: the benchmark's span tracer
 # (perfbench/tracer.py) wraps them in this namespace.
 from .geom import dexpinv_body, exp_so3  # noqa: F401
-from .measurement import (landmark_blocks, linear_output, mode_cameras,
-                          stacked_gains)
-from .sim import GRAVITY, rig_arrays, synth_bearings, synth_positions
+from .measurement import (landmark_blocks, linear_output, mode_arrays,
+                          mode_cameras, stacked_gains)
+from .sim import GRAVITY, synth_bearings, synth_positions
 # make_bearing_frame and make_position_frame stay importable here: the
 # benchmark's span tracer (perfbench/tracer.py) wraps them in this namespace.
 from .sim import make_bearing_frame, make_position_frame  # noqa: F401
@@ -454,9 +454,7 @@ class TruthSource:
         self.traj = traj
         self.lms = sorted(lms, key=lambda lm: lm.id)
         self.cams = mode_cameras(mode, cams)
-        self._p = np.array([lm.p for lm in self.lms],
-                           dtype=float).reshape(-1, 3)
-        self._rig = None if mode == "position3d" else rig_arrays(self.cams)
+        self._p, self._rig = mode_arrays(mode, cams, lms)
 
     def __call__(self, times, q):
         state = self.traj.state(np.asarray(times, dtype=float))

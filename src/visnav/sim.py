@@ -64,11 +64,6 @@ class BearingFrame:
     t: float
     obs: dict = field(default_factory=dict)
 
-    def rows(self):
-        """Deterministically ordered (cam_id, landmark_id, y) triples."""
-        for key in sorted(self.obs):
-            yield key[0], key[1], self.obs[key]
-
 
 @dataclass
 class PositionFrame:
@@ -225,30 +220,32 @@ def make_position_frame(state: RigidBodyState, landmarks) -> PositionFrame:
                          obs={lm.id: z for lm, z in zip(landmarks, Z)})
 
 
-def apply_noise(frame: BearingFrame, sigma: float, seed: int) -> BearingFrame:
-    """Perturb every bearing by a small random rotation, per-axis std sigma.
+def apply_noise(Y, sigma: float, seed) -> np.ndarray:
+    """Perturb each bearing of one frame, Y (L, K, 3) as synth_bearings',
+    by a small random rotation with per-axis std sigma, and renormalize.
 
-    Deterministic for a given (frame, sigma, seed); sigma = 0 returns an
-    identical copy.
+    The rotation vectors are drawn from default_rng(seed) camera by
+    camera, each camera's in landmark order; each bearing is turned by
+    its own exp_so3.  Deterministic for a given (Y, sigma, seed); sigma = 0
+    returns a copy.
     """
-    rng = np.random.default_rng(seed)
-    out = {}
-    for cam_id, lm_id, y in frame.rows():
-        if sigma > 0.0:
-            y = exp_so3(rng.normal(0.0, sigma, 3)) @ y
-            y = y / np.linalg.norm(y)
-        out[(cam_id, lm_id)] = np.array(y, dtype=float)
-    return BearingFrame(t=frame.t, obs=out)
+    out = np.array(Y, dtype=float)
+    if sigma > 0.0:
+        L, K = out.shape[:2]
+        w = np.random.default_rng(seed).normal(0.0, sigma, (K, L, 3))
+        for k in range(K):
+            for i in range(L):
+                y = exp_so3(w[k, i]) @ out[i, k]
+                out[i, k] = y / np.linalg.norm(y)
+    return out
 
 
-def apply_position_noise(frame: PositionFrame, sigma: float,
-                         seed: int) -> PositionFrame:
-    """Add i.i.d. Gaussian noise (per-axis std sigma) to position readings."""
-    rng = np.random.default_rng(seed)
-    out = {}
-    for lm_id in sorted(frame.obs):
-        z = np.array(frame.obs[lm_id], dtype=float)
-        if sigma > 0.0:
-            z = z + rng.normal(0.0, sigma, 3)
-        out[lm_id] = z
-    return PositionFrame(t=frame.t, obs=out)
+def apply_position_noise(Z, sigma: float, seed) -> np.ndarray:
+    """Add i.i.d. Gaussian noise (per-axis std sigma), drawn from
+    default_rng(seed) in landmark order, to one frame's body-frame
+    positions Z (L, 3) as synth_positions', or (L, 1, 3) as a record's;
+    sigma = 0 returns a copy."""
+    Z = np.array(Z, dtype=float)
+    if sigma > 0.0:
+        Z = Z + np.random.default_rng(seed).normal(0.0, sigma, Z.shape)
+    return Z

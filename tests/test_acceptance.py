@@ -20,7 +20,10 @@ import pytest
 from visnav.geom import (E3, dist_identity, exp_so3, psi_antisym,
                          potential_terms, random_rotation)
 from visnav.hybrid import NoiseCovariances, run as hybrid_run
-from visnav.observability import (check_mono_motion, check_stereo_condition,
+from visnav.measurement import (Frames, mode_arrays, mode_cameras,
+                                stacked_output)
+from visnav.observability import (_simpson_nodes, check_mono_motion,
+                                  check_stereo_condition,
                                   classify_static_degeneracy,
                                   gramian_continuous, transition_matrix)
 from visnav.observer import (GainConfig, MonoBearingSource, ObserverState,
@@ -30,7 +33,8 @@ from visnav.observer import (GainConfig, MonoBearingSource, ObserverState,
                              run_continuous)
 from visnav.sim import (GRAVITY, EightTrajectory, Landmark, RigidBodyState,
                         apply_noise, default_stereo_rig, make_bearing_frame,
-                        make_position_frame, sample_landmarks)
+                        make_position_frame, sample_landmarks, synth_bearings,
+                        synth_positions)
 
 U = np.ones(3) / np.sqrt(3.0)
 G = np.asarray(GRAVITY, dtype=float)
@@ -40,6 +44,21 @@ MODES = ("position3d", "stereo", "monocular")
 
 def _initial_estimate():
     return ObserverState.initial(R=exp_so3(0.5 * np.pi * U))
+
+
+def mode_outputs(traj, lms, cams, times, mode="stereo"):
+    """c_fn(t) of a mode's output matrix C at each of times, looked up
+    from one stacked pass over them: traj's state, synth_bearings or
+    synth_positions, and stacked_output.  Each C is the one a one-time
+    query gives (a one-row stack), bit for bit."""
+    times = np.asarray(times, dtype=float)
+    st = traj.state(times)
+    p, rig = mode_arrays(mode, cams, lms)
+    Y = (synth_positions(st, lms)[:, :, None] if rig is None else
+         synth_bearings(st, lms, mode_cameras(mode, cams)))
+    cs = stacked_output(
+        p, Frames(times, Y, np.ones(Y.shape[:-1], dtype=bool)), rig)[1]
+    return dict(zip(times.tolist(), cs)).__getitem__
 
 
 @pytest.fixture(scope="session")
@@ -383,21 +402,17 @@ def test_criterion_07_gramian_and_motion_checks(eight, scene):
     ok, witness = check_stereo_condition(lms, G)
     assert ok and witness is not None
 
-    dummy = ObserverState.initial()
-
-    def c_stereo_for(lm_list):
-        def c_fn(t):
-            fr = make_bearing_frame(eight.state(t), lm_list, cams)
-            return innovation_stereo(dummy, fr, cams, lm_list)[1]
-        return c_fn
-
-    rep = gramian_continuous(eight.omega, c_stereo_for(lms), 0.0, 2.0, G)
+    nodes = _simpson_nodes(0.0, 2.0, 1.0 / 800.0)[0]
+    rep = gramian_continuous(eight.omega,
+                             mode_outputs(eight, lms, cams, nodes), 0.0,
+                             2.0, G)
     assert rep.verdict and rep.lambda_min >= 1e-6
 
     collinear = [Landmark(i, np.array([1.0 + 0.7 * i, 2.0 - 0.3 * i,
                                        3.0 + 0.5 * i])) for i in range(3)]
-    rep_c = gramian_continuous(eight.omega, c_stereo_for(collinear), 0.0,
-                               2.0, G)
+    rep_c = gramian_continuous(eight.omega,
+                               mode_outputs(eight, collinear, cams, nodes),
+                               0.0, 2.0, G)
     assert rep_c.lambda_min / rep_c.lambda_max < 1e-8
 
     # monocular motion: satisfied along the figure-eight, violated when the
@@ -452,9 +467,10 @@ def _held_imu(rows):
 
 def test_criterion_08_hybrid_noise_run(eight, scene):
     lms, cams = scene
-    frames = [apply_noise(make_bearing_frame(eight.state(k / 20.0), lms, cams),
-                          0.01, seed=1000 + k)
-              for k in range(1, 601)]
+    ts = np.arange(1, 601) / 20.0
+    Y = np.array([apply_noise(Yk, 0.01, seed=1000 + k) for k, Yk in
+                  enumerate(synth_bearings(eight.state(ts), lms, cams), 1)])
+    frames = Frames(ts, Y, np.ones(Y.shape[:-1], dtype=bool))
     times, states, jumps = hybrid_run(
         _initial_estimate(), _held_imu(_noisy_imu_rows(eight)), frames, lms,
         GainConfig(k_r=20.0), mode="stereo", cams=cams,

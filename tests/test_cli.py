@@ -7,13 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from visnav import cli
+from visnav import cli, measurement
 from visnav.cli import main
 from visnav.dataio import load_config, load_dataset, read_trace, save_dataset
 from visnav.geom import AttitudeTable, exp_so3, grid_index
 from visnav.observability import closed_form_transition
-from visnav.measurement import landmark_blocks, linear_output, mode_cameras
-from visnav.sim import GRAVITY, EightTrajectory, make_bearing_frame
+from visnav.measurement import (Frames, linear_output, mode_arrays,
+                                observation_blocks)
+from visnav.sim import GRAVITY, EightTrajectory, synth_bearings
 
 G = np.array(GRAVITY, dtype=float)
 
@@ -64,6 +65,26 @@ def sim_dir(tmp_path_factory, base_cfg):
     out = tmp_path_factory.mktemp("sim") / "data"
     assert main(["simulate", "--config", base_cfg, "--out", str(out)]) == 0
     return str(out)
+
+
+@pytest.mark.parametrize("mode", ["stereo", "monocular", "position3d"])
+def test_no_pipeline_stacks_a_frame_list(tmp_path, monkeypatch, mode):
+    # frames stay one record from the CSV and `visnav simulate` on:
+    # frame_arrays only converts hand-built frame lists
+    def refuse(*args, **kwargs):
+        raise AssertionError("frame_arrays called")
+
+    monkeypatch.setattr(measurement, "frame_arrays", refuse)
+    cfg = tmp_path / "run.cfg"
+    data, out = str(tmp_path / "data"), str(tmp_path / "out")
+    for estimator in ("continuous", "hybrid"):
+        cfg.write_text(NOISY_CFG.replace("stereo", mode)
+                       .replace("continuous", estimator)
+                       + "position_noise = 0.01\ngramian_window = 0.5\n")
+        assert main(["simulate", "--config", str(cfg), "--out", data]) == 0
+        for command in ("estimate", "analyze"):
+            assert main([command, "--config", str(cfg), "--data", data,
+                         "--out", out]) == 0
 
 
 def test_simulate_writes_expected_files(sim_dir, tmp_path):
@@ -408,9 +429,10 @@ def test_hybrid_estimate_jumps_at_off_grid_frame_times(sim_dir, tmp_path):
     # (7.1e-5 m after 6 s); jumping at the nearest IMU node instead leaves
     # 9.1e-3 m
     ds = load_dataset(sim_dir)
-    traj = EightTrajectory(t_end=6.1)
-    ds.bearings = [make_bearing_frame(traj.state(fr.t + 2.4e-3), ds.landmarks,
-                                      ds.extrinsics) for fr in ds.bearings]
+    t = ds.bearings.t + 2.4e-3
+    Y = synth_bearings(EightTrajectory(t_end=6.1).state(t), ds.landmarks,
+                       ds.extrinsics)
+    ds.bearings = Frames(t, Y, ds.bearings.seen)
     data = tmp_path / "offgrid"
     save_dataset(str(data), ds)
     cfg = tmp_path / "hybrid.cfg"
@@ -700,18 +722,22 @@ def _per_frame_windows(cfg, ds):
     frames, imu = ds.frames(cfg.mode), ds.imu
     grid = imu[:, 0].tolist()
     attitude = AttitudeTable(imu[:, 0], lambda t: imu[grid_index(grid, t), 1:4])
-    cams = mode_cameras(cfg.mode, ds.extrinsics)
+    p, rig = mode_arrays(cfg.mode, ds.extrinsics, ds.landmarks)
     w, t0, out = cfg.gramian_window, grid[0], []
-    for k in range(int((frames[-1].t - t0 + 1e-9) // w)):
+    for k in range(int((frames.t[-1] - t0 + 1e-9) // w)):
         start, end = t0 + k * w, t0 + (k + 1) * w
         lo, hi = round(start * 1e9), round(end * 1e9)
-        in_win = [fr for fr in frames if lo <= round(fr.t * 1e9) < hi]
-        t_s = min(start, in_win[0].t)
+        in_win = [f for f, t in enumerate(frames.t)
+                  if lo <= round(t * 1e9) < hi]
+        t_s = min(start, frames.t[in_win[0]])
         W = np.zeros((15, 15))
-        for fr in in_win:
-            Phi = closed_form_transition(G, fr.t - t_s,
-                                         attitude(t_s).T @ attitude(fr.t))
-            C = linear_output(landmark_blocks(fr, cams, ds.landmarks))[1]
+        for f in in_win:
+            t, Y, seen = frames.t[f], frames.Y[f], frames.seen[f]
+            Phi = closed_form_transition(G, t - t_s,
+                                         attitude(t_s).T @ attitude(t))
+            rows = seen.any(axis=-1)
+            C = linear_output(observation_blocks(p[rows], Y[rows], seen[rows],
+                                                 rig))[1]
             W += (C @ Phi).T @ (C @ Phi)
         ev = np.linalg.eigvalsh(0.5 * (W + W.T))
         out.append((ev[0], ev[-1]))
@@ -735,20 +761,15 @@ def test_analyze_batched_windows_match_the_per_frame_sum(tmp_path, mode):
     assert main(["simulate", "--config", str(cfg_path),
                  "--out", str(data)]) == 0
     cfg, ds = load_config(str(cfg_path)), load_dataset(str(data))
-    frames = [replace(fr, t=fr.t + 1.0 / 600.0, obs=dict(fr.obs))
-              for fr in ds.frames(mode)]
-    frames[19] = replace(frames[19], t=1.0 - 1e-10)
-    for k, fr in enumerate(frames):
-        drop = ([2] if k % 3 == 0 else []) + ([4] if k % 4 == 1 else [])
-        for key in list(fr.obs):
-            lm_id = key if mode == "position3d" else key[1]
-            cam_ok = mode == "position3d" or key[0] == 1 or lm_id == 2
-            if lm_id in drop and cam_ok:
-                del fr.obs[key]
-    if mode == "position3d":
-        ds.positions = frames
-    else:
-        ds.bearings = frames
+    stream = "positions" if mode == "position3d" else "bearings"
+    fr = getattr(ds, stream)
+    t = fr.t + 1.0 / 600.0
+    t[19] = 1.0 - 1e-10
+    # landmark ids are the rows, and camera 1 is column 0
+    seen, k = fr.seen.copy(), np.arange(len(t))
+    seen[k % 3 == 0, 2] = False
+    seen[k % 4 == 1, 4, 0] = False
+    setattr(ds, stream, Frames(t, np.where(seen[..., None], fr.Y, 0.0), seen))
     windows = cli._gramian_windows(cfg, ds)
     ref = _per_frame_windows(cfg, ds)
     assert [w["window"][0] for w in windows] == [0.0, 1.0, 2.0]
@@ -768,7 +789,7 @@ def test_analyze_transports_off_grid_frames_exactly(tmp_path, monkeypatch):
     assert main(["simulate", "--config", str(cfg_path),
                  "--out", str(data)]) == 0
     cfg, ds = load_config(str(cfg_path)), load_dataset(str(data))
-    ds.bearings = [replace(fr, t=fr.t + 1.0 / 600.0) for fr in ds.bearings]
+    ds.bearings = replace(ds.bearings, t=ds.bearings.t + 1.0 / 600.0)
     seen, discrete = [], cli.gramian_discrete
 
     def gramian_discrete(phis, cs, **kwargs):
@@ -779,17 +800,17 @@ def test_analyze_transports_off_grid_frames_exactly(tmp_path, monkeypatch):
     cli._gramian_windows(cfg, ds)
     assert [start for start, _ in seen] == [0.0, 0.5]
     imu, ts = ds.imu, ds.imu[:, 0]
-    frames = iter(ds.bearings)
+    frames = iter(ds.bearings.t.tolist())
     for start, phis in seen:
         for Phi in phis:
-            t = next(frames).t
+            t = next(frames)
             cuts = np.concatenate(([start], ts[(ts > start) & (ts < t)], [t]))
             dR = np.eye(3)
             for a, b in zip(cuts[:-1], cuts[1:]):
                 k = int(np.searchsorted(ts, a, side="right")) - 1
                 dR = dR @ exp_so3((b - a) * imu[k, 1:4])
             assert np.max(np.abs(Phi[:3, :3] - dR.T)) <= 1e-12
-    assert next(frames).t > 1.0  # the last frame is past both windows
+    assert next(frames) > 1.0  # the last frame is past both windows
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from visnav.dataio import (IMU_HEADER, LANDMARKS_HEADER, TRACE_HEADER,
                            save_dataset, write_trace)
 from visnav.errors import IoError, ParseError, ValidationError
 from visnav.geom import E3, exp_so3
-from visnav.measurement import landmark_blocks, linear_output, output_gains
+from visnav.measurement import (frame_arrays, landmark_blocks, linear_output,
+                                output_gains)
 from visnav.sim import BearingFrame, CameraExtrinsics, Landmark, PositionFrame
 
 MINIMAL_IMU = "t,wx,wy,wz,ax,ay,az\n0,0.1,0,0,0,0,9.81\n"
@@ -52,8 +54,27 @@ def _full_dataset():
         R = exp_so3(rng.normal(size=3))
         gts.append([t, *R.reshape(-1), *rng.normal(size=3),
                     *rng.normal(size=3)])
-    return Dataset(imu=imu, landmarks=lms, bearings=frames, positions=pos,
-                   groundtruth=np.array(gts), extrinsics=cams)
+    return _stacked(Dataset(imu=imu, landmarks=lms, bearings=frames,
+                            positions=pos, groundtruth=np.array(gts),
+                            extrinsics=cams))
+
+
+def _stacked(ds):
+    """ds with its lists of hand-built frames stacked into records
+    (frame_arrays)."""
+    records = {}
+    if ds.bearings:
+        records["bearings"] = frame_arrays(ds.bearings, ds.extrinsics,
+                                           ds.landmarks)[1]
+    if ds.positions:
+        records["positions"] = frame_arrays(ds.positions, [],
+                                            ds.landmarks)[1]
+    return replace(ds, **records)
+
+
+def _same_record(a, b):
+    return (np.array_equal(a.t, b.t) and np.array_equal(a.Y, b.Y)
+            and np.array_equal(a.seen, b.seen))
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +91,9 @@ def test_dataset_round_trip_is_exact(tmp_path):
     assert [lm.id for lm in back.landmarks] == sorted(want)
     for lm in back.landmarks:
         assert np.array_equal(lm.p, want[lm.id])
-    assert len(back.bearings) == len(ds.bearings)
-    for fa, fb in zip(back.bearings, ds.bearings):
-        assert fa.t == fb.t and fa.obs.keys() == fb.obs.keys()
-        for key in fa.obs:
-            assert np.array_equal(fa.obs[key], fb.obs[key])
-    for fa, fb in zip(back.positions, ds.positions):
-        assert fa.t == fb.t and fa.obs.keys() == fb.obs.keys()
-        for key in fa.obs:
-            assert np.array_equal(fa.obs[key], fb.obs[key])
+    assert len(back.bearings) == len(ds.bearings) == 2
+    assert _same_record(back.bearings, ds.bearings)
+    assert _same_record(back.positions, ds.positions)
     assert [c.cam_id for c in back.extrinsics] == [1, 2]
     for ca, cb in zip(back.extrinsics, ds.extrinsics):
         assert np.array_equal(ca.R, cb.R) and np.array_equal(ca.p, cb.p)
@@ -86,12 +101,112 @@ def test_dataset_round_trip_is_exact(tmp_path):
     assert {c.cam_id for c in back.extrinsics} == {1, 2}
 
 
+def _hand_streams():
+    """Bearing frames of a two-camera rig and position frames over four
+    landmarks with ids out of order, built by hand: camera 2 misses
+    landmark 9 in every third bearing frame, and landmark 2 is missing
+    from every other position frame."""
+    rng = np.random.default_rng(8)
+    lms = [Landmark(i, rng.normal(size=3)) for i in (5, 2, 9, 7)]
+    cams = [CameraExtrinsics(c, exp_so3(rng.normal(size=3)),
+                             rng.normal(size=3)) for c in (2, 1)]
+    ts = np.cumsum(rng.uniform(0.01, 0.1, 7)).tolist()
+    bearings = [BearingFrame(t=t, obs={
+        (c.cam_id, lm.id): _unit(rng.normal(size=3))
+        for c in cams for lm in lms
+        if not (k % 3 == 0 and (c.cam_id, lm.id) == (2, 9))})
+        for k, t in enumerate(ts)]
+    positions = [PositionFrame(t=t, obs={
+        lm.id: rng.normal(size=3) for lm in lms
+        if not (k % 2 == 1 and lm.id == 2)}) for k, t in enumerate(ts[:5])]
+    return lms, cams, bearings, positions
+
+
+def _write_hand_streams(path, lms, cams, bearings, positions, rng):
+    """The CSV files of _hand_streams, rows written by hand with repr
+    floats, shuffled within each frame."""
+    def table(name, header, rows):
+        (path / name).write_text("\n".join(
+            [header, *(",".join(map(repr, row)) for row in rows)]) + "\n")
+
+    table("imu.csv", IMU_HEADER, [[0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 9.81]])
+    table("landmarks.csv", LANDMARKS_HEADER,
+          [[lm.id, *lm.p.tolist()] for lm in lms])
+    table("extrinsics.csv", dataio.EXTRINSICS_HEADER,
+          [[c.cam_id, *c.R.ravel().tolist(), *c.p.tolist()] for c in cams])
+    rows = []
+    for fr in bearings:
+        keys = list(fr.obs)
+        rows += [[fr.t, *keys[j], *fr.obs[keys[j]].tolist()]
+                 for j in rng.permutation(len(keys))]
+    table("bearings.csv", dataio.BEARINGS_HEADER, rows)
+    rows = []
+    for fr in positions:
+        keys = list(fr.obs)
+        rows += [[fr.t, keys[j], *fr.obs[keys[j]].tolist()]
+                 for j in rng.permutation(len(keys))]
+    table("positions.csv", dataio.POSITIONS_HEADER, rows)
+
+
+def test_loaded_records_match_frame_arrays_of_the_rows(tmp_path):
+    # the loader's records are frame_arrays' of the same rows built by
+    # hand: every bearing column, the monocular column, the positions, and
+    # the empty records of header-only tables
+    lms, cams, bearings, positions = _hand_streams()
+    _write_hand_streams(tmp_path, lms, cams, bearings, positions,
+                        np.random.default_rng(3))
+    ds = load_dataset(str(tmp_path))
+    assert ds.bearings.seen.sum() == 7 * 8 - 3
+    assert ds.positions.seen.sum() == 5 * 4 - 2
+    for got, frames, mode_cams in (
+            (ds.bearings, bearings, cams),
+            (ds.frames("stereo"), bearings, cams),
+            (ds.frames("monocular"), bearings, cams[1:]),
+            (ds.positions, positions, []),
+            (ds.frames("position3d"), positions, [])):
+        assert _same_record(got, frame_arrays(frames, mode_cams, lms)[1])
+    for name in ("bearings.csv", "positions.csv"):
+        header = (tmp_path / name).read_text().splitlines()[0]
+        (tmp_path / name).write_text(header + "\n")
+    ds = load_dataset(str(tmp_path))
+    for got, mode_cams in ((ds.bearings, cams), (ds.frames("monocular"),
+                                                 cams[1:]),
+                           (ds.positions, [])):
+        want = frame_arrays([], mode_cams, lms)[1]
+        assert _same_record(got, want) and got.Y.shape == want.Y.shape
+
+
+def test_record_round_trip_writes_identical_csvs(tmp_path):
+    # save_dataset writes a record's observations from its mask in
+    # (t, cam_id, landmark_id) order; loading and saving again gives the
+    # same bytes
+    lms, cams, bearings, positions = _hand_streams()
+    ds = _stacked(Dataset(imu=np.array([[0.0, 0.1, 0, 0, 0, 0, 9.81]]),
+                          landmarks=lms, bearings=bearings,
+                          positions=positions, extrinsics=cams))
+    save_dataset(str(tmp_path / "a"), ds)
+    back = load_dataset(str(tmp_path / "a"))
+    assert _same_record(back.bearings, ds.bearings)
+    assert _same_record(back.positions, ds.positions)
+    save_dataset(str(tmp_path / "b"), back)
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert len(names) == 5
+    for name in names:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+    rows = np.loadtxt(tmp_path / "a" / "bearings.csv", delimiter=",",
+                      skiprows=1)
+    keys = [tuple(r) for r in rows[:, :3].tolist()]
+    assert keys == sorted(keys) and len(keys) == 7 * 8 - 3
+
+
 def test_minimal_dataset_and_missing_required(tmp_path):
     (tmp_path / "imu.csv").write_text(MINIMAL_IMU)
     (tmp_path / "landmarks.csv").write_text(MINIMAL_LMS)
     ds = load_dataset(str(tmp_path))
     assert ds.imu.shape == (1, 7)
-    assert ds.bearings == [] and ds.positions == []
+    assert ds.bearings is None and ds.positions is None
     assert ds.groundtruth is None and ds.extrinsics == []
     (tmp_path / "imu.csv").unlink()
     with pytest.raises(ValidationError, match="imu.csv"):
@@ -203,7 +318,7 @@ def test_bearing_stream_validation(tmp_path):
 
     br.write_text(head + "0.1,1,1,0,0,1\n0.2,1,2,1,0,0\n")
     ds = load_dataset(str(tmp_path))
-    assert [fr.t for fr in ds.bearings] == [0.1, 0.2]
+    assert ds.bearings.t.tolist() == [0.1, 0.2]
 
 
 def test_position_stream_validation(tmp_path):
@@ -223,7 +338,7 @@ def test_position_stream_validation(tmp_path):
     assert str(info.value) == "positions.csv:3: y must be finite, got -inf"
     po.write_text("t,landmark_id,x,y,z\n0.1,1,0,0,1\n0.1,2,1,0,0\n")
     ds = load_dataset(str(tmp_path))
-    assert len(ds.positions) == 1 and set(ds.positions[0].obs) == {1, 2}
+    assert len(ds.positions) == 1 and ds.positions.seen.all()
 
 
 def test_groundtruth_and_extrinsics_must_be_rotations(tmp_path):
@@ -444,7 +559,7 @@ def test_header_only_tables_raise_no_warning(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ds = load_dataset(str(tmp_path))
-        assert ds.bearings == [] and ds.positions == []
+        assert len(ds.bearings) == 0 and len(ds.positions) == 0
         assert ds.extrinsics == []
         assert read_trace(str(tmp_path / "trace.csv")) == []
         for name, header, message in (
@@ -489,6 +604,26 @@ def test_byte_not_utf8_in_trace_and_config(tmp_path):
     assert str(info.value) == "run.cfg:2: byte 0xe9 is not valid UTF-8"
     cfg.write_bytes("seed = 3\n# café\n".encode())
     assert load_config(str(cfg)).seed == 3
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_config_lines_end_only_at_line_breaks(tmp_path, sep):
+    # file:line counts the lines an editor shows: a line ends at \n, \r\n
+    # or \r, as in the CSV readers, not at the other breaks of
+    # str.splitlines
+    cfg = tmp_path / "c.cfg"
+    for text, message in (
+            (f"seed = 3  # a{sep}b\nduration = x\n",
+             "c.cfg:2: bad value for 'duration'"),
+            (f"seed = 3{sep}mode = monocular\nduration = x\n",
+             "c.cfg:1: bad value for 'seed'"),
+            (f"seed = 3\r\n# a{sep}b\rmode = stereo\rduration = x\r\n",
+             "c.cfg:4: bad value for 'duration'")):
+        cfg.write_bytes(text.encode())
+        with pytest.raises(ParseError) as info:
+            load_config(str(cfg))
+        assert str(info.value).startswith(message + ":")
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +809,11 @@ def _provider_dataset():
         frames, cams, lms
 
 
+def _provider(ds, mode):
+    """The DatasetProvider of a mode on ds with its frame lists stacked."""
+    return DatasetProvider(_stacked(ds), mode)
+
+
 def _has(prov, t):
     """Whether the provider has a measurement at t."""
     return bool(prov(np.array([t]), 1.0)[2][0])
@@ -681,7 +821,7 @@ def _has(prov, t):
 
 def test_bearing_provider_matches_frames_and_interpolates():
     ds, frames, cams, lms = _provider_dataset()
-    prov = DatasetProvider(ds, "stereo")
+    prov = _provider(ds, "stereo")
 
     # at a frame time the provider reproduces the frame's linear output
     y, C = linear_output(landmark_blocks(
@@ -713,13 +853,13 @@ def test_bearing_provider_key_intersection():
     # keys present in both brackets
     for cam_id in (1, 2):
         del frames[1].obs[(cam_id, 1)]
-    _, C = _check_provider(DatasetProvider(ds, "stereo"), ds, 0.2, cams)
+    _, C = _check_provider(_provider(ds, "stereo"), ds, 0.2, cams)
     assert C.shape == (3, 15)
 
 
 def test_bearing_provider_mono_mode():
     ds, frames, cams, lms = _provider_dataset()
-    _, C = _check_provider(DatasetProvider(ds, "monocular"), ds, 0.1,
+    _, C = _check_provider(_provider(ds, "monocular"), ds, 0.1,
                            cams[:1])
     # one 3-row block per landmark from the first camera only
     assert C.shape == (6, 15)
@@ -786,7 +926,7 @@ def test_bearing_provider_drops_a_key_that_blends_to_zero():
     ds = _edge_dataset()
     lo, hi = ds.bearings
     hi.obs[(1, 0)] = -lo.obs[(1, 0)]
-    frame, C = _check_provider(DatasetProvider(ds, "stereo"), ds, 0.2,
+    frame, C = _check_provider(_provider(ds, "stereo"), ds, 0.2,
                                ds.extrinsics)
     assert set(lo.obs) - set(frame.obs) == {(1, 0)}
     assert C.shape == (9, 15)
@@ -800,7 +940,7 @@ def test_bearing_provider_without_a_shared_key_reports_nothing():
     for key in list(lo.obs):
         del (lo if key[1] == 0 else hi).obs[key]
     for mode in ("stereo", "monocular"):
-        prov = DatasetProvider(ds, mode)
+        prov = _provider(ds, mode)
         for t in (0.1, 0.2, 0.29):
             assert not _has(prov, t) and not prov._blend([t])[1].any()
         assert _has(prov, 0.3)              # the last frame on its own
@@ -811,7 +951,7 @@ def test_bearing_provider_keeps_one_projector_of_a_single_camera():
     for fr in ds.bearings:
         del fr.obs[(2, 1)]
     for t in (0.1, 0.17, 0.3):
-        frame, C = _check_provider(DatasetProvider(ds, "stereo"), ds, t,
+        frame, C = _check_provider(_provider(ds, "stereo"), ds, t,
                                    ds.extrinsics)
         assert C.shape == (9, 15)
         traces = [np.trace(C[3 * i:3 * i + 3, 0:3]) for i in range(3)]
@@ -823,7 +963,7 @@ def test_monocular_provider_ignores_the_second_camera():
     lo, hi = ds.bearings
     del lo.obs[(1, 2)]
     cam1 = ds.extrinsics[:1]
-    prov = DatasetProvider(ds, "monocular")
+    prov = _provider(ds, "monocular")
     for t in (0.1, 0.25, 0.3):
         frame, C = _check_provider(prov, ds, t, cam1)
         assert {cam_id for cam_id, _ in frame.obs} == {1}
@@ -831,8 +971,8 @@ def test_monocular_provider_ignores_the_second_camera():
     # camera 1 sees nothing shared while camera 2 still does
     for lm_id in (0, 1):
         del hi.obs[(1, lm_id)]
-    assert not _has(DatasetProvider(ds, "monocular"), 0.2)
-    assert _check_provider(DatasetProvider(ds, "stereo"), ds, 0.2,
+    assert not _has(_provider(ds, "monocular"), 0.2)
+    assert _check_provider(_provider(ds, "stereo"), ds, 0.2,
                            ds.extrinsics)[1].shape == (9, 15)
 
 
@@ -842,7 +982,7 @@ def test_position_provider_interpolates():
               PositionFrame(t=1.0, obs={0: np.array([3.0, 2.0, 0.0])})]
     imu = np.array([[0.0, 0, 0, 0, 0, 0, 9.81], [1.0, 0, 0, 0, 0, 0, 9.81]])
     ds = Dataset(imu=imu, landmarks=lms, positions=frames)
-    prov = DatasetProvider(ds, "position3d")
+    prov = _provider(ds, "position3d")
     S, g, has = prov(np.array([0.25]), 1e3)
     ref = output_gains(*linear_output(landmark_blocks(
         PositionFrame(t=0.25, obs={0: np.array([1.5, 0.5, 0.0])}), [], lms)),

@@ -12,12 +12,20 @@ from visnav.errors import (NonFiniteStateError, ScheduleViolationError,
 from visnav.geom import E3, dist_identity, exp_so3, random_rotation
 from visnav.hybrid import NoiseCovariances, flow, jump, run, tune_vq
 from visnav.observability import transition_matrix
-from visnav.measurement import MODES, landmark_blocks, mode_cameras
+from visnav.measurement import (MODES, frame_arrays, landmark_blocks,
+                                mode_cameras)
 from visnav.observer import (GainConfig, ObserverState, build_A, error_state,
                              innovation_stereo, measurement_model, step)
 from visnav.sim import (GRAVITY, BearingFrame, EightTrajectory, Landmark,
                         PositionFrame, default_stereo_rig, make_bearing_frame,
                         make_position_frame, rig_arrays, sample_landmarks)
+
+
+def _run(est, imu, frames, lms, cfg, mode="stereo", cams=None, **kwargs):
+    """run on a list of hand-built frames, stacked by frame_arrays over
+    lms and the cameras of the mode."""
+    record = frame_arrays(frames, mode_cameras(mode, cams or []), lms)[1]
+    return run(est, imu, record, lms, cfg, mode=mode, cams=cams, **kwargs)
 
 
 def _spd(rng, n=15, scale=1.0):
@@ -92,9 +100,9 @@ def test_flow_batches_match_one_interval_flows():
     est0 = ObserverState.initial(
         R=exp_so3(0.5 * np.pi * np.ones(3) / np.sqrt(3)), p=[0.3, -0.2, 0.1])
     cfg = GainConfig(k_r=20.0)
-    times, states, _ = run(est0, traj.imu, [], sample_landmarks(5, seed=0),
-                           cfg, cams=default_stereo_rig(),
-                           ncov=NoiseCovariances(), t_end=20.0)
+    times, states, _ = _run(est0, traj.imu, [], sample_landmarks(5, seed=0),
+                            cfg, cams=default_stereo_rig(),
+                            ncov=NoiseCovariances(), t_end=20.0)
     assert len(times) - 1 > 10 * observer._BATCH
     cfg_k = replace(cfg, v=tune_vq(est0, NoiseCovariances())[0])
     ref = est0
@@ -118,8 +126,8 @@ def test_flow_names_the_node_whose_step_turns_non_finite():
         return omega, a
 
     with pytest.raises(NonFiniteStateError, match=r"input at t=0\.12$"):
-        run(ObserverState.initial(), imu, frames, lms, GainConfig(), cams=cams,
-            t_end=0.2)
+        _run(ObserverState.initial(), imu, frames, lms, GainConfig(),
+             cams=cams, t_end=0.2)
 
 
 def test_flow_rejects_node_times_that_do_not_ascend():
@@ -204,12 +212,12 @@ def test_run_names_the_frame_whose_innovation_is_singular():
     traj = EightTrajectory(t_end=0.3)
     lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
     frames = _make_frames(traj, lms, cams, [0.05, 0.1])
-    run(ObserverState.initial(), traj.imu, frames, lms, GainConfig(),
-        mode="monocular", cams=cams, t_end=0.15)
+    _run(ObserverState.initial(), traj.imu, frames, lms, GainConfig(),
+         mode="monocular", cams=cams, t_end=0.15)
     with pytest.raises(SingularInnovationError,
                        match=r"singular at the frame at t=0\.05$"):
-        run(ObserverState.initial(), traj.imu, frames, lms,
-            GainConfig(q=1e16), mode="monocular", cams=cams, t_end=0.15)
+        _run(ObserverState.initial(), traj.imu, frames, lms,
+             GainConfig(q=1e16), mode="monocular", cams=cams, t_end=0.15)
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +301,20 @@ def test_run_rejects_bad_frame_times():
     est = ObserverState.initial()
     imu = traj.imu
     with pytest.raises(ScheduleViolationError):
-        run(est, imu, _make_frames(traj_long, lms, cams, [0.5, 2.0]), lms, cfg,
-            cams=cams, t_end=1.0)
+        _run(est, imu, _make_frames(traj_long, lms, cams, [0.5, 2.0]), lms,
+             cfg, cams=cams, t_end=1.0)
     with pytest.raises(ScheduleViolationError, match="outside"):
         # 1 ms before t0, within dt/2 of node 0 but beyond the 1e-12 s hair
-        run(est, imu, _make_frames(traj, lms, cams, [0.5 - 1e-3]), lms, cfg,
-            cams=cams, t_end=1.0, t0=0.5)
+        _run(est, imu, _make_frames(traj, lms, cams, [0.5 - 1e-3]), lms, cfg,
+             cams=cams, t_end=1.0, t0=0.5)
     with pytest.raises(ScheduleViolationError):
         # two frames with the same time
-        run(est, imu, _make_frames(traj, lms, cams, [0.5, 0.5]), lms, cfg,
-            cams=cams, t_end=1.0)
+        _run(est, imu, _make_frames(traj, lms, cams, [0.5, 0.5]), lms, cfg,
+             cams=cams, t_end=1.0)
     with pytest.raises(ScheduleViolationError, match="outside"):
         # without t_end, a last frame before t0 leaves the grid at t0
-        run(est, imu, _make_frames(traj, lms, cams, [0.1]), lms, cfg,
-            cams=cams, t0=0.5)
+        _run(est, imu, _make_frames(traj, lms, cams, [0.1]), lms, cfg,
+             cams=cams, t0=0.5)
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -320,8 +328,8 @@ def test_run_rejects_a_bad_grid(kwargs, match):
     frames = _make_frames(traj, lms, cams, [0.05, 0.1])
     args = {"t_end": 0.1, **kwargs}
     with pytest.raises(ValueError, match=match):
-        run(ObserverState.initial(), traj.imu, frames, lms, GainConfig(),
-            cams=cams, **args)
+        _run(ObserverState.initial(), traj.imu, frames, lms, GainConfig(),
+             cams=cams, **args)
 
 
 def test_run_off_grid_frames_converge_to_the_on_grid_level():
@@ -336,8 +344,8 @@ def test_run_off_grid_frames_converge_to_the_on_grid_level():
                           np.arange(1, 200) / 20.0 + 2.4e-3)
     est0 = ObserverState.initial(
         R=exp_so3(0.5 * np.pi * np.ones(3) / np.sqrt(3)))
-    times, states, jumps = run(est0, traj.imu, frames, lms,
-                               GainConfig(k_r=20.0), cams=cams, t_end=10.0)
+    times, states, jumps = _run(est0, traj.imu, frames, lms,
+                                GainConfig(k_r=20.0), cams=cams, t_end=10.0)
     assert len(times) == len(states) == 2001
     assert [t for t, _, _ in jumps] == [f.t for f in frames]
     tail = times >= 8.0 - 1e-9
@@ -355,8 +363,8 @@ def test_run_two_frames_inside_one_imu_interval():
     cfg = GainConfig()
     est0 = ObserverState.initial(R=exp_so3(np.array([0.3, 0.0, -0.2])))
     frames = _make_frames(traj, lms, cams, [0.5012, 0.5031])
-    times, states, jumps = run(est0, traj.imu, frames, lms, cfg, cams=cams,
-                               t_end=0.6)
+    times, states, jumps = _run(est0, traj.imu, frames, lms, cfg, cams=cams,
+                                t_end=0.6)
     assert [t for t, _, _ in jumps] == [0.5012, 0.5031]
     # run's flows: to the first frame, between the frames, and on from
     # the second frame
@@ -386,7 +394,7 @@ def test_run_frames_within_the_hair_jump_on_their_node():
     hair = [BearingFrame(t=f.t + dt, obs=f.obs)
             for f, dt in zip(on, (-1e-13, 1e-13, -1e-13))]
     (times, ref, ref_jumps), (_, got, jumps) = (
-        run(est0, traj.imu, frames, lms, GainConfig(), cams=cams, t_end=0.5)
+        _run(est0, traj.imu, frames, lms, GainConfig(), cams=cams, t_end=0.5)
         for frames in (on, hair))
     assert [t for t, _, _ in jumps] == [times[0], times[40], times[80]]
     assert jumps == ref_jumps
@@ -407,8 +415,8 @@ def test_run_without_t_end_reaches_the_last_frame(t_last, n):
     lms = sample_landmarks(5, seed=0)
     cams = default_stereo_rig()
     frames = _make_frames(traj, lms, cams, [0.1, 0.2, t_last])
-    times, states, jumps = run(ObserverState.initial(), traj.imu, frames, lms,
-                               GainConfig(), cams=cams)
+    times, states, jumps = _run(ObserverState.initial(), traj.imu, frames, lms,
+                                GainConfig(), cams=cams)
     assert len(times) == len(states) == n + 1
     assert times[-1] == pytest.approx(n / 200.0, abs=1e-15)
     assert jumps[-1][0] == (t_last if n == 51 else times[-1])
@@ -422,8 +430,8 @@ def test_run_converges_and_contracts():
     est0 = ObserverState.initial(
         R=exp_so3(0.5 * np.pi * np.ones(3) / np.sqrt(3)))
     frames = _make_frames(traj, lms, cams, np.arange(0.05, 4.0 + 1e-9, 0.05))
-    times, states, jumps = run(est0, traj.imu, frames, lms, cfg, cams=cams,
-                               ncov=NoiseCovariances(), t_end=4.0)
+    times, states, jumps = _run(est0, traj.imu, frames, lms, cfg, cams=cams,
+                                ncov=NoiseCovariances(), t_end=4.0)
     assert len(times) == len(states) == 801
     assert len(jumps) == 80
     for _, lam_before, lam_after in jumps:
@@ -455,9 +463,9 @@ def test_run_monocular_q_inv_follows_the_first_camera(monkeypatch):
     outputs = []
     for rig in (cams, cams[:1]):
         q_invs.clear()
-        _, states, _ = run(est0, traj.imu, frames, lms, GainConfig(),
-                           mode="monocular", cams=rig,
-                           ncov=NoiseCovariances(), t_end=0.3)
+        _, states, _ = _run(est0, traj.imu, frames, lms, GainConfig(),
+                            mode="monocular", cams=rig,
+                            ncov=NoiseCovariances(), t_end=0.3)
         outputs.append((list(q_invs), states))
     (rig_q, rig_states), (one_q, one_states) = outputs
     assert [q.shape for q in rig_q] == [(15, 15), (12, 12), (15, 15)]
@@ -474,8 +482,8 @@ def test_run_without_ncov_uses_configured_weights():
     cfg = GainConfig()
     est0 = ObserverState.initial(R=exp_so3(np.array([0.3, 0.0, -0.2])))
     frames = _make_frames(traj, lms, cams, [0.25, 0.5, 0.75, 1.0])
-    times, states, jumps = run(est0, traj.imu, frames, lms, cfg, cams=cams,
-                               t_end=1.0)
+    times, states, jumps = _run(est0, traj.imu, frames, lms, cfg, cams=cams,
+                                t_end=1.0)
     assert len(jumps) == 4
     # replicate the first jump by hand, after run's flow to its node
     est = flow(est0.copy(), traj.imu, cfg, times[:51])[-1]
@@ -513,8 +521,8 @@ def test_run_jumps_match_per_frame_landmark_blocks(mode):
         del frames[2].obs[(cams[0].cam_id, lms[4].id)]
     cfg, ncov = GainConfig(k_r=20.0), NoiseCovariances()
     est0 = ObserverState.initial(R=exp_so3(np.array([0.3, 0.0, -0.2])))
-    times, states, jumps = run(est0, traj.imu, frames, lms, cfg, mode=mode,
-                               cams=cams, ncov=ncov, t_end=0.4)
+    times, states, jumps = _run(est0, traj.imu, frames, lms, cfg, mode=mode,
+                                cams=cams, ncov=ncov, t_end=0.4)
 
     mode_cams = mode_cameras(mode, cams)
     rig = None if mode == "position3d" else rig_arrays(mode_cams)
@@ -558,11 +566,13 @@ def test_run_rejects_a_bearing_mode_without_cameras():
     for mode in ("stereo", "monocular"):
         for cams in (None, []):
             with pytest.raises(ValueError, match=mode):
-                run(ObserverState.initial(), traj.imu, frames, lms,
-                    GainConfig(), mode=mode, cams=cams, t_end=0.2)
+                _run(ObserverState.initial(), traj.imu, frames, lms,
+                     GainConfig(), mode=mode, cams=cams, t_end=0.2)
 
 
 def test_run_rejects_an_unknown_landmark():
+    # a record is over lms: a landmark outside them cannot be stacked, and
+    # a record over other landmarks or cameras is refused
     traj = EightTrajectory(t_end=0.3)
     lms = sample_landmarks(5, seed=0)
     cams = default_stereo_rig()
@@ -571,5 +581,24 @@ def test_run_rejects_an_unknown_landmark():
             ("position3d", [PositionFrame(t=0.1, obs={
                 lm.id: lm.p for lm in lms})])):
         with pytest.raises(UnknownLandmarkError, match="landmark"):
-            run(ObserverState.initial(), traj.imu, frames, lms[:4],
+            _run(ObserverState.initial(), traj.imu, frames, lms[:4],
+                 GainConfig(), mode=mode, cams=cams, t_end=0.3)
+        record = frame_arrays(frames, mode_cameras(mode, cams), lms)[1]
+        with pytest.raises(ValueError, match="not over the 4 landmarks"):
+            run(ObserverState.initial(), traj.imu, record, lms[:4],
                 GainConfig(), mode=mode, cams=cams, t_end=0.3)
+    record = frame_arrays(_make_frames(traj, lms, cams, [0.1]), cams, lms)[1]
+    with pytest.raises(ValueError, match="monocular cameras"):
+        run(ObserverState.initial(), traj.imu, record, lms, GainConfig(),
+            mode="monocular", cams=cams, t_end=0.3)
+
+
+def test_run_rejects_frame_times_out_of_order():
+    # run reads the record's times as they stand: it does not sort them
+    traj = EightTrajectory(t_end=0.3)
+    lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
+    frames = _make_frames(traj, lms, cams, [0.2, 0.1])
+    with pytest.raises(ScheduleViolationError,
+                       match=r"^frame at t=0\.1 after the frame at t=0\.2$"):
+        _run(ObserverState.initial(), traj.imu, frames, lms, GainConfig(),
+             cams=cams, t_end=0.3)

@@ -20,12 +20,13 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from test_acceptance import _CASES
+from test_acceptance import _CASES, mode_outputs
 
 from visnav.errors import (CameraOnLandmarkError, InsufficientHistoryError,
                            TooFewLandmarksError, UnsupportedSpectrumError)
 from visnav.geom import I3, AttitudeTable, exp_so3, grid_index
 from visnav.observability import (FULL_STATE_DIM, GramianReport,
+                                  _simpson_nodes,
                                   check_mono_motion, check_stereo_condition,
                                   classify_static_degeneracy,
                                   closed_form_transition,
@@ -59,14 +60,12 @@ def cams():
     return default_stereo_rig()
 
 
-def _c_stereo(traj, lms, cams):
-    dummy = ObserverState.initial()
-
-    def c_fn(t):
-        fr = make_bearing_frame(traj.state(t), lms, cams)
-        return innovation_stereo(dummy, fr, cams, lms)[1]
-
-    return c_fn
+def _c_nodes(traj, lms, cams, t=0.0, delta=2.0, dt=1.0 / 800.0,
+              mode="stereo"):
+    """c_fn of a mode's output at the quadrature nodes of the window
+    [t, t + delta] with step dt (see mode_outputs)."""
+    return mode_outputs(traj, lms, cams, _simpson_nodes(t, delta, dt)[0],
+                        mode)
 
 
 def _blkdiag_rt(R):
@@ -210,7 +209,7 @@ def test_sampled_rate_table_is_the_held_rate_table_bit_for_bit(traj):
 
 
 def test_gramian_stereo_positive(traj, lms, cams):
-    rep = gramian_continuous(traj.omega, _c_stereo(traj, lms, cams),
+    rep = gramian_continuous(traj.omega, _c_nodes(traj, lms, cams),
                              0.0, 2.0, G)
     assert rep.verdict
     assert rep.lambda_min > 0.05
@@ -219,17 +218,27 @@ def test_gramian_stereo_positive(traj, lms, cams):
     assert rep.mu_threshold == 1e-6
 
 
-def test_gramian_position_and_mono_positive(traj, lms, cams):
+@pytest.mark.parametrize("mode", ["position3d", "stereo", "monocular"])
+def test_stacked_outputs_are_the_one_time_outputs(traj, lms, cams, mode):
+    # a one-time trajectory query is a one-row stack, so the C that
+    # _c_nodes looks up is, bit for bit, a fresh innovation's at that time
+    taus = _simpson_nodes(0.0, 0.1, 1.0 / 800.0)[0]
+    c_fn = _c_nodes(traj, lms, cams, 0.0, 0.1, mode=mode)
     dummy = ObserverState.initial()
+    innovation = {
+        "position3d": lambda st: innovation_position(
+            dummy, make_position_frame(st, lms), lms),
+        "stereo": lambda st: innovation_stereo(
+            dummy, make_bearing_frame(st, lms, cams), cams, lms),
+        "monocular": lambda st: innovation_mono(
+            dummy, make_bearing_frame(st, lms, cams), cams[0], lms)}[mode]
+    for t in taus:
+        assert np.array_equal(c_fn(t), innovation(traj.state(t))[1])
 
-    def c_pos(t):
-        fr = make_position_frame(traj.state(t), lms)
-        return innovation_position(dummy, fr, lms)[1]
 
-    def c_mono(t):
-        fr = make_bearing_frame(traj.state(t), lms, [cams[0]])
-        return innovation_mono(dummy, fr, cams[0], lms)[1]
-
+def test_gramian_position_and_mono_positive(traj, lms, cams):
+    c_pos = _c_nodes(traj, lms, cams, mode="position3d")
+    c_mono = _c_nodes(traj, lms, cams, mode="monocular")
     om = traj.omega
     assert gramian_continuous(om, c_pos, 0.0, 2.0, G).verdict
     rep_m = gramian_continuous(om, c_mono, 0.0, 2.0, G)
@@ -240,16 +249,17 @@ def test_gramian_position_and_mono_positive(traj, lms, cams):
 def test_gramian_collinear_landmarks_deficient(traj, cams):
     lms_col = [Landmark(i, np.array([1.0 + 0.7 * i, 2.0 - 0.3 * i,
                                      3.0 + 0.5 * i])) for i in range(3)]
-    rep = gramian_continuous(traj.omega, _c_stereo(traj, lms_col, cams),
+    rep = gramian_continuous(traj.omega, _c_nodes(traj, lms_col, cams),
                              0.0, 2.0, G)
     assert not rep.verdict
     assert rep.lambda_min / rep.lambda_max < 1e-8
 
 
 def test_gramian_step_size_insensitive(traj, lms, cams):
-    om, c_fn = traj.omega, _c_stereo(traj, lms, cams)
-    a = gramian_continuous(om, c_fn, 0.0, 1.0, G, dt=1.0 / 800.0)
-    b = gramian_continuous(om, c_fn, 0.0, 1.0, G, dt=1.0 / 1600.0)
+    om = traj.omega
+    a, b = (gramian_continuous(om, _c_nodes(traj, lms, cams, 0.0, 1.0, dt),
+                               0.0, 1.0, G, dt=dt)
+            for dt in (1.0 / 800.0, 1.0 / 1600.0))
     assert abs(a.lambda_min - b.lambda_min) <= 1e-6 * max(1.0, a.lambda_max)
 
 
@@ -258,8 +268,8 @@ def test_gramians_are_simpson_sums_of_the_node_products(traj, lms, cams):
     # product of sqrt-weighted stacked rows; the reference is the Simpson
     # sum of the per-node products on the same nodes and Phi, equal to
     # roundoff: |d lambda| <= |dW| <= 1e-12 lambda_max
-    om, c_fn = traj.omega, _c_stereo(traj, lms, cams)
     t, delta, n = 0.3, 0.5, 400             # h = delta / n = 1/800
+    om, c_fn = traj.omega, _c_nodes(traj, lms, cams, t, delta)
     taus = t + (delta / n) * np.arange(n + 1)
     w = (delta / n / 3.0) * np.array([1.0, *[4.0, 2.0] * (n // 2 - 1),
                                       4.0, 1.0])
@@ -281,7 +291,7 @@ def test_gramians_are_simpson_sums_of_the_node_products(traj, lms, cams):
 
 def test_gramian_rejects_bad_window(traj, lms, cams):
     with pytest.raises(ValueError):
-        gramian_continuous(traj.omega, _c_stereo(traj, lms, cams),
+        gramian_continuous(traj.omega, _c_nodes(traj, lms, cams),
                            0.0, 0.0, G)
 
 
@@ -308,8 +318,8 @@ def test_gramian_discrete_matches_hand_sum():
 def test_gramian_discrete_sample_monotonicity(traj, lms, cams):
     # adding samples adds a positive semidefinite term, so the smallest
     # eigenvalue cannot decrease
-    om, c_fn = traj.omega, _c_stereo(traj, lms, cams)
     ts = [0.1 * k for k in range(12)]
+    om, c_fn = traj.omega, mode_outputs(traj, lms, cams, ts)
     phis = [transition_matrix(om, G, 0.0, tk, dt=1.0 / 200.0) for tk in ts]
     cs = [c_fn(tk) for tk in ts]
     lam = [gramian_discrete(phis[:n], cs[:n]).lambda_min
@@ -353,7 +363,7 @@ def test_uniform_observability_nilpotent_stack(traj, lms, cams):
     # the stacked test sees the velocity states through the state-matrix
     # powers; dropping the powers (zero state matrix) loses them because the
     # bearing output matrix has zero velocity columns
-    c_fn = _c_stereo(traj, lms, cams)
+    c_fn = _c_nodes(traj, lms, cams)
     Abar = build_A(np.zeros(3), G)
     rep = check_uniform_observability(Abar, c_fn, 0.0, 2.0, mu=1e-6)
     assert rep.verdict

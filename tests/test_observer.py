@@ -15,8 +15,8 @@ from visnav.errors import (LandmarkAtCameraError, NonFiniteStateError,
                            NotUnitError, UnknownLandmarkError)
 from visnav.geom import (E3, I3, dist_identity, exp_so3, pi_proj,
                          psi_antisym, random_rotation, skew)
-from visnav.measurement import (MODES, landmark_blocks, linear_output,
-                                 output_gains)
+from visnav.measurement import (MODES, Frames, landmark_blocks,
+                                linear_output, output_gains)
 from visnav.observer import (GainConfig, ObserverState, TruthSource,
                              attitude_innovation, build_A, error_state,
                              innovation_mono, innovation_position,
@@ -26,7 +26,7 @@ from visnav.sim import (GRAVITY, BearingFrame, CameraExtrinsics,
                         EightTrajectory, Landmark, PositionFrame,
                         RigidBodyState, default_stereo_rig,
                         make_bearing_frame, make_position_frame,
-                        sample_landmarks)
+                        sample_landmarks, synth_bearings, synth_positions)
 
 
 def _truth(rng):
@@ -523,12 +523,8 @@ def test_measurement_onset_substeps(mode, tmp_path, monkeypatch):
     cfg = load_config(str(cfg_path))
     gains = cfg.gain_config()
     ds = load_dataset(str(data))
-    if mode == "position3d":
-        provider = DatasetProvider(ds, mode)
-        first_frame = ds.positions[0].t
-    else:
-        provider = DatasetProvider(ds, mode)
-        first_frame = ds.bearings[0].t
+    provider = DatasetProvider(ds, mode)
+    first_frame = ds.frames(mode).t[0]
     imu_fn = interpolating_imu(ds.imu)
 
     # project_to_rotation runs once per RK4 step
@@ -786,11 +782,16 @@ def test_run_continuous_rejects_a_bad_grid(kwargs, match):
 
 
 def _frame_dataset(traj, lms, cams, times):
-    states = [traj.state(t) for t in times]
+    """Noise-free frames at times that see every landmark, as the records
+    of one stacked trajectory query."""
+    st = traj.state(np.asarray(times, dtype=float))
+
+    def record(Y):
+        return Frames(st.t, Y, np.ones(Y.shape[:-1], dtype=bool))
+
     return Dataset(imu=np.zeros((2, 7)), landmarks=lms, extrinsics=cams,
-                   bearings=[make_bearing_frame(st, lms, cams)
-                             for st in states],
-                   positions=[make_position_frame(st, lms) for st in states])
+                   bearings=record(synth_bearings(st, lms, cams)),
+                   positions=record(synth_positions(st, lms)[:, :, None]))
 
 
 def _frame(source, t, mode, lms, cams):

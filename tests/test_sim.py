@@ -7,7 +7,6 @@ from visnav.errors import LandmarkAtCameraError
 from visnav.geom import I3, AttitudeTable, exp_so3, is_rotation
 from visnav.sim import (
     GRAVITY,
-    BearingFrame,
     CameraExtrinsics,
     EightTrajectory,
     Landmark,
@@ -16,7 +15,6 @@ from visnav.sim import (
     apply_position_noise,
     default_stereo_rig,
     make_bearing_frame,
-    make_position_frame,
     sample_landmarks,
     synth_bearings,
     synth_positions,
@@ -181,17 +179,31 @@ def test_apply_noise_zero_sigma_and_determinism():
     s = identity_state()
     cams = default_stereo_rig()
     lms = sample_landmarks(4, seed=1)
-    frame = make_bearing_frame(s, lms, cams)
-    clean = apply_noise(frame, 0.0, seed=5)
-    for key in frame.obs:
-        assert np.allclose(clean.obs[key], frame.obs[key])
-    n1 = apply_noise(frame, 0.01, seed=5)
-    n2 = apply_noise(frame, 0.01, seed=5)
-    for key in frame.obs:
-        assert np.array_equal(n1.obs[key], n2.obs[key])
-        assert abs(np.linalg.norm(n1.obs[key]) - 1.0) <= 1e-12
-    n3 = apply_noise(frame, 0.01, seed=6)
-    assert any(not np.allclose(n1.obs[k], n3.obs[k]) for k in frame.obs)
+    Y = synth_bearings(s, lms, cams)
+    assert np.array_equal(apply_noise(Y, 0.0, seed=5), Y)
+    n1 = apply_noise(Y, 0.01, seed=5)
+    n2 = apply_noise(Y, 0.01, seed=5)
+    assert np.array_equal(n1, n2)
+    assert np.abs(np.linalg.norm(n1, axis=-1) - 1.0).max() <= 1e-12
+    n3 = apply_noise(Y, 0.01, seed=6)
+    assert not np.allclose(n1, n3)
+
+
+def test_apply_noise_draws_camera_by_camera():
+    # the rotation vectors come from one generator, camera by camera and
+    # within a camera in landmark order, each bearing turned by its own
+    # exp_so3 and renormalized
+    s = identity_state()
+    cams = default_stereo_rig()
+    lms = sample_landmarks(3, seed=2)
+    Y = synth_bearings(s, lms, cams)
+    rng = np.random.default_rng([4, 2, 7])
+    ref = np.empty_like(Y)
+    for k in range(len(cams)):
+        for i in range(len(lms)):
+            y = exp_so3(rng.normal(0.0, 0.01, 3)) @ Y[i, k]
+            ref[i, k] = y / np.linalg.norm(y)
+    assert np.array_equal(apply_noise(Y, 0.01, seed=[4, 2, 7]), ref)
 
 
 def test_apply_noise_angle_statistics():
@@ -200,14 +212,10 @@ def test_apply_noise_angle_statistics():
     # bearing rotates it)
     sigma = 0.01
     y = np.array([0.0, 0.0, 1.0])
-    frames = []
-    base = BearingFrame(t=0.0, obs={(1, i): y.copy() for i in range(100)})
-    for seed in range(100):
-        frames.append(apply_noise(base, sigma, seed=seed))
-    angles = []
-    for fr in frames:
-        for v in fr.obs.values():
-            angles.append(np.arccos(np.clip(v @ y, -1.0, 1.0)))
+    base = np.tile(y, (100, 1, 1))
+    noisy = np.array([apply_noise(base, sigma, seed=seed)
+                      for seed in range(100)])
+    angles = np.arccos(np.clip(noisy @ y, -1.0, 1.0))
     mean = np.mean(angles)
     expect = sigma * np.sqrt(np.pi / 2)
     assert abs(mean - expect) <= 0.2 * expect
@@ -216,12 +224,11 @@ def test_apply_noise_angle_statistics():
 def test_apply_position_noise():
     s = identity_state()
     lms = sample_landmarks(3, seed=7)
-    frame = make_position_frame(s, lms)
-    clean = apply_position_noise(frame, 0.0, seed=1)
-    for lm in lms:
-        assert np.allclose(clean.obs[lm.id], frame.obs[lm.id])
-    noisy = apply_position_noise(frame, 0.1, seed=1)
-    again = apply_position_noise(frame, 0.1, seed=1)
-    for lm in lms:
-        assert np.array_equal(noisy.obs[lm.id], again.obs[lm.id])
-        assert not np.allclose(noisy.obs[lm.id], frame.obs[lm.id])
+    Z = synth_positions(s, lms)
+    assert np.array_equal(apply_position_noise(Z, 0.0, seed=1), Z)
+    noisy = apply_position_noise(Z, 0.1, seed=1)
+    again = apply_position_noise(Z, 0.1, seed=1)
+    assert np.array_equal(noisy, again)
+    assert np.array_equal(
+        noisy, Z + np.random.default_rng(1).normal(0.0, 0.1, (3, 3)))
+    assert all(not np.allclose(a, b) for a, b in zip(noisy, Z))
