@@ -48,8 +48,9 @@ on PYTHONPATH:
   rate with the same stereo output over that window (`uniform`);
 - `transition_matrix` of the trajectory's rate at a few (t0, t1) pairs;
 - `visnav simulate` and `visnav estimate` with the hybrid estimator
-  (k_r = 20) on a stereo dataset of the same length as the runs above,
-  keeping the trace columns;
+  (k_r = 20, `estimate.*`) and with the continuous one
+  (`estimate.continuous.*`) on a stereo dataset of the same length as the
+  runs above, keeping the trace columns;
 - the static analysis on 400 seeded clouds of 5-9 landmarks (see
   `_static`): the verdict of `classify_static_degeneracy` as (label index
   in STATIC_LABELS, rank, full rank), and the entries and rank of
@@ -61,7 +62,8 @@ on PYTHONPATH:
   both numpy's parse and the row loop of `visnav.dataio` are read.  These
   keys hold the bit patterns of the loaded values, so that a sign of zero
   or a nan compares exactly; the bearings and positions are read back
-  from the tables `save_dataset` writes of them.
+  from the tables `save_dataset` writes of them.  `read_trace` may
+  return the trace's rows as one array or as records with `row()`.
 Every input above is built through the trajectory's stacked queries
 (`EightTrajectory.state` and `rotation` of an array of times; one time as
 a one-row stack), so both trees get the same inputs.  The in-memory
@@ -199,10 +201,15 @@ def _noisy_simulate():
 
 
 def _estimate_trace(seconds):
-    text, _ = _cli(ESTIMATE_CFG, "estimate", "--duration", str(seconds))
-    rows = np.loadtxt(text.splitlines()[1:], delimiter=",")
-    return {f"estimate.{name}": rows[:, cols]
-            for name, cols in TRACE_COLUMNS.items()}
+    """The trace columns of `visnav estimate` with each estimator."""
+    out = {}
+    for prefix, cfg in (("estimate", ESTIMATE_CFG),
+                        ("estimate.continuous", ANALYZE_CFG)):
+        text, _ = _cli(cfg, "estimate", "--duration", str(seconds))
+        rows = np.loadtxt(text.splitlines()[1:], delimiter=",")
+        out.update({f"{prefix}.{name}": rows[:, cols]
+                    for name, cols in TRACE_COLUMNS.items()})
+    return out
 
 
 def _simulate_and_analyze():
@@ -266,7 +273,8 @@ def _hand_edited():
         "imu": ds.imu, "groundtruth": ds.groundtruth,
         "landmarks": [[lm.id, *lm.p] for lm in ds.landmarks],
         "extrinsics": [[c.cam_id, *c.R.ravel(), *c.p] for c in ds.extrinsics],
-        **streams, "trace": [r.row() for r in trace]}
+        **streams, "trace": (trace if isinstance(trace, np.ndarray)
+                             else [r.row() for r in trace])}
     return {f"load.{name}": np.asarray(rows, dtype=float).view(np.uint64)
             for name, rows in tables.items()}
 

@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .dataio import (Dataset, DatasetProvider, TraceRecord, apply_overrides,
+from .dataio import (Dataset, DatasetProvider, apply_overrides,
                      interpolating_imu, load_config, load_dataset,
                      save_dataset, write_trace)
 from .errors import (CameraOnLandmarkError, InsufficientHistoryError,
@@ -126,31 +126,25 @@ def _require_cameras(cfg, ds):
             f"dataset has {len(ds.extrinsics)}")
 
 
-def _truth_lookup(ds):
-    if ds.groundtruth is None:
-        return None
-    table = {round(float(row[0]) * 1e9): row for row in ds.groundtruth}
-
-    def fn(t):
-        return table.get(round(float(t) * 1e9))
-
-    return fn
-
-
-def _trace_records(times, states, truth_fn):
-    records = []
-    for t, est in zip(times, states):
-        att = pos = vel = float("nan")
-        if truth_fn is not None:
-            row = truth_fn(t)
-            if row is not None:
-                R = row[1:10].reshape(3, 3)
-                att = dist_identity(R @ est.R.T)
-                pos = float(np.linalg.norm(row[10:13] - est.p))
-                vel = float(np.linalg.norm(row[13:16] - est.v))
-        records.append(TraceRecord(t=float(t), att_err=att, pos_err=pos,
-                                   vel_err=vel, p=est.p, v=est.v, R=est.R))
-    return records
+def _trace_rows(times, states, gt):
+    """The (n, 19) trace rows (TRACE_HEADER) of the stack states at times,
+    each one's errors against the groundtruth row of its time (gt, or
+    None), matched in integer nanoseconds as in _gramian_windows, or nan
+    without one."""
+    rows = np.full((len(times), 19), np.nan)
+    rows[:, 0], rows[:, 4:7], rows[:, 7:10] = times, states.p, states.v
+    rows[:, 10:] = states.R.reshape(-1, 9)
+    if gt is not None:
+        # the first row of each time, or a later one that does not match
+        ns, gt_ns = np.round(times * 1e9), np.round(gt[:, 0] * 1e9)
+        j = np.minimum(np.searchsorted(gt_ns, ns), len(gt_ns) - 1)
+        k = np.flatnonzero(gt_ns[j] == ns)
+        j = j[k]
+        rows[k, 1] = dist_identity(gt[j, 1:10].reshape(-1, 3, 3)
+                                   @ states.R[k].transpose(0, 2, 1))
+        d = (gt[j, 10:16] - rows[k, 4:10]).reshape(-1, 2, 3)    # p and v
+        rows[k, 2:4] = np.sqrt((d[..., None, :] @ d[..., None])[..., 0, 0])
+    return rows
 
 
 def _estimate(cfg, data_dir, out_path):
@@ -179,7 +173,7 @@ def _estimate(cfg, data_dir, out_path):
             mode=cfg.mode, cams=ds.extrinsics, ncov=cfg.noise_covariances(),
             t_end=t_end, dt=dt, t0=t0)
 
-    write_trace(out_path, _trace_records(times, states, _truth_lookup(ds)))
+    write_trace(out_path, _trace_rows(times, states, ds.groundtruth))
     return 0
 
 
@@ -192,7 +186,7 @@ def _gramian_windows(cfg, ds):
     t0 = float(imu[0, 0])
     n = int((frames.t[-1] - t0 + 1e-9) // w)
     # the frames from the first window start to the last window end, in
-    # integer nanoseconds as _truth_lookup, and their C and R(t_f) at once
+    # integer nanoseconds, and their C and R(t_f) at once
     ns = np.round(frames.t * 1e9)
     lo, hi = np.searchsorted(ns, [round(t0 * 1e9), round((t0 + n * w) * 1e9)])
     frames, ns = frames[lo:hi], ns[lo:hi]

@@ -413,37 +413,16 @@ def save_dataset(dir_path: str, ds: Dataset) -> None:
 # estimate traces
 
 
-@dataclass
-class TraceRecord:
-    """One estimator snapshot: errors against truth plus the estimate."""
-
-    t: float
-    att_err: float
-    pos_err: float
-    vel_err: float
-    p: np.ndarray
-    v: np.ndarray
-    R: np.ndarray
-
-    def row(self):
-        return [self.t, self.att_err, self.pos_err, self.vel_err,
-                *self.p, *self.v, *self.R.reshape(-1)]
+def write_trace(path: str, rows) -> None:
+    """Emit the (n, 19) trace rows as CSV (see TRACE_HEADER)."""
+    if not len(rows):
+        raise ValidationError("trace must contain at least one row")
+    _write_rows(path, TRACE_HEADER, rows)
 
 
-def write_trace(path: str, records) -> None:
-    """Emit one CSV row per record (19 columns; see TRACE_HEADER)."""
-    if not records:
-        raise ValidationError("trace must contain at least one record")
-    _write_rows(path, TRACE_HEADER, (r.row() for r in records))
-
-
-def read_trace(path: str):
-    data, _ = _read_rows(path, TRACE_HEADER, 19)
-    return [TraceRecord(t=vals[0], att_err=vals[1], pos_err=vals[2],
-                        vel_err=vals[3], p=np.array(vals[4:7]),
-                        v=np.array(vals[7:10]),
-                        R=np.array(vals[10:19]).reshape(3, 3))
-            for vals in data.tolist()]
+def read_trace(path: str) -> np.ndarray:
+    """The (n, 19) rows of a trace that write_trace wrote."""
+    return _read_rows(path, TRACE_HEADER, 19)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -123,19 +123,24 @@ def exp_so3_floats(x, y, z) -> tuple:
             (bxz - ay, byz + ax, 1.0 - B * (xx + yy)))
 
 
-def dist_identity(R) -> float:
-    """Normalized distance of a rotation from the identity.
+def dist_identity(R):
+    """Normalized distance of a rotation from the identity, of one matrix
+    (a float) or of each matrix of an (n, 3, 3) stack (an array).
 
     sin(th/2) of the rotation angle th = atan2(|psi_antisym(R)|,
     (tr R - 1)/2), in [0, 1]; equals sqrt(tr(I - R)/4) on SO(3).  The
     angle form reads small angles to full relative precision, and an
-    orthogonality defect of R only to first order.
+    orthogonality defect of R only to first order.  Each matrix's sum
+    runs on Python floats: its x ** 2 is libm's pow, which can be an ulp
+    off numpy's stacked square x * x, and numpy's stacked arctan2 and sin
+    can be an ulp off math's.
     """
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = \
-        np.asarray(R, dtype=float).tolist()
-    s = 0.5 * math.sqrt((r21 - r12) ** 2 + (r02 - r20) ** 2
-                        + (r10 - r01) ** 2)
-    return math.sin(0.5 * math.atan2(s, 0.5 * (r00 + r11 + r22 - 1.0)))
+    d = [math.sin(0.5 * math.atan2(
+        0.5 * math.sqrt((r21 - r12) ** 2 + (r02 - r20) ** 2
+                        + (r10 - r01) ** 2), 0.5 * (r00 + r11 + r22 - 1.0)))
+         for r00, r01, r02, r10, r11, r12, r20, r21, r22
+         in map(np.ndarray.tolist, np.asarray(R, dtype=float).reshape(-1, 9))]
+    return d[0] if np.ndim(R) == 2 else np.array(d)
 
 
 def rotation_axis(R, tol: float = 1e-9):

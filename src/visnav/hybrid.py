@@ -142,10 +142,11 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
     with the same time, and SingularInnovationError naming the time of a
     frame whose jump has a numerically singular innovation covariance.
 
-    Returns (times, states, jumps) where states[k] is the estimate at
-    times[k] and jumps is a list of (t, lambda_max_before,
-    lambda_max_after) covariance diagnostics, t being the node time for a
-    frame on a node and t_f otherwise.
+    Returns (times, states, jumps) where states is one stack (see
+    ObserverState) whose node k is the estimate at times[k], and jumps is
+    a list of (t, lambda_max_before, lambda_max_after) covariance
+    diagnostics, t being the node time for a frame on a node and t_f
+    otherwise.
     """
     p, rig = mode_arrays(mode, cams or [], lms)
     if rig is not None and not len(rig[0]):
@@ -171,18 +172,16 @@ def run(est: ObserverState, imu, frames, lms, cfg: GainConfig,
 
     # the flow's weights, rebuilt only when tune_vq moves V
     cfg_k = cfg if ncov is None else replace(cfg, v=tune_vq(est, ncov)[0])
-    est = est.copy()
-    states, jumps, t = [est], [], nodes[0]
+    states, jumps, t, k0 = est.stack(n + 1), [], nodes[0], 0
     slots = [(grid_index(nodes, tf), tf) for tf in ft] + [(n, None)]
     for i, (k, tf) in enumerate(slots):
-        ahead = nodes[len(states):k + 1]        # flow on to node k
-        stretch = [t, *ahead]
+        stretch = [t, *nodes[k0 + 1:k + 1]]        # flow on to node k
         if tf is not None and tf - nodes[k] > 1e-12:
             stretch.append(tf)          # strictly between k and k + 1
         if len(stretch) > 1:
             flowed = flow(est, imu, cfg_k, stretch)
-            states += flowed[:len(ahead)]
-            est, t = flowed[-1], stretch[-1]
+            states[k0 + 1:k + 1] = flowed[:k - k0]
+            est, t, k0 = flowed[-1], stretch[-1], k
         if tf is None:
             break
         rows = seen[i].any(axis=-1)

@@ -10,6 +10,7 @@ time-varying; their gains come from a continuous Riccati equation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -28,6 +29,7 @@ from .sim import GRAVITY, synth_bearings, synth_positions
 from .sim import make_bearing_frame, make_position_frame  # noqa: F401
 
 I15 = np.eye(15)
+_FIELDS = ("R", "p", "v", "e", "P")
 
 
 @dataclass
@@ -68,13 +70,19 @@ class GainConfig:
         return V
 
 
-@dataclass(slots=True)      # a run keeps one state per IMU step
+@dataclass(slots=True)
 class ObserverState:
     """Full estimator state.
 
     e stores the three auxiliary vectors as rows, so g_hat = gravity @ e
     and the predicted landmark position is p_i @ e.  P is the 15x15
     Riccati matrix over the error ordering (p, e1, e2, e3, v).
+
+    A run's estimates (run_continuous, flow, hybrid.run) are one state
+    whose fields stack the nodes along a leading axis, as
+    sim.RigidBodyState and measurement.Frames stack theirs: len() counts
+    the nodes, indexing gives a node's state, or a slice's, as views, and
+    item assignment writes a node's fields.
     """
 
     R: np.ndarray
@@ -94,8 +102,25 @@ class ObserverState:
         )
 
     def copy(self) -> "ObserverState":
-        return ObserverState(R=self.R.copy(), p=self.p.copy(), v=self.v.copy(),
-                             e=self.e.copy(), P=self.P.copy())
+        return ObserverState(*(getattr(self, f).copy() for f in _FIELDS))
+
+    def stack(self, n: int) -> "ObserverState":
+        """A stack of n nodes whose node 0 is a copy of this state; a run
+        writes the others."""
+        out = ObserverState(*(np.empty((n, *getattr(self, f).shape))
+                              for f in _FIELDS))
+        out[0] = self
+        return out
+
+    def __len__(self):       # a single state has no len()
+        return len(self.R[..., 0, 0])
+
+    def __getitem__(self, k) -> "ObserverState":
+        return ObserverState(*(getattr(self, f)[k] for f in _FIELDS))
+
+    def __setitem__(self, k, est: "ObserverState"):
+        for f in _FIELDS:
+            getattr(self, f)[k] = getattr(est, f)
 
 
 def build_A(omega: np.ndarray, gravity: np.ndarray) -> np.ndarray:
@@ -207,15 +232,20 @@ def _corrected_rate(xis, omegas, cfg: GainConfig, j, R):
             w[2] + a2 * s0 + b2 * s1 + c2 * s2)
 
 
-_FIELDS = ("R", "p", "v", "e", "P")
-
-
-def _nonfinite_error(est: ObserverState, t: float) -> NonFiniteStateError:
-    """NonFiniteStateError naming t and the first non-finite field of est,
-    or the inputs when est is finite."""
-    name = next((name for name in _FIELDS
-                 if not np.all(np.isfinite(getattr(est, name)))),
-                "IMU or measurement input")
+def _nonfinite_error(t: float, est: ObserverState, stage, R, xi,
+                     P) -> NonFiniteStateError:
+    """NonFiniteStateError of a step from t that turned non-finite: it
+    names the first non-finite field of est, the batch's start state, or
+    else the step's stage inputs (see _batch_steps) when they are not
+    finite, or else the first non-finite field of the node it ends on,
+    read from that node's P, body-frame xi and R (not projected).  Z
+    never reads the attitude, so the node's P and xi come before its R."""
+    inputs = [x for w, _, a, g in stage for x in (w, a, *(g or ()))]
+    blame = [*((f, [getattr(est, f)]) for f in _FIELDS),
+             ("IMU or measurement input", inputs), ("P", [P]),
+             ("p", [xi[:3]]), ("v", [xi[12:]]), ("e", [xi[3:12]]), ("R", [R])]
+    name = next(name for name, xs in blame
+                if not all(np.isfinite(x).all() for x in xs))
     return NonFiniteStateError(f"non-finite {name} at t={t:.9g}")
 
 
@@ -276,27 +306,27 @@ def _stage_inputs(imu, meas, cfg: GainConfig, times, h):
 
 
 def _integrate(est: ObserverState, cfg: GainConfig, starts, h, inputs,
-               chain: bool):
-    """One batch: the states after RK4 steps of lengths h from the times
-    starts, from est, each step's stage inputs drawn from the iterator
-    inputs.  H Z of a stage (see step) is H0 Z, H0 the template at
-    omega = 0 and S = 0, plus -skew(omega) on Z's ten 3-row blocks and
-    S X on the lambda rows.  With chain (no source) Z runs on from node to
-    node, every node's P comes from one solve at the end, and lambda stays
-    0, so xi = x at every stage and node.  Otherwise Z restarts at every
-    node from its (P, xi), and one solve per step gives the node's P and
-    the P of the step's later stages, whose xi = x - P lambda the attitude
-    needs.  The attitude RK4 runs after all Z stages, and one SVD projects
-    the batch's attitudes.  Between steps a batch holds each node's P and
-    xi, or with chain its Z, each stage's omega and xi_e, and the stacks
-    of its stage inputs.  S and g cover the first 12 entries of the state
-    (output_gains)."""
+               chain: bool, out: ObserverState):
+    """One batch: writes into the stack out the states after RK4 steps of
+    lengths h from the times starts, from est, each step's stage inputs
+    drawn from the iterator inputs.  H Z of a stage (see step) is H0 Z,
+    H0 the template at omega = 0 and S = 0, plus -skew(omega) on Z's ten
+    3-row blocks and S X on the lambda rows.  With chain (no source) Z
+    runs on from node to node, every node's P comes from one solve at the
+    end, and lambda stays 0, so xi = x at every stage and node.  Otherwise
+    Z restarts at every node from its (P, xi), and one solve per step
+    gives the node's P and the P of the step's later stages, whose
+    xi = x - P lambda the attitude needs.  The attitude RK4 runs after all
+    Z stages, and one SVD projects the batch's attitudes.  Between steps a
+    batch holds each node's P and xi, or with chain its Z, each stage's
+    inputs and xi_e, and the stacks of its stage inputs.  S and g cover
+    the first 12 entries of the state (output_gains)."""
     A = build_A(np.zeros(3), cfg.gravity)
     H0 = np.zeros((30, 30))
     H0[:15, :15], H0[:15, 15:], H0[15:, 15:] = A, cfg.v_matrix(), -A.T
     n, Z = len(h), np.zeros((30, 16))        # Z = [[P, xi], [I, 0]]
     Z[:15, :15], Z[:15, 15], Z[15:, :15] = est.P, _body_frame(est), I15
-    Z0, ends, xi, P, omegas = Z, [], np.empty((n, 4, 9)), [], []
+    Z0, ends, xi, stages = Z, [], np.empty((n, 4, 9)), []
     zs = np.empty((4, 30, 16))      # a step's later stages, then its end
     for k, (hk, stage) in enumerate(zip(h, inputs)):
         z, ks = Z, []
@@ -320,69 +350,76 @@ def _integrate(est: ObserverState, cfg: GainConfig, starts, h, inputs,
             zs[3] = Z
             Pt = _transposed_P(zs)
             xi[k, 1:] -= (zs[:3, None, 15:, 15] @ Pt[:3, :, 3:12])[:, 0]
-            P.append(0.5 * (Pt[3].T + Pt[3]))
-            ends.append(Z[:15, 15] - P[-1] @ Z[15:, 15])
-            Z0[:15, :15], Z0[:15, 15] = P[-1], ends[-1]      # the restart
+            out.P[k] = 0.5 * (Pt[3].T + Pt[3])
+            ends.append(Z[:15, 15] - out.P[k] @ Z[15:, 15])
+            Z0[:15, :15], Z0[:15, 15] = out.P[k], ends[-1]    # the restart
             Z = Z0
-        omegas.append([s[0] for s in stage])
+        stages.append(stage)
     R, Rs = est.R.tolist(), []
-    for x, omega, hk in zip(xi, omegas, h):
-        R = rk4_exp_floats(R, partial(_corrected_rate, x.tolist(), omega, cfg),
-                           hk)
+    for x, stage, hk in zip(xi, stages, h):
+        try:
+            R = rk4_exp_floats(R, partial(_corrected_rate, x.tolist(),
+                                          [s[0] for s in stage], cfg), hk)
+        except ValueError:      # math.sin of an infinite angle
+            R = ((math.nan,) * 3,) * 3
         Rs.append(R)
     ends = np.array(ends)       # each node's xi, or with chain its Z
     if chain:
         Pt = _transposed_P(ends)
-        P, ends = 0.5 * (Pt.transpose(0, 2, 1) + Pt), ends[:, :15, 15]
+        out.P[:] = 0.5 * (Pt.transpose(0, 2, 1) + Pt)
+        ends = ends[:, :15, 15]
     Rs = np.array(Rs)
     ok = (np.isfinite(ends).all(axis=1) & np.isfinite(Rs).all(axis=(1, 2))
-          & (np.isfinite(P).all(axis=(1, 2)) if chain
-             else [np.isfinite(Pk).all() for Pk in P]))
+          & np.isfinite(out.P).all(axis=(1, 2)))
     if not ok.all():
-        raise _nonfinite_error(est, starts[int(ok.argmin())])
-    # each state in arrays of its own, which a state that a jump replaces
-    # then frees
-    states = []
-    for Pk, xk, Rk in zip(P, ends, project_to_rotation(Rs)):
-        W = xk.reshape(5, 3) @ Rk.T
-        states.append(ObserverState(R=Rk.copy(), p=W[0], v=W[4], e=W[1:4],
-                                    P=Pk.copy() if chain else Pk))
-    return states
+        k = int(ok.argmin())
+        raise _nonfinite_error(starts[k], est, stages[k], Rs[k], ends[k],
+                               out.P[k])
+    out.R[:] = project_to_rotation(Rs)
+    W = ends.reshape(-1, 5, 3) @ out.R.transpose(0, 2, 1)
+    out.p[:], out.e[:], out.v[:] = W[:, 0], W[:, 1:4], W[:, 4]
 
 
 def _drive(est: ObserverState, imu, meas, cfg: GainConfig, times,
-           h=None) -> list:
-    """The one RK4 driver: the estimates at times[1:], a step from each
-    node time to the next (of length h[k], by default their difference),
-    in batches of at most _BATCH steps (_integrate), each batch's stage
-    inputs from one call of imu and of meas (_stage_inputs).  Each
-    distinct stage time is queried once: 2 n + 1 times for n steps.
-    Raises ValueError naming the first step whose length is not positive
-    (node times must strictly ascend), and NonFiniteStateError naming the
-    start of the first step that turns non-finite."""
+           h=None) -> ObserverState:
+    """The one RK4 driver: the stack of the estimates at times, est (a
+    copy) first, then a step from each node time to the next (of length
+    h[k], by default their difference), in batches of at most _BATCH
+    steps (_integrate), each batch's stage inputs from one call of imu and
+    of meas (_stage_inputs).  Each distinct stage time is queried once:
+    2 n + 1 times for n steps.  numpy's overflow and invalid-value
+    warnings are silenced: the non-finite values they warn of are what
+    NonFiniteStateError reports.  Raises ValueError naming the first step
+    whose length is not positive (node times must strictly ascend), and
+    NonFiniteStateError naming the start of the first step that turns
+    non-finite."""
     times = np.asarray(times, dtype=float)
     h = np.diff(times) if h is None else np.asarray(h, dtype=float)
     if not (h > 0).all():
         k = int((h > 0).argmin())
         raise ValueError(f"step at t={float(times[k])!r} has length "
                          f"{float(h[k])!r}: node times must strictly ascend")
-    inputs, states = _stage_inputs(imu, meas, cfg, times, h), [est]
-    for i in range(0, len(h), _BATCH):
-        states += _integrate(states[-1], cfg, times[i:i + _BATCH].tolist(),
-                             h[i:i + _BATCH].tolist(), inputs, meas is None)
-    return states[1:]
+    inputs = _stage_inputs(imu, meas, cfg, times, h)
+    states = est.stack(len(h) + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(h), _BATCH):
+            _integrate(states[i], cfg, times[i:i + _BATCH].tolist(),
+                       h[i:i + _BATCH].tolist(), inputs, meas is None,
+                       states[i + 1:i + 1 + _BATCH])
+    return states
 
 
-def flow(est: ObserverState, imu, cfg: GainConfig, times) -> list:
+def flow(est: ObserverState, imu, cfg: GainConfig, times) -> ObserverState:
     """The measurement-free flow of est from times[0] through the strictly
-    ascending node times: the estimates at times[1:], each one RK4 step of
-    `step` (_drive without a source).  With S = 0, P advances as
+    ascending node times: the estimates at times[1:], one stack (see
+    ObserverState) of a node per time, each one RK4 step of `step`
+    (_drive without a source).  With S = 0, P advances as
     Phi P Phi^T + int Phi V Phi^T (Van Loan, IEEE TAC 23(3), 1978), and Z
     runs on from node to node with no restart, which in exact arithmetic
     is a restart at each node: the RK4 map commutes with the right
     multiplication a restart applies.  Z restarts at each batch.
     """
-    return _drive(est, imu, None, cfg, times)
+    return _drive(est, imu, None, cfg, times)[1:]
 
 
 def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
@@ -427,11 +464,14 @@ def step(est: ObserverState, imu, cfg: GainConfig, dt: float, t: float = 0.0,
     to the next step: the step that ends on a stream's first frame is the
     measurement-free flow.
 
-    Raises ValueError unless dt is positive and imu answers with (T, 3)
-    stacks, and NonFiniteStateError naming t and the first non-finite
-    field of est (or its inputs) when the step turns non-finite.
+    Returns the estimate at t + dt, node 1 of the driver's stack (see
+    ObserverState).  Raises ValueError unless dt is positive and imu
+    answers with (T, 3) stacks, and NonFiniteStateError naming t and the
+    first non-finite field of est, or else its inputs, or else the first
+    non-finite field of the result (_nonfinite_error) when the step turns
+    non-finite.
     """
-    return _drive(est, imu, meas, cfg, [t, t + dt], [dt])[0]
+    return _drive(est, imu, meas, cfg, [t, t + dt], [dt])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +541,12 @@ def run_continuous(est: ObserverState, imu, provider, cfg: GainConfig,
     times = imu_grid(t0, t_end, dt), in batches of steps, with one call
     of imu and then of provider per batch (see step).
 
-    Returns (times, states) with the initial state included; states[k] is
-    the estimate at times[k].  Step k takes dt = times[k+1] - times[k],
-    exact by Sterbenz's lemma once times[k] >= dt, so it ends on times[k+1]
-    bit for bit and one query of that time serves both steps that meet
-    on it.  With provider None this is flow over times.
+    Returns (times, states) with a copy of est as states[0]: states is one
+    stack (see ObserverState) whose node k is the estimate at times[k].
+    Step k takes dt = times[k+1] - times[k], exact by Sterbenz's lemma once
+    times[k] >= dt, so it ends on times[k+1] bit for bit and one query of
+    that time serves both steps that meet on it.  With provider None this
+    is flow over times.
     """
     times = imu_grid(t0, t_end, dt)
-    return times, [est.copy(), *_drive(est, imu, provider, cfg, times)]
+    return times, _drive(est, imu, provider, cfg, times)

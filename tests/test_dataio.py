@@ -9,7 +9,7 @@ import pytest
 
 from visnav import dataio
 from visnav.dataio import (IMU_HEADER, LANDMARKS_HEADER, TRACE_HEADER,
-                           Dataset, DatasetProvider, RunConfig, TraceRecord,
+                           Dataset, DatasetProvider, RunConfig,
                            apply_overrides, interpolating_imu,
                            load_config, load_dataset, read_trace,
                            save_dataset, write_trace)
@@ -561,7 +561,7 @@ def test_header_only_tables_raise_no_warning(tmp_path):
         ds = load_dataset(str(tmp_path))
         assert len(ds.bearings) == 0 and len(ds.positions) == 0
         assert ds.extrinsics == []
-        assert read_trace(str(tmp_path / "trace.csv")) == []
+        assert read_trace(str(tmp_path / "trace.csv")).shape == (0, 19)
         for name, header, message in (
                 ("groundtruth.csv", GT_HEAD, "groundtruth.csv: no "
                  "groundtruth rows"),
@@ -632,31 +632,25 @@ def test_config_lines_end_only_at_line_breaks(tmp_path, sep):
 
 def test_trace_round_trip(tmp_path):
     rng = np.random.default_rng(1)
-    recs = [TraceRecord(t=0.05 * k, att_err=rng.uniform(), pos_err=rng.uniform(),
-                        vel_err=rng.uniform(), p=rng.normal(size=3),
-                        v=rng.normal(size=3), R=exp_so3(rng.normal(size=3)))
-            for k in range(3)]
+    rows = np.column_stack([0.05 * np.arange(3), rng.uniform(size=(3, 3)),
+                            rng.normal(size=(3, 6)),
+                            [exp_so3(rng.normal(size=3)).ravel()
+                             for _ in range(3)]])
     path = tmp_path / "trace.csv"
-    write_trace(str(path), recs)
+    write_trace(str(path), rows)
     lines = path.read_text().splitlines()
     assert lines[0] == TRACE_HEADER
     assert len(lines[0].split(",")) == 19
-    back = read_trace(str(path))
-    assert len(back) == 3
-    for a, b in zip(back, recs):
-        assert a.t == b.t and a.att_err == b.att_err
-        assert a.pos_err == b.pos_err and a.vel_err == b.vel_err
-        assert np.array_equal(a.p, b.p) and np.array_equal(a.v, b.v)
-        assert np.array_equal(a.R, b.R)
+    assert np.array_equal(read_trace(str(path)), rows)
 
 
 def test_trace_zero_error_record(tmp_path):
-    rec = TraceRecord(t=0.0, att_err=0.0, pos_err=0.0, vel_err=0.0,
-                      p=np.zeros(3), v=np.zeros(3), R=np.eye(3))
+    row = np.concatenate([np.zeros(10), np.eye(3).ravel()])
     path = tmp_path / "trace.csv"
-    write_trace(str(path), [rec])
+    write_trace(str(path), row[None])
     back = read_trace(str(path))
-    assert back[0].att_err == 0.0 and np.array_equal(back[0].R, np.eye(3))
+    assert back.shape == (1, 19) and back[0, 1] == 0.0
+    assert np.array_equal(back[0, 10:].reshape(3, 3), np.eye(3))
 
 
 def test_writers_print_each_value_to_17_significant_digits(tmp_path):
@@ -672,12 +666,9 @@ def test_writers_print_each_value_to_17_significant_digits(tmp_path):
             ",".join(format(float(v), ".17g") for v in row) + "\n"
             for row in rows]).encode()
 
-    rec = TraceRecord(t=vals[0], att_err=vals[1], pos_err=vals[2],
-                      vel_err=vals[3], p=vals[4:7], v=vals[7:10],
-                      R=vals[10:19].reshape(3, 3))
-    write_trace(str(tmp_path / "trace.csv"), [rec])
+    write_trace(str(tmp_path / "trace.csv"), vals[None, :19])
     assert (tmp_path / "trace.csv").read_bytes() == expect(TRACE_HEADER,
-                                                           [rec.row()])
+                                                           [vals[:19]])
     imu = np.stack([vals[:7], vals[7:14], vals[12:]])
     lms = [Landmark(7, vals[:3]), Landmark(12, vals[16:])]
     save_dataset(str(tmp_path / "ds"), Dataset(imu=imu, landmarks=lms))

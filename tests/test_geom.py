@@ -120,9 +120,10 @@ def test_dist_identity_values():
     assert abs(dist_identity(exp_so3([np.pi, 0, 0])) - 1.0) <= 1e-12
     assert abs(dist_identity(exp_so3([np.pi / 2, 0, 0])) - np.sqrt(2) / 2) <= 1e-12
     rng = np.random.default_rng(6)
-    for _ in range(100):
-        d = dist_identity(random_rotation(rng))
-        assert 0.0 <= d <= 1.0
+    Rs = np.array([random_rotation(rng) for _ in range(100)])
+    for R, d in zip(Rs, dist_identity(Rs)):     # a stack, row by row
+        assert d == dist_identity(R) and 0.0 <= d <= 1.0
+    assert dist_identity(Rs[:0]).shape == (0,)
 
 
 def test_dist_identity_reads_small_angles_and_defects_exactly():

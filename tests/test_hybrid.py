@@ -1,5 +1,6 @@
 """Unit tests for the sampled-measurement (flow/jump) estimator."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,9 @@ from visnav.hybrid import NoiseCovariances, flow, jump, run, tune_vq
 from visnav.observability import transition_matrix
 from visnav.measurement import (MODES, frame_arrays, landmark_blocks,
                                 mode_cameras)
-from visnav.observer import (GainConfig, ObserverState, build_A, error_state,
-                             innovation_stereo, measurement_model, step)
+from visnav.observer import (GainConfig, ObserverState, StereoBearingSource,
+                             build_A, error_state, innovation_stereo,
+                             measurement_model, run_continuous, step)
 from visnav.sim import (GRAVITY, BearingFrame, EightTrajectory, Landmark,
                         PositionFrame, default_stereo_rig, make_bearing_frame,
                         make_position_frame, rig_arrays, sample_landmarks)
@@ -602,3 +604,104 @@ def test_run_rejects_frame_times_out_of_order():
                        match=r"^frame at t=0\.1 after the frame at t=0\.2$"):
         _run(ObserverState.initial(), traj.imu, frames, lms, GainConfig(),
              cams=cams, t_end=0.3)
+
+
+# ---------------------------------------------------------------------------
+# a run's stacked result
+
+
+FIELDS = ("R", "p", "v", "e", "P")
+
+
+def _assert_stack_contract(times, states):
+    """What callers read of a run's result: len, a node by (numpy) int or
+    from the end, slices, iteration, unpacking and zip, each a view of
+    the stacks' rows, and item assignment writing one node."""
+    n = len(times)
+    assert len(states) == n and len(list(states)) == n
+    assert all(getattr(states, f).shape[0] == n for f in FIELDS)
+    for k, (_, est) in enumerate(zip(times, states)):
+        for f in FIELDS:
+            assert np.array_equal(getattr(est, f), getattr(states, f)[k])
+    for k, row in ((np.int64(n - 2), n - 2), (-1, n - 1), (0, 0)):
+        for f in FIELDS:
+            field = getattr(states[k], f)
+            assert np.array_equal(field, getattr(states, f)[row])
+            assert np.shares_memory(field, getattr(states, f))
+    part = states[1:4]
+    assert isinstance(part, ObserverState) and len(part) == 3
+    for f in FIELDS:
+        assert np.array_equal(getattr(part, f), getattr(states, f)[1:4])
+    last, = states[n - 1:]
+    assert np.array_equal(last.P, states.P[-1])
+    copy = states.copy()
+    copy[1] = states[0]
+    for f in FIELDS:
+        assert np.array_equal(getattr(copy, f)[1], getattr(states, f)[0])
+        assert np.array_equal(getattr(copy, f)[2:], getattr(states, f)[2:])
+    with pytest.raises(TypeError):
+        len(states[0])          # one node has no length
+
+
+def test_run_continuous_returns_one_stack():
+    traj = EightTrajectory(t_end=0.2)
+    lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
+    est0 = ObserverState.initial(R=exp_so3(np.array([0.3, 0.0, -0.2])))
+    times, states = run_continuous(est0, traj.imu,
+                                   StereoBearingSource(traj, lms, cams),
+                                   GainConfig(), t_end=0.2)
+    _assert_stack_contract(times, states)
+    for f in FIELDS:
+        assert np.array_equal(getattr(states, f)[0], getattr(est0, f))
+
+
+def test_flow_returns_one_stack():
+    traj = EightTrajectory(t_end=0.2)
+    est0 = ObserverState.initial(R=exp_so3(np.array([0.3, 0.0, -0.2])))
+    times = np.arange(41) / 200.0
+    states = flow(est0, traj.imu, GainConfig(), times)
+    _assert_stack_contract(times[1:], states)
+    a, = flow(est0, traj.imu, GainConfig(), times[:2])
+    for f in FIELDS:
+        assert np.array_equal(getattr(a, f), getattr(states, f)[0])
+
+
+def test_hybrid_run_returns_one_stack_with_each_jump_in_its_row():
+    # frames on node 10 and between nodes 14 and 15: row 10 holds the
+    # post-jump state, and the off-grid jump shows from row 15 on
+    traj = EightTrajectory(t_end=0.2)
+    lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
+    cfg = GainConfig()
+    est0 = ObserverState.initial(R=exp_so3(np.array([0.3, 0.0, -0.2])))
+    frames = _make_frames(traj, lms, cams, [0.05, 0.0725])
+    times, states, jumps = _run(est0, traj.imu, frames, lms, cfg, cams=cams,
+                                t_end=0.1)
+    assert [t for t, _, _ in jumps] == [0.05, 0.0725]
+    _assert_stack_contract(times, states)
+    pre = flow(est0, traj.imu, cfg, times[:11])[-1]
+    inn = innovation_stereo(pre, frames[0], cams, lms)
+    post = jump(pre, inn, np.eye(inn[1].shape[0]) / cfg.q)
+    assert not np.array_equal(pre.P, post.P)
+    for f in FIELDS:
+        assert np.array_equal(getattr(states, f)[10], getattr(post, f))
+    nodes = flow(states[10], traj.imu, cfg, times[10:15])
+    for f in FIELDS:
+        assert np.array_equal(getattr(states, f)[11:15], getattr(nodes, f))
+
+
+@pytest.mark.parametrize("mode", ["stereo", "position3d"])
+def test_attitude_overflow_names_the_node_not_the_inputs(mode):
+    # k_r = 1e300 sends the attitude's rate to inf, where math.sin raised
+    # "ValueError: math domain error"; the guard then blamed the finite
+    # inputs.  The error names the first node's R, and numpy's overflow
+    # warnings stay silent
+    traj = EightTrajectory(t_end=0.3)
+    lms, cams = sample_landmarks(5, seed=0), default_stereo_rig()
+    frames = _mode_frames(mode, traj, lms, cams, [0.05, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError,
+                           match=r"^non-finite R at t=0$"):
+            _run(ObserverState.initial(), traj.imu, frames, lms,
+                 GainConfig(k_r=1e300), mode=mode, cams=cams,
+                 ncov=NoiseCovariances(), t_end=0.2)

@@ -2,6 +2,7 @@
 identities, Riccati integration, and the step() integrator."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -766,6 +767,28 @@ def test_run_continuous_names_the_step_whose_rate_turns_non_finite():
     with pytest.raises(NonFiniteStateError, match=r"input at t=0\.12$"):
         run_continuous(ObserverState.initial(), imu, source, GainConfig(),
                        t_end=0.3)
+
+
+def test_riccati_overflow_names_the_node_not_the_inputs():
+    # q = 1e200 overflows Z's stages at the step from 0.05, where the
+    # measurements start, ten steps into the first batch; every input is
+    # finite, yet the guard blamed them, reading only the batch's start
+    # state.  It names the node's P, and numpy's overflow warnings stay
+    # silent
+    traj = EightTrajectory(t_end=0.3)
+    source = TruthSource(traj, sample_landmarks(5, seed=0), "stereo",
+                         default_stereo_rig())
+
+    def late(times, q):
+        S, g, has = source(times, q)
+        return S, g, has & (times > 0.05 - 1e-9)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError,
+                           match=r"^non-finite P at t=0\.05$"):
+            run_continuous(ObserverState.initial(), traj.imu, late,
+                           GainConfig(q=1e200), t_end=0.2)
 
 
 @pytest.mark.parametrize("kwargs, match", [
